@@ -3,7 +3,7 @@
 The backend is chosen once at import: numba is used when it is installed
 and the environment variable ``QHYPER_NUMBA`` is not ``0``/``false``.
 Both paths implement identical semantics and are cross-checked in the
-test suite; ``benchmarks/bench_kernels.py`` compares their speed.
+test suite.
 
 Kernels here cover the two inner loops that dominate runtime:
 

@@ -284,6 +284,52 @@ class BabyFock:
 
         return self._cached(("stack",), build)
 
+    def _word_images(self, X: np.ndarray) -> np.ndarray:
+        """(4**n, dim, k) array of M_w X for every word w, by letter application."""
+        dim, k = X.shape
+        cur = X.reshape(dim, 1, k)
+        # rightmost letter first; each new letter becomes the low digit of w
+        for pos in range(self.n - 1, -1, -1):
+            flat = cur.reshape(dim, -1)
+            imgs = [self.apply_letter(letter, pos + 1, flat).reshape(cur.shape)
+                    for letter in (UNIT, GEN, STAR, Y)]
+            cur = np.stack(imgs, axis=2).reshape(dim, -1, k)
+        return np.ascontiguousarray(cur.transpose(1, 0, 2))
+
+    def irrep_basis(self) -> np.ndarray:
+        """(dim, 2**n) orthonormal basis V of the irreducible subspace.
+
+        The algebra is M_{2**n} and its 4**n dimensional representation
+        holds 2**n copies of the irreducible one.  With the minimal
+        projection e = prod_i g_i g*_i / (mu_i**2 + mu_i**-2), the span of
+        M_w e x_empty is one copy; X -> V* X V is the irreducible
+        representation, and for every element Y of the algebra
+        ||Y||_p = (2**n)**(1/p) ||V* Y V||_p under the plain trace.
+        """
+
+        def build():
+            vec = self.vacuum_vector()[:, None]
+            for i in range(1, self.n + 1):
+                c = self.mu[i - 1] ** 2 + self.mu[i - 1] ** -2
+                vec = self.apply_gamma(i, self.apply_gamma_star(i, vec)) / c
+            u, s, _ = np.linalg.svd(self._word_images(vec)[:, :, 0].T)
+            rank = int(np.sum(s > 1e-10 * s[0]))
+            if rank != 1 << self.n:
+                raise AssertionError(
+                    f"irreducible subspace has rank {rank}, expected {1 << self.n}")
+            V = np.ascontiguousarray(u[:, :rank])
+            # invariance under every monomial, relative to |M_w V|: the
+            # absolute residual grows with |M_w|, up to mu**(2n)
+            imgs = self._word_images(V)
+            resid = float(np.max(np.linalg.norm(imgs - V @ (V.conj().T @ imgs), axis=(1, 2))
+                                 / np.linalg.norm(imgs, axis=(1, 2))))
+            if resid > 1e-12:
+                raise AssertionError(
+                    f"irreducible subspace not invariant: residual {resid:.3e}")
+            return V
+
+        return self._cached(("irrep",), build)
+
     def expand(self, X: np.ndarray) -> np.ndarray:
         """Monomial coefficients of X (exact inverse of the embedding)."""
         target, amp, _, _ = self._monomial_data()

@@ -239,9 +239,9 @@ def _sparse_inner(ca, va, cb, vb) -> complex:
 
 
 def _validate_word(letters, n: int, m: int):
-    if len(letters) > MAX_CLT_WORD or m > MAX_CLT_M:
+    if len(letters) > MAX_CLT_WORD or not (1 <= m <= MAX_CLT_M):
         raise ValueError(
-            f"budget: word length <= {MAX_CLT_WORD} and m <= {MAX_CLT_M}")
+            f"budget: word length <= {MAX_CLT_WORD} and 1 <= m <= {MAX_CLT_M}, got m={m}")
     for kind, i in letters:
         if not (1 <= i <= n):
             raise ValueError(f"letter index {i} out of range for n={n}")
@@ -301,6 +301,8 @@ def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int,
         letters = parse_word(letters)
     mu = tuple(float(x) for x in (mu if np.iterable(mu) else (mu,)))
     n = max(i for _, i in letters)
+    for m in m_list:
+        _validate_word(letters, n, int(m))
     oracle = moment(letters, QParams(q=q, n=n, mu=mu[:n],
                                      max_level=max(1, len(letters))))
     rows = []

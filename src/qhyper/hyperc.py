@@ -15,7 +15,8 @@ reported with a discrepancy flag.
 
 The search is multistart randomized coordinate ascent over monomial
 coefficients, vectorized across restarts, deterministic for a fixed
-seed.  It only ever produces lower bounds on the operator norm.
+seed, with its Schatten norms taken in the 2**n dimensional irreducible
+representation.  It only ever produces lower bounds on the operator norm.
 """
 
 from __future__ import annotations
@@ -193,6 +194,13 @@ class RatioEvaluator:
     Schatten denominator from sum_w c_w M_w D**(1/p).  direction
     "dual": Schatten numerator with the semigroup folded into the
     per-monomial stack, L2 denominator from the weights.
+
+    The Schatten norms are taken in the 2**n dimensional irreducible
+    representation (``BabyFock.irrep_basis``), not the 4**n one:
+    ``mat_stack[w]`` is (2**n)**(1/p) V* M_w D**(1/p) V, so the plain
+    p-norm of sum_w c_w mat_stack[w] is the Haagerup norm.  The
+    4**n path stays as the oracle (``contraction_ratio``,
+    ``dual_contraction_ratio``).
     """
 
     def __init__(self, model: BabyFock, t: float, p: float, direction: str = "primal",
@@ -204,34 +212,28 @@ class RatioEvaluator:
         dens = density or get_density(model)
         self.model = model
         self.t = float(t)
-        self.p = float(p)
+        self.p = float(p)           # in the dual direction p plays the role of p'
         self.direction = direction
-        stack = model.monomial_stack()
+        V = model.irrep_basis()
+        droot = dens.power(1.0 / self.p)
+        scale = float(V.shape[1]) ** (1.0 / self.p)
+        self.mat_stack = scale * (V.conj().T @ model.monomial_stack() @ (droot @ V))
         if direction == "primal":
-            self.r = self.p            # Schatten exponent of the denominator
-            droot = dens.power(1.0 / self.p)
-            self.mat_stack = stack @ droot
             self.vec_weights = _l2_weights(model, t)
         else:
-            self.r = self.p            # here p plays the role of p'
-            droot = dens.power(1.0 / self.p)
-            scaled = np.exp(-t * model.monomial_degrees)
-            self.mat_stack = (stack * scaled[:, None, None]) @ droot
+            self.mat_stack *= np.exp(-t * model.monomial_degrees)[:, None, None]
             self.vec_weights = _l2_weights(model, 0.0)
         self.flat = self.mat_stack.reshape(model.dim, -1)
 
     def matrices(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.atleast_2d(coeffs)
-        dim = self.model.dim
-        return (coeffs @ self.flat).reshape(coeffs.shape[0], dim, dim)
+        return (coeffs @ self.flat).reshape(coeffs.shape[0], *self.mat_stack.shape[1:])
 
     def _pnorms(self, mats: np.ndarray) -> np.ndarray:
-        w = np.linalg.eigvalsh(mats.conj().transpose(0, 2, 1) @ mats)
-        w = np.clip(w, 0.0, None)
-        top = np.max(w, axis=1, keepdims=True)
+        s = np.linalg.svd(mats, compute_uv=False)
+        top = s[:, :1]
         safe = np.where(top > 0, top, 1.0)
-        s = np.sum((w / safe) ** (self.r / 2.0), axis=1)
-        return np.sqrt(safe[:, 0]) * s ** (1.0 / self.r)
+        return safe[:, 0] * np.sum((s / safe) ** self.p, axis=1) ** (1.0 / self.p)
 
     def ratios(self, coeffs: np.ndarray, mats: np.ndarray | None = None) -> np.ndarray:
         coeffs = np.atleast_2d(coeffs)
@@ -282,8 +284,11 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
     Deterministic for a fixed seed; restarts are vectorized in blocks
     and each keeps a relative step that starts at 0.1 and halves on
     every failed proposal, retiring the restart once it drops below
-    ``step_floor``.  Returns the best ratio found (a lower bound on the
-    operator norm, never a certificate).
+    ``step_floor``.  The search runs over all 4**n monomial
+    coefficients, while every candidate's Schatten norm is taken on a
+    2**n x 2**n matrix in the irreducible representation (see
+    ``RatioEvaluator``).  Returns the best ratio found (a lower bound on
+    the operator norm, never a certificate).
     """
     ev = RatioEvaluator(model, t, p, direction, density)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -296,7 +301,8 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
         starts[k] = c
     best_ratio = -np.inf
     best_coeffs = None
-    block_rows = max(1, (1 << 24) // (model.dim * model.dim))
+    # rows per block: about 2**24 matrix and coefficient entries in flight
+    block_rows = max(1, (1 << 24) // (ev.mat_stack[0].size + nw))
     dirs4 = np.array([1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)
     for lo in range(0, restarts, block_rows):
         C = starts[lo:lo + block_rows].copy()

@@ -48,17 +48,13 @@ def eig_hermitian(A: np.ndarray, tol: float = 1e-10) -> HermitianSpectrum:
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:
-    """Singular values via the spectrum of A*A, descending.
+    """Singular values, descending, from the SVD.
 
-    Eigenvalues below 1e-14 of the largest are zeroed: they are pure
-    roundoff and would otherwise surface as ~1e-8 spurious singular
-    values after the square root.
+    Taking them from the SVD rather than the spectrum of A*A keeps small
+    singular values accurate to roundoff relative to themselves instead
+    of to the largest one (A*A squares the condition number).
     """
-    w = np.linalg.eigvalsh(np.asarray(A).conj().T @ A)[::-1]
-    w = np.clip(w, 0.0, None)
-    if w.size and w[0] > 0.0:
-        w[w < 1e-14 * w[0]] = 0.0
-    return np.sqrt(w)
+    return np.linalg.svd(np.asarray(A), compute_uv=False)
 
 
 def schatten_norm(A: np.ndarray, p: float) -> float:

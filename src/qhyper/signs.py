@@ -102,6 +102,8 @@ class ModelParams:
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
         if len(self.mu) != self.n:
             raise ValueError(f"need {self.n} mu values, got {len(self.mu)}")
+        if not np.all(np.isfinite(self.mu)):
+            raise ValueError(f"mu entries must be finite, got {self.mu}")
         if any(m < 1.0 for m in self.mu):
             raise ValueError(f"mu entries must be >= 1, got {self.mu}")
         if self.signs.n != self.n:

@@ -9,8 +9,12 @@ projection p_i = g*_i g_i / (mu_i**2 + mu_i**-2),
     D = c * prod_i ((1 - lambda_i) + (2 lambda_i - 1) p_i),
 
 normalized to trace one.  L^p elements are x D**(1/p) with the Schatten
-p-norm; the norms do not depend on how the reference trace is scaled,
-which is what justifies staying in the ambient representation.
+p-norm; the norms do not depend on how the reference trace is scaled.
+The plain trace on the 4**n representation is 2**n times the trace of
+the irreducible 2**n dimensional one (``BabyFock.irrep_basis`` V), so
+||Y||_p = (2**n)**(1/p) ||V* Y V||_p.  The functions here stay in the
+4**n representation and serve as the oracle; the ratio search in
+``hyperc`` takes its norms in the irreducible one.
 """
 
 from __future__ import annotations

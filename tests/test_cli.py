@@ -114,3 +114,19 @@ def test_hyperc_search_reports_only(capsys):
     assert code == 0
     rec = json.loads(out)["records"][0]
     assert rec["violation"] in (True, False)
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf"])
+def test_non_finite_mu_exit_code(capsys, mu):
+    code, out, errtext = run(capsys, ["density", "--n", "1", "--mu", mu])
+    assert code == 1
+    assert out == ""
+    assert "finite" in errtext
+
+
+@pytest.mark.parametrize("m", ["0", "5,0", "-1"])
+def test_clt_rejects_m_below_one(capsys, m):
+    code, out, errtext = run(capsys, ["clt", "(s+s*)^4", "--m", m])
+    assert code == 1
+    assert out == ""
+    assert "1 <= m" in errtext

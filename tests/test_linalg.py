@@ -46,6 +46,20 @@ def test_schatten_norm_values():
         schatten_norm(a, 0.5)
 
 
+@pytest.mark.parametrize("m", [8, 64])
+@pytest.mark.parametrize("p", [1.05, 1.25])
+def test_schatten_norm_graded_spectrum(m, p):
+    # singular values from 1 down to 1e-14: A*A would square the condition
+    # number and lose every value below about 1e-8
+    rng = np.random.default_rng(6)
+    u, _ = np.linalg.qr(_rand_matrix(rng, m))
+    w, _ = np.linalg.qr(_rand_matrix(rng, m))
+    s = np.logspace(0.0, -14.0, m)
+    a = (u * s) @ w.conj().T
+    exact = np.sum(s ** p) ** (1.0 / p)
+    assert abs(schatten_norm(a, p) - exact) <= 1e-13 * exact
+
+
 def test_psd_power_composition():
     rng = np.random.default_rng(2)
     a = _rand_matrix(rng, 24)

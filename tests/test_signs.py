@@ -69,3 +69,10 @@ def test_random_table_determinism():
     assert a == b
     assert a != c
     assert np.array_equal(a.matrix(), b.matrix())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_model_params_rejects_non_finite_mu(bad):
+    # NaN compares False with everything, so "mu < 1" alone lets it through
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams.make(2, (1.5, bad))
