@@ -101,7 +101,7 @@ class BabyFock:
                 if e == -1:
                     mask |= 1 << self._pos[j]
             self._sign_mask[i] = mask
-        self._parity = _kernels.parity_table(nbits)
+        self._parity = _kernels.popcount_table(nbits) & 1
         self._matrix_cache: dict = {}
         self._mono = None
 

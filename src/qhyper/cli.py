@@ -5,8 +5,7 @@ into the emitted output, runs a deterministic sweep for the given seed,
 and exits 0 when all asserted checks pass, 1 on usage errors, and 2
 when a numerical assertion fails (failing records go to stderr).
 Grid-valued flags accept a single number, a comma list, or
-start:stop:step.  The worker pool for grid points is capped by the
-environment variable QHYPER_THREADS.
+start:stop:step.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,23 +54,6 @@ def parse_values(text: str) -> list:
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         return [start + k * step for k in range(max(count, 0))]
     return [float(x) for x in text.split(",") if x]
-
-
-def _pool_size() -> int:
-    cap = os.environ.get("QHYPER_THREADS", "").strip()
-    cpu = os.cpu_count() or 1
-    if cap:
-        return max(1, min(cpu, int(cap)))
-    return max(1, min(cpu, 8))
-
-
-def run_grid(fn, items):
-    """Evaluate fn over grid items; output order follows the grid order."""
-    items = list(items)
-    if len(items) <= 1 or _pool_size() == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        return list(pool.map(fn, items))
 
 
 def _model_from_args(args) -> ModelParams:
@@ -176,8 +156,7 @@ def cmd_choi(args):
     mus = parse_values(args.mu) if args.mu else parse_values("1:4:0.1")
     tol = args.tol if args.tol is not None else 1e-12
 
-    def point(tm):
-        t, mu = tm
+    def point(t, mu):
         mat = choi_matrix(t, mu)
         mine = float(np.min(np.linalg.eigvalsh(mat)))
         resid = choi_identity_residual(t, mu)
@@ -185,7 +164,7 @@ def cmd_choi(args):
                 "identity_residual": resid,
                 "pass": bool(mine >= -tol and resid <= tol)}
 
-    records = run_grid(point, [(t, mu) for t in ts for mu in mus])
+    records = [point(t, mu) for t in ts for mu in mus]
     return records, all(r["pass"] for r in records)
 
 

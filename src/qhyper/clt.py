@@ -10,7 +10,7 @@ exact oracle.
 States are kept sparse as rows of ascending letter codes; moments are
 evaluated by splitting the word in half and pairing the two vacuum
 images, which keeps the support near (2m)**(len/2).  The inner loop
-lives in ``_kernels`` (numba or numpy backend).
+lives in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -123,15 +123,20 @@ def _vacuum_sparse(width: int):
             np.ones(1, dtype=np.complex128))
 
 
+def _pack_keys(codes: np.ndarray) -> np.ndarray:
+    """One int64 key per row, base 1024: distinct while every code is below
+    1023 (``_validate_word`` bounds 2nm)."""
+    vals = np.where(codes == PAD, 0, codes.astype(np.int64) + 1)
+    keys = np.zeros(codes.shape[0], dtype=np.int64)
+    for t in range(codes.shape[1]):
+        keys = keys * 1024 + vals[:, t]
+    return keys
+
+
 def _combine(codes: np.ndarray, coeffs: np.ndarray, prune: float = PRUNE_TOL):
     if coeffs.size == 0:
         return codes, coeffs
-    width = codes.shape[1]
-    vals = np.where(codes == PAD, 0, codes.astype(np.int64) + 1)
-    keys = np.zeros(coeffs.size, dtype=np.int64)
-    for t in range(width):
-        keys = keys * 1024 + vals[:, t]
-    uniq, inv = np.unique(keys, return_inverse=True)
+    uniq, inv = np.unique(_pack_keys(codes), return_inverse=True)
     agg = np.zeros(uniq.size, dtype=np.complex128)
     np.add.at(agg, inv, coeffs)
     first = np.zeros(uniq.size, dtype=np.int64)
@@ -223,14 +228,7 @@ def _apply_word(letters, sample: BigSignSample, mu, width: int):
 
 def _sparse_inner(ca, va, cb, vb) -> complex:
     """<a, b> = sum_A a_A conj(b_A) on packed keys."""
-    def pack(codes):
-        vals = np.where(codes == PAD, 0, codes.astype(np.int64) + 1)
-        keys = np.zeros(codes.shape[0], dtype=np.int64)
-        for t in range(codes.shape[1]):
-            keys = keys * 1024 + vals[:, t]
-        return keys
-
-    ka, kb = pack(ca), pack(cb)
+    ka, kb = _pack_keys(ca), _pack_keys(cb)
     sa, sb = np.argsort(ka), np.argsort(kb)
     common, ia, ib = np.intersect1d(ka[sa], kb[sb], assume_unique=True,
                                     return_indices=True)
@@ -247,6 +245,9 @@ def _validate_word(letters, n: int, m: int):
             raise ValueError(f"letter index {i} out of range for n={n}")
         if kind not in ("g", "g*", "x"):
             raise ValueError(f"unknown letter kind {kind!r}")
+    if 2 * n * m > 1022:
+        raise ValueError(
+            f"budget: 2*n*m <= 1022 keeps letter codes packable, got n={n}, m={m}")
 
 
 def sample_moment(letters, sample: BigSignSample, mu) -> complex:

@@ -229,18 +229,12 @@ class RatioEvaluator:
         coeffs = np.atleast_2d(coeffs)
         return (coeffs @ self.flat).reshape(coeffs.shape[0], *self.mat_stack.shape[1:])
 
-    def _pnorms(self, mats: np.ndarray) -> np.ndarray:
-        s = np.linalg.svd(mats, compute_uv=False)
-        top = s[:, :1]
-        safe = np.where(top > 0, top, 1.0)
-        return safe[:, 0] * np.sum((s / safe) ** self.p, axis=1) ** (1.0 / self.p)
-
     def ratios(self, coeffs: np.ndarray, mats: np.ndarray | None = None) -> np.ndarray:
         coeffs = np.atleast_2d(coeffs)
         if mats is None:
             mats = self.matrices(coeffs)
         vec = np.sqrt(np.sum(self.vec_weights * np.abs(coeffs) ** 2, axis=1))
-        mat = self._pnorms(mats)
+        mat = schatten_norm(mats, self.p)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = vec / mat if self.direction == "primal" else mat / vec
         return np.where(np.isfinite(out), out, 0.0)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CONFLUENT_RELGAP", "HermitianSpectrum", "eig_hermitian",
-    "schatten_norm", "psd_power", "PowerDividedDifferences",
+    "CONFLUENT_RELGAP", "HermitianSpectrum", "eig_hermitian", "singular_values",
+    "schatten_norm", "schatten_norm_from_sv", "psd_power", "PowerDividedDifferences",
     "frechet1", "frechet2", "c_coeff", "expansion_second_order",
     "expansion_via_frechet", "first_order_term", "richardson_second_coeff",
 ]
@@ -57,16 +57,24 @@ def singular_values(A: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(A), compute_uv=False)
 
 
-def schatten_norm(A: np.ndarray, p: float) -> float:
-    """(sum of sigma_k**p)**(1/p) for p >= 1."""
+def schatten_norm(A: np.ndarray, p: float):
+    """(sum of sigma_k**p)**(1/p) for p >= 1.
+
+    A single (m, k) matrix gives a float; a stack (..., m, k) gives an
+    array of the leading shape.  A zero matrix has norm 0.
+    """
+    return schatten_norm_from_sv(singular_values(A), p)
+
+
+def schatten_norm_from_sv(s: np.ndarray, p: float):
+    """The p-norm over the last axis of descending singular values s."""
     if p < 1:
         raise ValueError(f"Schatten norm needs p >= 1, got {p}")
-    s = singular_values(A)
-    top = s[0] if s.size else 0.0
-    if top == 0.0:
-        return 0.0
-    # factor out the largest singular value to avoid overflow for large p
-    return float(top * np.sum((s / top) ** p) ** (1.0 / p))
+    # factor out the largest singular value to avoid overflow for large p;
+    # the floor keeps a zero matrix at norm 0
+    top = np.maximum(s[..., :1], _TINY)
+    norms = top[..., 0] * np.sum((s / top) ** p, axis=-1) ** (1.0 / p)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def psd_power(A: np.ndarray, alpha: float, tol: float = 1e-10) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import popcount_table
 from .babyfock import LETTER_DEGREE, BabyFock, get_model
 from .state import embed_lower
 
@@ -32,15 +33,6 @@ def index_degree(word, i: int) -> int:
     return LETTER_DEGREE[word[i - 1]]
 
 
-def _popcounts(dim: int) -> np.ndarray:
-    x = np.arange(dim, dtype=np.uint32)
-    out = np.zeros(dim, dtype=np.int64)
-    while x.any():
-        out += x & 1
-        x >>= 1
-    return out
-
-
 def apply_OU_coeffs(model: BabyFock, coeffs: np.ndarray, t: float) -> np.ndarray:
     """Monomial coefficients of P_t applied to the element with these coefficients."""
     if t < 0:
@@ -53,7 +45,7 @@ def apply_OU(model: BabyFock, X: np.ndarray, t: float, cross_check: bool = True)
     coeffs = apply_OU_coeffs(model, model.expand(X), t)
     out = model.reconstruct(coeffs)
     if cross_check:
-        direct = np.exp(-t * _popcounts(model.dim)) * np.asarray(X)[:, 0]
+        direct = np.exp(-t * popcount_table(2 * model.n)) * np.asarray(X)[:, 0]
         scale = max(float(np.linalg.norm(direct)), 1e-300)
         if np.linalg.norm(out[:, 0] - direct) > 1e-10 * scale:
             raise AssertionError("monomial and vacuum-vector routes disagree")

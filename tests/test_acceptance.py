@@ -20,7 +20,8 @@ from qhyper.hyperc import (asym_convexity_check, bcl_check, C_of_mu,
                            gamma_lower_bound_check, necessary_time_exact,
                            sufficient_time, violation_search)
 from qhyper.linalg import (expansion_second_order, expansion_via_frechet,
-                           psd_power, richardson_second_coeff, schatten_norm)
+                           psd_power, richardson_second_coeff, schatten_norm,
+                           schatten_norm_from_sv, singular_values)
 from qhyper.qfock import (QParams, annihilate_apply, create_apply, gram_matrix,
                           moment, moment_operator, moment_pairings, parse_word,
                           positivity_check, q_inner, TruncatedFockVector)
@@ -110,11 +111,6 @@ def test_criterion_04_choi():
             f"(min eigenvalue {worst_eig:.2e}, identity {worst_ident:.2e})")
 
 
-def _pnorm_from_sv(s, p):
-    top = s[0] if s.size and s[0] > 0 else 1.0
-    return top * np.sum((s / top) ** p) ** (1.0 / p)
-
-
 def test_criterion_05_convexity():
     t0 = time.time()
     rng = np.random.default_rng(1005)
@@ -123,50 +119,36 @@ def test_criterion_05_convexity():
     qs = [2.0, 3.0, 4.0]
     worst = 0.0
 
-    def sv(mat):
-        w = np.linalg.eigvalsh(mat.conj().T @ mat)[::-1]
-        w = np.clip(w, 0.0, None)
-        if w[0] > 0:
-            w[w < 1e-14 * w[0]] = 0.0
-        return np.sqrt(w)
-
     for k in range(10_000):
         m = 2 + k % 15
         A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        sA, sB = sv(A), sv(B)
-        sAB, sAmB = sv(A + B), sv(A - B)
         mu = mus[k % 4]
         lam = 1.0 / (1.0 + mu ** 4)
-        sP, sM = sv(A + mu ** 2 * B), sv(A - B / mu ** 2)
         q = qs[k % 3]
-        sXY = sv(A + B)
-        sXmY = sv(A - (lam / (1.0 - lam)) * B)
+        s = singular_values(np.stack([A, B, A + B, A - B, A + mu ** 2 * B, A - B / mu ** 2,
+                                      A - (lam / (1.0 - lam)) * B]))
         for p in ps:
-            nA, nB = _pnorm_from_sv(sA, p), _pnorm_from_sv(sB, p)
+            nA, nB = schatten_norm_from_sv(s[:2], p)
             scale = nA ** 2 + nB ** 2
             pp = min(p, 2.0)
-            nA2, nB2 = _pnorm_from_sv(sA, pp), _pnorm_from_sv(sB, pp)
-            lhs = (0.5 * _pnorm_from_sv(sAB, pp) ** pp
-                   + 0.5 * _pnorm_from_sv(sAmB, pp) ** pp) ** (2 / pp)
+            nA2, nB2, nAB, nAmB, nP, nM, _ = schatten_norm_from_sv(s, pp)
+            lhs = (0.5 * nAB ** pp + 0.5 * nAmB ** pp) ** (2 / pp)
             worst = min(worst, (lhs - nA2 ** 2 - (pp - 1) * nB2 ** 2) / scale)
-            lhs = (lam * _pnorm_from_sv(sP, pp) ** pp
-                   + (1 - lam) * _pnorm_from_sv(sM, pp) ** pp) ** (2 / pp)
+            lhs = (lam * nP ** pp + (1 - lam) * nM ** pp) ** (2 / pp)
             worst = min(worst, (lhs - nA2 ** 2
                                 - C_of_mu(pp, mu) * (pp - 1) * nB2 ** 2) / scale)
-        nX, nY = _pnorm_from_sv(sA, q), _pnorm_from_sv(sB, q)
+        nX, nY, nXY, _, _, _, nXmY = schatten_norm_from_sv(s, q)
         coeff = (q - 1.0) / (mu ** 4 * C_of_mu(q / (q - 1.0), mu))
-        rhs = (lam * _pnorm_from_sv(sXY, q) ** q
-               + (1 - lam) * _pnorm_from_sv(sXmY, q) ** q) ** (2 / q)
+        rhs = (lam * nXY ** q + (1 - lam) * nXmY ** q) ** (2 / q)
         worst = min(worst, (nX ** 2 + coeff * nY ** 2 - rhs) / (nX ** 2 + nY ** 2))
     # spot check the fast path against the module functions
     spot = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     spot2 = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     direct = bcl_check(spot, spot2, 1.5)
-    fast = ((0.5 * _pnorm_from_sv(sv(spot + spot2), 1.5) ** 1.5
-             + 0.5 * _pnorm_from_sv(sv(spot - spot2), 1.5) ** 1.5) ** (2 / 1.5)
-            - _pnorm_from_sv(sv(spot), 1.5) ** 2
-            - 0.5 * _pnorm_from_sv(sv(spot2), 1.5) ** 2)
+    n_sum, n_diff, n_a, n_b = schatten_norm_from_sv(
+        singular_values(np.stack([spot + spot2, spot - spot2, spot, spot2])), 1.5)
+    fast = (0.5 * n_sum ** 1.5 + 0.5 * n_diff ** 1.5) ** (2 / 1.5) - n_a ** 2 - 0.5 * n_b ** 2
     agreement = abs(direct - fast) < 1e-9 * max(1.0, abs(direct))
     aspot = asym_convexity_check(spot, spot2, 1.5, 2.0)
     dspot = dual_convexity_check(spot, spot2, 3.0, 2.0)

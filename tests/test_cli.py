@@ -130,3 +130,12 @@ def test_clt_rejects_m_below_one(capsys, m):
     assert code == 1
     assert out == ""
     assert "1 <= m" in errtext
+
+
+def test_clt_rejects_packed_key_overflow(capsys):
+    # letter index 9 at m = 64 gives letter codes up to 2*9*64 - 1 = 1151
+    code, out, errtext = run(capsys, ["clt", "(g9+g9*)^4", "--mu", "1,1,1,1,1,1,1,1,1",
+                                      "--m", "64", "--samples", "2"])
+    assert code == 1
+    assert out == ""
+    assert "2*n*m" in errtext

@@ -118,6 +118,20 @@ def test_budget_rejected():
         clt_estimate([("g", 1)] * 7, 0.5, (1.0,), 8, samples=1, seed=0)
 
 
+def test_packed_key_overflow_rejected():
+    # letter codes run up to 2nm - 1 and are packed base 1024 as code + 1,
+    # so 2nm > 1022 would let distinct rows share a key
+    mu = (1.0,) * 9
+    word = parse_word("(g9+g9*)^4")
+    with pytest.raises(ValueError, match=r"2\*n\*m"):
+        sample_moment(word, sample_signs(0.0, 9, 64, seed=0), mu)
+    with pytest.raises(ValueError, match=r"2\*n\*m"):
+        convergence_report(word, 0.0, mu, [5, 64], samples=1, seed=0)
+    # 2nm = 1008 still packs: s8* s8 is mu^-2 = 1 for every sign sample
+    val = sample_moment(parse_word("g8*g8"), sample_signs(0.0, 8, 63, seed=0), mu)
+    assert abs(val - 1.0) <= 1e-12
+
+
 def test_convergence_report_and_csv():
     rows = convergence_report(parse_word("(s+s*)^4"), 0.5, (1.0,), [5, 20],
                               samples=40, seed=5)

@@ -1,17 +1,20 @@
-"""Backend equivalence for the hot kernels (numba vs pure numpy)."""
+"""The hot kernels against pure-Python per-row references."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhyper import _kernels
-from qhyper._kernels import (HAVE_NUMBA, PAD, apply_beta_batch, expand_ops_sparse,
-                             parity_table)
+from qhyper._kernels import PAD, apply_beta_batch, expand_ops_sparse, popcount_table
 
 
 def test_parity_table():
-    tab = parity_table(8)
-    for x in (0, 1, 3, 7, 255, 170):
-        assert tab[x] == bin(x).count("1") % 2
+    tab = popcount_table(8)
+    assert tab.shape == (256,)
+    assert popcount_table(8) is tab
+    for x in range(256):
+        assert tab[x] == bin(x).count("1")
+        # the parity that BabyFock and apply_beta_batch read off the table
+        assert tab[x] & 1 == bin(x).count("1") % 2
 
 
 def test_apply_beta_create_and_annihilate():
@@ -32,20 +35,46 @@ def test_apply_beta_create_and_annihilate():
         assert np.allclose(back[a], expect)
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree(monkeypatch):
-    rng = np.random.default_rng(1)
-    dim = 64
-    vec = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
-    results = {}
-    for use in (True, False):
-        monkeypatch.setattr(_kernels, "USE_NUMBA", use)
-        results[use] = apply_beta_batch(vec, 0b1000, 0b0110, True, 1.5 - 0.2j)
-    assert np.allclose(results[True], results[False], atol=1e-14)
+def reference_expand(codes, coeffs, op_codes, op_create, op_weights, epsneg):
+    """Op by op, row by row: the terms of sum_k w_k beta_k applied to the state."""
+    width = codes.shape[1]
+    out = []
+    for c, create, w in zip(op_codes.tolist(), op_create.tolist(), op_weights):
+        for row, amp in zip(codes.tolist(), coeffs):
+            letters = [v for v in row if v != PAD]
+            if (c in letters) == create:
+                continue
+            if create and len(letters) == width:
+                raise ValueError("row capacity exhausted")
+            sign = (-1) ** sum(int(epsneg[c, v]) for v in letters if v < c)
+            new = sorted(letters + [c]) if create else [v for v in letters if v != c]
+            out.append((tuple(new + [int(PAD)] * (width - len(new))), w * sign * amp))
+    return out
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_sparse_backends_agree(monkeypatch):
+def combined(c, v):
+    acc = {}
+    for row, val in zip(map(tuple, c.tolist()), v):
+        acc[row] = acc.get(row, 0.0) + val
+    return acc
+
+
+def assert_matches_reference(codes, coeffs, ops, epsneg):
+    ref = reference_expand(codes, coeffs, *ops, epsneg)
+    c, v = expand_ops_sparse(codes, coeffs, *ops, epsneg)
+    assert c.dtype == np.int16 and c.shape == (len(ref), codes.shape[1])
+    # op-major order, as the duplicate combining downstream sums in it
+    assert [tuple(r) for r in c.tolist()] == [row for row, _ in ref]
+    assert np.allclose(v, [val for _, val in ref], rtol=1e-14, atol=0.0)
+    got = combined(c, v)
+    want = combined(np.array([row for row, _ in ref], dtype=np.int16).reshape(-1, codes.shape[1]),
+                    [val for _, val in ref])
+    assert got.keys() == want.keys()
+    for key, val in want.items():
+        assert abs(got[key] - val) <= 1e-14 * max(1.0, abs(val))
+
+
+def _fixed_case():
     rng = np.random.default_rng(2)
     width = 4
     codes = np.full((6, width), PAD, dtype=np.int16)
@@ -55,24 +84,61 @@ def test_sparse_backends_agree(monkeypatch):
     codes[4, 0] = 5
     codes[5, :2] = (3, 6)
     coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    op_codes = np.array([3, 5, 2], dtype=np.int16)
-    op_create = np.array([True, False, True])
-    op_w = np.array([0.7, -1.2, 0.3 + 0.1j], dtype=np.complex128)
-    epsneg = (rng.random((8, 8)) < 0.5).astype(np.uint8)
-    epsneg = np.triu(epsneg, 1)
-    epsneg = epsneg + epsneg.T
+    ops = (np.array([3, 5, 2], dtype=np.int16), np.array([True, False, True]),
+           np.array([0.7, -1.2, 0.3 + 0.1j], dtype=np.complex128))
+    epsneg = np.triu((rng.random((8, 8)) < 0.5).astype(np.uint8), 1)
+    return codes, coeffs, ops, epsneg + epsneg.T
 
-    def combined(c, v):
-        acc = {}
-        for row, val in zip(map(tuple, c), v):
-            acc[row] = acc.get(row, 0.0) + val
-        return acc
 
-    outs = {}
-    for use in (True, False):
-        monkeypatch.setattr(_kernels, "USE_NUMBA", use)
-        c, v = expand_ops_sparse(codes, coeffs, op_codes, op_create, op_w, epsneg)
-        outs[use] = combined(c, v)
-    assert outs[True].keys() == outs[False].keys()
-    for key, val in outs[True].items():
-        assert abs(val - outs[False][key]) < 1e-14
+def test_expand_matches_reference():
+    codes, coeffs, ops, epsneg = _fixed_case()
+    assert_matches_reference(codes, coeffs, ops, epsneg)
+    # no op applies: an empty, correctly shaped result
+    c, v = expand_ops_sparse(codes[:1], coeffs[:1], ops[0][1:2], ops[1][1:2],
+                             ops[2][1:2], epsneg)
+    assert c.shape == (0, 4) and v.shape == (0,)
+
+
+def test_expand_rejects_exhausted_capacity():
+    codes, coeffs, ops, epsneg = _fixed_case()
+    full = np.array([[0, 1, 5, 7]], dtype=np.int16)
+    with pytest.raises(ValueError, match="capacity"):
+        expand_ops_sparse(full, coeffs[:1], *ops, epsneg)
+    # an annihilation on a full row, or a creation of a present code, fits
+    c, _ = expand_ops_sparse(full, coeffs[:1], np.array([5, 1], dtype=np.int16),
+                             np.array([False, True]), ops[2][:2], epsneg)
+    assert c.tolist() == [[0, 1, 7, PAD]]
+
+
+@st.composite
+def sparse_cases(draw):
+    ncodes = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 4))
+    code = st.integers(0, ncodes - 1)
+    rows = draw(st.lists(st.sets(code, max_size=width), max_size=6))
+    codes = np.full((len(rows), width), PAD, dtype=np.int16)
+    for r, row in enumerate(rows):
+        codes[r, :len(row)] = sorted(row)
+    amp = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+    coeffs = np.array(draw(st.lists(amp, min_size=len(rows), max_size=len(rows))),
+                      dtype=np.complex128)
+    ops = draw(st.lists(st.tuples(code, st.booleans(), amp), min_size=1, max_size=6))
+    op_codes, op_create, op_weights = zip(*ops)
+    bits = draw(st.lists(st.booleans(), min_size=ncodes * ncodes,
+                         max_size=ncodes * ncodes))
+    epsneg = np.array(bits, dtype=np.uint8).reshape(ncodes, ncodes)
+    return codes, coeffs, (np.array(op_codes, dtype=np.int16), np.array(op_create),
+                           np.array(op_weights, dtype=np.complex128)), epsneg
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_cases())
+def test_expand_property(case):
+    codes, coeffs, ops, epsneg = case
+    try:
+        reference_expand(codes, coeffs, *ops, epsneg)
+    except ValueError:
+        with pytest.raises(ValueError, match="capacity"):
+            expand_ops_sparse(codes, coeffs, *ops, epsneg)
+        return
+    assert_matches_reference(codes, coeffs, ops, epsneg)

@@ -58,6 +58,14 @@ def test_schatten_norm_graded_spectrum(m, p):
     a = (u * s) @ w.conj().T
     exact = np.sum(s ** p) ** (1.0 / p)
     assert abs(schatten_norm(a, p) - exact) <= 1e-13 * exact
+    # a stack equals the per-matrix calls; a zero matrix in it gives 0
+    stack = np.stack([a, np.zeros_like(a), 2.0 * a, a.T])
+    norms = schatten_norm(stack, p)
+    assert norms.shape == (4,)
+    assert norms[1] == 0.0
+    assert np.array_equal(norms, [schatten_norm(x, p) for x in stack])
+    assert abs(norms[2] - 2.0 * exact) <= 2e-13 * exact
+    assert schatten_norm(stack.reshape(2, 2, m, m), p).shape == (2, 2)
 
 
 def test_psd_power_composition():
