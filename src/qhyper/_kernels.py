@@ -3,7 +3,10 @@
 Kernels here cover the two inner loops that dominate runtime:
 
 * creation/annihilation operators acting on batches of coefficient
-  vectors indexed by occupation bitmasks (dimension 4**n), and
+  vectors indexed by occupation bitmasks (dimension 4**n).  Splitting
+  the row axis as (high bits, the operator's bit, low bits) turns the
+  map a -> a ^ bit into a strided view of input and output, so a letter
+  is one broadcast multiply-add with no fancy-index gather or scatter;
 * the sparse pair-index evaluator used by the central-limit sampler,
   where states are rows of sorted letter codes with complex weights.
 """
@@ -44,22 +47,24 @@ def popcount_table(nbits: int) -> np.ndarray:
 def apply_beta_batch(vec, bit, sign_mask, create, weight, out=None):
     """Accumulate weight * beta(vec) into out for one signed index.
 
-    ``vec`` has shape (dim, ncols) complex128; basis row ``a`` is the
+    ``vec`` has shape (dim, ...) complex128; basis row ``a`` is the
     occupation bitmask.  Creation maps a -> a|bit when the bit is free,
     annihilation maps a -> a&~bit when it is set, both with the sign
-    (-1)**popcount(a & sign_mask).
+    (-1)**popcount(a & sign_mask).  ``out`` may be any (dim, ...) view;
+    it is written through.
     """
-    vec = np.ascontiguousarray(vec, dtype=np.complex128)
-    vec2 = vec[:, None] if vec.ndim == 1 else vec
+    vec = np.asarray(vec, dtype=np.complex128)
     if out is None:
         out = np.zeros(vec.shape, dtype=np.complex128)
-    out2 = out[:, None] if out.ndim == 1 else out
     dim = vec.shape[0]
+    # row a = (hi, b, lo) with b the bit: splitting axis 0 is a view
+    split = (dim // (2 * bit), 2, bit) + vec.shape[1:]
+    src, dst = (0, 1) if create else (1, 0)
+    rows = np.arange(dim).reshape(split[:3])[:, src]
     popcount = popcount_table(max(1, int(dim - 1).bit_length()))
-    idx = np.arange(dim)
-    src = idx[((idx & bit) == 0) == bool(create)]
-    sign = 1.0 - 2.0 * (popcount[src & sign_mask] & 1)
-    out2[src ^ bit] += (complex(weight) * sign)[:, None] * vec2[src]
+    sign = 1.0 - 2.0 * (popcount[rows & sign_mask] & 1)
+    coef = (complex(weight) * sign).reshape(rows.shape + (1,) * (vec.ndim - 1))
+    out.reshape(split)[:, dst] += coef * vec.reshape(split)[:, src]
     return out
 
 

@@ -272,14 +272,22 @@ class BabyFock:
         return self.identity() if out is None else out
 
     def monomial_stack(self) -> np.ndarray:
-        """(4**n, dim, dim) array of all monomial matrices (n <= 4)."""
+        """(4**n, dim, dim) array of all monomial matrices (n <= 4).
+
+        M_w is its lowest non-unit letter applied to M_w', where w' < w is
+        w with that letter cleared: one letter application per word, on
+        the same chain ``monomial_matrix`` takes, so bit for bit the same.
+        """
         if self.n > 4:
             raise ValueError("monomial stack is limited to n <= 4")
 
         def build():
             stack = np.empty((self.dim, self.dim, self.dim), dtype=np.complex128)
-            for w in range(self.dim):
-                stack[w] = self.monomial_matrix(self.word_of(w))
+            stack[0] = self.identity()
+            for w in range(1, self.dim):
+                k = ((w & -w).bit_length() - 1) // 2
+                stack[w] = self.apply_letter((w >> (2 * k)) & 3, k + 1,
+                                             stack[w & ~(3 << (2 * k))])
             return stack
 
         return self._cached(("stack",), build)
@@ -351,9 +359,8 @@ class BabyFock:
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         """Dense matrix of sum_w coeffs[w] M_w."""
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if ("stack",) in self._matrix_cache or (self.n <= 3 and self.dim <= 64):
-            stack = self.monomial_stack()
-            return np.tensordot(coeffs, stack, axes=1)
+        if self.n <= 4:
+            return np.tensordot(coeffs, self.monomial_stack(), axes=1)
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for w in np.nonzero(np.abs(coeffs) > 0)[0]:
             out += coeffs[w] * self.monomial_matrix(self.word_of(int(w)))

@@ -146,35 +146,28 @@ def _combine(codes: np.ndarray, coeffs: np.ndarray, prune: float = PRUNE_TOL):
 
 
 def _letter_ops(kind: str, i: int, mu_i: float, n: int, m: int):
-    """Operator list (codes, create flags, weights) of s_i, s*_i, or x_i."""
-    codes, create, weights = [], [], []
-    w = 1.0 / np.sqrt(m)
+    """Operator list (codes, create flags, weights) of s_i, s*_i, or x_i.
 
-    def add(parts_scale, star):
-        for j in range(1, m + 1):
-            if not star:
-                codes.append(pair_code(i, j, n, m)); create.append(True)
-                weights.append(parts_scale * w / mu_i)
-                codes.append(pair_code(-i, -j, n, m)); create.append(False)
-                weights.append(parts_scale * w * mu_i)
-            else:
-                codes.append(pair_code(i, j, n, m)); create.append(False)
-                weights.append(parts_scale * w / mu_i)
-                codes.append(pair_code(-i, -j, n, m)); create.append(True)
-                weights.append(parts_scale * w * mu_i)
-
+    Per j = 1..m the pairs (i, j) and (-i, -j) alternate, with the codes
+    of ``pair_code``.
+    """
+    if not (1 <= i <= n and m >= 1):
+        raise ValueError(f"bad pair index ({i}, 1..{m}) for n={n}")
     if kind == "g":
-        add(1.0, False)
+        scale, stars = 1.0, (False,)
     elif kind == "g*":
-        add(1.0, True)
+        scale, stars = 1.0, (True,)
     elif kind == "x":
-        nrm = 1.0 / np.sqrt(mu_i ** 2 + mu_i ** -2)
-        add(nrm, False)
-        add(nrm, True)
+        scale, stars = 1.0 / np.sqrt(mu_i ** 2 + mu_i ** -2), (False, True)
     else:
         raise ValueError(f"unknown letter kind {kind!r}")
-    return (np.asarray(codes, dtype=np.int16), np.asarray(create, dtype=np.bool_),
-            np.asarray(weights, dtype=np.complex128))
+    j = np.arange(m)
+    codes = np.stack([n * m + (i - 1) * m + j, (n - i) * m + (m - 1 - j)], axis=1)
+    create = np.concatenate([np.tile([not star, star], m) for star in stars])
+    w = 1.0 / np.sqrt(m)
+    weights = np.tile([scale * w / mu_i, scale * w * mu_i], m * len(stars))
+    return (np.tile(codes.reshape(-1), len(stars)).astype(np.int16), create,
+            weights.astype(np.complex128))
 
 
 def _expand_combined(codes, coeffs, ops, epsneg):

@@ -61,7 +61,16 @@ class DensityFactorization:
 
 
 def defining_property_residual(model: BabyFock, D: np.ndarray, words=None) -> float:
-    """max_w |trace(D M_w) - tau(M_w)| over monomials (all, or a subset)."""
+    """max_w |trace(D M_w) - tau(M_w)| over monomials (all, or a subset).
+
+    For all words at n <= 4 the traces are one product with the cached
+    monomial stack, trace(M_w D) = <M_w, D^T>; subsets take one letter
+    chain per word.
+    """
+    if words is None and model.n <= 4:
+        traces = model.monomial_stack().reshape(model.dim, -1) @ np.asarray(D).T.reshape(-1)
+        traces[0] -= 1.0
+        return float(np.max(np.abs(traces)))
     if words is None:
         words = range(model.dim)
     worst = 0.0
@@ -123,9 +132,7 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
     if model.n > 4:
         raise ValueError("density_solve is limited to n <= 4")
     nw, dim = model.dim, model.dim
-    V = np.empty((nw, dim * dim), dtype=np.complex128)
-    for w in range(nw):
-        V[w] = model.monomial_matrix(model.word_of(w)).reshape(-1)
+    V = model.monomial_stack().reshape(nw, dim * dim)
     gram = np.empty((nw, nw), dtype=np.complex128)
     block = 32
     for lo in range(0, nw, block):

@@ -134,3 +134,24 @@ def test_index_range_errors(m1):
         m1.gamma(-1)
     with pytest.raises(ValueError):
         m1.windex_of((GEN, GEN))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monomial_stack_equals_per_word_matrices(n):
+    model = BabyFock(ModelParams.make(n, tuple(1.0 + 0.4 * k for k in range(n)),
+                                      sign_seed=40 + n))
+    stack = model.monomial_stack()
+    assert stack.shape == (model.dim,) * 3 and not stack.flags.writeable
+    for w in range(model.dim):
+        assert np.array_equal(stack[w], model.monomial_matrix(model.word_of(w)))
+
+
+def test_reconstruct_n4_matches_per_word_sum():
+    model = BabyFock(ModelParams.make(4, (1.3, 1.0, 2.1, 1.6), sign_seed=44))
+    rng = np.random.default_rng(44)
+    coeffs = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    got = model.reconstruct(coeffs)
+    want = np.zeros((model.dim, model.dim), dtype=np.complex128)
+    for w in range(model.dim):
+        want += coeffs[w] * model.monomial_matrix(model.word_of(w))
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))

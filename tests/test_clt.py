@@ -3,10 +3,43 @@
 import numpy as np
 import pytest
 
-from qhyper.clt import (SparseState, clt_estimate, convergence_report,
+from qhyper.clt import (SparseState, _letter_ops, clt_estimate, convergence_report,
                         dense_reference_moment, gamma_apply_sparse, pair_code,
                         report_to_csv, s_apply, sample_moment, sample_signs)
 from qhyper.qfock import parse_word, word_adjoint
+
+
+def letter_ops_by_pair_code(kind, i, mu_i, n, m):
+    """The per-j loop of pair_code calls that _letter_ops replaces."""
+    codes, create, weights = [], [], []
+    w = 1.0 / np.sqrt(m)
+
+    def add(parts_scale, star):
+        for j in range(1, m + 1):
+            codes.extend([pair_code(i, j, n, m), pair_code(-i, -j, n, m)])
+            create.extend([not star, star])
+            weights.extend([parts_scale * w / mu_i, parts_scale * w * mu_i])
+
+    if kind == "x":
+        nrm = 1.0 / np.sqrt(mu_i ** 2 + mu_i ** -2)
+        add(nrm, False)
+        add(nrm, True)
+    else:
+        add(1.0, kind == "g*")
+    return (np.asarray(codes, dtype=np.int16), np.asarray(create, dtype=np.bool_),
+            np.asarray(weights, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("kind", ["g", "g*", "x"])
+def test_letter_ops_match_pair_code_loop(kind):
+    for n, m, i, mu_i in ((1, 1, 1, 1.0), (2, 5, 2, 1.7), (3, 40, 1, 2.3), (3, 40, 3, 0.8)):
+        got = _letter_ops(kind, i, mu_i, n, m)
+        want = letter_ops_by_pair_code(kind, i, mu_i, n, m)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError):
+        _letter_ops(kind, 3, 1.0, 2, 4)
 
 
 def test_pair_code_order():

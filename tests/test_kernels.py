@@ -35,6 +35,63 @@ def test_apply_beta_create_and_annihilate():
         assert np.allclose(back[a], expect)
 
 
+def reference_apply_beta(vec, bit, sign_mask, create, weight, out):
+    """Row by row: out[a ^ bit] += weight * sign(a) * vec[a] for each source row a.
+
+    Rows are taken as length-one slices so numpy multiplies arrays, as the
+    kernel does, not scalars.
+    """
+    for a in range(vec.shape[0]):
+        if bool(a & bit) == create:
+            continue
+        sign = np.array([1.0 - 2.0 * (bin(a & sign_mask).count("1") & 1)])
+        coef = (complex(weight) * sign).reshape((1,) * vec.ndim)
+        out[a ^ bit:(a ^ bit) + 1] += coef * vec[a:a + 1]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 3), (16, 2, 3)])
+@pytest.mark.parametrize("create", [True, False])
+def test_apply_beta_matches_reference_bitwise(shape, create):
+    rng = np.random.default_rng(len(shape) + 2 * create)
+    vec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    weight = complex(rng.standard_normal(), rng.standard_normal())
+    for bit in (1, 2, 4, 8):
+        mask = int(rng.integers(0, 16))
+        fresh = apply_beta_batch(vec, bit, mask, create, weight)
+        want = reference_apply_beta(vec, bit, mask, create, weight,
+                                    np.zeros(shape, dtype=np.complex128))
+        assert fresh.shape == shape and fresh.tobytes() == want.tobytes()
+        # accumulation into a given out, returned as the same object
+        start = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = start.copy()
+        assert apply_beta_batch(vec, bit, mask, create, weight, out=out) is out
+        want = reference_apply_beta(vec, bit, mask, create, weight, start.copy())
+        assert out.tobytes() == want.tobytes()
+
+
+def test_apply_beta_writes_through_strided_out():
+    rng = np.random.default_rng(5)
+    vec = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    base = rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))
+    before = base.copy()
+    # every other row, a column slice, transposed: a view with no unit stride
+    view = base.T[1:4, ::2].T
+    assert not view.flags.c_contiguous and not view.flags.f_contiguous
+    want = reference_apply_beta(vec, 4, 0b1010, True, 0.7, view.copy())
+    assert apply_beta_batch(vec, 4, 0b1010, True, 0.7, out=view) is view
+    assert view.tobytes() == want.tobytes()
+    assert base[::2, 1:4].tobytes() == want.tobytes()
+    # nothing outside the view moved
+    untouched = np.ones(base.shape, dtype=bool)
+    untouched[::2, 1:4] = False
+    assert np.array_equal(base[untouched], before[untouched])
+    # a strided input reads the same as its contiguous copy
+    src = base[1::2, :3]
+    assert apply_beta_batch(src, 2, 0b0101, False, 1.5).tobytes() == \
+        apply_beta_batch(np.ascontiguousarray(src), 2, 0b0101, False, 1.5).tobytes()
+
+
 def reference_expand(codes, coeffs, op_codes, op_create, op_weights, epsneg):
     """Op by op, row by row: the terms of sum_k w_k beta_k applied to the state."""
     width = codes.shape[1]

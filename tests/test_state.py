@@ -5,8 +5,8 @@ import pytest
 
 from qhyper.babyfock import BabyFock, get_model
 from qhyper.signs import ModelParams, SignTable
-from qhyper.state import (density_closed_form, density_solve, embed_lower,
-                          get_density, haagerup_embed, haagerup_norm,
+from qhyper.state import (defining_property_residual, density_closed_form,
+                          density_solve, embed_lower, get_density, haagerup_embed, haagerup_norm,
                           modular_check)
 
 MU = np.sqrt(2.0)
@@ -130,3 +130,22 @@ def test_embed_lower_rejects_mismatch(m2):
     other = BabyFock(ModelParams.make(1, 3.0, SignTable.all_anticommuting(1)))
     with pytest.raises(ValueError):
         embed_lower(other.identity(), other, m2)
+
+
+@pytest.mark.parametrize("n,mu", [(3, (1.2, 2.0, 1.0)), (4, (1.5, 1.1, 2.4, 1.0))])
+def test_defining_residual_stack_matches_per_word(n, mu):
+    model = BabyFock(ModelParams.make(n, mu, sign_seed=70 + n))
+    D = density_closed_form(model).density
+    words = range(model.dim)
+    # words=None reads the monomial stack; an explicit list takes letter chains
+    assert abs(defining_property_residual(model, D)
+               - defining_property_residual(model, D, words)) <= 1e-14
+    # zero diagonal, so the unit word does not dominate the maximum
+    rng = np.random.default_rng(n)
+    E = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
+    np.fill_diagonal(E, 0.0)
+    bad = D + 1e-8 * E
+    stacked = defining_property_residual(model, bad)
+    chained = defining_property_residual(model, bad, words)
+    assert stacked > 1e-10 and chained > 1e-10
+    assert abs(stacked - chained) <= 1e-12 * chained
