@@ -191,10 +191,6 @@ class BabyFock:
         v[0] = 1.0
         return v
 
-    def gns_embed(self, X: np.ndarray) -> np.ndarray:
-        """The vector X x_empty, i.e. column 0 of X."""
-        return np.array(X[:, 0])
-
     def vacuum_state(self, X: np.ndarray) -> complex:
         return complex(X[0, 0])
 
@@ -261,48 +257,39 @@ class BabyFock:
         amp = self._monomial_data()[1]
         return float(np.max(np.abs(amp)) / np.min(np.abs(amp)))
 
+    def apply_word(self, word, X):
+        """M_w X for a letter tuple (or linear index) w: the letters act right
+        to left, index n first.  For the unit word this is X itself."""
+        word = tuple(word) if not np.isscalar(word) else self.word_of(word)
+        for k in range(self.n - 1, -1, -1):
+            if word[k] != UNIT:
+                X = self.apply_letter(word[k], k + 1, X)
+        return X
+
     def monomial_matrix(self, word) -> np.ndarray:
         """Dense matrix of the monomial with the given letter tuple."""
-        word = tuple(word) if not np.isscalar(word) else self.word_of(word)
-        out = None
-        for k in range(self.n - 1, -1, -1):
-            if word[k] == UNIT:
-                continue
-            out = self.apply_letter(word[k], k + 1, self.identity() if out is None else out)
-        return self.identity() if out is None else out
+        return self.apply_word(word, self.identity())
+
+    def word_images(self, X) -> np.ndarray:
+        """(4**n, *X.shape) array of M_w X for every word w.
+
+        M_w X is the lowest non-unit letter of w applied to M_w' X, where
+        w' < w is w with that letter cleared: one letter application per
+        word, on the same chain ``apply_word`` takes, so bit for bit the
+        same.
+        """
+        out = np.empty((self.dim, *np.shape(X)), dtype=np.complex128)
+        out[0] = X
+        for w in range(1, self.dim):
+            k = ((w & -w).bit_length() - 1) // 2
+            out[w] = self.apply_letter((w >> (2 * k)) & 3, k + 1, out[w & ~(3 << (2 * k))])
+        return out
 
     def monomial_stack(self) -> np.ndarray:
-        """(4**n, dim, dim) array of all monomial matrices (n <= 4).
-
-        M_w is its lowest non-unit letter applied to M_w', where w' < w is
-        w with that letter cleared: one letter application per word, on
-        the same chain ``monomial_matrix`` takes, so bit for bit the same.
-        """
+        """(4**n, dim, dim) array of all monomial matrices (n <= 4)."""
         if self.n > 4:
             raise ValueError("monomial stack is limited to n <= 4")
-
-        def build():
-            stack = np.empty((self.dim, self.dim, self.dim), dtype=np.complex128)
-            stack[0] = self.identity()
-            for w in range(1, self.dim):
-                k = ((w & -w).bit_length() - 1) // 2
-                stack[w] = self.apply_letter((w >> (2 * k)) & 3, k + 1,
-                                             stack[w & ~(3 << (2 * k))])
-            return stack
-
-        return self._cached(("stack",), build)
-
-    def _word_images(self, X: np.ndarray) -> np.ndarray:
-        """(4**n, dim, k) array of M_w X for every word w, by letter application."""
-        dim, k = X.shape
-        cur = X.reshape(dim, 1, k)
-        # rightmost letter first; each new letter becomes the low digit of w
-        for pos in range(self.n - 1, -1, -1):
-            flat = cur.reshape(dim, -1)
-            imgs = [self.apply_letter(letter, pos + 1, flat).reshape(cur.shape)
-                    for letter in (UNIT, GEN, STAR, Y)]
-            cur = np.stack(imgs, axis=2).reshape(dim, -1, k)
-        return np.ascontiguousarray(cur.transpose(1, 0, 2))
+        return self._cached(("stack",), lambda: self.word_images(self.identity()))
 
     def irrep_basis(self) -> np.ndarray:
         """(dim, 2**n) orthonormal basis V of the irreducible subspace.
@@ -312,15 +299,17 @@ class BabyFock:
         projection e = prod_i g_i g*_i / (mu_i**2 + mu_i**-2), the span of
         M_w e x_empty is one copy; X -> V* X V is the irreducible
         representation, and for every element Y of the algebra
-        ||Y||_p = (2**n)**(1/p) ||V* Y V||_p under the plain trace.
+        ||Y||_p = (2**n)**(1/p) ||V* Y V||_p under the plain trace.  The
+        invariance check forms V* M_w V for every word, and that product
+        is cached as ``irrep_images``.
         """
 
         def build():
-            vec = self.vacuum_vector()[:, None]
+            vec = self.vacuum_vector()
             for i in range(1, self.n + 1):
                 c = self.mu[i - 1] ** 2 + self.mu[i - 1] ** -2
                 vec = self.apply_gamma(i, self.apply_gamma_star(i, vec)) / c
-            u, s, _ = np.linalg.svd(self._word_images(vec)[:, :, 0].T)
+            u, s, _ = np.linalg.svd(self.word_images(vec).T)
             rank = int(np.sum(s > 1e-10 * s[0]))
             if rank != 1 << self.n:
                 raise AssertionError(
@@ -328,33 +317,29 @@ class BabyFock:
             V = np.ascontiguousarray(u[:, :rank])
             # invariance under every monomial, relative to |M_w V|: the
             # absolute residual grows with |M_w|, up to mu**(2n)
-            imgs = self._word_images(V)
-            resid = float(np.max(np.linalg.norm(imgs - V @ (V.conj().T @ imgs), axis=(1, 2))
+            imgs = self.word_images(V)
+            small = V.conj().T @ imgs
+            resid = float(np.max(np.linalg.norm(imgs - V @ small, axis=(1, 2))
                                  / np.linalg.norm(imgs, axis=(1, 2))))
             if resid > 1e-12:
                 raise AssertionError(
                     f"irreducible subspace not invariant: residual {resid:.3e}")
+            self._cached(("irrep_images",), lambda: small)
             return V
 
         return self._cached(("irrep",), build)
+
+    def irrep_images(self) -> np.ndarray:
+        """(4**n, 2**n, 2**n) array of V* M_w V, the monomials in the
+        irreducible representation (cached with ``irrep_basis``)."""
+        self.irrep_basis()
+        return self._matrix_cache[("irrep_images",)]
 
     def expand(self, X: np.ndarray) -> np.ndarray:
         """Monomial coefficients of X (exact inverse of the embedding)."""
         target, amp, _, _ = self._monomial_data()
         v = X[:, 0] if X.ndim == 2 else X
         return v[target] / amp
-
-    def expand_gns(self, vec: np.ndarray) -> np.ndarray:
-        """Monomial coefficients of the element whose vacuum vector is vec."""
-        target, amp, _, _ = self._monomial_data()
-        return vec[target] / amp
-
-    def coeffs_to_gns(self, coeffs: np.ndarray) -> np.ndarray:
-        """Vacuum vector of the element with the given monomial coefficients."""
-        target, amp, _, _ = self._monomial_data()
-        v = np.zeros(self.dim, dtype=np.complex128)
-        v[target] = amp * np.asarray(coeffs, dtype=np.complex128)
-        return v
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         """Dense matrix of sum_w coeffs[w] M_w."""

@@ -5,7 +5,8 @@ into the emitted output, runs a deterministic sweep for the given seed,
 and exits 0 when all asserted checks pass, 1 on usage errors, and 2
 when a numerical assertion fails (failing records go to stderr).
 Grid-valued flags accept a single number, a comma list, or
-start:stop:step.
+start:stop:step; an empty grid, a non-finite value, or a count
+(--samples, --restarts) below 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -42,18 +43,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_values(text: str) -> list:
-    """A single number, a comma list, or an inclusive start:stop:step grid."""
+    """A single number, a comma list, or an inclusive start:stop:step grid;
+    the result must hold at least one value, and only finite ones."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = (float(x) for x in parts)
-        if step <= 0:
-            raise ValueError("grid step must be positive")
+        if not (np.isfinite(start) and np.isfinite(stop) and 0 < step < np.inf):
+            raise ValueError(f"grid needs finite bounds and a finite positive step, got {text!r}")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [start + k * step for k in range(max(count, 0))]
-    return [float(x) for x in text.split(",") if x]
+        values = [start + k * step for k in range(count)]
+    else:
+        values = [float(x) for x in text.split(",") if x]
+    if not values or not np.all(np.isfinite(values)):
+        raise ValueError(f"need at least one value, all finite, got {text!r}")
+    return values
+
+
+def _count(text: str) -> int:
+    """argparse type of --samples and --restarts: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def _model_from_args(args) -> ModelParams:
@@ -329,7 +342,9 @@ def cmd_clt(args):
     letters = parse_word(args.word)
     q = parse_values(args.q)[0] if args.q else 0.0
     mus = parse_values(args.mu) if args.mu else [1.0]
-    ms = [int(v) for v in (parse_values(args.m) if args.m else [5, 10, 20, 40])]
+    ms = parse_values(args.m) if args.m else [5, 10, 20, 40]
+    if any(v != int(v) for v in ms):
+        raise ValueError(f"--m takes integers, got {args.m!r}")
     samples = args.samples or 100
     rows = convergence_report(letters, q, tuple(mus), ms, samples, args.seed)
     records = [{"m": r["m"], "mean_re": r["mean"].real, "mean_im": r["mean"].imag,
@@ -379,8 +394,8 @@ def build_parser() -> _Parser:
         p.add_argument("--t", default=None, help="time value or grid")
         p.add_argument("--q", default=None, help="deformation parameter")
         p.add_argument("--m", default=None, help="sum length value or grid")
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--restarts", type=int, default=None)
+        p.add_argument("--samples", type=_count, default=None)
+        p.add_argument("--restarts", type=_count, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--emit", choices=("csv", "json"), default="json")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")

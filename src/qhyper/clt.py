@@ -262,25 +262,31 @@ def sample_moment(letters, sample: BigSignSample, mu) -> complex:
     return _sparse_inner(*right, *left)
 
 
-def clt_estimate(letters, q: float, mu, m: int, samples: int, seed: int):
-    """Monte-Carlo mean and standard error of tau over sign samples."""
+def _prepare(letters, mu, samples: int):
+    """Parsed letters, mu as a float tuple, and n, for the estimators."""
     if isinstance(letters, str):
         letters = parse_word(letters)
     mu = tuple(float(x) for x in (mu if np.iterable(mu) else (mu,)))
     n = max(i for _, i in letters)
     if len(mu) < n:
         raise ValueError(f"need {n} mu values")
-    vals = np.empty(samples, dtype=np.complex128)
-    for s in range(samples):
-        sample = sample_signs(q, n, m, seed, sample_index=s)
-        vals[s] = sample_moment(letters, sample, mu)
-    mean = complex(vals.mean())
-    if samples > 1:
-        var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
-        stderr = float(np.sqrt(var / samples))
-    else:
-        stderr = 0.0
-    return mean, stderr
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    return letters, mu, n
+
+
+def _estimate(letters, q: float, mu, n: int, m: int, samples: int, seed: int):
+    """Per-sample moments of samples 0..samples-1, their mean and standard error."""
+    vals = np.array([sample_moment(letters, sample_signs(q, n, m, seed, sample_index=s), mu)
+                     for s in range(samples)], dtype=np.complex128)
+    var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1) if samples > 1 else 0.0
+    return vals, complex(vals.mean()), float(np.sqrt(var / samples))
+
+
+def clt_estimate(letters, q: float, mu, m: int, samples: int, seed: int):
+    """Monte-Carlo mean and standard error of tau over sign samples."""
+    letters, mu, n = _prepare(letters, mu, samples)
+    return _estimate(letters, q, mu, n, m, samples, seed)[1:]
 
 
 def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int,
@@ -288,25 +294,20 @@ def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int,
     """Rows of (m, mean, stderr, oracle, abs err) against the exact oracle.
 
     The limit statement holds sample by sample, so each row also carries
-    the raw moments of the first few pinned sign samples ("traj"), not
-    just the average.
+    the raw moments of the first few pinned sign samples ("traj", at
+    most ``samples`` of them), not just the average.
     """
-    if isinstance(letters, str):
-        letters = parse_word(letters)
-    mu = tuple(float(x) for x in (mu if np.iterable(mu) else (mu,)))
-    n = max(i for _, i in letters)
+    letters, mu, n = _prepare(letters, mu, samples)
     for m in m_list:
         _validate_word(letters, n, int(m))
     oracle = moment(letters, QParams(q=q, n=n, mu=mu[:n],
                                      max_level=max(1, len(letters))))
     rows = []
     for m in m_list:
-        mean, stderr = clt_estimate(letters, q, mu, int(m), samples, seed)
-        row = {"m": int(m), "mean": mean, "stderr": stderr,
-               "oracle": oracle, "abs_err": abs(mean - oracle)}
-        row["traj"] = [sample_moment(letters, sample_signs(q, n, int(m), seed, s), mu)
-                       for s in range(trajectories)]
-        rows.append(row)
+        vals, mean, stderr = _estimate(letters, q, mu, n, int(m), samples, seed)
+        rows.append({"m": int(m), "mean": mean, "stderr": stderr,
+                     "oracle": oracle, "abs_err": abs(mean - oracle),
+                     "traj": [complex(v) for v in vals[:trajectories]]})
     return rows
 
 

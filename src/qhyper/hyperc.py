@@ -198,9 +198,12 @@ class RatioEvaluator:
     The Schatten norms are taken in the 2**n dimensional irreducible
     representation (``BabyFock.irrep_basis``), not the 4**n one:
     ``mat_stack[w]`` is (2**n)**(1/p) V* M_w D**(1/p) V, so the plain
-    p-norm of sum_w c_w mat_stack[w] is the Haagerup norm.  The
-    4**n path stays as the oracle (``contraction_ratio``,
-    ``dual_contraction_ratio``).
+    p-norm of sum_w c_w mat_stack[w] is the Haagerup norm.  It is built
+    as (2**n)**(1/p) (V* M_w V)(V* D**(1/p) V) from the cached
+    ``BabyFock.irrep_images``, with D**(1/p) compressed on its own; the
+    split is exact because D**(1/p) lies in the algebra and so leaves
+    span V invariant.  The 4**n path stays as the oracle
+    (``contraction_ratio``, ``dual_contraction_ratio``).
     """
 
     def __init__(self, model: BabyFock, t: float, p: float, direction: str = "primal",
@@ -215,9 +218,9 @@ class RatioEvaluator:
         self.p = float(p)           # in the dual direction p plays the role of p'
         self.direction = direction
         V = model.irrep_basis()
-        droot = dens.power(1.0 / self.p)
+        droot = V.conj().T @ dens.power(1.0 / self.p) @ V
         scale = float(V.shape[1]) ** (1.0 / self.p)
-        self.mat_stack = scale * (V.conj().T @ model.monomial_stack() @ (droot @ V))
+        self.mat_stack = scale * (model.irrep_images() @ droot)
         if direction == "primal":
             self.vec_weights = _l2_weights(model, t)
         else:
@@ -284,6 +287,8 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
     ``RatioEvaluator``).  Returns the best ratio found (a lower bound on
     the operator norm, never a certificate).
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     ev = RatioEvaluator(model, t, p, direction, density)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     nw = model.dim

@@ -385,18 +385,14 @@ def moment_pairings(letters, params: QParams) -> complex:
     return complex(total)
 
 
-def moment(letters, params: QParams, method: str = "auto") -> complex:
+def moment(letters, params: QParams) -> complex:
     """tau_q of a word in the circular letters (see parse_word for syntax).
 
-    The default picks the operator route except at q = -1, where only
-    the pair-partition route is defined (the symmetrizers degenerate).
+    Takes the operator route except at q = -1, where only the
+    pair-partition route is defined (the symmetrizers degenerate).
     """
     if isinstance(letters, str):
         letters = parse_word(letters)
-    if method == "auto":
-        method = "pairings" if params.q == -1.0 else "operator"
-    if method == "operator":
-        return moment_operator(letters, params)
-    if method == "pairings":
+    if params.q == -1.0:
         return moment_pairings(letters, params)
-    raise ValueError(f"unknown method {method!r}")
+    return moment_operator(letters, params)

@@ -14,7 +14,9 @@ The plain trace on the 4**n representation is 2**n times the trace of
 the irreducible 2**n dimensional one (``BabyFock.irrep_basis`` V), so
 ||Y||_p = (2**n)**(1/p) ||V* Y V||_p.  The functions here stay in the
 4**n representation and serve as the oracle; the ratio search in
-``hyperc`` takes its norms in the irreducible one.
+``hyperc`` takes its norms in the irreducible one, from the cached
+monomial images V* M_w V (``BabyFock.irrep_images``) and D**(1/p)
+compressed on its own to V* D**(1/p) V.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ def defining_property_residual(model: BabyFock, D: np.ndarray, words=None) -> fl
     """max_w |trace(D M_w) - tau(M_w)| over monomials (all, or a subset).
 
     For all words at n <= 4 the traces are one product with the cached
-    monomial stack, trace(M_w D) = <M_w, D^T>; subsets take one letter
-    chain per word.
+    monomial stack, trace(M_w D) = <M_w, D^T>; subsets take one
+    ``BabyFock.apply_word`` per word.
     """
     if words is None and model.n <= 4:
         traces = model.monomial_stack().reshape(model.dim, -1) @ np.asarray(D).T.reshape(-1)
@@ -75,13 +77,8 @@ def defining_property_residual(model: BabyFock, D: np.ndarray, words=None) -> fl
         words = range(model.dim)
     worst = 0.0
     for w in words:
-        word = model.word_of(int(w))
-        MD = np.asarray(D)
-        for k in range(model.n - 1, -1, -1):
-            if word[k]:
-                MD = model.apply_letter(word[k], k + 1, MD)
         tau = 1.0 if int(w) == 0 else 0.0
-        worst = max(worst, abs(np.trace(MD) - tau))
+        worst = max(worst, abs(np.trace(model.apply_word(int(w), np.asarray(D))) - tau))
     return float(worst)
 
 

@@ -146,6 +146,19 @@ def test_monomial_stack_equals_per_word_matrices(n):
         assert np.array_equal(stack[w], model.monomial_matrix(model.word_of(w)))
 
 
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_word_images_equal_apply_word(n):
+    model = BabyFock(ModelParams.make(n, tuple(1.2 + 0.5 * k for k in range(n)),
+                                      sign_seed=60 + n))
+    rng = np.random.default_rng(60 + n)
+    for cols in (1, 1 << n):
+        X = rng.standard_normal((model.dim, cols)) + 1j * rng.standard_normal((model.dim, cols))
+        imgs = model.word_images(X)
+        assert imgs.shape == (model.dim, model.dim, cols)
+        for w in range(model.dim):
+            assert np.array_equal(imgs[w], model.apply_word(model.word_of(w), X))
+
 def test_reconstruct_n4_matches_per_word_sum():
     model = BabyFock(ModelParams.make(4, (1.3, 1.0, 2.1, 1.6), sign_seed=44))
     rng = np.random.default_rng(44)

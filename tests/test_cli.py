@@ -139,3 +139,33 @@ def test_clt_rejects_packed_key_overflow(capsys):
     assert code == 1
     assert out == ""
     assert "2*n*m" in errtext
+
+
+BOUNDARY_CASES = [
+    (["clt", "(s+s*)^2", "--samples", "0"], "at least 1"),
+    (["convexity", "--samples", "0"], "at least 1"),
+    (["hyperc-verify", "--restarts", "0"], "at least 1"),
+    (["hyperc-search", "--restarts", "0"], "at least 1"),
+    (["choi", "--t", "5:1:1"], "at least one value"),
+    (["lpnorm", "--p", "3:2:1"], "at least one value"),
+    (["hyperc-verify", "--p", "2:1:1"], "at least one value"),
+    (["necessary-time", "--p", "6:4:1"], "at least one value"),
+    (["convexity", "--p", "2:1:1"], "at least one value"),
+    (["lpnorm", "--p", "nan"], "finite"),
+    (["choi", "--t", "0:inf:1"], "finite"),
+    (["clt", "(s+s*)^2", "--m", "5.7"], "integers"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BOUNDARY_CASES,
+                         ids=[" ".join(argv) for argv, _ in BOUNDARY_CASES])
+def test_boundary_inputs_exit_one(capsys, argv, message):
+    # argparse rejects a bad count itself, with SystemExit(1)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert message in captured.err

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qhyper import clt
 from qhyper.clt import (SparseState, _letter_ops, clt_estimate, convergence_report,
                         dense_reference_moment, gamma_apply_sparse, pair_code,
                         report_to_csv, s_apply, sample_moment, sample_signs)
@@ -180,6 +181,33 @@ def test_convergence_report_and_csv():
     assert lines[0] == "m,mean_re,mean_im,stderr,oracle_re,oracle_im,abs_err"
     assert len(lines) == 3
 
+
+
+def test_convergence_report_evaluates_each_sample_once(monkeypatch):
+    calls = []
+    real = clt.sample_moment
+
+    def counting(letters, sample, mu):
+        calls.append((sample.m, sample.sample_index))
+        return real(letters, sample, mu)
+
+    monkeypatch.setattr(clt, "sample_moment", counting)
+    word = parse_word("(s+s*)^4")
+    rows = convergence_report(word, 0.5, (1.3,), [4, 9], samples=5, seed=2)
+    assert calls == [(m, s) for m in (4, 9) for s in range(5)]
+    for row in rows:
+        want = [real(word, sample_signs(0.5, 1, row["m"], 2, s), (1.3,)) for s in range(3)]
+        assert row["traj"] == want
+        assert (row["mean"], row["stderr"]) == clt_estimate(word, 0.5, (1.3,), row["m"],
+                                                            samples=5, seed=2)
+
+
+def test_estimators_reject_zero_samples():
+    word = parse_word("(s+s*)^2")
+    with pytest.raises(ValueError, match="samples"):
+        clt_estimate(word, 0.0, (1.0,), 5, samples=0, seed=0)
+    with pytest.raises(ValueError, match="samples"):
+        convergence_report(word, 0.0, (1.0,), [5], samples=0, seed=0)
 
 def test_estimator_determinism():
     word = parse_word("(s+s*)^4")

@@ -166,6 +166,11 @@ def test_search_long_time_limit(m2):
     assert wit.ratio <= 1.0 + 1e-9
 
 
+
+def test_search_rejects_zero_restarts(m2):
+    with pytest.raises(ValueError, match="restarts"):
+        violation_search(m2, 0.5, 1.5, restarts=0)
+
 def test_duality_consistency_n1():
     params = ModelParams.make(1, 1.6, SignTable.all_anticommuting(1))
     model = get_model(params)

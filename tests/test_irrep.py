@@ -66,3 +66,33 @@ def test_evaluator_matches_gns_ratios(model, direction, p):
     oracle = contraction_ratio if direction == "primal" else dual_contraction_ratio
     for c, r in zip(coeffs, got):
         assert _rel(r, oracle(model, model.reconstruct(c), t, p)) <= 1e-12
+
+
+def test_irrep_images_match_compressed_stack(model):
+    V = model.irrep_basis()
+    images = model.irrep_images()
+    assert images.shape == (model.dim, V.shape[1], V.shape[1])
+    want = V.conj().T @ model.monomial_stack() @ V
+    err = np.linalg.norm(images - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert np.max(err) <= 1e-13
+
+
+@pytest.mark.parametrize("params", [pr for pr in MODELS if pr.n <= 3],
+                         ids=lambda pr: f"n{pr.n}-mu{max(pr.mu)}")
+def test_evaluator_never_reads_monomial_stack(params, monkeypatch):
+    # the density check and the GNS oracle read the stack; the evaluator
+    # on the same fresh model must not
+    model = BabyFock(params)
+    get_density(model)
+    t, p = 0.3, 1.5
+    rng = np.random.default_rng(300 + model.n)
+    coeffs = rng.standard_normal((3, model.dim)) + 1j * rng.standard_normal((3, model.dim))
+    want = [contraction_ratio(model, model.reconstruct(c), t, p) for c in coeffs]
+
+    def no_stack(self):
+        raise AssertionError("monomial_stack read")
+
+    monkeypatch.setattr(BabyFock, "monomial_stack", no_stack)
+    got = RatioEvaluator(model, t, p).ratios(coeffs)
+    for r, w in zip(got, want):
+        assert _rel(r, w) <= 1e-12
