@@ -27,13 +27,12 @@ from . import _kernels
 from .signs import ModelParams
 
 __all__ = [
-    "UNIT", "GEN", "STAR", "Y", "LETTER_DEGREE", "LETTER_NAMES",
+    "UNIT", "GEN", "STAR", "Y", "LETTER_DEGREE",
     "BabyFock", "get_model", "RelationsReport", "opnorm",
 ]
 
 UNIT, GEN, STAR, Y = 0, 1, 2, 3
 LETTER_DEGREE = (0, 1, 1, 2)
-LETTER_NAMES = ("1", "g", "g*", "y")
 
 
 def opnorm(mat: np.ndarray, tol: float = 1e-14, max_iter: int = 2000) -> float:
@@ -163,7 +162,8 @@ class BabyFock:
         mat = self._matrix_cache.get(key)
         if mat is None:
             mat = builder()
-            mat.setflags(write=False)
+            for a in mat if isinstance(mat, tuple) else (mat,):
+                a.setflags(write=False)
             self._matrix_cache[key] = mat
         return mat
 
@@ -291,49 +291,48 @@ class BabyFock:
             raise ValueError("monomial stack is limited to n <= 4")
         return self._cached(("stack",), lambda: self.word_images(self.identity()))
 
-    def irrep_basis(self) -> np.ndarray:
-        """(dim, 2**n) orthonormal basis V of the irreducible subspace.
+    def irrep(self):
+        """(cols, vals, rho): the 2**n dimensional irreducible representation
+        in closed form (twisted Jordan-Wigner), built from ``params`` alone.
 
-        The algebra is M_{2**n} and its 4**n dimensional representation
-        holds 2**n copies of the irreducible one.  With the minimal
-        projection e = prod_i g_i g*_i / (mu_i**2 + mu_i**-2), the span of
-        M_w e x_empty is one copy; X -> V* X V is the irreducible
-        representation, and for every element Y of the algebra
-        ||Y||_p = (2**n)**(1/p) ||V* Y V||_p under the plain trace.  The
-        invariance check forms V* M_w V for every word, and that product
-        is cached as ``irrep_images``.
+        On site i (bit i - 1), pi(g_i) = sqrt(mu_i**2 + mu_i**-2) Z..Z a_i,
+        a = |0><1|, with Z on each site j < i where eps(i, j) = -1, and
+        pi(y_i) = (mu_i**2 + mu_i**-2) n_i - mu_i**-2.  Row r of pi(M_w) has
+        its one non-zero, ``vals[w, r]``, at column ``cols[w, r]``; ``rho``
+        is the diagonal of the trace-one density prod_i ((1 - lambda_i) +
+        (2 lambda_i - 1) n_i).  The build checks trace(rho pi(M_w)) = tau(M_w)
+        and trace(rho pi(M_w)* pi(M_w)) = |M_w x_empty|**2 against this model.
         """
 
         def build():
-            vec = self.vacuum_vector()
-            for i in range(1, self.n + 1):
-                c = self.mu[i - 1] ** 2 + self.mu[i - 1] ** -2
-                vec = self.apply_gamma(i, self.apply_gamma_star(i, vec)) / c
-            u, s, _ = np.linalg.svd(self.word_images(vec).T)
-            rank = int(np.sum(s > 1e-10 * s[0]))
-            if rank != 1 << self.n:
-                raise AssertionError(
-                    f"irreducible subspace has rank {rank}, expected {1 << self.n}")
-            V = np.ascontiguousarray(u[:, :rank])
-            # invariance under every monomial, relative to |M_w V|: the
-            # absolute residual grows with |M_w|, up to mu**(2n)
-            imgs = self.word_images(V)
-            small = V.conj().T @ imgs
-            resid = float(np.max(np.linalg.norm(imgs - V @ small, axis=(1, 2))
-                                 / np.linalg.norm(imgs, axis=(1, 2))))
-            if resid > 1e-12:
-                raise AssertionError(
-                    f"irreducible subspace not invariant: residual {resid:.3e}")
-            self._cached(("irrep_images",), lambda: small)
-            return V
+            n, eps, c = self.n, self.params.signs.matrix(), self.mu ** 2 + self.mu ** -2
+            rows = np.arange(1 << n)
+            letters = []            # per site: (column map, value) of g, g*, y
+            for k in range(n):
+                zmask = sum(1 << j for j in range(k) if eps[k, j] == -1)
+                gval = np.sqrt(c[k]) * (1.0 - 2.0 * (_kernels.popcount_table(n)[rows & zmask] & 1))
+                full = (rows & (1 << k)) != 0
+                letters.append((None, (rows | 1 << k, np.where(full, 0.0, gval)),
+                                (rows & ~(1 << k), np.where(full, gval, 0.0)),
+                                (rows, np.where(full, c[k], 0.0) - self.mu[k] ** -2)))
+            cols, vals = np.empty((self.dim, rows.size), np.int64), np.empty((self.dim, rows.size))
+            cols[0], vals[0] = rows, 1.0
+            for w in range(1, self.dim):
+                k = ((w & -w).bit_length() - 1) // 2
+                sigma, v = letters[k][(w >> (2 * k)) & 3]
+                prev = w & ~(3 << (2 * k))
+                cols[w], vals[w] = cols[prev][sigma], v * vals[prev][sigma]
+            lam = 1.0 / (1.0 + self.mu ** 4)
+            rho = np.prod([np.where(rows & 1 << k, lam[k], 1 - lam[k]) for k in range(n)], axis=0)
+            rho /= rho.sum()
+            traces = np.sum(np.where(cols == rows, vals, 0.0) * rho, axis=1)
+            traces[0] -= 1.0
+            weights = np.sum(rho[cols] * vals ** 2, axis=1) / self._monomial_data()[1] ** 2
+            if max(np.max(np.abs(traces)), np.max(np.abs(weights - 1.0))) > 1e-12:
+                raise AssertionError("closed-form irrep does not reproduce the vacuum state")
+            return cols, vals, rho
 
         return self._cached(("irrep",), build)
-
-    def irrep_images(self) -> np.ndarray:
-        """(4**n, 2**n, 2**n) array of V* M_w V, the monomials in the
-        irreducible representation (cached with ``irrep_basis``)."""
-        self.irrep_basis()
-        return self._matrix_cache[("irrep_images",)]
 
     def expand(self, X: np.ndarray) -> np.ndarray:
         """Monomial coefficients of X (exact inverse of the embedding)."""

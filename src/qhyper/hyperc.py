@@ -15,8 +15,9 @@ reported with a discrepancy flag.
 
 The search is multistart randomized coordinate ascent over monomial
 coefficients, vectorized across restarts, deterministic for a fixed
-seed, with its Schatten norms taken in the 2**n dimensional irreducible
-representation.  It only ever produces lower bounds on the operator norm.
+seed, with its Schatten norms taken in the closed-form 2**n dimensional
+irreducible representation.  It only ever produces lower bounds on the
+operator norm.
 """
 
 from __future__ import annotations
@@ -195,32 +196,30 @@ class RatioEvaluator:
     "dual": Schatten numerator with the semigroup folded into the
     per-monomial stack, L2 denominator from the weights.
 
-    The Schatten norms are taken in the 2**n dimensional irreducible
-    representation (``BabyFock.irrep_basis``), not the 4**n one:
-    ``mat_stack[w]`` is (2**n)**(1/p) V* M_w D**(1/p) V, so the plain
-    p-norm of sum_w c_w mat_stack[w] is the Haagerup norm.  It is built
-    as (2**n)**(1/p) (V* M_w V)(V* D**(1/p) V) from the cached
-    ``BabyFock.irrep_images``, with D**(1/p) compressed on its own; the
-    split is exact because D**(1/p) lies in the algebra and so leaves
-    span V invariant.  The 4**n path stays as the oracle
-    (``contraction_ratio``, ``dual_contraction_ratio``).
+    The Schatten norms are taken in the closed-form 2**n dimensional
+    irreducible representation (``BabyFock.irrep``) with its diagonal
+    trace-one density rho: ``mat_stack[w]`` = pi(M_w) rho**(1/p), whose row
+    r holds vals[w, r] rho[cols[w, r]]**(1/p), so the plain p-norm of
+    sum_w c_w mat_stack[w] is the Haagerup norm.  The 4**n density and
+    monomial stack are never read, so every n up to MAX_N works; the 4**n
+    path stays as the oracle (``contraction_ratio``, ``dual_contraction_ratio``).
     """
 
-    def __init__(self, model: BabyFock, t: float, p: float, direction: str = "primal",
-                 density: DensityFactorization | None = None):
+    def __init__(self, model: BabyFock, t: float, p: float, direction: str = "primal"):
         if direction not in ("primal", "dual"):
             raise ValueError(f"unknown direction {direction!r}")
-        if model.n > 4:
-            raise ValueError("ratio search is limited to n <= 4")
-        dens = density or get_density(model)
+        if not 1.0 <= p < np.inf:
+            raise ValueError(f"p must be finite and at least 1, got {p}")
+        if not 0.0 <= t < np.inf:
+            raise ValueError(f"t must be finite and non-negative, got {t}")
         self.model = model
         self.t = float(t)
         self.p = float(p)           # in the dual direction p plays the role of p'
         self.direction = direction
-        V = model.irrep_basis()
-        droot = V.conj().T @ dens.power(1.0 / self.p) @ V
-        scale = float(V.shape[1]) ** (1.0 / self.p)
-        self.mat_stack = scale * (model.irrep_images() @ droot)
+        cols, vals, rho = model.irrep()
+        self.mat_stack = np.zeros((model.dim, rho.size, rho.size), dtype=np.complex128)
+        np.put_along_axis(self.mat_stack, cols[..., None],
+                          (vals * rho[cols] ** (1.0 / self.p))[..., None], axis=2)
         if direction == "primal":
             self.vec_weights = _l2_weights(model, t)
         else:
@@ -274,7 +273,6 @@ def _canonical_seeds(model: BabyFock) -> list:
 
 def violation_search(model: BabyFock, t: float, p: float, direction: str = "primal",
                      restarts: int = 100, seed: int = 0, iters: int = 200,
-                     density: DensityFactorization | None = None,
                      step_floor: float = 1e-8, extra_seeds=None) -> ViolationWitness:
     """Multistart coordinate ascent on the contraction ratio.
 
@@ -283,13 +281,13 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
     every failed proposal, retiring the restart once it drops below
     ``step_floor``.  The search runs over all 4**n monomial
     coefficients, while every candidate's Schatten norm is taken on a
-    2**n x 2**n matrix in the irreducible representation (see
-    ``RatioEvaluator``).  Returns the best ratio found (a lower bound on
-    the operator norm, never a certificate).
+    2**n x 2**n matrix in the closed-form irreducible representation, for
+    every n up to MAX_N (see ``RatioEvaluator``).  Returns the best ratio
+    found (a lower bound on the operator norm, never a certificate).
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    ev = RatioEvaluator(model, t, p, direction, density)
+    ev = RatioEvaluator(model, t, p, direction)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     nw = model.dim
     starts = rng.standard_normal((restarts, nw)) + 1j * rng.standard_normal((restarts, nw))

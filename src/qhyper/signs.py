@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = ["SignTable", "ModelParams", "MAX_N"]
 
-# dense 4**n matrices; 6 means dimension 4096
+# dense 4**n GNS matrices (4096 at n = 6); the ratio search runs at 2**n (64)
 MAX_N = 6
 
 
@@ -32,7 +32,7 @@ class SignTable:
             raise ValueError(f"n must be positive, got {self.n}")
         expected = {(k, l) for k in range(1, self.n + 1) for l in range(k + 1, self.n + 1)}
         got = {pair for pair, _ in self.entries}
-        if got != expected:
+        if got != expected or len(self.entries) != len(expected):
             raise ValueError("sign table must cover every pair {k, l} with k < l exactly once")
         for pair, s in self.entries:
             if s not in (-1, 1):
@@ -84,8 +84,12 @@ class SignTable:
 
     @classmethod
     def from_json(cls, text: str) -> "SignTable":
-        data = json.loads(text)
-        return cls.from_dict({(k, l): s for k, l, s in data["pairs"]}, int(data["n"]))
+        try:
+            data = json.loads(text, parse_float=int)    # integers only: 1.9 or 1.0 is an error
+            n, pairs = int(data["n"]), [((int(k), int(l)), int(s)) for k, l, s in data["pairs"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"sign table JSON needs n and [k, l, sign] pairs: {exc!r}") from None
+        return cls(n=n, entries=tuple(sorted((tuple(sorted(kl)), s) for kl, s in pairs)))
 
 
 @dataclass(frozen=True)

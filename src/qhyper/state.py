@@ -10,13 +10,11 @@ projection p_i = g*_i g_i / (mu_i**2 + mu_i**-2),
 
 normalized to trace one.  L^p elements are x D**(1/p) with the Schatten
 p-norm; the norms do not depend on how the reference trace is scaled.
-The plain trace on the 4**n representation is 2**n times the trace of
-the irreducible 2**n dimensional one (``BabyFock.irrep_basis`` V), so
-||Y||_p = (2**n)**(1/p) ||V* Y V||_p.  The functions here stay in the
-4**n representation and serve as the oracle; the ratio search in
-``hyperc`` takes its norms in the irreducible one, from the cached
-monomial images V* M_w V (``BabyFock.irrep_images``) and D**(1/p)
-compressed on its own to V* D**(1/p) V.
+The functions here stay in the 4**n representation and serve as the
+oracle.  The ratio search in ``hyperc`` takes its norms in the
+closed-form 2**n dimensional irreducible representation
+(``BabyFock.irrep``), where the same product is a diagonal rho of trace
+one and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p with no scale factor.
 """
 
 from __future__ import annotations

@@ -154,6 +154,8 @@ BOUNDARY_CASES = [
     (["lpnorm", "--p", "nan"], "finite"),
     (["choi", "--t", "0:inf:1"], "finite"),
     (["clt", "(s+s*)^2", "--m", "5.7"], "integers"),
+    (["hyperc-search", "--p", "0"], "p must be"),
+    (["hyperc-search", "--t", "-3"], "t must be"),
 ]
 
 
@@ -169,3 +171,26 @@ def test_boundary_inputs_exit_one(capsys, argv, message):
     assert code == 1
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("text", ['{"n": 2}', '{"pairs": [[1, 2, 1]]}',
+                                  '{"n": 2, "pairs": [[1, 2]]}', '{"n": 2, "pairs": [7]}',
+                                  '{"n": 2, "pairs": [["a", 2, 1]]}', '[2]',
+                                  '{"n": 2, "pairs": [[1, 2, 1], [2, 1, -1]]}',
+                                  '{"n": 2, "pairs": [[1.9, 2.2, 1]]}'])
+def test_malformed_sign_file_exit_one(tmp_path, capsys, text):
+    path = tmp_path / "signs.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, errtext = run(capsys, ["relations", "--n", "2", "--sign-file", str(path)])
+    assert code == 1
+    assert out == ""
+    assert errtext.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["--n", "5"], ["--n", "6", "--restarts", "20"]],
+                         ids=["n5", "n6"])
+def test_hyperc_search_beyond_n4(capsys, argv):
+    code, out, _ = run(capsys, ["hyperc-search"] + argv)
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert rec["max_ratio"] >= 1.0 - 1e-12

@@ -166,6 +166,15 @@ def test_search_long_time_limit(m2):
     assert wit.ratio <= 1.0 + 1e-9
 
 
+def test_search_n5_no_violation_at_proof_time():
+    # criterion 6's settings at n = 5, beyond its n <= 3 grid: the
+    # sufficient time depends on mu, not on n
+    params = ModelParams.make(5, (1.0, 1.75, 2.5, 1.5, 2.0), sign_seed=5)
+    p = 1.25
+    t = -0.5 * np.log(sufficient_time(p, params.mu))
+    wit = violation_search(get_model(params), t, p, "primal", restarts=1000, seed=2026)
+    assert 1.0 - 1e-12 <= wit.ratio <= 1.0 + 1e-9
+
 
 def test_search_rejects_zero_restarts(m2):
     with pytest.raises(ValueError, match="restarts"):

@@ -1,12 +1,13 @@
-"""The 2**n dimensional irreducible representation against the 4**n oracle."""
+"""The closed-form 2**n dimensional irreducible representation against the 4**n oracle."""
 
 import numpy as np
 import pytest
 
-from qhyper.babyfock import BabyFock
+from qhyper import hyperc, state
+from qhyper.babyfock import GEN, STAR, Y, BabyFock
 from qhyper.hyperc import RatioEvaluator, contraction_ratio, dual_contraction_ratio
 from qhyper.signs import ModelParams, SignTable
-from qhyper.state import get_density, haagerup_norm
+from qhyper.state import haagerup_norm
 
 MODELS = [
     ModelParams.make(1, 1.4, SignTable.all_anticommuting(1)),
@@ -16,8 +17,16 @@ MODELS = [
     ModelParams.make(4, (1.0, 1.5, 2.0, 3.0), sign_seed=11),
 ]
 
+# one model per n = 1..6, mixed weights and signs
+BY_N = [ModelParams.make(n, tuple(1.0 + 0.5 * k for k in range(n)), sign_seed=40 + n)
+        for n in range(1, 7)]
 
-@pytest.fixture(scope="module", params=MODELS, ids=lambda pr: f"n{pr.n}-mu{max(pr.mu)}")
+
+def _ids(pr):
+    return f"n{pr.n}-mu{max(pr.mu)}"
+
+
+@pytest.fixture(scope="module", params=MODELS, ids=_ids)
 def model(request):
     # a private instance: the n=4 stack (256 MiB) is freed with the module;
     # building it up front makes reconstruct a single tensordot
@@ -30,28 +39,105 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def _dense(model):
+    """(4**n, 2**n, 2**n) stack of pi(M_w) scattered from the one-sparse rows."""
+    cols, vals, rho = model.irrep()
+    out = np.zeros((model.dim, rho.size, rho.size))
+    np.put_along_axis(out, cols[..., None], vals[..., None], axis=2)
+    return out
+
+
+def _letter(model, letter, i):
+    """Dense pi of one letter on index i."""
+    cols, vals, rho = model.irrep()
+    w = model.windex_of(tuple(letter if k == i - 1 else 0 for k in range(model.n)))
+    out = np.zeros((rho.size, rho.size))
+    out[np.arange(rho.size), cols[w]] = vals[w]
+    return out
+
+
+@pytest.mark.parametrize("params", BY_N, ids=_ids)
+def test_irrep_generators_satisfy_relations(params):
+    # the four families of ``BabyFock.verify_relations``, on pi(g_i)
+    model = BabyFock(params)
+    eps = params.signs.matrix()
+    g = [_letter(model, GEN, i) for i in range(1, model.n + 1)]
+    gs = [_letter(model, STAR, i) for i in range(1, model.n + 1)]
+    ident = np.eye(1 << model.n)
+    for i in range(model.n):
+        assert np.array_equal(gs[i], g[i].T)
+        assert np.max(np.abs(g[i] @ g[i])) <= 1e-12
+        c = model.mu[i] ** 2 + model.mu[i] ** -2
+        assert np.max(np.abs(gs[i] @ g[i] + g[i] @ gs[i] - c * ident)) <= 1e-12
+        for j in range(model.n):
+            if j != i:
+                assert np.max(np.abs(g[i] @ g[j] - eps[i, j] * g[j] @ g[i])) <= 1e-12
+                assert np.max(np.abs(gs[i] @ g[j] - eps[i, j] * g[j] @ gs[i])) <= 1e-12
+
+
+@pytest.mark.parametrize("params", BY_N[:4], ids=_ids)
+def test_irrep_words_are_one_sparse_letter_products(params):
+    # pi(M_w) = pi(w_1) ... pi(w_n) as dense products, one non-zero per row
+    model = BabyFock(params)
+    stack = _dense(model)
+    letters = [[np.eye(1 << model.n)] + [_letter(model, lt, i) for lt in (GEN, STAR, Y)]
+               for i in range(1, model.n + 1)]
+    for w in range(model.dim):
+        want = np.eye(1 << model.n)
+        for i, lt in enumerate(model.word_of(w)):
+            want = want @ letters[i][lt]
+        assert np.max(np.abs(stack[w] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.all(np.count_nonzero(want, axis=1) <= 1)
+
+
+@pytest.mark.parametrize("params", BY_N, ids=_ids)
+def test_irrep_trace_and_weight_identities(params):
+    # trace(rho pi(M_w)) = tau(M_w) = delta_{w,0} and
+    # trace(rho pi(M_w)* pi(M_w)) = |M_w x_empty|**2 from the 4**n model
+    model = BabyFock(params)
+    cols, vals, rho = model.irrep()
+    assert abs(rho.sum() - 1.0) <= 1e-12 and np.all(rho > 0)
+    traces = np.sum(np.where(cols == np.arange(rho.size), vals, 0.0) * rho, axis=1)
+    assert abs(traces[0] - 1.0) <= 1e-12
+    assert np.max(np.abs(traces[1:])) <= 1e-12
+    amp = model._monomial_data()[1]
+    weights = np.sum(rho[cols] * vals ** 2, axis=1)
+    assert np.max(np.abs(weights - amp ** 2) / amp ** 2) <= 1e-12
+
+
 def test_basis_rank_and_invariance(model):
-    V = model.irrep_basis()
-    size = 1 << model.n
-    assert V.shape == (model.dim, size)
-    s = np.linalg.svd(V, compute_uv=False)
-    assert np.max(np.abs(s - 1.0)) <= 1e-12          # orthonormal, rank 2**n
-    MV = model.monomial_stack() @ V
-    resid = np.linalg.norm(MV - V @ (V.conj().T @ MV), axis=(1, 2))
-    assert np.max(resid / np.linalg.norm(MV, axis=(1, 2))) <= 1e-12
+    # rank: the 4**n images are a basis of M_{2**n}, so pi is irreducible;
+    # invariance: products of images stay one-sparse (signed, weighted
+    # partial permutations), the structure the evaluator's scatter relies on
+    stack = _dense(model)
+    s = np.linalg.svd(stack.reshape(model.dim, -1), compute_uv=False)
+    assert s[-1] > 1e-10 * s[0]
+    for v in range(model.dim):
+        assert np.all(np.count_nonzero(stack[v] @ stack, axis=2) <= 1)
+
+
+def test_irrep_images_match_gns_gram(model):
+    # trace(rho pi(M_v)* pi(M_w)) = <M_w x_empty, M_v x_empty>, the diagonal
+    # Gram matrix of the 4**n model: x -> pi(x) rho**(1/2) is the GNS isometry
+    _, _, rho = model.irrep()
+    flat = (_dense(model) * np.sqrt(rho)).reshape(model.dim, -1)
+    gram = flat @ flat.T
+    want = np.diag(model._monomial_data()[1] ** 2)
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    assert np.max(np.abs(gram - want) / scale) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [1.25, 2.0, 4.0])
 def test_compressed_norm_matches_haagerup(model, p):
+    # ||pi(x) rho**(1/p)||_p in the 2**n representation, no scale factor
     rng = np.random.default_rng(100 + model.n)
-    V = model.irrep_basis()
-    droot = get_density(model).power(1.0 / p)
+    cols, vals, rho = model.irrep()
+    stack = _dense(model) * rho ** (1.0 / p)
     for _ in range(3):
-        x = model.random_element(rng)
-        small = V.conj().T @ x @ droot @ V
-        s = np.linalg.svd(small, compute_uv=False)
-        got = V.shape[1] ** (1.0 / p) * np.sum(s ** p) ** (1.0 / p)
-        assert _rel(got, haagerup_norm(model, x, p)) <= 1e-12
+        c = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+        s = np.linalg.svd(np.tensordot(c, stack, axes=1), compute_uv=False)
+        got = np.sum(s ** p) ** (1.0 / p)
+        assert _rel(got, haagerup_norm(model, model.reconstruct(c), p)) <= 1e-12
 
 
 @pytest.mark.parametrize("direction,p", [("primal", 1.25), ("primal", 1.5),
@@ -68,31 +154,34 @@ def test_evaluator_matches_gns_ratios(model, direction, p):
         assert _rel(r, oracle(model, model.reconstruct(c), t, p)) <= 1e-12
 
 
-def test_irrep_images_match_compressed_stack(model):
-    V = model.irrep_basis()
-    images = model.irrep_images()
-    assert images.shape == (model.dim, V.shape[1], V.shape[1])
-    want = V.conj().T @ model.monomial_stack() @ V
-    err = np.linalg.norm(images - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
-    assert np.max(err) <= 1e-13
-
-
-@pytest.mark.parametrize("params", [pr for pr in MODELS if pr.n <= 3],
-                         ids=lambda pr: f"n{pr.n}-mu{max(pr.mu)}")
+@pytest.mark.parametrize("params", [pr for pr in MODELS if pr.n <= 3]
+                         + [MODELS[-1]] + BY_N[4:], ids=_ids)
 def test_evaluator_never_reads_monomial_stack(params, monkeypatch):
-    # the density check and the GNS oracle read the stack; the evaluator
-    # on the same fresh model must not
+    # the GNS oracle reads the density and the stack; the evaluator on the
+    # same fresh model reads neither, for every n
     model = BabyFock(params)
-    get_density(model)
     t, p = 0.3, 1.5
     rng = np.random.default_rng(300 + model.n)
     coeffs = rng.standard_normal((3, model.dim)) + 1j * rng.standard_normal((3, model.dim))
-    want = [contraction_ratio(model, model.reconstruct(c), t, p) for c in coeffs]
+    coeffs[0] = 0.0
+    coeffs[0, 0] = 1.0                                # the identity: ratio 1
+    want = [1.0] + ([contraction_ratio(model, model.reconstruct(c), t, p)
+                     for c in coeffs[1:]] if model.n <= 3 else [])
 
-    def no_stack(self):
-        raise AssertionError("monomial_stack read")
+    def forbidden(*args):
+        raise AssertionError("monomial stack or 4**n density read")
 
-    monkeypatch.setattr(BabyFock, "monomial_stack", no_stack)
+    monkeypatch.setattr(BabyFock, "monomial_stack", forbidden)
+    monkeypatch.setattr(state, "get_density", forbidden)
+    monkeypatch.setattr(hyperc, "get_density", forbidden)
     got = RatioEvaluator(model, t, p).ratios(coeffs)
     for r, w in zip(got, want):
         assert _rel(r, w) <= 1e-12
+
+
+@pytest.mark.parametrize("p,t", [(0.0, 0.3), (0.99, 0.3), (float("nan"), 0.3),
+                                 (1.5, -3.0), (1.5, float("inf"))])
+def test_evaluator_rejects_bad_exponent_or_time(p, t):
+    model = BabyFock(MODELS[0])
+    with pytest.raises(ValueError, match="p must|t must"):
+        RatioEvaluator(model, t, p)
