@@ -295,14 +295,14 @@ class BabyFock:
         """(cols, vals, rho): the 2**n dimensional irreducible representation
         in closed form (twisted Jordan-Wigner), built from ``params`` alone.
 
-        On site i (bit i - 1), pi(g_i) = sqrt(mu_i**2 + mu_i**-2) Z..Z a_i,
-        a = |0><1|, with Z on each site j < i where eps(i, j) = -1, and
-        pi(y_i) = (mu_i**2 + mu_i**-2) n_i - mu_i**-2.  Row r of pi(M_w) has
-        its one non-zero, ``vals[w, r]``, at column ``cols[w, r]``; ``rho``
-        is the diagonal of the trace-one density prod_i ((1 - lambda_i) +
-        (2 lambda_i - 1) n_i).  The build checks trace(rho pi(M_w)) = tau(M_w)
-        and trace(rho pi(M_w)* pi(M_w)) = |M_w x_empty|**2 against this model.
-        """
+        On site i (bit i - 1), pi(g_i) = sqrt(mu_i**2 + mu_i**-2) Z..Z a_i, a = |0><1|,
+        with Z on each site j < i where eps(i, j) = -1, and pi(y_i) = (mu_i**2 +
+        mu_i**-2) n_i - mu_i**-2.  Row r of pi(M_w) has its one non-zero, ``vals[w, r]``
+        (0 on a dead row), at column ``cols[w, r]`` = r ^ cols[w, 0]: g_i and g*_i both
+        flip bit i - 1, so the words fall into 2**n groups of 2**n words sharing one
+        column map.  ``rho`` is the diagonal of the trace-one density prod_i
+        ((1 - lambda_i) + (2 lambda_i - 1) n_i).  The build checks trace(rho pi(M_w)) =
+        tau(M_w) and trace(rho pi(M_w)* pi(M_w)) = |M_w x_empty|**2 against this model."""
 
         def build():
             n, eps, c = self.n, self.params.signs.matrix(), self.mu ** 2 + self.mu ** -2
@@ -312,8 +312,8 @@ class BabyFock:
                 zmask = sum(1 << j for j in range(k) if eps[k, j] == -1)
                 gval = np.sqrt(c[k]) * (1.0 - 2.0 * (_kernels.popcount_table(n)[rows & zmask] & 1))
                 full = (rows & (1 << k)) != 0
-                letters.append((None, (rows | 1 << k, np.where(full, 0.0, gval)),
-                                (rows & ~(1 << k), np.where(full, gval, 0.0)),
+                letters.append((None, (rows ^ 1 << k, np.where(full, 0.0, gval)),
+                                (rows ^ 1 << k, np.where(full, gval, 0.0)),
                                 (rows, np.where(full, c[k], 0.0) - self.mu[k] ** -2)))
             cols, vals = np.empty((self.dim, rows.size), np.int64), np.empty((self.dim, rows.size))
             cols[0], vals[0] = rows, 1.0

@@ -39,6 +39,9 @@ __all__ = [
     "disjoint_support_check", "witness_primal_to_dual", "witness_dual_to_primal",
 ]
 
+SEARCH_ITERS = 200          # coordinate-ascent steps per search restart
+STEP_FLOOR = 1e-8           # relative step below which a restart retires
+
 
 # ============================================================================
 # convexity inequalities
@@ -194,15 +197,15 @@ class RatioEvaluator:
     direction "primal": L2 numerator from the coefficient weights,
     Schatten denominator from sum_w c_w M_w D**(1/p).  direction
     "dual": Schatten numerator with the semigroup folded into the
-    per-monomial stack, L2 denominator from the weights.
+    per-monomial rows, L2 denominator from the weights.
 
-    The Schatten norms are taken in the closed-form 2**n dimensional
-    irreducible representation (``BabyFock.irrep``) with its diagonal
-    trace-one density rho: ``mat_stack[w]`` = pi(M_w) rho**(1/p), whose row
-    r holds vals[w, r] rho[cols[w, r]]**(1/p), so the plain p-norm of
-    sum_w c_w mat_stack[w] is the Haagerup norm.  The 4**n density and
-    monomial stack are never read, so every n up to MAX_N works; the 4**n
-    path stays as the oracle (``contraction_ratio``, ``dual_contraction_ratio``).
+    The Schatten norms are taken in the closed-form 2**n dimensional irreducible
+    representation (``BabyFock.irrep``) with its diagonal trace-one density rho; there
+    the plain p-norm of sum_w c_w pi(M_w) rho**(1/p) is the Haagerup norm.  Each
+    pi(M_w) rho**(1/p) stays one-sparse: row r holds ``vals[w, r]`` at column
+    ``cols[w, r]``, two (4**n, 2**n) arrays (4 MB at n = 6).  The 4**n density and
+    monomial stack are never read, so every n up to MAX_N works; the 4**n path
+    stays as the oracle (``contraction_ratio``, ``dual_contraction_ratio``).
     """
 
     def __init__(self, model: BabyFock, t: float, p: float, direction: str = "primal"):
@@ -216,20 +219,27 @@ class RatioEvaluator:
         self.t = float(t)
         self.p = float(p)           # in the dual direction p plays the role of p'
         self.direction = direction
-        cols, vals, rho = model.irrep()
-        self.mat_stack = np.zeros((model.dim, rho.size, rho.size), dtype=np.complex128)
-        np.put_along_axis(self.mat_stack, cols[..., None],
-                          (vals * rho[cols] ** (1.0 / self.p))[..., None], axis=2)
+        self.cols, vals, rho = model.irrep()
+        self.vals = vals * rho[self.cols] ** (1.0 / self.p)
         if direction == "primal":
             self.vec_weights = _l2_weights(model, t)
         else:
-            self.mat_stack *= np.exp(-t * model.monomial_degrees)[:, None, None]
+            self.vals *= np.exp(-t * model.monomial_degrees)[:, None]
             self.vec_weights = _l2_weights(model, 0.0)
-        self.flat = self.mat_stack.reshape(model.dim, -1)
+
+    def add_words(self, mats: np.ndarray, words: np.ndarray, coeffs: np.ndarray) -> None:
+        """mats[j] += coeffs[j] pi(M_{words[j]}) rho**(1/p) in place: 2**n entries per j."""
+        j, rows = np.arange(len(words))[:, None], np.arange(self.cols.shape[1])
+        mats[j, rows, self.cols[words]] += coeffs[:, None] * self.vals[words]
 
     def matrices(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_w c_w pi(M_w) rho**(1/p) per row c: one product per column-map group."""
         coeffs = np.atleast_2d(coeffs)
-        return (coeffs @ self.flat).reshape(coeffs.shape[0], *self.mat_stack.shape[1:])
+        j, rows = np.arange(coeffs.shape[0])[:, None], np.arange(self.cols.shape[1])
+        out = np.empty((coeffs.shape[0], rows.size, rows.size), dtype=np.complex128)
+        for m, words in enumerate(np.argsort(self.cols[:, 0]).reshape(rows.size, -1)):
+            out[j, rows, rows ^ m] = coeffs[:, words] @ self.vals[words]
+        return out
 
     def ratios(self, coeffs: np.ndarray, mats: np.ndarray | None = None) -> np.ndarray:
         coeffs = np.atleast_2d(coeffs)
@@ -272,18 +282,17 @@ def _canonical_seeds(model: BabyFock) -> list:
 
 
 def violation_search(model: BabyFock, t: float, p: float, direction: str = "primal",
-                     restarts: int = 100, seed: int = 0, iters: int = 200,
-                     step_floor: float = 1e-8, extra_seeds=None) -> ViolationWitness:
+                     restarts: int = 100, seed: int = 0) -> ViolationWitness:
     """Multistart coordinate ascent on the contraction ratio.
 
     Deterministic for a fixed seed; restarts are vectorized in blocks
     and each keeps a relative step that starts at 0.1 and halves on
     every failed proposal, retiring the restart once it drops below
-    ``step_floor``.  The search runs over all 4**n monomial
-    coefficients, while every candidate's Schatten norm is taken on a
-    2**n x 2**n matrix in the closed-form irreducible representation, for
-    every n up to MAX_N (see ``RatioEvaluator``).  Returns the best ratio
-    found (a lower bound on the operator norm, never a certificate).
+    ``STEP_FLOOR``.  The search runs over all 4**n monomial coefficients; a
+    step changes one, so 2**n entries of its 2**n x 2**n matrix in the closed-form
+    irreducible representation (``RatioEvaluator.add_words``), for every n up to
+    MAX_N.  Returns the best ratio found (a lower bound on the operator norm,
+    never a certificate).
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -291,15 +300,12 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     nw = model.dim
     starts = rng.standard_normal((restarts, nw)) + 1j * rng.standard_normal((restarts, nw))
-    canon = _canonical_seeds(model)
-    if extra_seeds is not None:
-        canon = canon + [np.asarray(c, dtype=np.complex128) for c in extra_seeds]
-    for k, c in enumerate(canon[:restarts]):
+    for k, c in enumerate(_canonical_seeds(model)[:restarts]):
         starts[k] = c
     best_ratio = -np.inf
     best_coeffs = None
-    # rows per block: about 2**24 matrix and coefficient entries in flight
-    block_rows = max(1, (1 << 24) // (ev.mat_stack[0].size + nw))
+    # rows per block: about 2**24 entries in flight, 4**n matrix and 4**n coefficient ones a row
+    block_rows = max(1, (1 << 24) // (2 * nw))
     dirs4 = np.array([1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)
     for lo in range(0, restarts, block_rows):
         C = starts[lo:lo + block_rows].copy()
@@ -308,14 +314,15 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
         ratio = ev.ratios(C, mats)
         step = np.full(rows, 0.1)
         active = np.arange(rows)
-        for _ in range(iters):
+        for _ in range(SEARCH_ITERS):
             if active.size == 0:
                 break
             k_idx = rng.integers(0, nw, size=active.size)
             d_idx = rng.integers(0, 4, size=active.size)
             scale = np.linalg.norm(C[active], axis=1)
             delta = step[active] * scale * dirs4[d_idx]
-            cand_mats = mats[active] + delta[:, None, None] * ev.mat_stack[k_idx]
+            cand_mats = mats[active]
+            ev.add_words(cand_mats, k_idx, delta)
             cand = C[active].copy()
             cand[np.arange(active.size), k_idx] += delta
             cand_ratio = ev.ratios(cand, cand_mats)
@@ -330,7 +337,7 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
                 ratio[upd] = cand_ratio[better]
             worse = active[~better]
             step[worse] *= 0.5
-            active = active[(step[active] >= step_floor)]
+            active = active[(step[active] >= STEP_FLOOR)]
         blk_best = int(np.argmax(ratio))
         if ratio[blk_best] > best_ratio:
             best_ratio = float(ratio[blk_best])

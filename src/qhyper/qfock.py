@@ -232,7 +232,8 @@ def parse_word(text: str) -> list:
     """Parse a word expression into a letter list.
 
     Examples: "g*g" -> [("g*", 1), ("g", 1)];  "(g+g*)^4" -> four "x"
-    letters;  indices as in "g2*".  A missing index means 1.
+    letters;  indices as in "g2*".  A missing index means 1; indices and
+    exponents below 1 are rejected.
     """
     letters = []
     pos = 0
@@ -247,16 +248,20 @@ def parse_word(text: str) -> list:
             if not letters:
                 raise ValueError("exponent without a preceding factor")
             power = int(mt.group("exp"))
+            if power < 1:
+                raise ValueError(f"exponent must be at least 1, got ^{mt.group('exp')}")
             letters.extend(letters[-1:] * (power - 1))
             continue
         if mt.group("i1") is not None:
             i1, i2 = mt.group("i1") or "1", mt.group("i2") or "1"
             if i1 != i2:
                 raise ValueError(f"mixed indices in (g+g*) token: {i1} vs {i2}")
-            letters.append(("x", int(i1)))
-            continue
-        idx = int(mt.group("i3") or "1")
-        letters.append(("g*" if mt.group("star") else "g", idx))
+            idx, kind = int(i1), "x"
+        else:
+            idx, kind = int(mt.group("i3") or "1"), "g*" if mt.group("star") else "g"
+        if idx < 1:
+            raise ValueError(f"letter index must be at least 1, got {mt.group(0)!r}")
+        letters.append((kind, idx))
     if not letters:
         raise ValueError("empty word")
     return letters

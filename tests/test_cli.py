@@ -156,6 +156,9 @@ BOUNDARY_CASES = [
     (["clt", "(s+s*)^2", "--m", "5.7"], "integers"),
     (["hyperc-search", "--p", "0"], "p must be"),
     (["hyperc-search", "--t", "-3"], "t must be"),
+    (["fock-moment", "(g+g*)^0"], "exponent must be at least 1"),
+    (["fock-moment", "g0"], "index must be at least 1"),
+    (["clt", "g^0", "--m", "5"], "exponent must be at least 1"),
 ]
 
 

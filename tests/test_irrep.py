@@ -43,7 +43,7 @@ def _dense(model):
     """(4**n, 2**n, 2**n) stack of pi(M_w) scattered from the one-sparse rows."""
     cols, vals, rho = model.irrep()
     out = np.zeros((model.dim, rho.size, rho.size))
-    np.put_along_axis(out, cols[..., None], vals[..., None], axis=2)
+    out[np.arange(model.dim)[:, None], np.arange(rho.size), cols] = vals
     return out
 
 
@@ -88,6 +88,67 @@ def test_irrep_words_are_one_sparse_letter_products(params):
             want = want @ letters[i][lt]
         assert np.max(np.abs(stack[w] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
         assert np.all(np.count_nonzero(want, axis=1) <= 1)
+
+
+@pytest.mark.parametrize("params", BY_N, ids=_ids)
+def test_irrep_column_maps_are_xor_groups(params):
+    # g and g* flip their site's bit, so cols[w] = rows ^ cols[w, 0]: 2**n
+    # column maps, each shared by 2**n words
+    cols, _, rho = BabyFock(params).irrep()
+    rows = np.arange(rho.size)
+    assert np.array_equal(cols, rows ^ cols[:, :1])
+    assert np.array_equal(np.bincount(cols[:, 0], minlength=rho.size),
+                          np.full(rho.size, rho.size))
+
+
+def _dense_letter_products(model, t, p, direction):
+    """(4**n, 2**n, 2**n): pi(M_w) as dense letter products, times rho**(1/p),
+    with exp(-t deg_w) in the dual direction."""
+    cols, vals, rho = model.irrep()
+    letters = [[np.eye(rho.size)] + [_letter(model, lt, i) for lt in (GEN, STAR, Y)]
+               for i in range(1, model.n + 1)]
+    out = np.empty((model.dim, rho.size, rho.size))
+    for w in range(model.dim):
+        out[w] = np.eye(rho.size)
+        for i, lt in enumerate(model.word_of(w)):
+            out[w] = out[w] @ letters[i][lt]
+    out *= rho ** (1.0 / p)
+    if direction == "dual":
+        out *= np.exp(-t * model.monomial_degrees)[:, None, None]
+    return out
+
+
+@pytest.mark.parametrize("direction,p", [("primal", 1.25), ("dual", 4.0)])
+@pytest.mark.parametrize("params", BY_N[:4], ids=_ids)
+def test_evaluator_add_words_and_matrices_match_dense(params, direction, p):
+    model = BabyFock(params)
+    t = 0.3
+    ev = RatioEvaluator(model, t, p, direction)
+    dense = _dense_letter_products(model, t, p, direction)
+    d = 1 << model.n
+    rng = np.random.default_rng(500 + model.n)
+    words = rng.integers(0, model.dim, size=3 * model.dim)      # with repeats
+    coeffs = rng.standard_normal(words.size) + 1j * rng.standard_normal(words.size)
+    mats = rng.standard_normal((words.size, d, d)) + 1j * rng.standard_normal((words.size, d, d))
+    want = mats + coeffs[:, None, None] * dense[words]
+    ev.add_words(mats, words, coeffs)
+    assert np.max(np.abs(mats - want)) <= 1e-15 * np.max(np.abs(want))
+    C = rng.standard_normal((5, model.dim)) + 1j * rng.standard_normal((5, model.dim))
+    want = np.tensordot(C, dense, axes=1)
+    assert np.max(np.abs(ev.matrices(C) - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("direction", ["primal", "dual"])
+def test_fresh_n6_evaluator_holds_only_one_sparse_rows(direction):
+    # no dense (4**n, 2**n, 2**n) stack: every array the evaluator or its
+    # model's cache holds has at most 4**n * 2**n entries
+    model = BabyFock(BY_N[5])
+    ev = RatioEvaluator(model, 0.3, 1.5, direction)
+    arrays = [a for a in vars(ev).values() if isinstance(a, np.ndarray)]
+    arrays += [a for v in model._matrix_cache.values()
+               for a in (v if isinstance(v, tuple) else (v,))]
+    assert arrays
+    assert max(a.size for a in arrays) <= model.dim << model.n
 
 
 @pytest.mark.parametrize("params", BY_N, ids=_ids)

@@ -1,4 +1,5 @@
-"""Property tests: sign-table serialization, sub-models, value grids, monomial expansion."""
+"""Property tests: sign-table serialization, sub-models, value grids, monomial expansion,
+word parsing."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from qhyper.babyfock import BabyFock
 from qhyper.cli import parse_values
+from qhyper.qfock import parse_word
 from qhyper.signs import ModelParams, SignTable
 
 
@@ -62,3 +64,30 @@ def test_expand_reconstruct_round_trip(params, seed):
     X = model.reconstruct(c)
     assert np.max(np.abs(model.expand(X) - c)) <= 1e-12 * np.max(np.abs(c))
     assert np.max(np.abs(model.reconstruct(model.expand(X)) - X)) <= 1e-12 * np.max(np.abs(X))
+
+
+SPACE = st.sampled_from(["", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def word_factors(draw):
+    """(text, letters) of one factor: g, g*, gK, gK*, (g+g*) or (gK+gK*), maybe ^k."""
+    kind = draw(st.sampled_from(["g", "g*", "x"]))
+    idx = draw(st.integers(1, 12))
+    name = draw(st.sampled_from("gs"))
+    num = "" if idx == 1 and draw(st.booleans()) else str(idx)
+    if kind == "x":
+        text = f"({draw(SPACE)}{name}{num}{draw(SPACE)}+{draw(SPACE)}{name}{num}*{draw(SPACE)})"
+    else:
+        text = name + num + ("*" if kind == "g*" else "")
+    power = draw(st.integers(1, 4))
+    if power > 1 or draw(st.booleans()):
+        text += f"{draw(SPACE)}^{power}"
+    return text, [(kind, idx)] * power
+
+
+@given(st.lists(st.tuples(SPACE, word_factors()), min_size=1, max_size=8), SPACE)
+def test_parse_word_matches_reference_expansion(factors, tail):
+    # ^k repeats the last factor k times in total; whitespace is ignored
+    text = "".join(space + factor for space, (factor, _) in factors) + tail
+    assert parse_word(text) == [letter for _, (_, letters) in factors for letter in letters]
