@@ -102,7 +102,6 @@ class BabyFock:
             self._sign_mask[i] = mask
         self._parity = _kernels.popcount_table(nbits) & 1
         self._matrix_cache: dict = {}
-        self._mono = None
 
     # ------------------------------------------------------------------
     # operator actions on coefficient arrays
@@ -206,47 +205,19 @@ class BabyFock:
 
     def _monomial_data(self):
         """Per-word basis target, amplitude, and degree of M_w x_empty."""
-        if self._mono is not None:
-            return self._mono
-        nwords = self.dim
-        target = np.zeros(nwords, dtype=np.int64)
-        amp = np.zeros(nwords, dtype=np.float64)
-        degree = np.zeros(nwords, dtype=np.int64)
-        par = self._parity
-        for w in range(nwords):
-            mask = 0
-            a = 1.0
-            deg = 0
-            # letters applied from index n down to 1 (rightmost factor first)
-            for k in range(self.n - 1, -1, -1):
-                letter = (w >> (2 * k)) & 3
-                i = k + 1
-                deg += LETTER_DEGREE[letter]
-                if letter == UNIT:
-                    continue
-                if letter == GEN:
-                    sgn = 1.0 - 2.0 * par[mask & self._sign_mask[i]]
-                    a *= sgn / self.mu[k]
-                    mask |= 1 << self._pos[i]
-                elif letter == STAR:
-                    sgn = 1.0 - 2.0 * par[mask & self._sign_mask[-i]]
-                    a *= sgn * self.mu[k]
-                    mask |= 1 << self._pos[-i]
-                else:  # Y: y_i x_A = sign(i,A) sign(-i,A+{i}) x_{A+{-i,i}}
-                    sgn = 1.0 - 2.0 * par[mask & self._sign_mask[i]]
-                    mask |= 1 << self._pos[i]
-                    sgn *= 1.0 - 2.0 * par[mask & self._sign_mask[-i]]
-                    mask |= 1 << self._pos[-i]
-                    a *= sgn
-            target[w] = mask
-            amp[w] = a
-            degree[w] = deg
-        if np.min(np.abs(amp)) == 0.0 or np.unique(target).size != nwords:
-            raise AssertionError("monomial basis map degenerated: construction bug")
-        inv = np.zeros(nwords, dtype=np.int64)
-        inv[target] = np.arange(nwords)
-        self._mono = (target, amp, degree, inv)
-        return self._mono
+
+        def build():
+            word, row, _, val = self._word_entries([0])
+            target, amp = np.zeros(self.dim, np.int64), np.zeros(self.dim)
+            target[word], amp[word] = row, val
+            letters = (np.arange(self.dim)[:, None] >> 2 * np.arange(self.n)) & 3
+            degree = np.asarray(LETTER_DEGREE)[letters].sum(axis=1)
+            if word.size != self.dim or np.min(np.abs(amp)) == 0.0 \
+                    or np.unique(target).size != self.dim:
+                raise AssertionError("monomial basis map degenerated: construction bug")
+            return target, amp, degree
+
+        return self._cached(("mono",), build)
 
     @property
     def monomial_degrees(self) -> np.ndarray:
@@ -257,39 +228,63 @@ class BabyFock:
         amp = self._monomial_data()[1]
         return float(np.max(np.abs(amp)) / np.min(np.abs(amp)))
 
-    def apply_word(self, word, X):
-        """M_w X for a letter tuple (or linear index) w: the letters act right
-        to left, index n first.  For the unit word this is X itself."""
-        word = tuple(word) if not np.isscalar(word) else self.word_of(word)
+    def monomial_matrix(self, word) -> np.ndarray:
+        """Dense matrix of the monomial with the given letter tuple, the letters
+        applied right to left, index n first: the oracle for the monomial table."""
+        X = self.identity()
         for k in range(self.n - 1, -1, -1):
             if word[k] != UNIT:
                 X = self.apply_letter(word[k], k + 1, X)
         return X
 
-    def monomial_matrix(self, word) -> np.ndarray:
-        """Dense matrix of the monomial with the given letter tuple."""
-        return self.apply_word(word, self.identity())
+    def _sign(self, i: int, rows):
+        """sign(i, A) = (-1)**popcount(A & sign_mask(i)) for each row bitmask A."""
+        return 1.0 - 2.0 * self._parity[rows & self._sign_mask[i]]
 
-    def word_images(self, X) -> np.ndarray:
-        """(4**n, *X.shape) array of M_w X for every word w.
+    def _letter_entries(self, letter: int, i: int, word, row, col, val):
+        """Entries (word, row, col, val) of L_i M_w from those of M_w: one sparse
+        step of letter L_i at index i with the signs of ``apply_creation``.
 
-        M_w X is the lowest non-unit letter of w applied to M_w' X, where
-        w' < w is w with that letter cleared: one letter application per
-        word, on the same chain ``apply_word`` takes, so bit for bit the
-        same.
+        Every row of M_w e_col has the +-i bits of col when the letters of w lie
+        above index i, so a letter sends distinct entries to distinct (row, col)
+        and the table needs no combine step.  y_i is in closed form: the diagonal
+        mu_i**2 [-i in A] - mu_i**-2 [i in A] (exact zeros dropped) plus the flip
+        x_A -> x_{A ^ {-i, i}} of an empty or full pair, with sign(i, A - {-i})
+        sign(-i, A).
         """
-        out = np.empty((self.dim, *np.shape(X)), dtype=np.complex128)
-        out[0] = X
-        for w in range(1, self.dim):
-            k = ((w & -w).bit_length() - 1) // 2
-            out[w] = self.apply_letter((w >> (2 * k)) & 3, k + 1, out[w & ~(3 << (2 * k))])
-        return out
+        mu, bit, neg = self.mu[i - 1], 1 << self._pos[i], 1 << self._pos[-i]
+        if letter == Y:
+            diag = np.where(row & neg, mu ** 2, 0.0) - np.where(row & bit, mu ** -2, 0.0)
+            flip = ((row & bit) == 0) == ((row & neg) == 0)
+            terms = [(diag != 0.0, row, diag),
+                     (flip, row ^ (bit | neg), self._sign(i, row & ~neg) * self._sign(-i, row))]
+        else:
+            # g_i = mu**-1 b*_i + mu b_-i and g*_i = mu**-1 b_i + mu b*_-i
+            create = letter == GEN
+            terms = [(((row & bit) == 0) == create, row ^ bit, self._sign(i, row) * (1.0 / mu)),
+                     (((row & neg) == 0) != create, row ^ neg, self._sign(-i, row) * mu)]
+        word = word + (letter << 2 * (i - 1))
+        return [(word[m], r[m], col[m], val[m] * f[m]) for m, r, f in terms]
 
-    def monomial_stack(self) -> np.ndarray:
-        """(4**n, dim, dim) array of all monomial matrices (n <= 4)."""
-        if self.n > 4:
-            raise ValueError("monomial stack is limited to n <= 4")
-        return self._cached(("stack",), lambda: self.word_images(self.identity()))
+    def _word_entries(self, cols):
+        """(word, row, col, val) of every non-zero M_w[row, col] with col in ``cols``.
+
+        Level by level, index n first: g_i, g*_i and y_i act on the entries of
+        every word whose letters lie above index i, 3n sparse steps in all.
+        """
+        col = np.asarray(cols, dtype=np.int64)
+        entries = (np.zeros_like(col), col, col, np.ones(col.size))
+        for i in range(self.n, 0, -1):
+            parts = [entries]
+            for letter in (GEN, STAR, Y):
+                parts += self._letter_entries(letter, i, *entries)
+            entries = tuple(np.concatenate(a) for a in zip(*parts))
+        return entries
+
+    def monomial_table(self):
+        """(word, row, col, val): every non-zero of every monomial matrix M_w,
+        one entry per (w, row, col), built once and cached (at most 17**n entries)."""
+        return self._cached(("table",), lambda: self._word_entries(np.arange(self.dim)))
 
     def irrep(self):
         """(cols, vals, rho): the 2**n dimensional irreducible representation
@@ -336,19 +331,22 @@ class BabyFock:
 
     def expand(self, X: np.ndarray) -> np.ndarray:
         """Monomial coefficients of X (exact inverse of the embedding)."""
-        target, amp, _, _ = self._monomial_data()
+        target, amp, _ = self._monomial_data()
         v = X[:, 0] if X.ndim == 2 else X
         return v[target] / amp
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        """Dense matrix of sum_w coeffs[w] M_w."""
+        """Dense matrix of sum_w coeffs[w] M_w, scattered from the monomial table."""
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if self.n <= 4:
-            return np.tensordot(coeffs, self.monomial_stack(), axes=1)
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for w in np.nonzero(np.abs(coeffs) > 0)[0]:
-            out += coeffs[w] * self.monomial_matrix(self.word_of(int(w)))
-        return out
+        if coeffs.shape != (self.dim,):
+            raise ValueError(
+                f"expected {self.dim} monomial coefficients, got shape {coeffs.shape}")
+        word, row, col, val = self.monomial_table()
+        flat, terms = row * self.dim + col, coeffs[word] * val
+        out = np.empty(self.dim * self.dim, dtype=np.complex128)
+        out.real = np.bincount(flat, terms.real, out.size)
+        out.imag = np.bincount(flat, terms.imag, out.size)
+        return out.reshape(self.dim, self.dim)
 
     def membership_residual(self, X: np.ndarray) -> float:
         """Relative Frobenius distance of X from the monomial span."""

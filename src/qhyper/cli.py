@@ -30,7 +30,7 @@ from .linalg import (expansion_second_order, expansion_via_frechet, psd_power,
 from .qfock import QParams, moment_operator, moment_pairings, parse_word
 from .semigroup import choi_identity_residual, choi_matrix
 from .signs import ModelParams, SignTable
-from .state import density_solve, get_density, haagerup_norm, modular_check
+from .state import SOLVE_MAX_N, density_solve, get_density, haagerup_norm, modular_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,7 +121,7 @@ def cmd_density(args):
                     "tol": 1e-12, "pass": abs(float(np.trace(dens.density).real) - 1.0) <= 1e-12})
     records.append({"check": "positive", "residual": float(max(0.0, -eigs.min())),
                     "tol": 1e-12, "pass": eigs.min() >= -1e-12})
-    if model.n <= 4:
+    if model.n <= SOLVE_MAX_N:
         solved = density_solve(model)
         diff = float(np.linalg.norm(solved - dens.density) / np.linalg.norm(dens.density))
         records.append({"check": "solve_agrees", "residual": diff, "tol": tol,

@@ -162,7 +162,7 @@ def necessary_time_exact(n_half: int, mu: float) -> NecessaryThreshold:
 
 def _l2_weights(model: BabyFock, t: float) -> np.ndarray:
     """Per-monomial weight |amp_w|**2 exp(-2 t deg_w): squared L2 norm terms."""
-    _, amp, deg, _ = model._monomial_data()
+    _, amp, deg = model._monomial_data()
     return amp ** 2 * np.exp(-2.0 * t * deg)
 
 
@@ -204,7 +204,7 @@ class RatioEvaluator:
     the plain p-norm of sum_w c_w pi(M_w) rho**(1/p) is the Haagerup norm.  Each
     pi(M_w) rho**(1/p) stays one-sparse: row r holds ``vals[w, r]`` at column
     ``cols[w, r]``, two (4**n, 2**n) arrays (4 MB at n = 6).  The 4**n density and
-    monomial stack are never read, so every n up to MAX_N works; the 4**n path
+    monomial table are never read, so every n up to MAX_N works; the 4**n path
     stays as the oracle (``contraction_ratio``, ``dual_contraction_ratio``).
     """
 
@@ -302,6 +302,8 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
     starts = rng.standard_normal((restarts, nw)) + 1j * rng.standard_normal((restarts, nw))
     for k, c in enumerate(_canonical_seeds(model)[:restarts]):
         starts[k] = c
+    # every row keeps norm 1: the ratio is scale-invariant, so a step is relative
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     best_ratio = -np.inf
     best_coeffs = None
     # rows per block: about 2**24 entries in flight, 4**n matrix and 4**n coefficient ones a row
@@ -319,8 +321,7 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
                 break
             k_idx = rng.integers(0, nw, size=active.size)
             d_idx = rng.integers(0, 4, size=active.size)
-            scale = np.linalg.norm(C[active], axis=1)
-            delta = step[active] * scale * dirs4[d_idx]
+            delta = step[active] * dirs4[d_idx]
             cand_mats = mats[active]
             ev.add_words(cand_mats, k_idx, delta)
             cand = C[active].copy()

@@ -11,10 +11,13 @@ projection p_i = g*_i g_i / (mu_i**2 + mu_i**-2),
 normalized to trace one.  L^p elements are x D**(1/p) with the Schatten
 p-norm; the norms do not depend on how the reference trace is scaled.
 The functions here stay in the 4**n representation and serve as the
-oracle.  The ratio search in ``hyperc`` takes its norms in the
-closed-form 2**n dimensional irreducible representation
-(``BabyFock.irrep``), where the same product is a diagonal rho of trace
-one and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p with no scale factor.
+oracle.  The check trace(D M_w) = tau(M_w) over every word and the
+independent linear solve for D (n <= SOLVE_MAX_N) both read the sparse
+monomial table (``BabyFock.monomial_table``), whatever n is.  The ratio
+search in ``hyperc`` takes its norms in the closed-form 2**n dimensional
+irreducible representation (``BabyFock.irrep``), where the same product
+is a diagonal rho of trace one and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p
+with no scale factor.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ from .linalg import schatten_norm
 __all__ = [
     "DensityFactorization", "density_closed_form", "get_density",
     "density_solve", "haagerup_embed", "haagerup_norm", "modular_check",
-    "embed_lower", "defining_property_residual",
+    "embed_lower", "defining_property_residual", "SOLVE_MAX_N",
 ]
+
+# largest n for density_solve: its Gram matrix is 4**n x 4**n, a 16**n-entry dense solve
+SOLVE_MAX_N = 5
 
 
 @dataclass
@@ -60,24 +66,18 @@ class DensityFactorization:
         return (v * w ** alpha) @ v.conj().T
 
 
-def defining_property_residual(model: BabyFock, D: np.ndarray, words=None) -> float:
-    """max_w |trace(D M_w) - tau(M_w)| over monomials (all, or a subset).
+def defining_property_residual(model: BabyFock, D: np.ndarray) -> float:
+    """max_w |trace(D M_w) - tau(M_w)| over all monomials.
 
-    For all words at n <= 4 the traces are one product with the cached
-    monomial stack, trace(M_w D) = <M_w, D^T>; subsets take one
-    ``BabyFock.apply_word`` per word.
+    trace(D M_w) = sum of M_w[r, c] D[c, r] over the entries of the monomial
+    table, one ``bincount`` per real and imaginary part.
     """
-    if words is None and model.n <= 4:
-        traces = model.monomial_stack().reshape(model.dim, -1) @ np.asarray(D).T.reshape(-1)
-        traces[0] -= 1.0
-        return float(np.max(np.abs(traces)))
-    if words is None:
-        words = range(model.dim)
-    worst = 0.0
-    for w in words:
-        tau = 1.0 if int(w) == 0 else 0.0
-        worst = max(worst, abs(np.trace(model.apply_word(int(w), np.asarray(D))) - tau))
-    return float(worst)
+    word, row, col, val = model.monomial_table()
+    terms = np.asarray(D)[col, row] * val
+    traces = np.bincount(word, terms.real, model.dim) \
+        + 1j * np.bincount(word, terms.imag, model.dim)
+    traces[0] -= 1.0
+    return float(np.max(np.abs(traces)))
 
 
 def density_closed_form(model: BabyFock, verify_tol: float = 1e-10) -> DensityFactorization:
@@ -94,13 +94,7 @@ def density_closed_form(model: BabyFock, verify_tol: float = 1e-10) -> DensityFa
         D = (1.0 - lam) * D + (2.0 * lam - 1.0) * (D @ p)
     norm = float(np.real(np.trace(D)))
     D /= norm
-    # spot check (full check for small n) that trace(D W) recovers the state
-    if model.n <= 4:
-        words = None
-    else:
-        rng = np.random.Generator(np.random.Philox(key=0xD0))
-        words = rng.integers(0, model.dim, size=200)
-    resid = defining_property_residual(model, D, words)
+    resid = defining_property_residual(model, D)
     if resid > verify_tol:
         raise AssertionError(
             f"density does not represent the vacuum state: residual {resid:.3e}")
@@ -121,19 +115,24 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
     """Independent density oracle: solve trace(D M_b) = tau(M_b) over monomials.
 
     ``vacuum_values`` overrides the right-hand side (indexed by monomial);
-    by default tau(M_b) is 1 for the unit word and 0 otherwise.  Limited
-    to n <= 4 (the Gram matrix of all monomial pairs is built densely).
+    by default tau(M_b) is 1 for the unit word and 0 otherwise.  The Gram
+    matrix trace(M_a M_b) pairs each entry (r, c) of the monomial table with
+    the entries at (c, r); its 4**n x 4**n solve limits n to SOLVE_MAX_N.
     """
-    if model.n > 4:
-        raise ValueError("density_solve is limited to n <= 4")
+    if model.n > SOLVE_MAX_N:
+        raise ValueError(f"density_solve is limited to n <= {SOLVE_MAX_N}")
     nw, dim = model.dim, model.dim
-    V = model.monomial_stack().reshape(nw, dim * dim)
-    gram = np.empty((nw, nw), dtype=np.complex128)
-    block = 32
-    for lo in range(0, nw, block):
-        hi = min(lo + block, nw)
-        Wt = V[lo:hi].reshape(hi - lo, dim, dim).transpose(0, 2, 1).reshape(hi - lo, -1)
-        gram[:, lo:hi] = V @ Wt.T
+    word, row, col, val = model.monomial_table()
+    # entry e pairs with the cnt[e] entries at its transposed position, which
+    # sit at sorted positions lo[e], lo[e] + 1, ... of the (row, col) keys
+    key = row * dim + col
+    order = np.argsort(key, kind="stable")
+    lo, hi = (np.searchsorted(key[order], col * dim + row, side) for side in ("left", "right"))
+    cnt = hi - lo
+    first = np.repeat(np.arange(word.size), cnt)
+    second = order[np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(first.size)]
+    gram = np.bincount(word[first] * nw + word[second], val[first] * val[second],
+                       nw * nw).reshape(nw, nw)
     rhs = np.zeros(nw, dtype=np.complex128)
     rhs[0] = 1.0
     if vacuum_values is not None:
@@ -142,7 +141,7 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
     resid = np.linalg.norm(gram @ coeffs - rhs)
     if resid > 1e-8 * max(1.0, np.linalg.norm(rhs)):
         raise AssertionError(f"monomial trace system is ill-conditioned: residual {resid:.3e}")
-    return (coeffs @ V).reshape(dim, dim)
+    return model.reconstruct(coeffs)
 
 
 def haagerup_embed(model: BabyFock, x: np.ndarray, p: float,

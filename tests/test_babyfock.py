@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qhyper.babyfock import GEN, STAR, UNIT, Y, BabyFock, get_model, opnorm
+from qhyper.babyfock import GEN, LETTER_DEGREE, STAR, UNIT, Y, BabyFock, get_model, opnorm
 from qhyper.signs import ModelParams, SignTable
 
 MU = np.sqrt(2.0)
@@ -137,27 +137,32 @@ def test_index_range_errors(m1):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_monomial_stack_equals_per_word_matrices(n):
+def test_monomial_table_matches_monomial_matrix(n):
     model = BabyFock(ModelParams.make(n, tuple(1.0 + 0.4 * k for k in range(n)),
                                       sign_seed=40 + n))
-    stack = model.monomial_stack()
-    assert stack.shape == (model.dim,) * 3 and not stack.flags.writeable
+    word, row, col, val = model.monomial_table()
+    assert not val.flags.writeable
+    # one entry per (word, row, col): the table needs no combine step
+    assert np.unique((word * model.dim + row) * model.dim + col).size == word.size
+    dense = np.zeros((model.dim,) * 3)
+    dense[word, row, col] = val
     for w in range(model.dim):
-        assert np.array_equal(stack[w], model.monomial_matrix(model.word_of(w)))
-
+        want = model.monomial_matrix(model.word_of(w))
+        assert np.max(np.abs(dense[w] - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_word_images_equal_apply_word(n):
-    model = BabyFock(ModelParams.make(n, tuple(1.2 + 0.5 * k for k in range(n)),
-                                      sign_seed=60 + n))
-    rng = np.random.default_rng(60 + n)
-    for cols in (1, 1 << n):
-        X = rng.standard_normal((model.dim, cols)) + 1j * rng.standard_normal((model.dim, cols))
-        imgs = model.word_images(X)
-        assert imgs.shape == (model.dim, model.dim, cols)
-        for w in range(model.dim):
-            assert np.array_equal(imgs[w], model.apply_word(model.word_of(w), X))
+def test_monomial_data_is_the_vacuum_column(n):
+    model = BabyFock(ModelParams.make(n, tuple(2.2 - 0.3 * k for k in range(n)),
+                                      sign_seed=50 + n))
+    target, amp, degree = model._monomial_data()
+    for w in range(model.dim):
+        want = np.zeros(model.dim)
+        want[target[w]] = amp[w]
+        got = model.monomial_matrix(model.word_of(w))[:, 0]
+        assert np.max(np.abs(got - want)) <= 1e-15 * abs(amp[w])
+        assert degree[w] == sum(LETTER_DEGREE[letter] for letter in model.word_of(w))
+
 
 def test_reconstruct_n4_matches_per_word_sum():
     model = BabyFock(ModelParams.make(4, (1.3, 1.0, 2.1, 1.6), sign_seed=44))
@@ -168,3 +173,10 @@ def test_reconstruct_n4_matches_per_word_sum():
     for w in range(model.dim):
         want += coeffs[w] * model.monomial_matrix(model.word_of(w))
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("shape", [(15,), (17,), (16, 1), ()])
+def test_reconstruct_rejects_wrong_coefficient_shape(shape):
+    model = BabyFock(ModelParams.make(2, (1.3, 2.0), sign_seed=2))
+    with pytest.raises(ValueError, match="16 monomial coefficients"):
+        model.reconstruct(np.ones(shape))

@@ -28,11 +28,8 @@ def _ids(pr):
 
 @pytest.fixture(scope="module", params=MODELS, ids=_ids)
 def model(request):
-    # a private instance: the n=4 stack (256 MiB) is freed with the module;
-    # building it up front makes reconstruct a single tensordot
-    m = BabyFock(request.param)
-    m.monomial_stack()
-    return m
+    # a private instance: its cached monomial table is freed with the module
+    return BabyFock(request.param)
 
 
 def _rel(a, b):
@@ -217,8 +214,8 @@ def test_evaluator_matches_gns_ratios(model, direction, p):
 
 @pytest.mark.parametrize("params", [pr for pr in MODELS if pr.n <= 3]
                          + [MODELS[-1]] + BY_N[4:], ids=_ids)
-def test_evaluator_never_reads_monomial_stack(params, monkeypatch):
-    # the GNS oracle reads the density and the stack; the evaluator on the
+def test_evaluator_never_reads_monomial_table(params, monkeypatch):
+    # the GNS oracle reads the density and the monomial table; the evaluator on the
     # same fresh model reads neither, for every n
     model = BabyFock(params)
     t, p = 0.3, 1.5
@@ -230,9 +227,9 @@ def test_evaluator_never_reads_monomial_stack(params, monkeypatch):
                      for c in coeffs[1:]] if model.n <= 3 else [])
 
     def forbidden(*args):
-        raise AssertionError("monomial stack or 4**n density read")
+        raise AssertionError("monomial table or 4**n density read")
 
-    monkeypatch.setattr(BabyFock, "monomial_stack", forbidden)
+    monkeypatch.setattr(BabyFock, "monomial_table", forbidden)
     monkeypatch.setattr(state, "get_density", forbidden)
     monkeypatch.setattr(hyperc, "get_density", forbidden)
     got = RatioEvaluator(model, t, p).ratios(coeffs)

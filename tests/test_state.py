@@ -5,7 +5,7 @@ import pytest
 
 from qhyper.babyfock import BabyFock, get_model
 from qhyper.signs import ModelParams, SignTable
-from qhyper.state import (defining_property_residual, density_closed_form,
+from qhyper.state import (SOLVE_MAX_N, defining_property_residual, density_closed_form,
                           density_solve, embed_lower, get_density, haagerup_embed, haagerup_norm,
                           modular_check)
 
@@ -136,16 +136,43 @@ def test_embed_lower_rejects_mismatch(m2):
 def test_defining_residual_stack_matches_per_word(n, mu):
     model = BabyFock(ModelParams.make(n, mu, sign_seed=70 + n))
     D = density_closed_form(model).density
-    words = range(model.dim)
-    # words=None reads the monomial stack; an explicit list takes letter chains
-    assert abs(defining_property_residual(model, D)
-               - defining_property_residual(model, D, words)) <= 1e-14
+
+    def per_word(X):
+        return max(abs(np.trace(X @ model.monomial_matrix(model.word_of(w))) - (w == 0))
+                   for w in range(model.dim))
+
+    # the table's traces against one dense trace per word
+    assert abs(defining_property_residual(model, D) - per_word(D)) <= 1e-14
     # zero diagonal, so the unit word does not dominate the maximum
     rng = np.random.default_rng(n)
     E = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
     np.fill_diagonal(E, 0.0)
     bad = D + 1e-8 * E
-    stacked = defining_property_residual(model, bad)
-    chained = defining_property_residual(model, bad, words)
-    assert stacked > 1e-10 and chained > 1e-10
-    assert abs(stacked - chained) <= 1e-12 * chained
+    tabled, dense = defining_property_residual(model, bad), per_word(bad)
+    assert tabled > 1e-10 and dense > 1e-10
+    assert abs(tabled - dense) <= 1e-12 * dense
+
+
+@pytest.fixture(scope="module")
+def m5():
+    return BabyFock(ModelParams.make(5, (1.0, 1.5, 2.0, 2.5, 3.0), sign_seed=5))
+
+
+def test_density_solve_agreement_n5(m5):
+    closed = get_density(m5).density
+    assert np.linalg.norm(density_solve(m5) - closed) <= 1e-9 * np.linalg.norm(closed)
+
+
+def test_defining_residual_all_words_n5(m5):
+    D = get_density(m5).density
+    assert defining_property_residual(m5, D) <= 1e-10
+    rng = np.random.default_rng(5)
+    E = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
+    np.fill_diagonal(E, 0.0)
+    assert defining_property_residual(m5, D + 1e-8 * E) > 1e-10
+
+
+def test_density_solve_rejects_n_above_cap():
+    model = BabyFock(ModelParams.make(SOLVE_MAX_N + 1, 1.5, sign_seed=1))
+    with pytest.raises(ValueError, match="limited to n <= 5"):
+        density_solve(model)
