@@ -81,25 +81,37 @@ def expand_ops_sparse(codes, coeffs, op_codes, op_create, op_weights, epsneg):
     The operator is sum_k op_weights[k] * beta(op_codes[k], op_create[k])
     with the commutation sign given by ``epsneg`` (1 where the sign
     function is -1).  Returns uncombined (codes, coeffs) contributions,
-    op-major: all terms of op 0 in row order, then op 1, and so on.
+    op-major: all terms of op 0 in row order, then op 1, and so on; each
+    output row is again ascending and padded.
 
     The output holds up to N * n_ops entries; callers combine duplicates
     (and, for large states, chunk the input rows) on top of this.
     """
-    present = (codes[None, :, :] == op_codes[:, None, None]).any(axis=2)
+    cols = list(codes.T)
+    present = cols[0] == op_codes[:, None]
+    for col in cols[1:]:
+        present |= col == op_codes[:, None]
     ks, rs = np.nonzero(present != op_create[:, None])
-    rows = codes[rs]
-    c = op_codes[ks][:, None]
     create = op_create[ks]
-    if (rows[create, -1] != PAD).any():
+    if (cols[-1][rs[create]] != PAD).any():
         raise ValueError("sparse state row capacity exhausted by a creation")
-    below = (rows < c) & (rows != PAD)
-    neg = epsneg[c, np.where(rows == PAD, 0, rows)]
-    par = np.bitwise_and(np.where(below, neg, 0).sum(axis=1), 1)
-    amp = op_weights[ks] * (1.0 - 2.0 * par) * coeffs[rs]
-    # a creation appends its code, an annihilation swaps its code for PAD;
-    # sorting restores ascending order and the last column is then PAD
-    new = np.concatenate([np.where(rows == c, PAD, rows),
-                          np.where(create, c[:, 0], PAD)[:, None]], axis=1)
-    new.sort(axis=1)
-    return new[:, :-1], amp
+    # on the (op, row) grid, state = 2 * slot + parity: the op code's slot is
+    # the number of codes below it (PAD sorts above every code), the parity
+    # that of those with epsneg = 1
+    eps_rows = epsneg[op_codes]
+    state = np.zeros(present.shape, dtype=np.uint8)
+    for col in cols:
+        below = col < op_codes[:, None]
+        state += below.view(np.uint8) << 1
+        state ^= eps_rows[:, np.where(col == PAD, 0, col)] & below
+    state = state[ks, rs]
+    # not in place: an in-place complex multiply can round differently
+    amp = op_weights[ks] * (1.0 - 2.0 * (state & 1)) * coeffs[rs]
+    # a creation inserts its code at its slot, an annihilation drops that slot
+    slot, c = state >> 1, op_codes[ks]
+    got = [col[rs] for col in cols] + [np.full(ks.size, PAD)]
+    new = np.empty((ks.size, len(cols)), dtype=codes.dtype)
+    for t in range(len(cols)):
+        ins = np.where(slot == t, c, got[t - 1]) if t else c
+        new[:, t] = np.where(slot > t, got[t], np.where(create, ins, got[t + 1]))
+    return new, amp

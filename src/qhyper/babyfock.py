@@ -28,32 +28,11 @@ from .signs import ModelParams
 
 __all__ = [
     "UNIT", "GEN", "STAR", "Y", "LETTER_DEGREE",
-    "BabyFock", "get_model", "RelationsReport", "opnorm",
+    "BabyFock", "get_model", "RelationsReport",
 ]
 
 UNIT, GEN, STAR, Y = 0, 1, 2, 3
 LETTER_DEGREE = (0, 1, 1, 2)
-
-
-def opnorm(mat: np.ndarray, tol: float = 1e-14, max_iter: int = 2000) -> float:
-    """Operator (spectral) norm; power iteration on A*A for larger sizes."""
-    if mat.shape[0] <= 256:
-        return float(np.linalg.norm(mat, 2))
-    rng = np.random.Generator(np.random.Philox(key=0x9e3779b9))
-    v = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    ah = mat.conj().T
-    for _ in range(max_iter):
-        w = ah @ (mat @ v)
-        lam = np.linalg.norm(w)
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - prev) <= tol * lam:
-            break
-        prev = lam
-    return float(np.sqrt(lam))
 
 
 @dataclass
@@ -363,42 +342,68 @@ class BabyFock:
     # relation checks
     # ------------------------------------------------------------------
 
+    def _class_probe(self, *indices):
+        """(probe, masks) for the bits of +-i, i in ``indices``: ``masks[k]`` sets
+        the bits that spell class k, and probe column k is the 0/1 sum of the basis
+        columns in class k.
+
+        An operator that flips only these bits sends the columns of one class to
+        disjoint rows, so its product with the probe keeps every entry of its
+        matrix, each the same floating-point expression, in 4**len(indices) columns.
+        """
+        bits = [1 << self._pos[s * i] for i in indices for s in (-1, 1)]
+        masks = np.array([sum(b for t, b in enumerate(bits) if k >> t & 1)
+                          for k in range(1 << len(bits))])
+        rows = np.arange(self.dim)
+        probe = np.zeros((self.dim, masks.size), dtype=np.complex128)
+        probe[rows, sum(((rows & b) != 0) << t for t, b in enumerate(bits))] = 1.0
+        return probe, masks
+
+    def generator_norm(self, i: int) -> float:
+        """Operator norm of g_i: the largest 2-norm of its 4x4 blocks on the bits
+        of +-i, one per setting of the other bits (exact, no dense matrix)."""
+        self._check_index(i, positive=True)
+        probe, masks = self._class_probe(i)
+        outer = np.flatnonzero(probe[:, 0])
+        blocks = self.apply_gamma(i, probe)[outer[:, None] | masks]
+        return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
+
     def verify_relations(self, check_signs=None) -> RelationsReport:
         """Residuals of the four generator relation families.
 
-        ``check_signs`` lets the relations be tested against a different
-        sign table than the one used to build the operators (mutation
-        testing); by default the model's own table is used.
+        Each relation operator flips only the bits of +-i and +-j, so it is
+        applied, by the letter kernels, to the (4**n, 16) class probe of the
+        pair (i, j) or the (4**n, 4) probe of i: the residuals are those of the
+        dense matrices, bit for bit.  ``check_signs`` lets the relations be
+        tested against a different sign table than the one used to build the
+        operators (mutation testing); by default the model's own table is used.
         """
         eps = (check_signs or self.params.signs).matrix()
-        # products computed as kernel applications to cached matrices,
-        # O(dim^2) per product instead of a dense matmul
-        gam = [self.gamma(i) for i in range(1, self.n + 1)]
-        gs = [self.gamma_star(i) for i in range(1, self.n + 1)]
+        g, gs = self.apply_gamma, self.apply_gamma_star
 
         def maxabs(M):
-            return float(np.max(np.abs(M))) if M.size else 0.0
+            return float(np.max(np.abs(M)))
 
         comm = 0.0
         star_comm = 0.0
         for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                if i == j:
-                    continue
-                e = eps[i - 1, j - 1]
-                if i < j:
-                    r = self.apply_gamma(i, gam[j - 1]) - e * self.apply_gamma(j, gam[i - 1])
-                    comm = max(comm, maxabs(r))
-                r = self.apply_gamma_star(i, gam[j - 1]) - e * self.apply_gamma(j, gs[i - 1])
-                star_comm = max(star_comm, maxabs(r))
+            for j in range(i + 1, self.n + 1):
+                probe, _ = self._class_probe(i, j)
+                gam = {k: g(k, probe) for k in (i, j)}
+                gst = {k: gs(k, probe) for k in (i, j)}
+                r = g(i, gam[j]) - eps[i - 1, j - 1] * g(j, gam[i])
+                comm = max(comm, maxabs(r))
+                for a, b in ((i, j), (j, i)):
+                    r = gs(a, gam[b]) - eps[a - 1, b - 1] * g(b, gst[a])
+                    star_comm = max(star_comm, maxabs(r))
         square = 0.0
         anti = 0.0
         for i in range(1, self.n + 1):
-            square = max(square, maxabs(self.apply_gamma(i, gam[i - 1])),
-                         maxabs(self.apply_gamma_star(i, gs[i - 1])))
-            acomm = self.apply_gamma_star(i, gam[i - 1]) + self.apply_gamma(i, gs[i - 1])
-            c = self.mu[i - 1] ** 2 + self.mu[i - 1] ** -2
-            acomm[np.diag_indices(self.dim)] -= c
+            probe, _ = self._class_probe(i)
+            gam, gst = g(i, probe), gs(i, probe)
+            square = max(square, maxabs(g(i, gam)), maxabs(gs(i, gst)))
+            acomm = gs(i, gam) + g(i, gst)
+            acomm -= (self.mu[i - 1] ** 2 + self.mu[i - 1] ** -2) * probe
             anti = max(anti, maxabs(acomm))
         return RelationsReport(commutation=comm, star_commutation=star_comm,
                                square=square, anticommutator=anti)

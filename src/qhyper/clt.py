@@ -126,23 +126,36 @@ def _vacuum_sparse(width: int):
 def _pack_keys(codes: np.ndarray) -> np.ndarray:
     """One int64 key per row, base 1024: distinct while every code is below
     1023 (``_validate_word`` bounds 2nm)."""
-    vals = np.where(codes == PAD, 0, codes.astype(np.int64) + 1)
     keys = np.zeros(codes.shape[0], dtype=np.int64)
-    for t in range(codes.shape[1]):
-        keys = keys * 1024 + vals[:, t]
+    for col in codes.T:
+        keys <<= 10
+        keys += np.where(col == PAD, 0, col + 1)
     return keys
 
 
 def _combine(codes: np.ndarray, coeffs: np.ndarray, prune: float = PRUNE_TOL):
+    """Sum the amplitudes of equal rows and drop sums of modulus <= prune.
+
+    The rows come out in ascending packed-key order, one per key.  A stable
+    sort keeps equal keys in input order, so each sum adds its terms in the
+    order they came.
+    """
     if coeffs.size == 0:
         return codes, coeffs
-    uniq, inv = np.unique(_pack_keys(codes), return_inverse=True)
-    agg = np.zeros(uniq.size, dtype=np.complex128)
-    np.add.at(agg, inv, coeffs)
-    first = np.zeros(uniq.size, dtype=np.int64)
-    first[inv[::-1]] = np.arange(coeffs.size)[::-1]
+    keys = _pack_keys(codes)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.empty(keys.size, dtype=bool)
+    start[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    run = np.cumsum(start) - 1
+    first = order[start]
+    terms = coeffs[order]
+    agg = np.empty(first.size, dtype=np.complex128)
+    agg.real = np.bincount(run, terms.real, first.size)
+    agg.imag = np.bincount(run, terms.imag, first.size)
     keep = np.abs(agg) > prune
-    return codes[first][keep], agg[keep]
+    return codes[first[keep]], agg[keep]
 
 
 def _letter_ops(kind: str, i: int, mu_i: float, n: int, m: int):
@@ -220,13 +233,13 @@ def _apply_word(letters, sample: BigSignSample, mu, width: int):
 
 
 def _sparse_inner(ca, va, cb, vb) -> complex:
-    """<a, b> = sum_A a_A conj(b_A) on packed keys."""
-    ka, kb = _pack_keys(ca), _pack_keys(cb)
-    sa, sb = np.argsort(ka), np.argsort(kb)
-    common, ia, ib = np.intersect1d(ka[sa], kb[sb], assume_unique=True,
-                                    return_indices=True)
-    del common
-    return complex(np.sum(va[sa][ia] * np.conj(vb[sb][ib])))
+    """<a, b> = sum_A a_A conj(b_A); both states come from ``_combine``, so
+    their packed keys are unique and ascending."""
+    if ca is cb and va is vb:
+        return complex(np.sum(va * np.conj(va)))
+    _, ia, ib = np.intersect1d(_pack_keys(ca), _pack_keys(cb), assume_unique=True,
+                               return_indices=True)
+    return complex(np.sum(va[ia] * np.conj(vb[ib])))
 
 
 def _validate_word(letters, n: int, m: int):

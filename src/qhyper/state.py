@@ -37,6 +37,8 @@ __all__ = [
 
 # largest n for density_solve: its Gram matrix is 4**n x 4**n, a 16**n-entry dense solve
 SOLVE_MAX_N = 5
+# monomial-table entries paired at a time by density_solve (17**4 = 83521 at n = 4)
+PAIR_BLOCK = 1 << 18
 
 
 @dataclass
@@ -129,10 +131,16 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
     order = np.argsort(key, kind="stable")
     lo, hi = (np.searchsorted(key[order], col * dim + row, side) for side in ("left", "right"))
     cnt = hi - lo
-    first = np.repeat(np.arange(word.size), cnt)
-    second = order[np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(first.size)]
-    gram = np.bincount(word[first] * nw + word[second], val[first] * val[second],
-                       nw * nw).reshape(nw, nw)
+    # pairs are made PAIR_BLOCK entries at a time and added in entry order, so
+    # every Gram entry is the same sum as one bincount over all pairs
+    gram = np.zeros(nw * nw)
+    for a in range(0, word.size, PAIR_BLOCK):
+        c = cnt[a:a + PAIR_BLOCK]
+        first = np.repeat(np.arange(a, a + c.size), c)
+        second = order[np.repeat(lo[a:a + PAIR_BLOCK] - np.cumsum(c) + c, c)
+                       + np.arange(first.size)]
+        np.add.at(gram, word[first] * nw + word[second], val[first] * val[second])
+    gram = gram.reshape(nw, nw)
     rhs = np.zeros(nw, dtype=np.complex128)
     rhs[0] = 1.0
     if vacuum_values is not None:

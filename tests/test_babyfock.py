@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qhyper.babyfock import GEN, LETTER_DEGREE, STAR, UNIT, Y, BabyFock, get_model, opnorm
+from qhyper.babyfock import (GEN, LETTER_DEGREE, STAR, UNIT, Y, BabyFock, RelationsReport,
+                             get_model)
 from qhyper.signs import ModelParams, SignTable
 
 MU = np.sqrt(2.0)
@@ -67,7 +68,74 @@ def test_operator_norm(m3):
     for i in range(1, 4):
         mu = m3.mu[i - 1]
         expect = np.sqrt(mu ** 2 + mu ** -2)
-        assert abs(opnorm(np.asarray(m3.gamma(i))) - expect) < 1e-10 * expect
+        assert abs(m3.generator_norm(i) - expect) < 1e-10 * expect
+
+
+def dense_relation_residuals(model, check_signs=None):
+    """The relation residuals with every product a kernel application to a
+    dense 4**n x 4**n generator matrix."""
+    eps = (check_signs or model.params.signs).matrix()
+    n, g, gs = model.n, model.apply_gamma, model.apply_gamma_star
+    gam = [model.gamma(i) for i in range(1, n + 1)]
+    gst = [model.gamma_star(i) for i in range(1, n + 1)]
+
+    def maxabs(M):
+        return float(np.max(np.abs(M)))
+
+    comm = star_comm = square = anti = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            e = eps[i - 1, j - 1]
+            if i < j:
+                comm = max(comm, maxabs(g(i, gam[j - 1]) - e * g(j, gam[i - 1])))
+            star_comm = max(star_comm, maxabs(gs(i, gam[j - 1]) - e * g(j, gst[i - 1])))
+    for i in range(1, n + 1):
+        square = max(square, maxabs(g(i, gam[i - 1])), maxabs(gs(i, gst[i - 1])))
+        acomm = gs(i, gam[i - 1]) + g(i, gst[i - 1])
+        acomm[np.diag_indices(model.dim)] -= model.mu[i - 1] ** 2 + model.mu[i - 1] ** -2
+        anti = max(anti, maxabs(acomm))
+    return RelationsReport(commutation=comm, star_commutation=star_comm,
+                           square=square, anticommutator=anti)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_relation_probes_equal_dense_residuals_bitwise(n):
+    rng = np.random.default_rng(70 + n)
+    model = BabyFock(ModelParams.make(n, tuple(1.0 + 3.0 * rng.random(n)), sign_seed=70 + n))
+    assert model.verify_relations() == dense_relation_residuals(model)
+    if n > 1:
+        bad = dict(model.params.signs.entries)
+        key = next(iter(bad))
+        bad[key] = -bad[key]
+        corrupted = SignTable.from_dict(bad, n)
+        got = model.verify_relations(corrupted)
+        assert got == dense_relation_residuals(model, corrupted)
+        assert got.max_residual > 0.1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generator_norm_matches_dense_two_norm(n):
+    model = BabyFock(ModelParams.make(n, tuple(1.0 + 0.7 * k for k in range(n)),
+                                      sign_seed=80 + n))
+    for i in range(1, n + 1):
+        want = np.linalg.norm(model.gamma(i), 2)
+        assert abs(model.generator_norm(i) - want) <= 1e-12 * want
+
+
+def test_relations_and_norms_never_build_dense_matrices(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dense 4**n matrix built")
+
+    for name in ("gamma", "gamma_star", "identity"):
+        monkeypatch.setattr(BabyFock, name, forbidden)
+    mu = (1.0, 1.5, 2.0, 2.5, 3.0)
+    model = BabyFock(ModelParams.make(5, mu, sign_seed=5))
+    assert model.verify_relations().passed(1e-12)
+    for i in range(1, 6):
+        expect = np.sqrt(mu[i - 1] ** 2 + mu[i - 1] ** -2)
+        assert abs(model.generator_norm(i) - expect) <= 1e-12 * expect
 
 
 def test_monomial_embedding_values(m3):

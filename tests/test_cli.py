@@ -37,6 +37,14 @@ def test_relations_json_schema(capsys):
     assert any(r["check"] == "commutation" for r in doc["records"])
 
 
+def test_relations_n6(capsys):
+    code, out, _ = run(capsys, ["relations", "--n", "6"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert sum(r["check"].startswith("opnorm_gamma_") for r in doc["records"]) == 6
+
+
 def test_csv_emission_and_determinism(capsys):
     argv = ["choi", "--t", "0:0.5:0.25", "--mu", "2", "--emit", "csv"]
     code1, out1, _ = run(capsys, argv)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qhyper import clt
+from qhyper._kernels import PAD, expand_ops_sparse
 from qhyper.clt import (SparseState, _letter_ops, clt_estimate, convergence_report,
                         dense_reference_moment, gamma_apply_sparse, pair_code,
                         report_to_csv, s_apply, sample_moment, sample_signs)
@@ -214,3 +215,80 @@ def test_estimator_determinism():
     a = clt_estimate(word, -0.5, (1.0,), 12, samples=20, seed=9)
     b = clt_estimate(word, -0.5, (1.0,), 12, samples=20, seed=9)
     assert a == b
+
+
+def unique_combine(codes, coeffs, prune=clt.PRUNE_TOL):
+    """Duplicate combining by np.unique, np.add.at and a first-index scatter."""
+    if coeffs.size == 0:
+        return codes, coeffs
+    uniq, inv = np.unique(clt._pack_keys(codes), return_inverse=True)
+    agg = np.zeros(uniq.size, dtype=np.complex128)
+    np.add.at(agg, inv, coeffs)
+    first = np.zeros(uniq.size, dtype=np.int64)
+    first[inv[::-1]] = np.arange(coeffs.size)[::-1]
+    keep = np.abs(agg) > prune
+    return codes[first][keep], agg[keep]
+
+
+def intersect_inner(ca, va, cb, vb):
+    """<a, b> by sorting both key sets and np.intersect1d."""
+    ka, kb = clt._pack_keys(ca), clt._pack_keys(cb)
+    sa, sb = np.argsort(ka), np.argsort(kb)
+    _, ia, ib = np.intersect1d(ka[sa], kb[sb], assume_unique=True, return_indices=True)
+    return complex(np.sum(va[sa][ia] * np.conj(vb[sb][ib])))
+
+
+def random_terms(rng, size, width=3, ncodes=12):
+    """Uncombined terms drawn from a small pool of rows, so most repeat, and
+    two terms of one more row that cancel exactly."""
+    pool = np.full((40, width), PAD, dtype=np.int16)
+    for r in range(1, pool.shape[0]):
+        row = np.sort(rng.choice(ncodes, size=rng.integers(1, width + 1), replace=False))
+        pool[r, :row.size] = row
+    codes = pool[rng.integers(0, pool.shape[0], size)]
+    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    cancel = np.full((2, width), PAD, dtype=np.int16)
+    cancel[:, 0] = ncodes
+    return (np.concatenate([codes, cancel]),
+            np.concatenate([coeffs, [0.25 - 1.5j, -0.25 + 1.5j]]))
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_combine_matches_unique_add_at_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    codes, coeffs = random_terms(rng, 500 * (seed + 1))
+    got, want = clt._combine(codes, coeffs), unique_combine(codes, coeffs)
+    assert bitwise_equal(got[0], want[0]) and bitwise_equal(got[1], want[1])
+    keys = clt._pack_keys(got[0])
+    assert np.all(keys[1:] > keys[:-1])
+    assert got[1].size < np.unique(clt._pack_keys(codes)).size   # the cancelled row
+
+
+def test_combine_matches_on_expanded_states():
+    sample = sample_signs(0.5, 2, 12, seed=4)
+    ops = _letter_ops("x", 2, 1.3, 2, 12)
+    codes, coeffs = clt._vacuum_sparse(4)
+    for _ in range(4):
+        terms = expand_ops_sparse(codes, coeffs, *ops, sample.epsneg())
+        got, want = clt._combine(*terms), unique_combine(*terms)
+        assert bitwise_equal(got[0], want[0]) and bitwise_equal(got[1], want[1])
+        codes, coeffs = got
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_inner_matches_intersect_bitwise(seed):
+    rng = np.random.default_rng(10 + seed)
+    a = clt._combine(*random_terms(rng, 300))
+    b = clt._combine(*random_terms(rng, 200))
+    got = clt._sparse_inner(*a, *a)
+    want = intersect_inner(*a, *a)
+    assert got.real.hex() == want.real.hex() and got.imag.hex() == want.imag.hex()
+    got, want = clt._sparse_inner(*a, *b), intersect_inner(*a, *b)
+    assert got.real.hex() == want.real.hex() and got.imag.hex() == want.imag.hex()
+    # a state against an equal copy takes the general path
+    copy = tuple(x.copy() for x in a)
+    assert clt._sparse_inner(*a, *copy) == intersect_inner(*a, *a)

@@ -109,6 +109,23 @@ def reference_expand(codes, coeffs, op_codes, op_create, op_weights, epsneg):
     return out
 
 
+def sorted_expand(codes, coeffs, op_codes, op_create, op_weights, epsneg):
+    """The expansion with each new row sorted: a creation appends its code, an
+    annihilation swaps its code for PAD, and a row sort restores the order."""
+    present = (codes[None, :, :] == op_codes[:, None, None]).any(axis=2)
+    ks, rs = np.nonzero(present != op_create[:, None])
+    rows = codes[rs]
+    c = op_codes[ks][:, None]
+    below = (rows < c) & (rows != PAD)
+    neg = epsneg[c, np.where(rows == PAD, 0, rows)]
+    par = np.bitwise_and(np.where(below, neg, 0).sum(axis=1), 1)
+    amp = op_weights[ks] * (1.0 - 2.0 * par) * coeffs[rs]
+    new = np.concatenate([np.where(rows == c, PAD, rows),
+                          np.where(op_create[ks], c[:, 0], PAD)[:, None]], axis=1)
+    new.sort(axis=1)
+    return new[:, :-1], amp
+
+
 def combined(c, v):
     acc = {}
     for row, val in zip(map(tuple, c.tolist()), v):
@@ -123,6 +140,8 @@ def assert_matches_reference(codes, coeffs, ops, epsneg):
     # op-major order, as the duplicate combining downstream sums in it
     assert [tuple(r) for r in c.tolist()] == [row for row, _ in ref]
     assert np.allclose(v, [val for _, val in ref], rtol=1e-14, atol=0.0)
+    want_c, want_v = sorted_expand(codes, coeffs, *ops, epsneg)
+    assert c.tobytes() == want_c.tobytes() and v.tobytes() == want_v.tobytes()
     got = combined(c, v)
     want = combined(np.array([row for row, _ in ref], dtype=np.int16).reshape(-1, codes.shape[1]),
                     [val for _, val in ref])

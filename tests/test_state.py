@@ -50,6 +50,18 @@ def test_density_solve_agreement(n, seed, mu):
     assert np.linalg.norm(solved - closed) <= 1e-9 * np.linalg.norm(closed)
 
 
+def test_density_solve_pair_blocks_keep_every_sum(monkeypatch):
+    """Pairs made a few entries at a time give the Gram matrix, and so the
+    solved density, of one pass over all entries, bit for bit."""
+    from qhyper import state
+
+    model = BabyFock(ModelParams.make(3, (1.2, 2.0, 1.0), sign_seed=9))
+    assert model.monomial_table()[0].size <= state.PAIR_BLOCK
+    whole = density_solve(model)
+    monkeypatch.setattr(state, "PAIR_BLOCK", 7)
+    assert density_solve(model).tobytes() == whole.tobytes()
+
+
 def test_density_solve_corruption_detected(m1):
     rhs = np.zeros(m1.dim, dtype=complex)
     rhs[0] = 1.0
