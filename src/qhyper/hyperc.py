@@ -28,7 +28,7 @@ import numpy as np
 
 from .babyfock import GEN, BabyFock, get_model
 from .linalg import psd_power, schatten_norm
-from .state import DensityFactorization, embed_lower, get_density, haagerup_norm
+from .state import embed_lower, get_density, haagerup_norm
 
 __all__ = [
     "C_of_mu", "bcl_check", "asym_convexity_check", "dual_convexity_check",
@@ -166,27 +166,23 @@ def _l2_weights(model: BabyFock, t: float) -> np.ndarray:
     return amp ** 2 * np.exp(-2.0 * t * deg)
 
 
-def contraction_ratio(model: BabyFock, X: np.ndarray, t: float, p: float,
-                      density: DensityFactorization | None = None) -> float:
+def contraction_ratio(model: BabyFock, X: np.ndarray, t: float, p: float) -> float:
     """|| P_t(X) D**(1/2) ||_2 / || X D**(1/p) ||_p."""
-    dens = density or get_density(model)
     coeffs = model.expand(X)
     if not np.any(np.abs(coeffs) > 0):
         raise ValueError("zero element has no contraction ratio")
     num = np.sqrt(float(np.sum(_l2_weights(model, t) * np.abs(coeffs) ** 2)))
-    den = schatten_norm(np.asarray(X) @ dens.power(1.0 / p), p)
+    den = haagerup_norm(model, X, p)
     return num / den
 
 
-def dual_contraction_ratio(model: BabyFock, X: np.ndarray, t: float, pprime: float,
-                           density: DensityFactorization | None = None) -> float:
+def dual_contraction_ratio(model: BabyFock, X: np.ndarray, t: float, pprime: float) -> float:
     """|| P_t(X) D**(1/p') ||_p' / || X D**(1/2) ||_2."""
-    dens = density or get_density(model)
     coeffs = model.expand(X)
     if not np.any(np.abs(coeffs) > 0):
         raise ValueError("zero element has no contraction ratio")
     scaled = coeffs * np.exp(-t * model.monomial_degrees)
-    num = schatten_norm(model.reconstruct(scaled) @ dens.power(1.0 / pprime), pprime)
+    num = haagerup_norm(model, model.reconstruct(scaled), pprime)
     den = np.sqrt(float(np.sum(_l2_weights(model, 0.0) * np.abs(coeffs) ** 2)))
     return num / den
 
@@ -358,8 +354,7 @@ def witness_primal_to_dual(model: BabyFock, coeffs: np.ndarray, t: float) -> np.
     return out / np.linalg.norm(out)
 
 
-def witness_dual_to_primal(model: BabyFock, coeffs: np.ndarray, t: float, p: float,
-                           density: DensityFactorization | None = None) -> np.ndarray:
+def witness_dual_to_primal(model: BabyFock, coeffs: np.ndarray, t: float, p: float) -> np.ndarray:
     """Norming element transport: dual witness -> primal candidate coefficients.
 
     For z = P_t(Y) D**(1/p'), the Hoelder-equality partner in L^p is
@@ -367,7 +362,7 @@ def witness_dual_to_primal(model: BabyFock, coeffs: np.ndarray, t: float, p: flo
     returns an algebra element because everything is a function of
     elements of the algebra.
     """
-    dens = density or get_density(model)
+    dens = get_density(model)
     pprime = p / (p - 1.0)
     scaled = np.asarray(coeffs) * np.exp(-t * model.monomial_degrees)
     z = model.reconstruct(scaled) @ dens.power(1.0 / pprime)

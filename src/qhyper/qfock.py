@@ -26,7 +26,7 @@ __all__ = [
     "QParams", "TruncatedFockVector", "create_apply", "annihilate_apply",
     "gram_matrix", "q_inner", "second_quantize_OU", "positivity_check",
     "moment", "moment_operator", "moment_pairings", "parse_word",
-    "expand_letters", "word_adjoint",
+    "word_adjoint",
 ]
 
 MAX_WORD_LEN = 10
@@ -273,27 +273,6 @@ def word_adjoint(letters) -> list:
     return [(flip[k], i) for k, i in reversed(letters)]
 
 
-def expand_letters(letters, mu) -> list:
-    """Expand x letters into pure g/g* words: list of (scalar, word) terms."""
-    options = []
-    for kind, i in letters:
-        m = mu[i - 1]
-        if kind == "x":
-            nrm = 1.0 / np.sqrt(m * m + m ** -2)
-            options.append([(nrm, (i, False)), (nrm, (i, True))])
-        else:
-            options.append([(1.0, (i, kind == "g*"))])
-    out = []
-    for combo in itertools.product(*options):
-        scalar = 1.0
-        word = []
-        for s, l in combo:
-            scalar *= s
-            word.append(l)
-        out.append((scalar, tuple(word)))
-    return out
-
-
 def _apply_g_parts(i: int, parts, v, params, level_cap):
     """Apply a combination sum_j weight_j * (create or annihilate)."""
     out = TruncatedFockVector()
@@ -349,16 +328,30 @@ def _crossings(pairs) -> int:
     return cr
 
 
-def _pair_weight(la, lb, mu) -> float:
-    """Weight of pairing positions a < b with letters la, lb, or 0 if not allowed."""
-    (i, sa), (j, sb) = la, lb
-    if i != j or sa == sb:
-        return 0.0
-    return mu[i - 1] ** -2 if sa else mu[i - 1] ** 2
+def _pair_weights(letters, mu) -> list:
+    """weights[a][b] = tau(l_a l_b) for a pair of positions a < b.
+
+    A letter is c_g g + c_s g*, with x = (g + g*) / sqrt(mu**2 + mu**-2);
+    tau(g g*) = mu**2, tau(g* g) = mu**-2, and letters of different
+    indices do not pair.
+    """
+    parts = []
+    for kind, i in letters:
+        m = mu[i - 1]
+        nrm = 1.0 / np.sqrt(m * m + m ** -2)
+        parts.append({"g": (1.0, 0.0), "g*": (0.0, 1.0), "x": (nrm, nrm)}[kind])
+    weights = [[0.0] * len(letters) for _ in letters]
+    for a, (_, i) in enumerate(letters):
+        for b, (_, j) in enumerate(letters):
+            if i == j:
+                (ga, sa), (gb, sb) = parts[a], parts[b]
+                weights[a][b] = ga * sb * mu[i - 1] ** 2 + sa * gb * mu[i - 1] ** -2
+    return weights
 
 
-def _pairing_sum(word, mu, q: float) -> float:
-    if len(word) % 2:
+def _pairing_sum(weights, q: float) -> float:
+    """Sum over pair partitions of prod weights[a][b] * q**crossings."""
+    if len(weights) % 2:
         return 0.0
     total = 0.0
 
@@ -370,24 +363,26 @@ def _pairing_sum(word, mu, q: float) -> float:
         a = avail[0]
         for idx in range(1, len(avail)):
             b = avail[idx]
-            w = _pair_weight(word[a], word[b], mu)
+            w = weights[a][b]
             if w == 0.0:
                 continue
             rec(avail[1:idx] + avail[idx + 1:], pairs + [(a, b)], weight * w)
 
-    rec(list(range(len(word))), [], 1.0)
+    rec(list(range(len(weights))), [], 1.0)
     return total
 
 
 def moment_pairings(letters, params: QParams) -> complex:
-    """tau of the word by pair-partition enumeration with crossing weights."""
+    """tau of the word by pair-partition enumeration with crossing weights.
+
+    The crossing count depends on the pairing alone, so each pairing is
+    enumerated once, every pair weighted by its letters' g/g* parts; x
+    letters are not expanded into 2**k pure words.
+    """
     letters = list(letters)
     if len(letters) > MAX_WORD_LEN:
         raise ValueError(f"words capped at length {MAX_WORD_LEN}")
-    total = 0.0
-    for scalar, word in expand_letters(letters, params.mu):
-        total += scalar * _pairing_sum(word, params.mu, params.q)
-    return complex(total)
+    return complex(_pairing_sum(_pair_weights(letters, params.mu), params.q))
 
 
 def moment(letters, params: QParams) -> complex:

@@ -6,15 +6,18 @@ reference trace is the plain matrix trace on the 4**n GNS representation.
 D factorizes over indices: with lambda_i = 1/(1 + mu_i**4) and the
 projection p_i = g*_i g_i / (mu_i**2 + mu_i**-2),
 
-    D = c * prod_i ((1 - lambda_i) + (2 lambda_i - 1) p_i),
+    D = 2**-n prod_i ((1 - lambda_i) + (2 lambda_i - 1) p_i),
 
-normalized to trace one.  L^p elements are x D**(1/p) with the Schatten
-p-norm; the norms do not depend on how the reference trace is scaled.
-The functions here stay in the 4**n representation and serve as the
-oracle.  The check trace(D M_w) = tau(M_w) over every word and the
-independent linear solve for D (n <= SOLVE_MAX_N) both read the sparse
-monomial table (``BabyFock.monomial_table``), whatever n is.  The ratio
-search in ``hyperc`` takes its norms in the closed-form 2**n dimensional
+a product of n commuting two-level factors whose trace is exactly one.
+Every power D**alpha is the product of the factors raised to alpha,
+applied to the identity by the letter kernels (``DensityFactorization``);
+no eigendecomposition and no dense projection is formed.  L^p elements
+are x D**(1/p) with the Schatten p-norm.  The functions here stay in the
+4**n representation and serve as the oracle.  The check
+trace(D M_w) = tau(M_w) over every word and the independent linear solve
+for D (n <= SOLVE_MAX_N) both read the sparse monomial table
+(``BabyFock.monomial_table``), whatever n is.  The ratio search in
+``hyperc`` takes its norms in the closed-form 2**n dimensional
 irreducible representation (``BabyFock.irrep``), where the same product
 is a diagonal rho of trace one and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p
 with no scale factor.
@@ -22,7 +25,7 @@ with no scale factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,33 +42,49 @@ __all__ = [
 SOLVE_MAX_N = 5
 # monomial-table entries paired at a time by density_solve (17**4 = 83521 at n = 4)
 PAIR_BLOCK = 1 << 18
+# largest max_w |trace(D M_w) - tau(M_w)| accepted from the closed form
+VERIFY_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityFactorization:
-    """Density of the vacuum state as a commuting product of two-level factors."""
+    """The vacuum density of ``model``: D = 2**-n prod_i F_i with the commuting
+    factors F_i = (1 - lambda_i) (1 - p_i) + lambda_i p_i.  Only the model is held;
+    the powers are cached on it as plain arrays, so the two form no reference cycle.
+    """
 
-    lambdas: tuple
-    projections: list
-    density: np.ndarray
-    normalization: float
-    _spectrum: tuple = field(default=None, repr=False)
+    model: BabyFock
 
-    def spectrum(self):
-        if self._spectrum is None:
-            w, v = np.linalg.eigh(self.density)
-            w = np.where((w < 0) & (w >= -1e-12), 0.0, w)
-            if np.min(w) < 0:
-                raise ValueError(f"density has a negative eigenvalue {np.min(w):.3e}")
-            self._spectrum = (w, v)
-        return self._spectrum
+    @property
+    def lambdas(self) -> tuple:
+        return tuple(1.0 / (1.0 + m ** 4) for m in self.model.mu)
+
+    @property
+    def density(self) -> np.ndarray:
+        return self.power(1.0)
 
     def power(self, alpha: float) -> np.ndarray:
-        """D**alpha through the cached spectral decomposition."""
-        w, v = self.spectrum()
-        if alpha < 0 and np.min(w) <= 0.0:
-            raise ValueError("negative power of a singular density")
-        return (v * w ** alpha) @ v.conj().T
+        """D**alpha = 2**(-n alpha) prod_i F_i**alpha, applied to the identity and
+        cached per alpha: F_i**alpha X = (1 - lambda_i)**alpha X + (lambda_i**alpha -
+        (1 - lambda_i)**alpha) p_i X, p_i X = g*_i g_i X / (mu_i**2 + mu_i**-2), two
+        letter applications per index.  Every lambda_i is in (0, 1), so every real
+        power exists; the product of the F_i has trace exactly 2**n (pi(rho) tensor 1,
+        rho of trace one on C**(2**n)), so no computed trace is divided out.
+        """
+        model = self.model
+
+        def build():
+            X = model.identity()
+            for i, (lam, mu) in enumerate(zip(self.lambdas, model.mu), 1):
+                off, on = (1.0 - lam) ** alpha, lam ** alpha
+                pX = model.apply_gamma_star(i, model.apply_gamma(i, X))
+                pX *= (on - off) / (mu ** 2 + mu ** -2)
+                X *= off
+                X += pX
+            X *= 2.0 ** (-model.n * alpha)
+            return X
+
+        return model._cached(("density", float(alpha)), build)
 
 
 def defining_property_residual(model: BabyFock, D: np.ndarray) -> float:
@@ -82,35 +101,38 @@ def defining_property_residual(model: BabyFock, D: np.ndarray) -> float:
     return float(np.max(np.abs(traces)))
 
 
-def density_closed_form(model: BabyFock, verify_tol: float = 1e-10) -> DensityFactorization:
-    """Build D from the per-index factorization and verify it represents tau."""
-    mu = model.mu
-    lambdas = tuple(1.0 / (1.0 + m ** 4) for m in mu)
-    projections = []
-    D = np.eye(model.dim, dtype=np.complex128)
-    for i in range(1, model.n + 1):
-        c = mu[i - 1] ** 2 + mu[i - 1] ** -2
-        p = model.apply_gamma_star(i, model.gamma(i)) / c
-        projections.append(p)
-        lam = lambdas[i - 1]
-        D = (1.0 - lam) * D + (2.0 * lam - 1.0) * (D @ p)
-    norm = float(np.real(np.trace(D)))
-    D /= norm
-    resid = defining_property_residual(model, D)
-    if resid > verify_tol:
+def density_closed_form(model: BabyFock) -> DensityFactorization:
+    """The model's density from its factors, checked to represent tau on every word."""
+    dens = DensityFactorization(model)
+    resid = defining_property_residual(model, dens.power(1.0))
+    if resid > VERIFY_TOL:
         raise AssertionError(
             f"density does not represent the vacuum state: residual {resid:.3e}")
-    return DensityFactorization(lambdas=lambdas, projections=projections,
-                                density=D, normalization=1.0 / norm)
+    return dens
 
 
 def get_density(model: BabyFock) -> DensityFactorization:
-    """Cached density for a model instance."""
-    dens = model._matrix_cache.get(("density",))
-    if dens is None:
-        dens = density_closed_form(model)
-        model._matrix_cache[("density",)] = dens
-    return dens
+    """The model's density; the first call per model builds D and checks it."""
+    if ("density", 1.0) in model._matrix_cache:
+        return DensityFactorization(model)
+    return density_closed_form(model)
+
+
+def _transposed_runs(row: np.ndarray, col: np.ndarray, dim: int):
+    """(order, lo, hi): ``order`` sorts the keys row * dim + col stably, and the
+    entries at the transposed position of entry e sit at sorted positions lo[e]
+    to hi[e] - 1.  M_w* = +-M_{w*}, so the transposed keys are the same multiset:
+    the runs of equal sorted keys map back to the entries through the stable
+    sort of the transposed keys, with no search."""
+    key, tkey = row * dim + col, col * dim + row
+    order, torder = np.argsort(key, kind="stable"), np.argsort(tkey, kind="stable")
+    if not np.array_equal(key[order], tkey[torder]):
+        raise AssertionError("monomial table is not closed under adjoints: construction bug")
+    new = np.r_[True, np.diff(key[order]) != 0]
+    bounds, run = np.append(np.flatnonzero(new), key.size), np.cumsum(new) - 1
+    lo, hi = np.empty_like(key), np.empty_like(key)
+    lo[torder], hi[torder] = bounds[run], bounds[run + 1]
+    return order, lo, hi
 
 
 def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> np.ndarray:
@@ -125,11 +147,8 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
         raise ValueError(f"density_solve is limited to n <= {SOLVE_MAX_N}")
     nw, dim = model.dim, model.dim
     word, row, col, val = model.monomial_table()
-    # entry e pairs with the cnt[e] entries at its transposed position, which
-    # sit at sorted positions lo[e], lo[e] + 1, ... of the (row, col) keys
-    key = row * dim + col
-    order = np.argsort(key, kind="stable")
-    lo, hi = (np.searchsorted(key[order], col * dim + row, side) for side in ("left", "right"))
+    # entry e pairs with the cnt[e] entries at its transposed position
+    order, lo, hi = _transposed_runs(row, col, dim)
     cnt = hi - lo
     # pairs are made PAIR_BLOCK entries at a time and added in entry order, so
     # every Gram entry is the same sum as one bincount over all pairs
@@ -152,44 +171,30 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
     return model.reconstruct(coeffs)
 
 
-def haagerup_embed(model: BabyFock, x: np.ndarray, p: float,
-                   density: DensityFactorization | None = None) -> np.ndarray:
+def haagerup_embed(model: BabyFock, x: np.ndarray, p: float) -> np.ndarray:
     """x D**(1/p), the L^p representative of x."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    dens = density or get_density(model)
-    return np.asarray(x) @ dens.power(1.0 / p)
+    return np.asarray(x) @ get_density(model).power(1.0 / p)
 
 
-def haagerup_norm(model: BabyFock, x: np.ndarray, p: float,
-                  density: DensityFactorization | None = None,
-                  trace_scale: float = 1.0) -> float:
-    """Schatten p-norm of x D**(1/p) under the (optionally rescaled) trace.
+def haagerup_norm(model: BabyFock, x: np.ndarray, p: float) -> float:
+    """||x D**(1/p)||_p, the Schatten p-norm under the plain trace on C**(4**n),
+    under which D has trace one."""
+    return schatten_norm(haagerup_embed(model, x, p), p)
 
-    ``trace_scale`` c replaces the reference trace by c * trace and the
-    density by D / c; the result is provably independent of c and the
-    parameter exists to let tests exercise exactly that.
+
+def modular_check(model: BabyFock, p: float) -> list:
+    """Relative residuals of D**(1/p) g_k = mu_k**(4/p) g_k D**(1/p), per index.
+
+    Each side is one letter application: g_k D**(1/p) applies g_k, and
+    D**(1/p) g_k = (g*_k D**(1/p))* because D**(1/p) is Hermitian.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    dens = density or get_density(model)
-    if trace_scale == 1.0:
-        return schatten_norm(np.asarray(x) @ dens.power(1.0 / p), p)
-    w, v = dens.spectrum()
-    scaled = (v * (w / trace_scale) ** (1.0 / p)) @ v.conj().T
-    return float(trace_scale ** (1.0 / p) * schatten_norm(np.asarray(x) @ scaled, p))
-
-
-def modular_check(model: BabyFock, p: float,
-                  density: DensityFactorization | None = None) -> list:
-    """Relative residuals of D**(1/p) g_k = mu_k**(4/p) g_k D**(1/p), per index."""
-    dens = density or get_density(model)
-    dp = dens.power(1.0 / p)
+    dp = get_density(model).power(1.0 / p)
     out = []
     for k in range(1, model.n + 1):
-        g = model.gamma(k)
-        lhs = dp @ g
-        rhs = model.mu[k - 1] ** (4.0 / p) * (g @ dp)
+        lhs = model.apply_gamma_star(k, dp).conj().T
+        rhs = model.mu[k - 1] ** (4.0 / p) * model.apply_gamma(k, dp)
         scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
         out.append(float(np.linalg.norm(lhs - rhs) / scale))
     return out

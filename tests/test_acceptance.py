@@ -75,7 +75,7 @@ def test_criterion_02_density():
             tr = float(np.trace(dens.density @ model.apply_gamma_star(
                 i, model.gamma(i))).real)
             worst_state = max(worst_state, abs(tr - mu[i - 1] ** -2))
-            l2 = haagerup_norm(model, model.gamma(i), 2, dens)
+            l2 = haagerup_norm(model, model.gamma(i), 2)
             worst_l2 = max(worst_l2, abs(l2 - 1.0 / mu[i - 1]))
     elapsed = time.time() - t0
     ok = (worst_solve <= 1e-9 and worst_def <= 1e-10 and worst_state <= 1e-10
@@ -311,9 +311,8 @@ def test_criterion_11_lp_growth():
     for mu in (2.0, 4.0, 8.0):
         params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
         model = get_model(params)
-        dens = get_density(model)
         for p in (2.0, 3.0, 4.0, 6.0):
-            nrm = haagerup_norm(model, model.gamma(1), p, dens)
+            nrm = haagerup_norm(model, model.gamma(1), p)
             ratios.append(nrm / mu ** (1.0 - 4.0 / p))
             closed = (mu ** 2 + mu ** -2) ** 0.5 * (1.0 + mu ** 4) ** (-1.0 / p)
             worst_closed = max(worst_closed, abs(nrm - closed) / closed)

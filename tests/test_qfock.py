@@ -125,6 +125,59 @@ def test_oracle_agreement_random_mixed_indices():
         assert abs(a - b) <= 1e-12
 
 
+def expanded_pairing_moment(letters, mu, q):
+    """tau of the word by expanding every x letter into its g and g* halves
+    and enumerating the pairings of each of the 2**k pure g/g* words."""
+    options = []
+    for kind, i in letters:
+        nrm = 1.0 / np.sqrt(mu[i - 1] ** 2 + mu[i - 1] ** -2)
+        options.append({"g": [(1.0, False)], "g*": [(1.0, True)],
+                        "x": [(nrm, False), (nrm, True)]}[kind])
+    total = 0.0
+    for combo in itertools.product(*options):
+        word = [(i, star) for (_, i), (_, star) in zip(letters, combo)]
+        scalar = float(np.prod([c for c, _ in combo]))
+
+        def rec(avail, pairs, weight):
+            if not avail:
+                crossings = sum(a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1
+                                for (a1, b1), (a2, b2) in itertools.combinations(pairs, 2))
+                return weight * q ** crossings
+            out = 0.0
+            a = avail[0]
+            for idx in range(1, len(avail)):
+                (i, sa), (j, sb) = word[a], word[avail[idx]]
+                if i == j and sa != sb:
+                    w = mu[i - 1] ** -2 if sa else mu[i - 1] ** 2
+                    out += rec(avail[1:idx] + avail[idx + 1:], pairs + [(a, avail[idx])],
+                               weight * w)
+            return out
+
+        if len(word) % 2 == 0:
+            total += scalar * rec(list(range(len(word))), [], 1.0)
+    return total
+
+
+def test_pairings_match_expanded_words():
+    """One enumeration of the pairings with summed letter parts equals the
+    sum over every g/g* expansion of the x letters; at q = -1 this is the
+    only check, the operator route being undefined there."""
+    rng = np.random.default_rng(12)
+    for q in (-1.0, -0.5, 0.0, 0.3, 0.9):
+        for _ in range(60):
+            n = int(rng.integers(1, 3))
+            qp = QParams(q=q, n=n, mu=tuple(1.0 + 2.0 * rng.random(n)), max_level=4)
+            letters = [(("g", "g*", "x")[rng.integers(0, 3)], int(rng.integers(1, n + 1)))
+                       for _ in range(int(rng.integers(1, 9)))]
+            got = moment_pairings(letters, qp)
+            want = expanded_pairing_moment(letters, qp.mu, q)
+            # at q < 0 the terms can cancel exactly, so the scale is the sum of
+            # their magnitudes: the same moment at |q|, every term positive
+            scale = expanded_pairing_moment(letters, qp.mu, abs(q))
+            assert got.imag == 0.0
+            assert abs(got.real - want) <= 1e-12 * scale
+
+
 def test_moment_positive_on_w_star_w():
     rng = np.random.default_rng(3)
     qp = QParams(q=0.3, n=2, mu=(1.2, 1.7), max_level=5)

@@ -1,13 +1,18 @@
 """Density construction, Haagerup norms, and modular commutation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from qhyper import state
 from qhyper.babyfock import BabyFock, get_model
+from qhyper.hyperc import contraction_ratio, dual_contraction_ratio
 from qhyper.signs import ModelParams, SignTable
-from qhyper.state import (SOLVE_MAX_N, defining_property_residual, density_closed_form,
-                          density_solve, embed_lower, get_density, haagerup_embed, haagerup_norm,
-                          modular_check)
+from qhyper.state import (SOLVE_MAX_N, _transposed_runs, defining_property_residual,
+                          density_closed_form, density_solve, embed_lower, get_density,
+                          haagerup_embed, haagerup_norm, modular_check)
 
 MU = np.sqrt(2.0)
 
@@ -34,11 +39,129 @@ def test_density_small_closed_forms(m1):
 
 
 def test_density_projections_commute(m2):
-    dens = get_density(m2)
-    for p in dens.projections:
+    D = get_density(m2).density
+    for i in range(1, m2.n + 1):
+        mu = m2.mu[i - 1]
+        p = m2.apply_gamma_star(i, m2.gamma(i)) / (mu ** 2 + mu ** -2)
         assert np.linalg.norm(p @ p - p) < 1e-10
         assert np.linalg.norm(p - p.conj().T) < 1e-12
-        assert np.linalg.norm(dens.density @ p - p @ dens.density) < 1e-10
+        assert np.linalg.norm(D @ p - p @ D) < 1e-10
+
+
+POWER_MODELS = [(1, (1.4,), 0), (2, (1.5, 2.0), 3), (3, (1.2, 2.0, 1.0), 9),
+                (4, (1.5, 1.1, 2.4, 1.0), 74)]
+
+
+def dense_product_density(model):
+    """D by dense right products with the projections, normalized by its trace."""
+    D = model.identity()
+    for i in range(1, model.n + 1):
+        mu = model.mu[i - 1]
+        p = model.apply_gamma_star(i, model.gamma(i)) / (mu ** 2 + mu ** -2)
+        lam = 1.0 / (1.0 + mu ** 4)
+        D = (1.0 - lam) * D + (2.0 * lam - 1.0) * (D @ p)
+    return D / np.trace(D).real
+
+
+def eigh_power(D, alpha):
+    """D**alpha by eigh, with eigenvalues in [-1e-12, 0) clipped to 0: v w**alpha v*."""
+    w, v = np.linalg.eigh(D)
+    w = np.where((w < 0) & (w >= -1e-12), 0.0, w)
+    return (v * w ** alpha) @ v.conj().T
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n,mu,seed", POWER_MODELS)
+def test_power_matches_eigh_power(n, mu, seed):
+    model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
+    dens = get_density(model)
+    D = dense_product_density(model)
+    for alpha in (1.0, 0.8, 0.5, 0.25, -0.5):
+        assert _rel(dens.power(alpha), eigh_power(D, alpha)) <= 1e-12
+    # the 2**-n normalization is exact: no trace is divided out
+    assert abs(np.trace(dens.density).real - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n,mu,seed", POWER_MODELS[1:3])
+def test_power_is_multiplicative(n, mu, seed):
+    dens = get_density(BabyFock(ModelParams.make(n, mu, sign_seed=seed)))
+    for a, b in ((0.5, 0.5), (0.25, 0.75), (1.0 / 3.0, -0.5), (0.8, 1.2)):
+        assert _rel(dens.power(a) @ dens.power(b), dens.power(a + b)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,mu,seed", POWER_MODELS)
+def test_density_route_needs_no_eigendecomposition(monkeypatch, n, mu, seed):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigh called on the density route")
+
+    model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
+    x = model.random_element(np.random.default_rng(n))
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    get_density(model)
+    assert haagerup_norm(model, x, 1.5) > 0
+    assert max(modular_check(model, 1.5)) <= 1e-9
+    assert contraction_ratio(model, x, 0.3, 1.5) > 0
+    assert dual_contraction_ratio(model, x, 0.3, 4.0) > 0
+
+
+def test_model_and_density_form_no_cycle():
+    """The model caches only arrays, so it is freed by reference counting alone."""
+    gc.disable()
+    try:
+        model = BabyFock(ModelParams.make(2, (1.5, 2.0), sign_seed=3))
+        get_density(model)
+        haagerup_norm(model, model.gamma(1), 1.5)
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def dense_modular(model, p):
+    """modular_check by dense products with the generators."""
+    dp = get_density(model).power(1.0 / p)
+    out = []
+    for k in range(1, model.n + 1):
+        g = model.gamma(k)
+        lhs, rhs = dp @ g, model.mu[k - 1] ** (4.0 / p) * (g @ dp)
+        out.append(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n,mu,seed", POWER_MODELS[1:])
+def test_modular_check_matches_dense_products(monkeypatch, n, mu, seed):
+    model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
+    for p in (1.0, 1.5, 3.0):
+        assert np.max(np.abs(np.array(modular_check(model, p)) - dense_modular(model, p))) <= 1e-12
+    # a wrong power breaks the relation at every mu_k != 1, and both forms see
+    # the same residual
+    power = state.DensityFactorization.power
+    monkeypatch.setattr(state.DensityFactorization, "power", lambda self, a: power(self, 0.7 * a))
+    broken = model.mu != 1.0
+    for p in (1.0, 1.5, 3.0):
+        got, want = np.array(modular_check(model, p)), dense_modular(model, p)
+        assert np.all(got[broken] > 1e-3) and np.all(want[broken] > 1e-3)
+        assert np.max(np.abs(got - want)[broken] / want[broken]) <= 1e-10
+        assert np.max(np.abs(got - want)[~broken], initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n,mu,seed", POWER_MODELS[:3])
+def test_transposed_runs_match_searchsorted(n, mu, seed):
+    model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
+    _, row, col, _ = model.monomial_table()
+    order, lo, hi = _transposed_runs(row, col, model.dim)
+    key = row * model.dim + col
+    assert np.array_equal(order, np.argsort(key, kind="stable"))
+    for side, got in (("left", lo), ("right", hi)):
+        assert np.array_equal(got, np.searchsorted(key[order], col * model.dim + row, side))
+    # without one off-diagonal entry the keys are no longer closed under transposition
+    keep = np.arange(row.size) != np.flatnonzero(row != col)[0]
+    with pytest.raises(AssertionError, match="closed under adjoints"):
+        _transposed_runs(row[keep], col[keep], model.dim)
 
 
 @pytest.mark.parametrize("n,seed,mu", [(1, 0, (1.4,)), (2, 5, (1.0, 1.7)),
@@ -71,32 +194,19 @@ def test_density_solve_corruption_detected(m1):
 
 
 def test_haagerup_norm_values(m1):
-    dens = get_density(m1)
     for p in (1.0, 1.7, 2.0, 4.0):
-        assert abs(haagerup_norm(m1, m1.identity(), p, dens) - 1.0) < 1e-12
-    assert abs(haagerup_norm(m1, m1.gamma(1), 2, dens) - 1.0 / MU) < 1e-12
+        assert abs(haagerup_norm(m1, m1.identity(), p) - 1.0) < 1e-12
+    assert abs(haagerup_norm(m1, m1.gamma(1), 2) - 1.0 / MU) < 1e-12
     for p in (1.0, 2.0, 3.0, 6.0):
         closed = (MU ** 2 + MU ** -2) ** 0.5 * (1 + MU ** 4) ** (-1.0 / p)
-        assert abs(haagerup_norm(m1, m1.gamma(1), p, dens) - closed) < 1e-12 * closed
+        assert abs(haagerup_norm(m1, m1.gamma(1), p) - closed) < 1e-12 * closed
     with pytest.raises(ValueError):
-        haagerup_norm(m1, m1.identity(), 0.5, dens)
-
-
-def test_trace_normalization_invariance(m2):
-    dens = get_density(m2)
-    rng = np.random.default_rng(4)
-    x = m2.random_element(rng)
-    for p in (1.0, 1.5, 3.0):
-        base = haagerup_norm(m2, x, p, dens)
-        for c in (2.0, float(2 ** m2.n)):
-            scaled = haagerup_norm(m2, x, p, dens, trace_scale=c)
-            assert abs(scaled - base) < 1e-10 * base
+        haagerup_norm(m1, m1.identity(), 0.5)
 
 
 def test_l2_orthogonality_of_letters(m1):
-    dens = get_density(m1)
     basis = [m1.identity(), m1.gamma(1), m1.gamma_star(1), m1.y_op(1)]
-    emb = [haagerup_embed(m1, b, 2, dens) for b in basis]
+    emb = [haagerup_embed(m1, b, 2) for b in basis]
     for i in range(4):
         for j in range(4):
             ip = np.trace(emb[j].conj().T @ emb[i])
@@ -109,11 +219,10 @@ def test_l2_orthogonality_of_letters(m1):
 
 def test_norm_monotone_in_p(m2):
     # the vacuum state is normalized, so the L^p norms grow with p
-    dens = get_density(m2)
     rng = np.random.default_rng(8)
     for _ in range(5):
         x = m2.random_element(rng)
-        vals = [haagerup_norm(m2, x, p, dens) for p in (1, 1.5, 2, 3, 4, 6)]
+        vals = [haagerup_norm(m2, x, p) for p in (1, 1.5, 2, 3, 4, 6)]
         assert all(vals[k] <= vals[k + 1] + 1e-10 * vals[k] for k in range(len(vals) - 1))
 
 
