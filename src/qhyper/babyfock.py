@@ -145,21 +145,6 @@ class BabyFock:
             self._matrix_cache[key] = mat
         return mat
 
-    def creation(self, i: int) -> np.ndarray:
-        return self._cached(("b*", i), lambda: self.apply_creation(i, self.identity()))
-
-    def annihilation(self, i: int) -> np.ndarray:
-        return self._cached(("b", i), lambda: self.apply_annihilation(i, self.identity()))
-
-    def gamma(self, i: int) -> np.ndarray:
-        return self._cached(("g", i), lambda: self.apply_gamma(i, self.identity()))
-
-    def gamma_star(self, i: int) -> np.ndarray:
-        return self._cached(("g*", i), lambda: self.apply_gamma_star(i, self.identity()))
-
-    def y_op(self, i: int) -> np.ndarray:
-        return self._cached(("y", i), lambda: self.apply_y(i, self.identity()))
-
     # ------------------------------------------------------------------
     # vacuum state and monomial expansion
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .linalg import (expansion_second_order, expansion_via_frechet, psd_power,
 from .qfock import QParams, moment_operator, moment_pairings, parse_word
 from .semigroup import choi_identity_residual, choi_matrix
 from .signs import ModelParams, SignTable
-from .state import SOLVE_MAX_N, density_solve, get_density, haagerup_norm, modular_check
+from .state import SOLVE_MAX_N, density_solve, get_density, modular_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,7 +113,8 @@ def cmd_relations(args):
 def cmd_density(args):
     model = get_model(_model_from_args(args))
     tol = args.tol if args.tol is not None else 1e-9
-    D = get_density(model).density
+    dens = get_density(model)
+    D = dens.density
     records = []
     eigs = np.linalg.eigvalsh(D)
     trace_err = abs(float(np.trace(D).real) - 1.0)
@@ -126,14 +127,15 @@ def cmd_density(args):
         diff = float(np.linalg.norm(solved - D) / np.linalg.norm(D))
         records.append({"check": "solve_agrees", "residual": diff, "tol": tol,
                         "pass": diff <= tol})
+    half = dens.power(0.5)
     for i in range(1, model.n + 1):
         want = model.mu[i - 1] ** -2
-        # trace(D A) = sum of D[c, r] A[r, c]
-        got = float(np.sum(D.T * model.apply_gamma_star(i, model.gamma(i))).real)
+        got = float(np.trace(model.apply_gamma_star(i, model.apply_gamma(i, D))).real)
         resid = abs(got - want)
         records.append({"check": f"trace_gstar_g_{i}", "residual": resid,
                         "tol": 1e-10, "pass": resid <= 1e-10})
-        nrm = haagerup_norm(model, model.gamma(i), 2)
+        # the Schatten 2-norm of g_i D**(1/2) is its Frobenius norm
+        nrm = float(np.linalg.norm(model.apply_gamma(i, half)))
         resid2 = abs(nrm - 1.0 / model.mu[i - 1])
         records.append({"check": f"l2_norm_gamma_{i}", "residual": resid2,
                         "tol": 1e-10, "pass": resid2 <= 1e-10})
@@ -147,11 +149,12 @@ def cmd_density(args):
 def cmd_lpnorm(args):
     model = get_model(_model_from_args(args))
     ps = parse_values(args.p) if args.p else [2.0, 3.0, 4.0, 6.0]
+    dens = get_density(model)
     records = []
     for i in range(1, model.n + 1):
         mu = model.mu[i - 1]
         for p in ps:
-            nrm = haagerup_norm(model, model.gamma(i), p)
+            nrm = schatten_norm(model.apply_gamma(i, dens.power(1.0 / p)), p)
             ratio = nrm / mu ** (1.0 - 4.0 / p)
             rec = {"index": i, "p": p, "norm": nrm, "growth_ratio": ratio,
                    "pass": bool(0.7 <= ratio <= 1.5) if mu >= 2 else True}
@@ -264,7 +267,7 @@ def cmd_necessary_time(args):
             thr = necessary_time_exact(n_half, mu)
             params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
             model = get_model(params)
-            wit = np.eye(model.dim, dtype=complex) + eps * model.gamma(1)
+            wit = model.identity() + eps * model.apply_gamma(1, model.identity())
             t_hi = float(-0.5 * np.log(1.05 * thr.exact))
             t_lo = float(-0.5 * np.log(0.95 * thr.exact))
             r_above = dual_contraction_ratio(model, wit, t_hi, pp)
@@ -288,7 +291,7 @@ def cmd_perturb(args):
         params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
         model = get_model(params)
         dens = get_density(model)
-        g = np.asarray(model.gamma(1))
+        g = model.apply_gamma(1, model.identity())
         ident = np.eye(model.dim)
         for p in ps:
             d = dens.power(1.0 / p)

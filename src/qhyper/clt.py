@@ -7,7 +7,9 @@ s_i = m**-0.5 sum_j g_(i,j) converge in moments to the q-deformed
 circular variables, which is what the report measures against the
 exact oracle.
 
-States are kept sparse as rows of ascending letter codes; moments are
+A sparse state is a pair (codes, coeffs): one basis set per row of
+``codes`` as ascending letter codes padded with PAD, its amplitude in
+``coeffs``, and sums of modulus below 1e-15 pruned.  Moments are
 evaluated by splitting the word in half and pairing the two vacuum
 images, which keeps the support near (2m)**(len/2).  The inner loop
 lives in ``_kernels``.
@@ -23,10 +25,9 @@ from ._kernels import PAD, expand_ops_sparse
 from .qfock import QParams, moment, parse_word, word_adjoint
 
 __all__ = [
-    "BigSignSample", "sample_signs", "pair_code", "SparseState",
-    "gamma_apply_sparse", "s_apply", "clt_estimate", "convergence_report",
-    "sample_moment", "dense_reference_moment", "MAX_CLT_WORD", "MAX_CLT_M",
-    "report_to_csv",
+    "BigSignSample", "sample_signs", "pair_code", "clt_estimate",
+    "convergence_report", "sample_moment", "dense_reference_moment",
+    "MAX_CLT_WORD", "MAX_CLT_M",
 ]
 
 MAX_CLT_WORD = 6
@@ -97,28 +98,8 @@ def sample_signs(q: float, n: int, m: int, seed: int, sample_index: int = 0) -> 
 # ============================================================================
 
 
-@dataclass
-class SparseState:
-    """Sparse vacuum-representation vector on pair-index basis sets.
-
-    ``codes`` holds one basis set per row as ascending letter codes
-    padded with PAD; ``coeffs`` the amplitudes.  Zero entries are pruned
-    below 1e-15.
-    """
-
-    codes: np.ndarray
-    coeffs: np.ndarray
-
-    @classmethod
-    def vacuum(cls, width: int = MAX_CLT_WORD) -> "SparseState":
-        return cls(*_vacuum_sparse(width))
-
-    def vacuum_coefficient(self) -> complex:
-        hit = np.all(self.codes == PAD, axis=1)
-        return complex(self.coeffs[hit].sum())
-
-
 def _vacuum_sparse(width: int):
+    """The vacuum as a sparse state (codes, coeffs)."""
     return (np.full((1, width), PAD, dtype=np.int16),
             np.ones(1, dtype=np.complex128))
 
@@ -200,26 +181,6 @@ def _expand_combined(codes, coeffs, ops, epsneg):
         acc_c.append(c)
         acc_v.append(v)
     return _combine(np.concatenate(acc_c, axis=0), np.concatenate(acc_v))
-
-
-def gamma_apply_sparse(pair, state: SparseState, sample: BigSignSample,
-                       mu) -> SparseState:
-    """Apply one lifted gaussian g_(i,j) to a sparse state."""
-    i, j = pair
-    mu_i = mu[i - 1]
-    ops = (np.array([pair_code(i, j, sample.n, sample.m),
-                     pair_code(-i, -j, sample.n, sample.m)], dtype=np.int16),
-           np.array([True, False]),
-           np.array([1.0 / mu_i, mu_i], dtype=np.complex128))
-    return SparseState(*_expand_combined(state.codes, state.coeffs, ops,
-                                         sample.epsneg()))
-
-
-def s_apply(i: int, state: SparseState, sample: BigSignSample, mu) -> SparseState:
-    """Apply the normalized sum s_i = m**-0.5 sum_j g_(i,j)."""
-    ops = _letter_ops("g", i, mu[i - 1], sample.n, sample.m)
-    return SparseState(*_expand_combined(state.codes, state.coeffs, ops,
-                                         sample.epsneg()))
 
 
 def _apply_word(letters, sample: BigSignSample, mu, width: int):
@@ -322,16 +283,6 @@ def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int,
                      "oracle": oracle, "abs_err": abs(mean - oracle),
                      "traj": [complex(v) for v in vals[:trajectories]]})
     return rows
-
-
-def report_to_csv(rows) -> str:
-    """CSV per the report schema: m,mean_re,mean_im,stderr,oracle_re,oracle_im,abs_err."""
-    lines = ["m,mean_re,mean_im,stderr,oracle_re,oracle_im,abs_err"]
-    for r in rows:
-        lines.append(",".join(repr(x) for x in (
-            r["m"], r["mean"].real, r["mean"].imag, r["stderr"],
-            r["oracle"].real, r["oracle"].imag, r["abs_err"])))
-    return "\n".join(lines) + "\n"
 
 
 def dense_reference_moment(letters, sample: BigSignSample, mu) -> complex:

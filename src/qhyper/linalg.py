@@ -32,10 +32,6 @@ class HermitianSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def eig_hermitian(A: np.ndarray, tol: float = 1e-10) -> HermitianSpectrum:
     """Spectral decomposition; rejects visibly non-Hermitian input."""

@@ -121,11 +121,6 @@ class ModelParams:
             signs = SignTable.random(n, sign_seed)
         return cls(n=n, mu=tuple(mu), signs=signs)
 
-    @property
-    def alpha(self) -> float:
-        """max_i mu_i."""
-        return max(self.mu)
-
     def sub(self, k: int) -> "ModelParams":
         """The model on indices 1..k with the restricted sign table."""
         if not (1 <= k <= self.n):

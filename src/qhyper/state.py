@@ -12,11 +12,14 @@ a product of n commuting two-level factors whose trace is exactly one.
 Every power D**alpha is the product of the factors raised to alpha,
 applied to the identity by the letter kernels (``DensityFactorization``);
 no eigendecomposition and no dense projection is formed.  L^p elements
-are x D**(1/p) with the Schatten p-norm.  The functions here stay in the
-4**n representation and serve as the oracle.  The check
-trace(D M_w) = tau(M_w) over every word and the independent linear solve
-for D (n <= SOLVE_MAX_N) both read the sparse monomial table
-(``BabyFock.monomial_table``), whatever n is.  The ratio search in
+are x D**(1/p) with the Schatten p-norm.  No generator is stored as a
+matrix: g_i D**(1/p) is one letter application on D**(1/p), which is how
+the CLI takes it, and ``haagerup_norm``'s dense product x @ D**(1/p) is
+the oracle for it.  The functions here stay in the 4**n representation
+and serve as the oracle.  The check trace(D M_w) = tau(M_w) over every
+word and the independent linear solve for D (n <= SOLVE_MAX_N) both read
+the sparse monomial table (``BabyFock.monomial_table``), whatever n is.
+The ratio search in
 ``hyperc`` takes its norms in the closed-form 2**n dimensional
 irreducible representation (``BabyFock.irrep``), where the same product
 is a diagonal rho of trace one and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p
@@ -205,9 +208,10 @@ def embed_lower(x_small: np.ndarray, small: BabyFock, big: BabyFock) -> np.ndarr
 
     Words over the first k indices keep the same linear index in the
     larger model (higher letters are the unit), so this is a coefficient
-    zero-pad followed by reconstruction.
+    zero-pad followed by reconstruction.  The small model must be the big
+    one restricted to its indices (``ModelParams.sub``): weights and signs.
     """
-    if small.n > big.n or small.params.mu != big.params.mu[:small.n]:
+    if small.n > big.n or small.params != big.params.sub(small.n):
         raise ValueError("small model is not an initial segment of the big model")
     coeffs = np.zeros(big.dim, dtype=np.complex128)
     coeffs[:small.dim] = small.expand(np.asarray(x_small))

@@ -72,10 +72,10 @@ def test_criterion_02_density():
             np.linalg.norm(solved - dens.density) / np.linalg.norm(dens.density)))
         worst_def = max(worst_def, defining_property_residual(model, dens.density))
         for i in range(1, n + 1):
-            tr = float(np.trace(dens.density @ model.apply_gamma_star(
-                i, model.gamma(i))).real)
+            g = model.apply_gamma(i, model.identity())
+            tr = float(np.trace(dens.density @ model.apply_gamma_star(i, g)).real)
             worst_state = max(worst_state, abs(tr - mu[i - 1] ** -2))
-            l2 = haagerup_norm(model, model.gamma(i), 2)
+            l2 = haagerup_norm(model, g, 2)
             worst_l2 = max(worst_l2, abs(l2 - 1.0 / mu[i - 1]))
     elapsed = time.time() - t0
     ok = (worst_solve <= 1e-9 and worst_def <= 1e-10 and worst_state <= 1e-10
@@ -191,7 +191,7 @@ def test_criterion_07_optimality_negative():
             thr = necessary_time_exact(n_half, mu)
             params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
             model = get_model(params)
-            wit = model.identity() + 1e-2 * np.asarray(model.gamma(1))
+            wit = model.identity() + 1e-2 * model.apply_gamma(1, model.identity())
             r_above = dual_contraction_ratio(
                 model, wit, -0.5 * np.log(1.05 * thr.exact), float(pprime))
             r_below = dual_contraction_ratio(
@@ -210,7 +210,7 @@ def test_criterion_08_perturbation():
         params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
         model = get_model(params)
         dens = get_density(model)
-        g = np.asarray(model.gamma(1))
+        g = model.apply_gamma(1, model.identity())
         ident = np.eye(model.dim)
         for p in (3.0, 4.0, 6.0):
             d = dens.power(1.0 / p)
@@ -311,8 +311,9 @@ def test_criterion_11_lp_growth():
     for mu in (2.0, 4.0, 8.0):
         params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
         model = get_model(params)
+        g = model.apply_gamma(1, model.identity())
         for p in (2.0, 3.0, 4.0, 6.0):
-            nrm = haagerup_norm(model, model.gamma(1), p)
+            nrm = haagerup_norm(model, g, p)
             ratios.append(nrm / mu ** (1.0 - 4.0 / p))
             closed = (mu ** 2 + mu ** -2) ** 0.5 * (1.0 + mu ** 4) ** (-1.0 / p)
             worst_closed = max(worst_closed, abs(nrm - closed) / closed)

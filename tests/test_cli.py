@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from qhyper.babyfock import get_model
 from qhyper.cli import main, parse_values
-from qhyper.signs import SignTable
+from qhyper.signs import ModelParams, SignTable
+from qhyper.state import get_density, haagerup_norm
 
 
 def run(capsys, argv):
@@ -105,6 +108,30 @@ def test_clt_reports(capsys):
                                        "oracle_re", "oracle_im", "abs_err"]
     code2, out2, _ = run(capsys, argv)
     assert out2 == out
+
+
+def test_density_and_lpnorm_match_dense_oracle(capsys):
+    # the commands apply letters to powers of D; the oracle multiplies dense generators
+    mu = (1.2, 1.7, 2.5)
+    argv = ["--n", "3", "--mu", ",".join(map(str, mu)), "--sign-seed", "4"]
+    code, out, _ = run(capsys, ["density"] + argv)
+    assert code == 0
+    resid = {r["check"]: r["residual"] for r in json.loads(out)["records"]}
+    code, out, _ = run(capsys, ["lpnorm"] + argv)
+    assert code == 0
+    norms = json.loads(out)["records"]
+    model = get_model(ModelParams.make(3, mu, sign_seed=4))
+    D = get_density(model).density
+    for i in (1, 2, 3):
+        g = model.apply_gamma(i, model.identity())
+        tr = np.trace(D @ g.conj().T @ g).real
+        assert abs(resid[f"trace_gstar_g_{i}"] - abs(tr - mu[i - 1] ** -2)) <= 1e-12
+        l2 = haagerup_norm(model, g, 2)
+        assert abs(resid[f"l2_norm_gamma_{i}"] - abs(l2 - 1 / mu[i - 1])) <= 1e-12
+        recs = [r for r in norms if r["index"] == i]
+        assert len(recs) == 4
+        for rec in recs:
+            assert abs(rec["norm"] - haagerup_norm(model, g, rec["p"])) <= 1e-12
 
 
 def test_necessary_time_flags_discrepancy(capsys):

@@ -107,6 +107,26 @@ def test_necessary_time_values():
         necessary_time_exact(1, 1.5)
 
 
+@pytest.mark.parametrize("pp", [4, 6, 8])
+def test_threshold_exponent_is_sharp(pp):
+    # both exp(-2t) thresholds scale as mu**(4 - 8/p), the exponent of theorem_bound:
+    # over three decades of mu their ratios to it stay in fixed bounds
+    p = pp / (pp - 1.0)
+    mus = np.logspace(0.0, 3.0, 13)
+    unit = np.array([theorem_bound(p, mu, 1.0) for mu in mus])
+    suf = np.array([sufficient_time(p, mu) for mu in mus])
+    nec = np.array([necessary_time_exact(pp // 2, mu).exact for mu in mus])
+    # C read off the sufficient side: suf = theorem_bound(p, mu, C) with C in [2**(1 - 2/p), 1]
+    c_suf = suf / unit
+    assert np.all(c_suf >= 2.0 ** (1.0 - 2.0 / p) * (1 - 1e-12)) and np.all(c_suf <= 1 + 1e-12)
+    scaled = nec * mus ** (8.0 / p - 4.0)
+    assert np.all(scaled >= 2.0 / pp * (1 - 1e-12)) and np.all(scaled <= 1 + 1e-12)
+    # the gap between the thresholds grows with mu toward p' - 1 and never passes it
+    gap = nec / suf
+    assert np.all(np.diff(gap) >= 0.0) and np.all(gap <= pp - 1.0)
+    assert gap[-1] >= 0.99 * (pp - 1.0)
+
+
 def test_contraction_ratio_basics(m2):
     ident = m2.identity()
     assert abs(contraction_ratio(m2, ident, 0.9, 1.5) - 1.0) < 1e-12
@@ -131,11 +151,11 @@ def test_ratio_evaluator_matches_direct(m2):
 def test_canonical_witness_inside_region(m2):
     p = 1.5
     t = -0.5 * np.log(sufficient_time(p, m2.params.mu))
-    x = m2.identity() + np.asarray(m2.gamma(1))
+    x = m2.identity() + m2.apply_gamma(1, m2.identity())
     assert contraction_ratio(m2, x, t, p) < 1.0
     # flat one-index case: exp(-2t) = 0.3 sits below the 0.397 threshold
     flat = get_model(ModelParams.make(1, 1.0, SignTable.all_anticommuting(1)))
-    xf = flat.identity() + np.asarray(flat.gamma(1))
+    xf = flat.identity() + flat.apply_gamma(1, flat.identity())
     assert contraction_ratio(flat, xf, -0.5 * np.log(0.3), 1.5) < 1.0
 
 
@@ -157,7 +177,7 @@ def test_search_finds_dual_violation_past_threshold():
     wit = violation_search(model, t, 4.0, "dual", restarts=40, seed=3)
     assert wit.ratio > 1.0
     # the canonical small witness alone already crosses
-    x = model.identity() + 1e-2 * np.asarray(model.gamma(1))
+    x = model.identity() + 1e-2 * model.apply_gamma(1, model.identity())
     assert dual_contraction_ratio(model, x, t, 4.0) > 1.0
 
 

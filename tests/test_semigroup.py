@@ -29,7 +29,7 @@ def test_ou_action(m3):
     rng = np.random.default_rng(1)
     x = m3.random_element(rng)
     assert np.allclose(apply_OU(m3, x, 0.0), x, atol=1e-12)
-    y3 = np.asarray(m3.y_op(3))
+    y3 = m3.apply_y(3, m3.identity())
     assert np.linalg.norm(apply_OU(m3, y3, 0.7) - np.exp(-1.4) * y3) < 1e-12
     # semigroup law
     a = apply_OU(m3, apply_OU(m3, x, 0.3), 0.5)

@@ -51,8 +51,6 @@ def test_model_params_validation():
         ModelParams.make(2, (0.5, 1.0))
     with pytest.raises(ValueError):
         ModelParams(n=2, mu=(1.0,), signs=SignTable.random(2, 0))
-    params = ModelParams.make(3, (1.0, 2.0, 4.0), sign_seed=1)
-    assert params.alpha == 4.0
 
 
 def test_sub_model_restriction():

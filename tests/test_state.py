@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qhyper import state
-from qhyper.babyfock import BabyFock, get_model
+from qhyper.babyfock import GEN, STAR, UNIT, Y, BabyFock, get_model
 from qhyper.hyperc import contraction_ratio, dual_contraction_ratio
 from qhyper.signs import ModelParams, SignTable
 from qhyper.state import (SOLVE_MAX_N, _transposed_runs, defining_property_residual,
@@ -42,7 +42,7 @@ def test_density_projections_commute(m2):
     D = get_density(m2).density
     for i in range(1, m2.n + 1):
         mu = m2.mu[i - 1]
-        p = m2.apply_gamma_star(i, m2.gamma(i)) / (mu ** 2 + mu ** -2)
+        p = m2.apply_gamma_star(i, m2.apply_gamma(i, m2.identity())) / (mu ** 2 + mu ** -2)
         assert np.linalg.norm(p @ p - p) < 1e-10
         assert np.linalg.norm(p - p.conj().T) < 1e-12
         assert np.linalg.norm(D @ p - p @ D) < 1e-10
@@ -57,7 +57,8 @@ def dense_product_density(model):
     D = model.identity()
     for i in range(1, model.n + 1):
         mu = model.mu[i - 1]
-        p = model.apply_gamma_star(i, model.gamma(i)) / (mu ** 2 + mu ** -2)
+        p = model.apply_gamma_star(i, model.apply_gamma(i, model.identity()))
+        p /= mu ** 2 + mu ** -2
         lam = 1.0 / (1.0 + mu ** 4)
         D = (1.0 - lam) * D + (2.0 * lam - 1.0) * (D @ p)
     return D / np.trace(D).real
@@ -113,7 +114,7 @@ def test_model_and_density_form_no_cycle():
     try:
         model = BabyFock(ModelParams.make(2, (1.5, 2.0), sign_seed=3))
         get_density(model)
-        haagerup_norm(model, model.gamma(1), 1.5)
+        haagerup_norm(model, model.apply_gamma(1, model.identity()), 1.5)
         ref = weakref.ref(model)
         del model
         assert ref() is None
@@ -126,7 +127,7 @@ def dense_modular(model, p):
     dp = get_density(model).power(1.0 / p)
     out = []
     for k in range(1, model.n + 1):
-        g = model.gamma(k)
+        g = model.apply_gamma(k, model.identity())
         lhs, rhs = dp @ g, model.mu[k - 1] ** (4.0 / p) * (g @ dp)
         out.append(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
     return np.array(out)
@@ -196,16 +197,17 @@ def test_density_solve_corruption_detected(m1):
 def test_haagerup_norm_values(m1):
     for p in (1.0, 1.7, 2.0, 4.0):
         assert abs(haagerup_norm(m1, m1.identity(), p) - 1.0) < 1e-12
-    assert abs(haagerup_norm(m1, m1.gamma(1), 2) - 1.0 / MU) < 1e-12
+    g = m1.apply_gamma(1, m1.identity())
+    assert abs(haagerup_norm(m1, g, 2) - 1.0 / MU) < 1e-12
     for p in (1.0, 2.0, 3.0, 6.0):
         closed = (MU ** 2 + MU ** -2) ** 0.5 * (1 + MU ** 4) ** (-1.0 / p)
-        assert abs(haagerup_norm(m1, m1.gamma(1), p) - closed) < 1e-12 * closed
+        assert abs(haagerup_norm(m1, g, p) - closed) < 1e-12 * closed
     with pytest.raises(ValueError):
         haagerup_norm(m1, m1.identity(), 0.5)
 
 
 def test_l2_orthogonality_of_letters(m1):
-    basis = [m1.identity(), m1.gamma(1), m1.gamma_star(1), m1.y_op(1)]
+    basis = [m1.apply_letter(L, 1, m1.identity()) for L in (UNIT, GEN, STAR, Y)]
     emb = [haagerup_embed(m1, b, 2) for b in basis]
     for i in range(4):
         for j in range(4):
@@ -251,6 +253,20 @@ def test_embed_lower_rejects_mismatch(m2):
     other = BabyFock(ModelParams.make(1, 3.0, SignTable.all_anticommuting(1)))
     with pytest.raises(ValueError):
         embed_lower(other.identity(), other, m2)
+
+
+def test_embed_lower_rejects_sign_mismatch():
+    # same weights, eps(1, 2) = +1 in the small model and -1 in the big one
+    small = BabyFock(ModelParams.make(2, (1.5, 2.0), SignTable.all_commuting(2)))
+    big = BabyFock(ModelParams.make(3, (1.5, 2.0, 1.2), SignTable.all_anticommuting(3)))
+    g1, g2 = (small.apply_gamma(i, small.identity()) for i in (1, 2))
+    with pytest.raises(ValueError):
+        embed_lower(g2 @ g1, small, big)
+    # the restriction of the big model lifts multiplicatively
+    sub = BabyFock(big.params.sub(2))
+    h1, h2 = (sub.apply_gamma(i, sub.identity()) for i in (1, 2))
+    lifted = embed_lower(h2, sub, big) @ embed_lower(h1, sub, big)
+    assert np.max(np.abs(embed_lower(h2 @ h1, sub, big) - lifted)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,mu", [(3, (1.2, 2.0, 1.0)), (4, (1.5, 1.1, 2.4, 1.0))])
