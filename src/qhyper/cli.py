@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .babyfock import get_model
 from .clt import convergence_report
-from .hyperc import (asym_convexity_check, bcl_check, dual_contraction_ratio,
-                     dual_convexity_check, necessary_time_exact,
+from .hyperc import (convexity_margins, dual_contraction_ratio, necessary_time_exact,
                      sufficient_time, violation_search)
 from .linalg import (expansion_second_order, expansion_via_frechet, psd_power,
                      richardson_second_coeff, schatten_norm)
@@ -172,18 +171,16 @@ def cmd_choi(args):
     mus = parse_values(args.mu) if args.mu else parse_values("1:4:0.1")
     tol = args.tol if args.tol is not None else 1e-12
 
-    grid = [(t, mu) for t in ts for mu in mus]
-    # one stacked eigensolve over the grid; LAPACK still sees one 4x4 at a time
-    mats = np.array([choi_matrix(t, mu) for t, mu in grid]).reshape(-1, 4, 4)
-    mins = np.linalg.eigvalsh(mats).min(axis=1)
-
-    def point(t, mu, mine):
-        resid = choi_identity_residual(t, mu)
-        return {"t": t, "mu": mu, "min_eigenvalue": mine,
-                "identity_residual": resid,
-                "pass": bool(mine >= -tol and resid <= tol)}
-
-    records = [point(t, mu, float(mine)) for (t, mu), mine in zip(grid, mins)]
+    # one t-column per mu, (T, M, 4, 4) in the records' t-major order;
+    # one stacked eigensolve over the grid, LAPACK still sees one 4x4 at a time
+    times = np.array(ts)
+    mins = np.linalg.eigvalsh(np.stack([choi_matrix(times, mu) for mu in mus], axis=1))
+    resids = np.stack([choi_identity_residual(times, mu) for mu in mus], axis=1)
+    records = [{"t": t, "mu": mu, "min_eigenvalue": mine, "identity_residual": resid,
+                "pass": mine >= -tol and resid <= tol}
+               for t, row_min, row_resid in zip(ts, mins.min(axis=-1).tolist(),
+                                                 resids.tolist())
+               for mu, mine, resid in zip(mus, row_min, row_resid)]
     return records, all(r["pass"] for r in records)
 
 
@@ -193,23 +190,36 @@ def cmd_convexity(args):
     qs = parse_values(args.q) if args.q else [2.0, 3.0, 4.0]
     samples = args.samples or 1000
     tol = args.tol if args.tol is not None else 1e-10
+    for p in ps:
+        if not 1.0 < p <= 2.0:
+            raise ValueError(f"need 1 < p <= 2, got {p}")
+    for mu in mus:
+        if mu < 1.0:
+            raise ValueError(f"mu must be >= 1, got {mu}")
+    for q in qs:
+        if q < 2.0:
+            raise ValueError(f"need q >= 2, got {q}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-    worst = {}
+    # draws in sample order; pairs sharing (m, p, q) take their margins in one call
+    groups = {}
     for k in range(samples):
         m = 2 + k % 15
         A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        scale = schatten_norm(A, 2) ** 2 + schatten_norm(B, 2) ** 2
-        p = ps[k % len(ps)]
         mu = mus[(k // len(ps)) % len(mus)]
-        q = qs[k % len(qs)]
-        key = ("bcl", p, 1.0)
-        worst[key] = min(worst.get(key, np.inf), bcl_check(A, B, min(p, 2.0)) / scale)
-        key = ("asym", p, mu)
-        worst[key] = min(worst.get(key, np.inf),
-                         asym_convexity_check(A, B, min(p, 2.0), mu) / scale)
-        key = ("dual", q, mu)
-        worst[key] = min(worst.get(key, np.inf), dual_convexity_check(A, B, q, mu) / scale)
+        groups.setdefault((m, ps[k % len(ps)], qs[k % len(qs)]), []).append((A, B, mu))
+    worst = {}
+
+    def fold(key, margins):
+        worst[key] = min(worst.get(key, np.inf), *margins.tolist())
+
+    for (_, p, q), pairs in groups.items():
+        A, B, mu = (np.array(x) for x in zip(*pairs))
+        bcl, asym, dual = convexity_margins(A, B, p, mu, q)
+        fold(("bcl", p, 1.0), bcl)
+        for w in np.unique(mu).tolist():
+            fold(("asym", p, w), asym[mu == w])
+            fold(("dual", q, w), dual[mu == w])
     records = [{"inequality": k[0], "exponent": k[1], "mu": k[2],
                 "min_margin": v, "pass": bool(v >= -tol)}
                for k, v in sorted(worst.items())]
@@ -420,6 +430,11 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    return _scalar(obj)
+
+
+def _scalar(obj):
+    """A numpy scalar as the Python value it holds; anything else unchanged."""
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
@@ -429,13 +444,23 @@ def _jsonable(obj):
     return obj
 
 
+def _json_default(obj):
+    """json.dumps hook for what it cannot encode: numpy scalars, else repr.
+
+    np.float64 is a float subclass that json encodes as float itself, so
+    the output has the bytes of dumping ``_jsonable(obj)`` with default=repr.
+    """
+    value = _scalar(obj)
+    return repr(value) if value is obj else value
+
+
 def emit(args, records, passed) -> str:
     cfg = _config_echo(args)
-    records = _jsonable(records)
     passed = bool(passed)
     if args.emit == "json":
         return json.dumps({"config": cfg, "records": records, "pass": passed},
-                          indent=2, sort_keys=False, default=repr) + "\n"
+                          indent=2, sort_keys=False, default=_json_default) + "\n"
+    records = _jsonable(records)
     buf = io.StringIO()
     provenance = json.dumps(cfg, sort_keys=True, default=repr)
     fields = list(records[0].keys()) if records else ["pass"]

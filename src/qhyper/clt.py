@@ -79,7 +79,8 @@ def sample_signs(q: float, n: int, m: int, seed: int, sample_index: int = 0) -> 
     """i.i.d. signs with P(+1) = (1+q)/2, Philox-keyed by (seed, sample_index).
 
     The whole upper triangle is drawn in one fixed-order pass, so the
-    result does not depend on evaluation order or thread assignment.
+    result depends only on (q, n, m, seed, sample_index), not on which
+    samples were drawn before it.
     """
     if not (-1.0 <= q < 1.0):
         raise ValueError(f"q must be in [-1, 1), got {q}")

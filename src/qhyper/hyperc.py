@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .babyfock import GEN, BabyFock, get_model
-from .linalg import psd_power, schatten_norm
+from .linalg import psd_power, schatten_norm, schatten_norm_from_sv, singular_values
 from .state import embed_lower, get_density, haagerup_norm
 
 __all__ = [
     "C_of_mu", "bcl_check", "asym_convexity_check", "dual_convexity_check",
+    "convexity_stack", "convexity_margins_sv", "convexity_margins",
     "sufficient_time", "theorem_bound", "contraction_ratio",
     "dual_contraction_ratio", "RatioEvaluator", "ViolationWitness",
     "violation_search", "NecessaryThreshold", "necessary_time_exact",
@@ -97,6 +98,69 @@ def dual_convexity_check(X: np.ndarray, Y: np.ndarray, q: float, mu: float,
     rhs = (lam * schatten_norm(X + Y, q) ** q
            + (1.0 - lam) * schatten_norm(X - (lam / (1.0 - lam)) * Y, q) ** q) ** (2.0 / q)
     return float(lhs - rhs)
+
+
+def _lam(mu: float) -> float:
+    return 1.0 / (1.0 + mu ** 4)
+
+
+def _per_mu(mu: np.ndarray, fn) -> np.ndarray:
+    """fn of each weight in Python float arithmetic, once per distinct weight.
+
+    numpy's array ``**`` can differ from Python's scalar ``**`` by an ulp, so
+    the per-pair constants are taken as the per-sample functions take them.
+    """
+    values, inverse = np.unique(mu, return_inverse=True)
+    return np.array([fn(float(m)) for m in values])[inverse]
+
+
+def convexity_stack(A: np.ndarray, B: np.ndarray, mu) -> np.ndarray:
+    """The seven distinct matrices of the three convexity checks, per pair.
+
+    A, B are (K, m, m) and mu is one weight per pair; the (K, 7, m, m)
+    result holds A, B, A + B, A - B, A + mu**2 B, A - B / mu**2 and
+    A - (lam / (1 - lam)) B, each formed as ``bcl_check``,
+    ``asym_convexity_check`` and ``dual_convexity_check`` form it.
+    """
+    mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), A.shape[:1])
+    if np.any(mu < 1.0):
+        raise ValueError(f"mu must be >= 1, got {mu[mu < 1.0][0]}")
+    mu2 = _per_mu(mu, lambda m: m ** 2)[:, None, None]
+    shift = _per_mu(mu, lambda m: _lam(m) / (1.0 - _lam(m)))
+    return np.stack([A, B, A + B, A - B, A + mu2 * B, A - B / mu2,
+                     A - shift[:, None, None] * B], axis=1)
+
+
+def convexity_margins_sv(s: np.ndarray, p: float, mu, q: float) -> tuple:
+    """Margins of bcl_check(A, B, p), asym_convexity_check(A, B, p, mu) and
+    dual_convexity_check(A, B, q, mu) from the (K, 7, m) singular values
+    of ``convexity_stack``: three (K,) arrays, not normalized."""
+    if not (1.0 < p <= 2.0):
+        raise ValueError(f"need 1 < p <= 2, got {p}")
+    if q < 2.0:
+        raise ValueError(f"need q >= 2, got {q}")
+    mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), s.shape[:1])
+    lam = _per_mu(mu, _lam)
+    nA, nB, nS, nD, nP, nM, _ = schatten_norm_from_sv(s, p).T
+    bcl = (0.5 * nS ** p + 0.5 * nD ** p) ** (2.0 / p) - nA ** 2 - (p - 1.0) * nB ** 2
+    lhs = (lam * nP ** p + (1.0 - lam) * nM ** p) ** (2.0 / p)
+    asym = lhs - (nA ** 2 + _per_mu(mu, lambda m: C_of_mu(p, m)) * (p - 1.0) * nB ** 2)
+    coeff = _per_mu(mu, lambda m: (q - 1.0) / (m ** 4 * C_of_mu(q / (q - 1.0), m)))
+    nX, nY, nXY, _, _, _, nXmY = schatten_norm_from_sv(s, q).T
+    rhs = (lam * nXY ** q + (1.0 - lam) * nXmY ** q) ** (2.0 / q)
+    return bcl, asym, nX ** 2 + coeff * nY ** 2 - rhs
+
+
+def convexity_margins(A: np.ndarray, B: np.ndarray, p: float, mu, q: float) -> tuple:
+    """The three convexity margins of each pair over ||A||_2**2 + ||B||_2**2.
+
+    One stacked SVD of the seven distinct matrices per pair replaces the
+    fourteen that the three per-sample functions take.
+    """
+    s = singular_values(convexity_stack(A, B, mu))
+    nA, nB = schatten_norm_from_sv(s[:, :2], 2.0).T
+    scale = nA ** 2 + nB ** 2
+    return tuple(margin / scale for margin in convexity_margins_sv(s, p, mu, q))
 
 
 # ============================================================================

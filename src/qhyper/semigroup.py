@@ -69,28 +69,37 @@ def apply_Ti(model: BabyFock, X: np.ndarray, i: int, t: float) -> np.ndarray:
 # ============================================================================
 
 
-def choi_matrix(t: float, mu: float) -> np.ndarray:
-    """Choi matrix of the two-level factor channel at time t and weight mu."""
-    if t < 0 or mu < 1:
+def choi_matrix(t, mu: float) -> np.ndarray:
+    """Choi matrix of the two-level factor channel at time t and weight mu.
+
+    A scalar t gives one 4x4 matrix; an array of times gives the stack
+    t.shape + (4, 4), entry for entry the scalar call's matrices.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < 0) or mu < 1:
         raise ValueError("need t >= 0 and mu >= 1")
     lam = 1.0 / (1.0 + mu ** 4)
     e = np.exp(-2.0 * t)
-    c = np.zeros((4, 4))
-    c[0, 0] = lam * (1.0 + e * mu ** 4)
-    c[1, 1] = lam * (1.0 - e)
-    c[2, 2] = (1.0 - lam) * (1.0 - e)
-    c[3, 3] = (1.0 - lam) * (1.0 + e * mu ** -4)
-    c[0, 3] = c[3, 0] = np.exp(-t)
+    c = np.zeros(t.shape + (4, 4))
+    c[..., 0, 0] = lam * (1.0 + e * mu ** 4)
+    c[..., 1, 1] = lam * (1.0 - e)
+    c[..., 2, 2] = (1.0 - lam) * (1.0 - e)
+    c[..., 3, 3] = (1.0 - lam) * (1.0 + e * mu ** -4)
+    c[..., 0, 3] = c[..., 3, 0] = np.exp(-t)
     return c
 
 
-def choi_identity_residual(t: float, mu: float) -> float:
-    """|lam(1-lam)(1+e mu^4)(1+e mu^-4) - e - lam(1-lam)(1-e)^2| with e = exp(-2t)."""
+def choi_identity_residual(t, mu: float):
+    """|lam(1-lam)(1+e mu^4)(1+e mu^-4) - e - lam(1-lam)(1-e)^2| with e = exp(-2t).
+
+    A float for a scalar t, an array of t's shape for an array of times.
+    """
     lam = 1.0 / (1.0 + mu ** 4)
-    e = np.exp(-2.0 * t)
+    e = np.exp(-2.0 * np.asarray(t, dtype=np.float64))
     lhs = lam * (1.0 - lam) * (1.0 + e * mu ** 4) * (1.0 + e * mu ** -4) - e
     rhs = lam * (1.0 - lam) * (1.0 - e) ** 2
-    return float(abs(lhs - rhs))
+    resid = np.abs(lhs - rhs)
+    return float(resid) if resid.ndim == 0 else resid
 
 
 def is_cp(t: float, mu: float, tol: float = 1e-12) -> bool:

@@ -14,8 +14,9 @@ import numpy as np
 
 from qhyper.babyfock import BabyFock, get_model
 from qhyper.clt import clt_estimate
-from qhyper.hyperc import (asym_convexity_check, bcl_check, C_of_mu,
-                           decomposition_identity_check, disjoint_support_check,
+from qhyper.hyperc import (asym_convexity_check, bcl_check, convexity_margins_sv,
+                           convexity_stack, decomposition_identity_check,
+                           disjoint_support_check,
                            dual_contraction_ratio, dual_convexity_check,
                            gamma_lower_bound_check, necessary_time_exact,
                            sufficient_time, violation_search)
@@ -119,41 +120,36 @@ def test_criterion_05_convexity():
     qs = [2.0, 3.0, 4.0]
     worst = 0.0
 
+    # draws in sample order, grouped by size
+    pairs = {}
     for k in range(10_000):
         m = 2 + k % 15
         A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        mu = mus[k % 4]
-        lam = 1.0 / (1.0 + mu ** 4)
-        q = qs[k % 3]
-        s = singular_values(np.stack([A, B, A + B, A - B, A + mu ** 2 * B, A - B / mu ** 2,
-                                      A - (lam / (1.0 - lam)) * B]))
+        pairs.setdefault(m, []).append((A, B, mus[k % 4]))
+    for m, group in pairs.items():
+        A, B, mu = (np.array(x) for x in zip(*group))
+        q = qs[(m - 2) % 3]         # k % 3 = (k % 15) % 3: one q per size
+        # one stacked SVD per size, reused for every p
+        s = singular_values(convexity_stack(A, B, mu))
         for p in ps:
-            nA, nB = schatten_norm_from_sv(s[:2], p)
-            scale = nA ** 2 + nB ** 2
-            pp = min(p, 2.0)
-            nA2, nB2, nAB, nAmB, nP, nM, _ = schatten_norm_from_sv(s, pp)
-            lhs = (0.5 * nAB ** pp + 0.5 * nAmB ** pp) ** (2 / pp)
-            worst = min(worst, (lhs - nA2 ** 2 - (pp - 1) * nB2 ** 2) / scale)
-            lhs = (lam * nP ** pp + (1 - lam) * nM ** pp) ** (2 / pp)
-            worst = min(worst, (lhs - nA2 ** 2
-                                - C_of_mu(pp, mu) * (pp - 1) * nB2 ** 2) / scale)
-        nX, nY, nXY, _, _, _, nXmY = schatten_norm_from_sv(s, q)
-        coeff = (q - 1.0) / (mu ** 4 * C_of_mu(q / (q - 1.0), mu))
-        rhs = (lam * nXY ** q + (1 - lam) * nXmY ** q) ** (2 / q)
-        worst = min(worst, (nX ** 2 + coeff * nY ** 2 - rhs) / (nX ** 2 + nY ** 2))
-    # spot check the fast path against the module functions
+            nA, nB = schatten_norm_from_sv(s[:, :2], p).T
+            bcl, asym, dual = convexity_margins_sv(s, p, mu, q)
+            worst = min(worst, np.min(bcl / (nA ** 2 + nB ** 2)),
+                        np.min(asym / (nA ** 2 + nB ** 2)))
+        # the dual margin does not depend on p
+        nX, nY = schatten_norm_from_sv(s[:, :2], q).T
+        worst = min(worst, np.min(dual / (nX ** 2 + nY ** 2)))
+    # spot check the stacked margins against the per-sample functions
     spot = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     spot2 = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    direct = bcl_check(spot, spot2, 1.5)
-    n_sum, n_diff, n_a, n_b = schatten_norm_from_sv(
-        singular_values(np.stack([spot + spot2, spot - spot2, spot, spot2])), 1.5)
-    fast = (0.5 * n_sum ** 1.5 + 0.5 * n_diff ** 1.5) ** (2 / 1.5) - n_a ** 2 - 0.5 * n_b ** 2
-    agreement = abs(direct - fast) < 1e-9 * max(1.0, abs(direct))
-    aspot = asym_convexity_check(spot, spot2, 1.5, 2.0)
-    dspot = dual_convexity_check(spot, spot2, 3.0, 2.0)
+    direct = (bcl_check(spot, spot2, 1.5), asym_convexity_check(spot, spot2, 1.5, 2.0),
+              dual_convexity_check(spot, spot2, 3.0, 2.0))
+    fast = convexity_margins_sv(singular_values(convexity_stack(spot[None], spot2[None], 2.0)),
+                                1.5, 2.0, 3.0)
+    agreement = all(abs(d - f[0]) < 1e-9 * max(1.0, abs(d)) for d, f in zip(direct, fast))
     elapsed = time.time() - t0
-    ok = worst >= -1e-10 and agreement and aspot > -1e-9 and dspot > -1e-9 \
+    ok = worst >= -1e-10 and agreement and direct[1] > -1e-9 and direct[2] > -1e-9 \
         and elapsed <= 300
     _report(5, "convexity", ok, f"(min margin {worst:.2e}, {elapsed:.0f}s)")
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qhyper.babyfock import get_model
-from qhyper.cli import main, parse_values
+from qhyper.cli import _config_echo, _jsonable, build_parser, emit, main, parse_values
+from qhyper.semigroup import choi_identity_residual, choi_matrix
 from qhyper.signs import ModelParams, SignTable
 from qhyper.state import get_density, haagerup_norm
 
@@ -58,6 +59,44 @@ def test_csv_emission_and_determinism(capsys):
     assert header.split(",")[:4] == ["t", "mu", "min_eigenvalue", "identity_residual"]
     assert header.endswith("provenance")
     assert len(out1.splitlines()) == 1 + 3
+
+
+def test_choi_matches_per_point_assembly(capsys):
+    # the grid evaluated point by point, each record built on its own
+    argv = ["choi"]
+    tol = 1e-12
+    grid = [(t, mu) for t in parse_values("0:5:0.01") for mu in parse_values("1:4:0.1")]
+    mins = np.linalg.eigvalsh(np.array([choi_matrix(t, mu) for t, mu in grid])).min(axis=1)
+    records = []
+    for (t, mu), mine in zip(grid, mins):
+        resid = choi_identity_residual(t, mu)
+        records.append({"t": t, "mu": mu, "min_eigenvalue": float(mine),
+                        "identity_residual": resid,
+                        "pass": bool(mine >= -tol and resid <= tol)})
+    doc = {"config": _config_echo(build_parser().parse_args(argv)),
+           "records": _jsonable(records), "pass": all(r["pass"] for r in records)}
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == json.dumps(doc, indent=2, sort_keys=False, default=repr) + "\n"
+
+
+class _Opaque:
+    def __repr__(self):
+        return "Opaque(3)"
+
+
+def test_json_emission_matches_jsonable_dump():
+    args = build_parser().parse_args(["choi"])
+    records = [{"f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7),
+                "flag": np.bool_(True), "off": np.bool_(False), "nan": float("nan"),
+                "np_nan": np.float64("nan"), "inf": np.float64("inf"),
+                "minus_inf": float("-inf"), "f32_inf": np.float32("-inf"),
+                "obj": _Opaque(), "nested": (np.int64(2), [np.float32(2.5)]),
+                "plain": 1.25}]
+    for passed in (np.bool_(True), False):
+        want = json.dumps({"config": _config_echo(args), "records": _jsonable(records),
+                           "pass": bool(passed)}, indent=2, default=repr) + "\n"
+        assert emit(args, records, passed) == want
 
 
 def test_usage_error_exit_code():
@@ -194,6 +233,12 @@ BOUNDARY_CASES = [
     (["fock-moment", "(g+g*)^0"], "exponent must be at least 1"),
     (["fock-moment", "g0"], "index must be at least 1"),
     (["clt", "g^0", "--m", "5"], "exponent must be at least 1"),
+    (["choi", "--mu", "0.5"], "need t >= 0 and mu >= 1"),
+    (["choi", "--t=-1"], "need t >= 0 and mu >= 1"),
+    (["convexity", "--mu", "0.5"], "mu must be >= 1"),
+    (["convexity", "--q", "1.5"], "need q >= 2"),
+    (["convexity", "--p", "1"], "need 1 < p <= 2"),
+    (["convexity", "--p", "2.5"], "need 1 < p <= 2"),
 ]
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from qhyper.babyfock import get_model
 from qhyper.hyperc import (C_of_mu, RatioEvaluator, asym_convexity_check,
-                           bcl_check, contraction_ratio, decomposition_identity_check,
+                           bcl_check, contraction_ratio, convexity_margins,
+                           decomposition_identity_check,
                            disjoint_support_check, dual_contraction_ratio,
                            dual_convexity_check, gamma_lower_bound_check,
                            necessary_time_exact, sufficient_time, theorem_bound,
@@ -44,6 +45,38 @@ def test_margin_random_sweep():
         assert bcl_check(a, b, p) >= -1e-10 * scale
         assert asym_convexity_check(a, b, p, mu) >= -1e-10 * scale
         assert dual_convexity_check(a, b, q, mu) >= -1e-10 * scale
+
+
+def test_stacked_margins_match_per_sample_checks():
+    # one stacked SVD of the seven distinct matrices against the fourteen
+    # SVDs of the three per-sample functions
+    from qhyper.linalg import schatten_norm
+    rng = np.random.default_rng(12)
+    for m in range(2, 17):
+        a = rng.standard_normal((5, m, m)) + 1j * rng.standard_normal((5, m, m))
+        b = rng.standard_normal((5, m, m)) + 1j * rng.standard_normal((5, m, m))
+        mu = rng.choice([1.0, 1.3, 2.0, 2.7, 3.5], size=5)
+        scale = np.array([schatten_norm(x, 2) ** 2 + schatten_norm(y, 2) ** 2
+                          for x, y in zip(a, b)])
+        for p in (1.1, 4.0 / 3.0, 1.7, 2.0):
+            for q in (2.0, 3.0, 4.0):
+                got = convexity_margins(a, b, p, mu, q)
+                want = [[bcl_check(x, y, p), asym_convexity_check(x, y, p, w),
+                         dual_convexity_check(x, y, q, w)]
+                        for x, y, w in zip(a, b, mu)]
+                np.testing.assert_allclose(np.transpose(got),
+                                           np.array(want) / scale[:, None],
+                                           rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("p,mu,q,message", [(2.5, 1.0, 2.0, "need 1 < p <= 2"),
+                                            (1.0, 1.0, 2.0, "need 1 < p <= 2"),
+                                            (1.5, 0.5, 2.0, "mu must be >= 1"),
+                                            (1.5, 1.0, 1.5, "need q >= 2")])
+def test_stacked_margins_reject_bad_parameters(p, mu, q, message):
+    a = np.ones((2, 3, 3), dtype=np.complex128)
+    with pytest.raises(ValueError, match=message):
+        convexity_margins(a, 2.0 * a, p, mu, q)
 
 
 def test_asym_reduces_to_slack_bcl_at_mu_one():

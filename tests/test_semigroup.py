@@ -66,6 +66,40 @@ def test_choi_t_zero_identity_channel():
     assert np.sum(w > 1e-12) == 1        # rank deficient at t = 0
 
 
+def _choi_per_point(t: float, mu: float):
+    """The per-point Choi matrix and identity residual in Python-float t."""
+    lam = 1.0 / (1.0 + mu ** 4)
+    e = np.exp(-2.0 * t)
+    c = np.zeros((4, 4))
+    c[0, 0] = lam * (1.0 + e * mu ** 4)
+    c[1, 1] = lam * (1.0 - e)
+    c[2, 2] = (1.0 - lam) * (1.0 - e)
+    c[3, 3] = (1.0 - lam) * (1.0 + e * mu ** -4)
+    c[0, 3] = c[3, 0] = np.exp(-t)
+    lhs = lam * (1.0 - lam) * (1.0 + e * mu ** 4) * (1.0 + e * mu ** -4) - e
+    rhs = lam * (1.0 - lam) * (1.0 - e) ** 2
+    return c, float(abs(lhs - rhs))
+
+
+def test_choi_columns_match_per_point_calls():
+    # the CLI's default grid, bit for bit
+    ts = [0.0 + k * 0.01 for k in range(501)]
+    times = np.array(ts)
+    for mu in [1.0 + k * 0.1 for k in range(31)]:
+        mats, resids = choi_matrix(times, mu), choi_identity_residual(times, mu)
+        assert mats.shape == (len(ts), 4, 4) and resids.shape == (len(ts),)
+        for t, mat, resid in zip(ts, mats, resids.tolist()):
+            want_mat, want_resid = _choi_per_point(t, mu)
+            assert np.array_equal(mat, want_mat) and resid == want_resid
+            assert np.array_equal(choi_matrix(t, mu), want_mat)
+            assert choi_identity_residual(t, mu) == want_resid
+
+
+def test_choi_rejects_negative_time_in_array():
+    with pytest.raises(ValueError):
+        choi_matrix(np.array([0.0, -1e-3]), 2.0)
+
+
 @pytest.mark.parametrize("mu", [1.0, 1.5, 2.5, 4.0])
 def test_choi_grid(mu):
     for t in np.arange(0.0, 5.0001, 0.05):
