@@ -1,12 +1,12 @@
 """Command-line entry point: verification campaigns with CSV/JSON emission.
 
-Every command echoes its full configuration (plus the package version)
-into the emitted output, runs a deterministic sweep for the given seed,
-and exits 0 when all asserted checks pass, 1 on usage errors, and 2
-when a numerical assertion fails (failing records go to stderr).
-Grid-valued flags accept a single number, a comma list, or
-start:stop:step; an empty grid, a non-finite value, or a count
-(--samples, --restarts) below 1 is a usage error.
+Every command takes only the flags it reads and echoes their settings
+(plus the package version), runs a deterministic sweep for the given seed,
+and exits 0 when all asserted checks pass, 1 on usage errors, and 2 when
+a numerical assertion fails (failing records go to stderr).  Grid-valued
+flags accept a single number, a comma list, or start:stop:step; an empty
+grid, a non-finite value, a count (--samples, --restarts) below 1, or
+more than one value for a single-valued flag is a usage error.
 """
 
 from __future__ import annotations
@@ -68,17 +68,29 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _one(text: str, flag: str) -> float:
+    """The value of a single-valued flag."""
+    values = parse_values(text)
+    if len(values) != 1:
+        raise ValueError(f"{flag} takes one value, got {text!r}")
+    return values[0]
+
+
+def _weights(text: str, n: int) -> tuple:
+    """--mu for indices 1..n: one value for every index, or exactly n values."""
+    mu = parse_values(text)
+    if len(mu) not in (1, n):
+        raise ValueError(f"--mu takes one value or {n}, got {text!r}")
+    return tuple(mu * n if len(mu) == 1 else mu)
+
+
 def _model_from_args(args) -> ModelParams:
-    n = args.n
-    mu = parse_values(args.mu)
-    if len(mu) == 1:
-        mu = mu * n
-    if getattr(args, "sign_file", None):
+    if args.sign_file:
         with open(args.sign_file, "r", encoding="utf-8") as fh:
             signs = SignTable.from_json(fh.read())
     else:
-        signs = SignTable.random(n, args.sign_seed)
-    return ModelParams(n=n, mu=tuple(mu), signs=signs)
+        signs = SignTable.random(args.n, args.sign_seed)
+    return ModelParams(n=args.n, mu=_weights(args.mu, args.n), signs=signs)
 
 
 # ============================================================================
@@ -120,7 +132,7 @@ def cmd_density(args):
     records.append({"check": "trace_one", "residual": trace_err,
                     "tol": 1e-12, "pass": trace_err <= 1e-12})
     records.append({"check": "positive", "residual": float(max(0.0, -eigs.min())),
-                    "tol": 1e-12, "pass": eigs.min() >= -1e-12})
+                    "tol": 1e-12, "pass": bool(eigs.min() >= -1e-12)})
     if model.n <= SOLVE_MAX_N:
         solved = density_solve(model)
         diff = float(np.linalg.norm(solved - D) / np.linalg.norm(D))
@@ -130,16 +142,16 @@ def cmd_density(args):
     for i in range(1, model.n + 1):
         want = model.mu[i - 1] ** -2
         got = float(np.trace(model.apply_gamma_star(i, model.apply_gamma(i, D))).real)
-        resid = abs(got - want)
+        resid = float(abs(got - want))
         records.append({"check": f"trace_gstar_g_{i}", "residual": resid,
                         "tol": 1e-10, "pass": resid <= 1e-10})
         # the Schatten 2-norm of g_i D**(1/2) is its Frobenius norm
         nrm = float(np.linalg.norm(model.apply_gamma(i, half)))
-        resid2 = abs(nrm - 1.0 / model.mu[i - 1])
+        resid2 = float(abs(nrm - 1.0 / model.mu[i - 1]))
         records.append({"check": f"l2_norm_gamma_{i}", "residual": resid2,
                         "tol": 1e-10, "pass": resid2 <= 1e-10})
     for p in (1.0, 1.5, 2.0, 3.0):
-        worst = max(modular_check(model, p))
+        worst = float(max(modular_check(model, p)))
         records.append({"check": f"modular_p_{p}", "residual": worst,
                         "tol": 1e-9, "pass": worst <= 1e-9})
     return records, all(r["pass"] for r in records)
@@ -154,10 +166,10 @@ def cmd_lpnorm(args):
         mu = model.mu[i - 1]
         for p in ps:
             nrm = schatten_norm(model.apply_gamma(i, dens.power(1.0 / p)), p)
-            ratio = nrm / mu ** (1.0 - 4.0 / p)
+            ratio = float(nrm / mu ** (1.0 - 4.0 / p))
             rec = {"index": i, "p": p, "norm": nrm, "growth_ratio": ratio,
                    "pass": bool(0.7 <= ratio <= 1.5) if mu >= 2 else True}
-            closed = (mu ** 2 + mu ** -2) ** 0.5 * (1.0 + mu ** 4) ** (-1.0 / p)
+            closed = float((mu ** 2 + mu ** -2) ** 0.5 * (1.0 + mu ** 4) ** (-1.0 / p))
             rec["closed_form"] = closed
             rec["closed_form_resid"] = abs(nrm - closed)
             if model.n == 1:
@@ -236,7 +248,7 @@ def cmd_hyperc_verify(args):
     records = []
     for p in ps:
         theta = sufficient_time(p, params.mu)
-        t = float(-0.5 * np.log(theta)) if args.t is None else parse_values(args.t)[0]
+        t = float(-0.5 * np.log(theta)) if args.t is None else _one(args.t, "--t")
         wit = violation_search(model, t, p, "primal", restarts=restarts,
                                seed=args.seed)
         records.append({"p": p, "t": t, "exp_minus_2t": float(np.exp(-2 * t)),
@@ -280,8 +292,8 @@ def cmd_necessary_time(args):
             wit = model.identity() + eps * model.apply_gamma(1, model.identity())
             t_hi = float(-0.5 * np.log(1.05 * thr.exact))
             t_lo = float(-0.5 * np.log(0.95 * thr.exact))
-            r_above = dual_contraction_ratio(model, wit, t_hi, pp)
-            r_below = dual_contraction_ratio(model, wit, t_lo, pp)
+            r_above = float(dual_contraction_ratio(model, wit, t_hi, pp))
+            r_below = float(dual_contraction_ratio(model, wit, t_lo, pp))
             records.append({
                 "p_prime": pp, "mu": mu, "exact": thr.exact,
                 "paper_display": thr.paper_display, "differs": thr.differs,
@@ -332,14 +344,12 @@ def cmd_perturb(args):
 
 def cmd_fock_moment(args):
     letters = parse_word(args.word)
-    q = parse_values(args.q)[0] if args.q else 0.0
-    mus = parse_values(args.mu) if args.mu else [1.0]
+    q = _one(args.q, "--q") if args.q else 0.0
     n = max(i for _, i in letters)
-    if len(mus) < n:
-        mus = mus * n
-    qp = QParams(q=q, n=n, mu=tuple(mus[:n]), max_level=max(1, len(letters)))
+    mus = _weights(args.mu or "1", n)
+    qp = QParams(q=q, n=n, mu=mus, max_level=max(1, len(letters)))
     val_pair = moment_pairings(letters, qp)
-    rec = {"word": args.word, "q": q, "mu": ",".join(repr(m) for m in mus[:n]),
+    rec = {"word": args.word, "q": q, "mu": ",".join(repr(m) for m in mus),
            "value_re": val_pair.real, "value_im": val_pair.imag}
     if q > -1.0:
         val_op = moment_operator(letters, qp)
@@ -353,13 +363,13 @@ def cmd_fock_moment(args):
 
 def cmd_clt(args):
     letters = parse_word(args.word)
-    q = parse_values(args.q)[0] if args.q else 0.0
-    mus = parse_values(args.mu) if args.mu else [1.0]
+    q = _one(args.q, "--q") if args.q else 0.0
+    mus = _weights(args.mu or "1", max(i for _, i in letters))
     ms = parse_values(args.m) if args.m else [5, 10, 20, 40]
     if any(v != int(v) for v in ms):
         raise ValueError(f"--m takes integers, got {args.m!r}")
     samples = args.samples or 100
-    rows = convergence_report(letters, q, tuple(mus), ms, samples, args.seed)
+    rows = convergence_report(letters, q, mus, ms, samples, args.seed)
     records = [{"m": r["m"], "mean_re": r["mean"].real, "mean_im": r["mean"].imag,
                 "stderr": r["stderr"], "oracle_re": r["oracle"].real,
                 "oracle_im": r["oracle"].imag, "abs_err": r["abs_err"],
@@ -385,84 +395,70 @@ COMMANDS = {
     "clt": cmd_clt,
 }
 
-_NEEDS_WORD = {"fock-moment", "clt"}
-_NEEDS_MODEL = {"relations", "density", "lpnorm", "hyperc-verify", "hyperc-search"}
+# each flag's argparse spec, keyed by its option string ("model --mu": the models' default)
+_FLAGS = {
+    "word": {"help": "word expression, e.g. '(g+g*)^4' or 'g*g'"},
+    "--n": {"type": int, "default": 1, "help": "number of gaussian indices"},
+    "model --mu": {"default": "1", "help": "model weights: one for every index, or n of them"},
+    "--mu": {"help": "weight value or grid; a word takes one, or one per index"},
+    "--sign-file": {"help": "JSON sign table {n, pairs}"},
+    "--p": {"help": "exponent value or grid"},
+    "--t": {"help": "time value or grid"},
+    "--q": {"help": "deformation parameter"},
+    "--m": {"help": "sum length value or grid"},
+    "--samples": {"type": _count},
+    "--restarts": {"type": _count},
+    "--tol": {"type": float, "help": "tolerance override"},
+    "--direction": {"choices": ("primal", "dual"), "default": "primal"},
+    "--sign-seed": {"type": int, "default": 0},
+    "--seed": {"type": int, "default": 0},
+    "--emit": {"choices": ("csv", "json"), "default": "json"},
+}
+
+_MODEL = ("--n", "model --mu", "--sign-file")
+# the flags each command reads; every command also takes the last three
+_TAKES = {
+    "relations": _MODEL + ("--tol",),
+    "density": _MODEL + ("--tol",),
+    "lpnorm": _MODEL + ("--p",),
+    "choi": ("--t", "--mu", "--tol"),
+    "convexity": ("--p", "--mu", "--q", "--samples", "--tol"),
+    "hyperc-verify": _MODEL + ("--p", "--t", "--restarts", "--tol"),
+    "hyperc-search": _MODEL + ("--p", "--t", "--restarts", "--direction"),
+    "necessary-time": ("--p", "--mu"),
+    "perturb": ("--p", "--mu", "--tol"),
+    "fock-moment": ("word", "--q", "--mu"),
+    "clt": ("word", "--q", "--mu", "--m", "--samples", "--tol"),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qhyper", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qhyper {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        if name in _NEEDS_WORD:
-            p.add_argument("word", help="word expression, e.g. '(g+g*)^4' or 'g*g'")
-        p.add_argument("--n", type=int, default=1, help="number of gaussian indices")
-        p.add_argument("--mu", default=None if name not in _NEEDS_MODEL else "1",
-                       help="weights: comma list (model) or value grid (sweeps)")
-        p.add_argument("--sign-seed", type=int, default=0, dest="sign_seed")
-        p.add_argument("--sign-file", default=None, dest="sign_file",
-                       help="JSON sign table {n, pairs}")
-        p.add_argument("--p", default=None, help="exponent value or grid")
-        p.add_argument("--t", default=None, help="time value or grid")
-        p.add_argument("--q", default=None, help="deformation parameter")
-        p.add_argument("--m", default=None, help="sum length value or grid")
-        p.add_argument("--samples", type=_count, default=None)
-        p.add_argument("--restarts", type=_count, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--emit", choices=("csv", "json"), default="json")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        if name == "hyperc-search":
-            p.add_argument("--direction", choices=("primal", "dual"), default="primal")
-        p.set_defaults(func=fn)
+    for name, flags in _TAKES.items():
+        # no abbreviations: --m would otherwise stand for --mu, --t for --tol
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags + ("--sign-seed", "--seed", "--emit"):
+            p.add_argument(flag.split()[-1], **_FLAGS[flag])
+        p.set_defaults(func=COMMANDS[name])
     return parser
 
 
 def _config_echo(args) -> dict:
-    skip = {"func"}
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     cfg["version"] = __version__
     return cfg
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return _scalar(obj)
-
-
-def _scalar(obj):
-    """A numpy scalar as the Python value it holds; anything else unchanged."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
-def _json_default(obj):
-    """json.dumps hook for what it cannot encode: numpy scalars, else repr.
-
-    np.float64 is a float subclass that json encodes as float itself, so
-    the output has the bytes of dumping ``_jsonable(obj)`` with default=repr.
-    """
-    value = _scalar(obj)
-    return repr(value) if value is obj else value
-
-
 def emit(args, records, passed) -> str:
+    """Records hold plain str, bool, int and float values; passed is a bool."""
     cfg = _config_echo(args)
-    passed = bool(passed)
     if args.emit == "json":
         return json.dumps({"config": cfg, "records": records, "pass": passed},
-                          indent=2, sort_keys=False, default=_json_default) + "\n"
-    records = _jsonable(records)
+                          indent=2, sort_keys=False) + "\n"
     buf = io.StringIO()
-    provenance = json.dumps(cfg, sort_keys=True, default=repr)
+    provenance = json.dumps(cfg, sort_keys=True)
     fields = list(records[0].keys()) if records else ["pass"]
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields + ["provenance"])
@@ -484,7 +480,7 @@ def main(argv=None) -> int:
     if not passed:
         for rec in records:
             if not rec.get("pass", True):
-                sys.stderr.write("FAIL: " + json.dumps(rec, default=repr) + "\n")
+                sys.stderr.write("FAIL: " + json.dumps(rec) + "\n")
         return 2
     return 0
 

@@ -33,6 +33,8 @@ __all__ = [
 MAX_CLT_WORD = 6
 MAX_CLT_M = 64
 PRUNE_TOL = 1e-15
+# uncombined expansion entries made at a time by _expand_combined
+EXPAND_TERMS = 1 << 22
 
 
 def pair_code(i: int, j: int, n: int, m: int) -> int:
@@ -166,22 +168,24 @@ def _letter_ops(kind: str, i: int, mu_i: float, n: int, m: int):
 
 
 def _expand_combined(codes, coeffs, ops, epsneg):
-    """One operator application with duplicate combining, chunked by rows.
+    """One operator application with duplicate combining, chunked by operator terms.
 
-    Chunking keeps the uncombined expansion (rows x n_ops entries) from
-    ballooning on wide operator sums.
+    A chunk keeps the uncombined expansion near EXPAND_TERMS entries.  Its
+    entries, op-major as in one whole expansion, are combined after the
+    running sums, pruned only at the end, so each sum adds its terms in the
+    unchunked order and the result is bit-identical for any chunk size.
     """
-    chunk = max(1, (1 << 22) // max(1, ops[0].shape[0]))
-    if codes.shape[0] <= chunk:
+    step = max(1, EXPAND_TERMS // max(1, codes.shape[0]))
+    if ops[0].shape[0] <= step:
         return _combine(*expand_ops_sparse(codes, coeffs, *ops, epsneg))
-    acc_c, acc_v = [], []
-    for lo in range(0, codes.shape[0], chunk):
-        c, v = expand_ops_sparse(codes[lo:lo + chunk], coeffs[lo:lo + chunk],
-                                 *ops, epsneg)
-        c, v = _combine(c, v)
-        acc_c.append(c)
-        acc_v.append(v)
-    return _combine(np.concatenate(acc_c, axis=0), np.concatenate(acc_v))
+    acc_c, acc_v = codes[:0], coeffs[:0]
+    for lo in range(0, ops[0].shape[0], step):
+        c, v = expand_ops_sparse(codes, coeffs, *(op[lo:lo + step] for op in ops), epsneg)
+        # a sum dropped at exactly 0 changes none of the sums it would add to
+        acc_c, acc_v = _combine(np.concatenate([acc_c, c]), np.concatenate([acc_v, v]),
+                                prune=0.0)
+    keep = np.abs(acc_v) > PRUNE_TOL
+    return acc_c[keep], acc_v[keep]
 
 
 def _apply_word(letters, sample: BigSignSample, mu, width: int):

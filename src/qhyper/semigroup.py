@@ -40,15 +40,14 @@ def apply_OU_coeffs(model: BabyFock, coeffs: np.ndarray, t: float) -> np.ndarray
     return np.asarray(coeffs, dtype=np.complex128) * np.exp(-t * model.monomial_degrees)
 
 
-def apply_OU(model: BabyFock, X: np.ndarray, t: float, cross_check: bool = True) -> np.ndarray:
+def apply_OU(model: BabyFock, X: np.ndarray, t: float) -> np.ndarray:
     """P_t(X) through the monomial expansion, cross-checked on vacuum vectors."""
     coeffs = apply_OU_coeffs(model, model.expand(X), t)
     out = model.reconstruct(coeffs)
-    if cross_check:
-        direct = np.exp(-t * popcount_table(2 * model.n)) * np.asarray(X)[:, 0]
-        scale = max(float(np.linalg.norm(direct)), 1e-300)
-        if np.linalg.norm(out[:, 0] - direct) > 1e-10 * scale:
-            raise AssertionError("monomial and vacuum-vector routes disagree")
+    direct = np.exp(-t * popcount_table(2 * model.n)) * np.asarray(X)[:, 0]
+    scale = max(float(np.linalg.norm(direct)), 1e-300)
+    if np.linalg.norm(out[:, 0] - direct) > 1e-10 * scale:
+        raise AssertionError("monomial and vacuum-vector routes disagree")
     return out
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qhyper.babyfock import get_model
-from qhyper.cli import _config_echo, _jsonable, build_parser, emit, main, parse_values
+from qhyper.cli import COMMANDS, _config_echo, build_parser, emit, main, parse_values
 from qhyper.semigroup import choi_identity_residual, choi_matrix
 from qhyper.signs import ModelParams, SignTable
 from qhyper.state import get_density, haagerup_norm
@@ -74,29 +74,43 @@ def test_choi_matches_per_point_assembly(capsys):
                         "identity_residual": resid,
                         "pass": bool(mine >= -tol and resid <= tol)})
     doc = {"config": _config_echo(build_parser().parse_args(argv)),
-           "records": _jsonable(records), "pass": all(r["pass"] for r in records)}
+           "records": records, "pass": all(r["pass"] for r in records)}
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert out == json.dumps(doc, indent=2, sort_keys=False, default=repr) + "\n"
 
 
-class _Opaque:
-    def __repr__(self):
-        return "Opaque(3)"
+PLAIN_RUNS = [
+    ["relations", "--n", "2"], ["density", "--n", "2"], ["lpnorm", "--n", "1"],
+    ["lpnorm", "--n", "2"], ["choi", "--t", "0,1", "--mu", "1,2"],
+    ["convexity", "--samples", "20"], ["hyperc-verify", "--restarts", "5"],
+    ["hyperc-search", "--restarts", "5"], ["necessary-time", "--p", "4", "--mu", "2"],
+    ["perturb", "--p", "4", "--mu", "2"], ["fock-moment", "(g+g*)^2"],
+    ["fock-moment", "(g+g*)^2", "--q=-1"], ["clt", "s*s", "--m", "3", "--samples", "2"],
+    ["clt", "s*s", "--m", "3", "--samples", "2", "--tol", "1"],
+]
 
 
-def test_json_emission_matches_jsonable_dump():
+def test_records_hold_plain_values(capsys):
+    assert {argv[0] for argv in PLAIN_RUNS} == set(COMMANDS)
+    for argv in PLAIN_RUNS:
+        code, out, _ = run(capsys, argv)
+        assert code == 0, argv
+        for rec in json.loads(out)["records"]:
+            assert all(type(v) in (str, bool, int, float) for v in rec.values()), argv
+        code, out, _ = run(capsys, argv + ["--emit", "csv"])
+        assert code == 0 and "np." not in out, argv
+    # non-finite floats go out as json's NaN and Infinity and as csv's repr
     args = build_parser().parse_args(["choi"])
-    records = [{"f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7),
-                "flag": np.bool_(True), "off": np.bool_(False), "nan": float("nan"),
-                "np_nan": np.float64("nan"), "inf": np.float64("inf"),
-                "minus_inf": float("-inf"), "f32_inf": np.float32("-inf"),
-                "obj": _Opaque(), "nested": (np.int64(2), [np.float32(2.5)]),
-                "plain": 1.25}]
-    for passed in (np.bool_(True), False):
-        want = json.dumps({"config": _config_echo(args), "records": _jsonable(records),
-                           "pass": bool(passed)}, indent=2, default=repr) + "\n"
-        assert emit(args, records, passed) == want
+    records = [{"nan": float("nan"), "inf": float("inf"), "minus_inf": float("-inf"),
+                "plain": 1.25, "flag": True, "count": -7, "name": "x"}]
+    want = json.dumps({"config": _config_echo(args), "records": records, "pass": False},
+                      indent=2) + "\n"
+    assert emit(args, records, False) == want
+    assert '"nan": NaN' in want and '"minus_inf": -Infinity' in want
+    args = build_parser().parse_args(["choi", "--emit", "csv"])
+    row = emit(args, records, True).splitlines()[1]
+    assert row.startswith("nan,inf,-inf,1.25,True,-7,x,")
 
 
 def test_usage_error_exit_code():
@@ -239,6 +253,11 @@ BOUNDARY_CASES = [
     (["convexity", "--q", "1.5"], "need q >= 2"),
     (["convexity", "--p", "1"], "need 1 < p <= 2"),
     (["convexity", "--p", "2.5"], "need 1 < p <= 2"),
+    (["hyperc-verify", "--t", "0.1,0.2"], "--t takes one value"),
+    (["fock-moment", "(g+g*)^2", "--q", "0.1,0.2"], "--q takes one value"),
+    (["clt", "(s+s*)^2", "--q", "0.1,0.2"], "--q takes one value"),
+    (["fock-moment", "g1*g1g2*g2g3*g3", "--mu", "1,2"], "--mu takes one value or 3"),
+    (["clt", "g1*g2*g2g1", "--mu", "1,2,3"], "--mu takes one value or 2"),
 ]
 
 
@@ -277,3 +296,62 @@ def test_hyperc_search_beyond_n4(capsys, argv):
     assert code == 0
     (rec,) = json.loads(out)["records"]
     assert rec["max_ratio"] >= 1.0 - 1e-12
+
+
+def test_word_weights_broadcast_one_value(capsys):
+    # one --mu value stands for every letter index, as for the model commands
+    outs = []
+    for mu in ("1.5", "1.5,1.5"):
+        for argv in (["fock-moment", "g1*g2*g2g1"],
+                     ["clt", "g1*g2*g2g1", "--m", "3", "--samples", "2"]):
+            code, out, _ = run(capsys, argv + ["--mu", mu])
+            assert code == 0
+            outs.append(json.loads(out)["records"])
+    assert outs[:2] == outs[2:]
+    assert outs[0][0]["mu"] == "1.5,1.5"
+
+
+# the flags each command reads, besides --emit, --seed and --sign-seed
+TAKES = {
+    "relations": ("--n", "--mu", "--sign-file", "--tol"),
+    "density": ("--n", "--mu", "--sign-file", "--tol"),
+    "lpnorm": ("--n", "--mu", "--sign-file", "--p"),
+    "choi": ("--t", "--mu", "--tol"),
+    "convexity": ("--p", "--mu", "--q", "--samples", "--tol"),
+    "hyperc-verify": ("--n", "--mu", "--sign-file", "--p", "--t", "--restarts", "--tol"),
+    "hyperc-search": ("--n", "--mu", "--sign-file", "--p", "--t", "--restarts",
+                      "--direction"),
+    "necessary-time": ("--p", "--mu"),
+    "perturb": ("--p", "--mu", "--tol"),
+    "fock-moment": ("--q", "--mu"),
+    "clt": ("--q", "--mu", "--m", "--samples", "--tol"),
+}
+FLAG_VALUE = {"--direction": "dual", "--sign-file": "signs.json", "--n": "2"}
+ALL_FLAGS = sorted({f for flags in TAKES.values() for f in flags})
+WORD = {"fock-moment": ["g*g"], "clt": ["g*g"]}
+
+
+def _argv(command, flag, value=None):
+    return [command] + WORD.get(command, []) + [flag, value or FLAG_VALUE.get(flag, "1")]
+
+
+def test_commands_take_their_flags():
+    assert set(TAKES) == set(COMMANDS)
+    parser = build_parser()
+    for command, flags in TAKES.items():
+        for flag in flags + ("--emit", "--seed", "--sign-seed"):
+            args = parser.parse_args(_argv(command, flag, "csv" if flag == "--emit" else None))
+            assert getattr(args, flag[2:].replace("-", "_")) is not None
+
+
+REJECTED = [(c, f) for c in TAKES for f in ALL_FLAGS if f not in TAKES[c]]
+
+
+@pytest.mark.parametrize("command,flag", REJECTED, ids=[" ".join(x) for x in REJECTED])
+def test_flag_the_command_does_not_take_exits_one(capsys, command, flag):
+    with pytest.raises(SystemExit) as err:
+        main(_argv(command, flag))
+    captured = capsys.readouterr()
+    assert err.value.code == 1
+    assert captured.out == ""
+    assert "error:" in captured.err and flag in captured.err

@@ -271,6 +271,27 @@ def test_combine_matches_on_expanded_states():
         codes, coeffs = got
 
 
+@pytest.mark.parametrize("word", ["(s+s*)^6", "g1*g2*(s2+s2*)^2g2g1"])
+def test_chunked_expand_is_bitwise_unchunked(monkeypatch, word):
+    """Expanding a few operator terms at a time gives the moments of one
+    whole expansion per letter, bit for bit."""
+    letters = parse_word(word)
+    samples = [sample_signs(0.3, 2, 8, seed=5, sample_index=s) for s in range(2)]
+    whole = np.array([sample_moment(letters, s, (1.3, 1.9)) for s in samples])
+    rows = []
+    real = clt.expand_ops_sparse
+
+    def counting(codes, *rest):
+        rows.append(codes.shape[0])
+        return real(codes, *rest)
+
+    monkeypatch.setattr(clt, "expand_ops_sparse", counting)
+    monkeypatch.setattr(clt, "EXPAND_TERMS", 40)
+    chunked = np.array([sample_moment(letters, s, (1.3, 1.9)) for s in samples])
+    assert len(rows) > len(letters) * len(samples)   # some letter took several chunks
+    assert chunked.tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_sparse_inner_matches_intersect_bitwise(seed):
     rng = np.random.default_rng(10 + seed)
