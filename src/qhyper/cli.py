@@ -292,8 +292,8 @@ def cmd_necessary_time(args):
             wit = model.identity() + eps * model.apply_gamma(1, model.identity())
             t_hi = float(-0.5 * np.log(1.05 * thr.exact))
             t_lo = float(-0.5 * np.log(0.95 * thr.exact))
-            r_above = float(dual_contraction_ratio(model, wit, t_hi, pp))
-            r_below = float(dual_contraction_ratio(model, wit, t_lo, pp))
+            r_above = dual_contraction_ratio(model, wit, t_hi, pp)
+            r_below = dual_contraction_ratio(model, wit, t_lo, pp)
             records.append({
                 "p_prime": pp, "mu": mu, "exact": thr.exact,
                 "paper_display": thr.paper_display, "differs": thr.differs,
@@ -455,8 +455,19 @@ def emit(args, records, passed) -> str:
     """Records hold plain str, bool, int and float values; passed is a bool."""
     cfg = _config_echo(args)
     if args.emit == "json":
-        return json.dumps({"config": cfg, "records": records, "pass": passed},
-                          indent=2, sort_keys=False) + "\n"
+        # json.dumps(..., indent=2) byte for byte, the records from one call of the
+        # C encoder (indent makes json fall back to its pure-Python one): they are
+        # flat dicts of plain values and JSON escapes each newline in a string, so
+        # "},\n      {" occurs only between two records
+        if not all(type(rec) is dict and rec for rec in records) or \
+                not {type(v) for rec in records for v in rec.values()} <= {str, bool, int, float}:
+            raise TypeError("records must be non-empty flat dicts of plain values")
+        body = json.JSONEncoder(separators=(",\n      ", ": ")).encode(records)
+        body = body.replace("},\n      {", "\n    },\n    {\n      ")
+        body = "[\n    {\n      " + body[2:-2] + "\n    }\n  ]" if records else body
+        config = json.dumps(cfg, indent=2).replace("\n", "\n  ")
+        return (f'{{\n  "config": {config},\n  "records": {body},\n'
+                f'  "pass": {json.dumps(passed)}\n}}\n')
     buf = io.StringIO()
     provenance = json.dumps(cfg, sort_keys=True)
     fields = list(records[0].keys()) if records else ["pass"]

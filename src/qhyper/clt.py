@@ -7,12 +7,14 @@ s_i = m**-0.5 sum_j g_(i,j) converge in moments to the q-deformed
 circular variables, which is what the report measures against the
 exact oracle.
 
-A sparse state is a pair (codes, coeffs): one basis set per row of
-``codes`` as ascending letter codes padded with PAD, its amplitude in
-``coeffs``, and sums of modulus below 1e-15 pruned.  Moments are
-evaluated by splitting the word in half and pairing the two vacuum
-images, which keeps the support near (2m)**(len/2).  The inner loop
-lives in ``_kernels``.
+A sparse state is a pair (keys, coeffs): each basis set of ascending
+letter codes c_1 < c_2 < ... is one int64 key with base-1024 digits
+c_1 + 1, c_2 + 1, ..., most significant first, 0 in each empty slot (the
+vacuum is key 0).  Keys are unique and ascending, sums of modulus below
+1e-15 are pruned.  Moments are evaluated by splitting the word in half
+and pairing the two vacuum images, which keeps the support near
+(2m)**(len/2) and the keys at 3 digits (MAX_CLT_WORD = 6); 2nm <= 1022
+keeps each code + 1 below 1024.  The inner loop lives in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import PAD, expand_ops_sparse
+from ._kernels import expand_ops_sparse
 from .qfock import QParams, moment, parse_word, word_adjoint
 
 __all__ = [
@@ -101,45 +103,33 @@ def sample_signs(q: float, n: int, m: int, seed: int, sample_index: int = 0) -> 
 # ============================================================================
 
 
-def _vacuum_sparse(width: int):
-    """The vacuum as a sparse state (codes, coeffs)."""
-    return (np.full((1, width), PAD, dtype=np.int16),
-            np.ones(1, dtype=np.complex128))
+def _combine(keys: np.ndarray, coeffs: np.ndarray, prune: float = PRUNE_TOL):
+    """Sum the amplitudes of equal keys and drop sums of modulus <= prune.
 
-
-def _pack_keys(codes: np.ndarray) -> np.ndarray:
-    """One int64 key per row, base 1024: distinct while every code is below
-    1023 (``_validate_word`` bounds 2nm)."""
-    keys = np.zeros(codes.shape[0], dtype=np.int64)
-    for col in codes.T:
-        keys <<= 10
-        keys += np.where(col == PAD, 0, col + 1)
-    return keys
-
-
-def _combine(codes: np.ndarray, coeffs: np.ndarray, prune: float = PRUNE_TOL):
-    """Sum the amplitudes of equal rows and drop sums of modulus <= prune.
-
-    The rows come out in ascending packed-key order, one per key.  A stable
-    sort keeps equal keys in input order, so each sum adds its terms in the
-    order they came.
+    The keys come out ascending, one each.  Equal keys stay in input order,
+    so each sum adds its terms in the order they came.
     """
     if coeffs.size == 0:
-        return codes, coeffs
-    keys = _pack_keys(codes)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    start = np.empty(keys.size, dtype=bool)
-    start[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=start[1:])
-    run = np.cumsum(start) - 1
-    first = order[start]
-    terms = coeffs[order]
-    agg = np.empty(first.size, dtype=np.complex128)
-    agg.real = np.bincount(run, terms.real, first.size)
-    agg.imag = np.bincount(run, terms.imag, first.size)
+        return keys, coeffs
+    # a stable sort as one plain sort of the distinct key * 2**bits + position
+    bits = keys.size.bit_length()
+    if int(keys.max()) >> (63 - bits):
+        raise ValueError("keys too large to sort with their positions")
+    packed = keys << bits
+    packed |= np.arange(keys.size)
+    packed.sort()
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits
+    start = np.concatenate(([True], packed[1:] != packed[:-1]))
+    uniq = packed.take(np.flatnonzero(start))
+    del packed
+    run = np.cumsum(start)
+    run -= 1
+    agg = np.empty(uniq.size, dtype=np.complex128)
+    agg.real = np.bincount(run, coeffs.real[order], uniq.size)
+    agg.imag = np.bincount(run, coeffs.imag[order], uniq.size)
     keep = np.abs(agg) > prune
-    return codes[first[keep]], agg[keep]
+    return uniq[keep], agg[keep]
 
 
 def _letter_ops(kind: str, i: int, mu_i: float, n: int, m: int):
@@ -167,7 +157,7 @@ def _letter_ops(kind: str, i: int, mu_i: float, n: int, m: int):
             weights.astype(np.complex128))
 
 
-def _expand_combined(codes, coeffs, ops, epsneg):
+def _expand_combined(keys, coeffs, ops, epsneg, width):
     """One operator application with duplicate combining, chunked by operator terms.
 
     A chunk keeps the uncombined expansion near EXPAND_TERMS entries.  Its
@@ -175,36 +165,35 @@ def _expand_combined(codes, coeffs, ops, epsneg):
     running sums, pruned only at the end, so each sum adds its terms in the
     unchunked order and the result is bit-identical for any chunk size.
     """
-    step = max(1, EXPAND_TERMS // max(1, codes.shape[0]))
+    step = max(1, EXPAND_TERMS // max(1, keys.size))
     if ops[0].shape[0] <= step:
-        return _combine(*expand_ops_sparse(codes, coeffs, *ops, epsneg))
-    acc_c, acc_v = codes[:0], coeffs[:0]
+        return _combine(*expand_ops_sparse(keys, coeffs, *ops, epsneg, width))
+    acc_k, acc_v = keys[:0], coeffs[:0]
     for lo in range(0, ops[0].shape[0], step):
-        c, v = expand_ops_sparse(codes, coeffs, *(op[lo:lo + step] for op in ops), epsneg)
+        k, v = expand_ops_sparse(keys, coeffs, *(op[lo:lo + step] for op in ops), epsneg,
+                                 width)
         # a sum dropped at exactly 0 changes none of the sums it would add to
-        acc_c, acc_v = _combine(np.concatenate([acc_c, c]), np.concatenate([acc_v, v]),
+        acc_k, acc_v = _combine(np.concatenate([acc_k, k]), np.concatenate([acc_v, v]),
                                 prune=0.0)
     keep = np.abs(acc_v) > PRUNE_TOL
-    return acc_c[keep], acc_v[keep]
+    return acc_k[keep], acc_v[keep]
 
 
 def _apply_word(letters, sample: BigSignSample, mu, width: int):
     """Apply the letters right-to-left to the sparse vacuum."""
     epsneg = sample.epsneg()
-    codes, coeffs = _vacuum_sparse(width)
+    keys, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128)
     for kind, i in reversed(letters):
         ops = _letter_ops(kind, i, mu[i - 1], sample.n, sample.m)
-        codes, coeffs = _expand_combined(codes, coeffs, ops, epsneg)
-    return codes, coeffs
+        keys, coeffs = _expand_combined(keys, coeffs, ops, epsneg, width)
+    return keys, coeffs
 
 
-def _sparse_inner(ca, va, cb, vb) -> complex:
-    """<a, b> = sum_A a_A conj(b_A); both states come from ``_combine``, so
-    their packed keys are unique and ascending."""
-    if ca is cb and va is vb:
+def _sparse_inner(ka, va, kb, vb) -> complex:
+    """<a, b> = sum_A a_A conj(b_A) over the unique ascending keys of ``_combine``."""
+    if ka is kb and va is vb:
         return complex(np.sum(va * np.conj(va)))
-    _, ia, ib = np.intersect1d(_pack_keys(ca), _pack_keys(cb), assume_unique=True,
-                               return_indices=True)
+    _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
     return complex(np.sum(va[ia] * np.conj(vb[ib])))
 
 

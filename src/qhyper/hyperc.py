@@ -237,7 +237,7 @@ def contraction_ratio(model: BabyFock, X: np.ndarray, t: float, p: float) -> flo
         raise ValueError("zero element has no contraction ratio")
     num = np.sqrt(float(np.sum(_l2_weights(model, t) * np.abs(coeffs) ** 2)))
     den = haagerup_norm(model, X, p)
-    return num / den
+    return float(num / den)
 
 
 def dual_contraction_ratio(model: BabyFock, X: np.ndarray, t: float, pprime: float) -> float:
@@ -248,7 +248,7 @@ def dual_contraction_ratio(model: BabyFock, X: np.ndarray, t: float, pprime: flo
     scaled = coeffs * np.exp(-t * model.monomial_degrees)
     num = haagerup_norm(model, model.reconstruct(scaled), pprime)
     den = np.sqrt(float(np.sum(_l2_weights(model, 0.0) * np.abs(coeffs) ** 2)))
-    return num / den
+    return float(num / den)
 
 
 class RatioEvaluator:

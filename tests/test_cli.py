@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhyper.babyfock import get_model
 from qhyper.cli import COMMANDS, _config_echo, build_parser, emit, main, parse_values
@@ -111,6 +112,33 @@ def test_records_hold_plain_values(capsys):
     args = build_parser().parse_args(["choi", "--emit", "csv"])
     row = emit(args, records, True).splitlines()[1]
     assert row.startswith("nan,inf,-inf,1.25,True,-7,x,")
+
+
+JSON_TEXT = st.text(st.sampled_from('}{,"\\\n :aZ\u00e9\u2603\U0001f600'), max_size=8)
+JSON_VALUES = st.one_of(JSON_TEXT, st.booleans(), st.integers(), st.floats(),
+                        st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+
+
+JSON_ARGS = build_parser().parse_args(["choi"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(JSON_TEXT, JSON_VALUES, min_size=1, max_size=4), max_size=5),
+       st.booleans())
+def test_json_emission_matches_indented_dumps(records, passed):
+    """The one-call emitter gives json.dumps(..., indent=2) byte for byte, for
+    strings holding braces, commas, quotes, backslashes, newlines and
+    non-ASCII characters, non-finite floats, one-key records and no records."""
+    want = json.dumps({"config": _config_echo(JSON_ARGS), "records": records,
+                       "pass": passed}, indent=2) + "\n"
+    assert emit(JSON_ARGS, records, passed) == want
+
+
+def test_json_emission_rejects_nested_records():
+    args = build_parser().parse_args(["choi"])
+    for records in ([{"a": [1.0]}], [{}], [{"a": np.float64(1.0)}], [[("a", 1)]]):
+        with pytest.raises(TypeError, match="flat dicts"):
+            emit(args, records, True)
 
 
 def test_usage_error_exit_code():

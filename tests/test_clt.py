@@ -1,13 +1,16 @@
 """Random sign sampling and Monte-Carlo moment convergence."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from qhyper import clt
-from qhyper._kernels import PAD, expand_ops_sparse
+from qhyper._kernels import expand_ops_sparse
 from qhyper.clt import (_apply_word, _letter_ops, clt_estimate, convergence_report,
                         dense_reference_moment, pair_code, sample_moment, sample_signs)
-from qhyper.qfock import parse_word, word_adjoint
+from qhyper.qfock import _pair_weights, parse_word, word_adjoint
+from test_kernels import PAD, pack_rows, unpack_keys
 
 
 def letter_ops_by_pair_code(kind, i, mu_i, n, m):
@@ -85,11 +88,13 @@ def test_sample_signs_determinism_and_extremes():
 def test_sparse_apply_on_vacuum():
     m, mu = 7, (1.4,)
     sample = sample_signs(0.3, 1, m, seed=1)
-    codes, coeffs = _apply_word([("g", 1)], sample, mu, 4)
+    keys, coeffs = _apply_word([("g", 1)], sample, mu, 4)
     # m creation terms, each mu^-1 m^-1/2; annihilations die on the vacuum
     assert coeffs.size == m
     assert np.allclose(coeffs, 1.0 / (1.4 * np.sqrt(m)))
+    codes = unpack_keys(keys, 4)
     assert not np.any(np.all(codes == PAD, axis=1))
+    assert np.array_equal(pack_rows(codes), keys) and np.all(keys[1:] > keys[:-1])
 
 
 def test_second_moment_exact_zero_variance():
@@ -129,6 +134,72 @@ def test_sparse_matches_dense_small_models(n, m):
             sparse = sample_moment(letters, sample, mu)
             dense = dense_reference_moment(letters, sample, mu)
             assert abs(sparse - dense) <= 1e-12
+
+
+def pairings(points):
+    """Every pair partition of the list ``points``, as lists of (a, b), a < b."""
+    if not points:
+        yield []
+        return
+    a, rest = points[0], points[1:]
+    for idx, b in enumerate(rest):
+        for tail in pairings(rest[:idx] + rest[idx + 1:]):
+            yield [(a, b)] + tail
+
+
+def wick_moment(letters, sample, mu):
+    """tau of the word for one sign sample by the sign-matrix Wick formula,
+    with the sum of its term magnitudes.
+
+    tau = m^-k sum_pi prod_pairs tau(L_a L_b) sum_j prod_crossings E[j_P, j_Q]
+    over the pair partitions pi of the 2k letters.  A pair joins two letters
+    of one index i (``_pair_weights`` is 0 otherwise) on one pair index
+    (i, j_P); each crossing of pairs P, Q contributes the sample's sign
+    E[(i_P, j_P), (i_Q, j_Q)] (-1 on the diagonal), and the sum over the j_P
+    is one einsum over the crossing graph.  Every term (pi, j) has modulus
+    m^-k |prod_pairs tau(L_a L_b)|.
+    """
+    weights = _pair_weights(letters, mu)
+    m, k = sample.m, len(letters) // 2
+    total = scale = 0.0
+    for pairs in pairings(list(range(len(letters)))):
+        w = np.prod([weights[a][b] for a, b in pairs])
+        if w == 0.0:
+            continue
+        block = [slice((letters[a][1] - 1) * m, letters[a][1] * m) for a, _ in pairs]
+        operands = [x for p in range(k) for x in (np.ones(m), [p])]
+        for p, r in combinations(range(k), 2):
+            (a1, b1), (a2, b2) = pairs[p], pairs[r]
+            if a1 < a2 < b1 < b2:
+                operands += [sample.signs[block[p], block[r]].astype(float), [p, r]]
+        total += w * np.einsum(*operands, [])
+        scale += abs(w) * m ** k
+    return total / m ** k, scale / m ** k
+
+
+@pytest.mark.parametrize("word,q,mu", [("(s+s*)^4", -0.5, (1.0,)),
+                                       ("(s+s*)^6", 0.5, (1.0,)),
+                                       ("s*s", 0.0, (1.7,)),
+                                       ("(g1+g1*)(g2+g2*)(g1+g1*)(g2+g2*)g2*g2", 0.3,
+                                        (1.3, 1.9))])
+def test_sample_moment_matches_wick_formula(word, q, mu):
+    """The sparse moment equals the exact Wick sum sample by sample, far past
+    the n*m <= 3 of the dense reference."""
+    letters = parse_word(word)
+    for m in (5, 17, 40):
+        for s in range(3):
+            sample = sample_signs(q, len(mu), m, seed=13, sample_index=s)
+            want, scale = wick_moment(letters, sample, mu)
+            got = sample_moment(letters, sample, mu)
+            assert abs(got - want) <= 1e-12 * scale
+
+
+def test_wick_moment_matches_dense_reference():
+    sample = sample_signs(-0.4, 1, 3, seed=2)
+    for word in ("(s+s*)^4", "s*s s*s", "s s* s s*", "(s+s*)^2 s*s"):
+        letters = parse_word(word)
+        want, scale = wick_moment(letters, sample, (1.3,))
+        assert abs(dense_reference_moment(letters, sample, (1.3,)) - want) <= 1e-12 * scale
 
 
 def test_hermiticity_per_sample():
@@ -213,7 +284,7 @@ def unique_combine(codes, coeffs, prune=clt.PRUNE_TOL):
     """Duplicate combining by np.unique, np.add.at and a first-index scatter."""
     if coeffs.size == 0:
         return codes, coeffs
-    uniq, inv = np.unique(clt._pack_keys(codes), return_inverse=True)
+    uniq, inv = np.unique(pack_rows(codes), return_inverse=True)
     agg = np.zeros(uniq.size, dtype=np.complex128)
     np.add.at(agg, inv, coeffs)
     first = np.zeros(uniq.size, dtype=np.int64)
@@ -224,7 +295,7 @@ def unique_combine(codes, coeffs, prune=clt.PRUNE_TOL):
 
 def intersect_inner(ca, va, cb, vb):
     """<a, b> by sorting both key sets and np.intersect1d."""
-    ka, kb = clt._pack_keys(ca), clt._pack_keys(cb)
+    ka, kb = pack_rows(ca), pack_rows(cb)
     sa, sb = np.argsort(ka), np.argsort(kb)
     _, ia, ib = np.intersect1d(ka[sa], kb[sb], assume_unique=True, return_indices=True)
     return complex(np.sum(va[sa][ia] * np.conj(vb[sb][ib])))
@@ -253,22 +324,31 @@ def bitwise_equal(a, b):
 def test_combine_matches_unique_add_at_bitwise(seed):
     rng = np.random.default_rng(seed)
     codes, coeffs = random_terms(rng, 500 * (seed + 1))
-    got, want = clt._combine(codes, coeffs), unique_combine(codes, coeffs)
-    assert bitwise_equal(got[0], want[0]) and bitwise_equal(got[1], want[1])
-    keys = clt._pack_keys(got[0])
+    got, want = clt._combine(pack_rows(codes), coeffs), unique_combine(codes, coeffs)
+    assert bitwise_equal(got[0], pack_rows(want[0])) and bitwise_equal(got[1], want[1])
+    keys = got[0]
     assert np.all(keys[1:] > keys[:-1])
-    assert got[1].size < np.unique(clt._pack_keys(codes)).size   # the cancelled row
+    assert got[1].size < np.unique(pack_rows(codes)).size   # the cancelled row
+
+
+def test_combine_rejects_keys_too_large_to_pack_with_positions():
+    # two terms take two position bits (the bit length of 2), so keys stay below 2**61
+    coeffs = np.ones(2, dtype=np.complex128)
+    with pytest.raises(ValueError, match="too large"):
+        clt._combine(np.array([1 << 61, 0], dtype=np.int64), coeffs)
+    keys, agg = clt._combine(np.array([(1 << 61) - 1, 0], dtype=np.int64), coeffs)
+    assert keys.tolist() == [0, (1 << 61) - 1] and agg.tolist() == [1, 1]
 
 
 def test_combine_matches_on_expanded_states():
     sample = sample_signs(0.5, 2, 12, seed=4)
     ops = _letter_ops("x", 2, 1.3, 2, 12)
-    codes, coeffs = clt._vacuum_sparse(4)
+    keys, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128)
     for _ in range(4):
-        terms = expand_ops_sparse(codes, coeffs, *ops, sample.epsneg())
-        got, want = clt._combine(*terms), unique_combine(*terms)
-        assert bitwise_equal(got[0], want[0]) and bitwise_equal(got[1], want[1])
-        codes, coeffs = got
+        terms = expand_ops_sparse(keys, coeffs, *ops, sample.epsneg(), 4)
+        got, want = clt._combine(*terms), unique_combine(unpack_keys(terms[0], 4), terms[1])
+        assert bitwise_equal(got[0], pack_rows(want[0])) and bitwise_equal(got[1], want[1])
+        keys, coeffs = got
 
 
 @pytest.mark.parametrize("word", ["(s+s*)^6", "g1*g2*(s2+s2*)^2g2g1"])
@@ -295,13 +375,14 @@ def test_chunked_expand_is_bitwise_unchunked(monkeypatch, word):
 @pytest.mark.parametrize("seed", range(4))
 def test_sparse_inner_matches_intersect_bitwise(seed):
     rng = np.random.default_rng(10 + seed)
-    a = clt._combine(*random_terms(rng, 300))
-    b = clt._combine(*random_terms(rng, 200))
+    a, b = (clt._combine(pack_rows(c), v) for c, v in (random_terms(rng, 300),
+                                                        random_terms(rng, 200)))
+    rows_a, rows_b = (unpack_keys(a[0], 3), a[1]), (unpack_keys(b[0], 3), b[1])
     got = clt._sparse_inner(*a, *a)
-    want = intersect_inner(*a, *a)
+    want = intersect_inner(*rows_a, *rows_a)
     assert got.real.hex() == want.real.hex() and got.imag.hex() == want.imag.hex()
-    got, want = clt._sparse_inner(*a, *b), intersect_inner(*a, *b)
+    got, want = clt._sparse_inner(*a, *b), intersect_inner(*rows_a, *rows_b)
     assert got.real.hex() == want.real.hex() and got.imag.hex() == want.imag.hex()
     # a state against an equal copy takes the general path
     copy = tuple(x.copy() for x in a)
-    assert clt._sparse_inner(*a, *copy) == intersect_inner(*a, *a)
+    assert clt._sparse_inner(*a, *copy) == intersect_inner(*rows_a, *rows_a)

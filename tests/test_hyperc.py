@@ -171,6 +171,12 @@ def test_contraction_ratio_basics(m2):
         contraction_ratio(m2, np.zeros_like(ident), 0.5, 1.5)
 
 
+def test_contraction_ratios_are_python_floats(m2):
+    x = m2.random_element(np.random.default_rng(6))
+    assert type(contraction_ratio(m2, x, 0.3, 1.5)) is float
+    assert type(dual_contraction_ratio(m2, x, 0.3, 4.0)) is float
+
+
 def test_ratio_evaluator_matches_direct(m2):
     rng = np.random.default_rng(5)
     c = rng.standard_normal(m2.dim) + 1j * rng.standard_normal(m2.dim)

@@ -4,7 +4,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhyper._kernels import PAD, apply_beta_batch, expand_ops_sparse, popcount_table
+from qhyper._kernels import apply_beta_batch, expand_ops_sparse, popcount_table
+
+# the references below read a sparse state as (N, width) int16 rows of
+# ascending letter codes padded with PAD; pack_rows and unpack_keys convert
+# between those rows and the kernel's packed int64 keys
+PAD = np.int16(30000)
+
+
+def pack_rows(codes):
+    """One int64 key per row, base 1024: digit code + 1 per letter, most
+    significant first, and 0 per PAD."""
+    keys = np.zeros(codes.shape[0], dtype=np.int64)
+    for col in codes.T:
+        keys <<= 10
+        keys += np.where(col == PAD, 0, col + 1)
+    return keys
+
+
+def unpack_keys(keys, width):
+    """The (N, width) rows of the keys, digit by digit."""
+    rows = np.full((len(keys), width), PAD, dtype=np.int16)
+    for r, key in enumerate(int(k) for k in keys):
+        for t in range(width):
+            digit = (key >> 10 * (width - 1 - t)) & 1023
+            if digit:
+                rows[r, t] = digit - 1
+    return rows
 
 
 def test_parity_table():
@@ -133,10 +159,18 @@ def combined(c, v):
     return acc
 
 
+def expand_rows(codes, coeffs, ops, epsneg):
+    """expand_ops_sparse on rows: the output keys unpacked, and the keys."""
+    keys, v = expand_ops_sparse(pack_rows(codes), coeffs, *ops, epsneg, codes.shape[1])
+    assert keys.dtype == np.int64
+    return unpack_keys(keys, codes.shape[1]), v, keys
+
+
 def assert_matches_reference(codes, coeffs, ops, epsneg):
     ref = reference_expand(codes, coeffs, *ops, epsneg)
-    c, v = expand_ops_sparse(codes, coeffs, *ops, epsneg)
+    c, v, keys = expand_rows(codes, coeffs, ops, epsneg)
     assert c.dtype == np.int16 and c.shape == (len(ref), codes.shape[1])
+    assert keys.tobytes() == pack_rows(c).tobytes()
     # op-major order, as the duplicate combining downstream sums in it
     assert [tuple(r) for r in c.tolist()] == [row for row, _ in ref]
     assert np.allclose(v, [val for _, val in ref], rtol=1e-14, atol=0.0)
@@ -170,19 +204,19 @@ def test_expand_matches_reference():
     codes, coeffs, ops, epsneg = _fixed_case()
     assert_matches_reference(codes, coeffs, ops, epsneg)
     # no op applies: an empty, correctly shaped result
-    c, v = expand_ops_sparse(codes[:1], coeffs[:1], ops[0][1:2], ops[1][1:2],
-                             ops[2][1:2], epsneg)
-    assert c.shape == (0, 4) and v.shape == (0,)
+    keys, v = expand_ops_sparse(pack_rows(codes[:1]), coeffs[:1], ops[0][1:2], ops[1][1:2],
+                                ops[2][1:2], epsneg, 4)
+    assert keys.shape == (0,) and keys.dtype == np.int64 and v.shape == (0,)
 
 
 def test_expand_rejects_exhausted_capacity():
     codes, coeffs, ops, epsneg = _fixed_case()
     full = np.array([[0, 1, 5, 7]], dtype=np.int16)
     with pytest.raises(ValueError, match="capacity"):
-        expand_ops_sparse(full, coeffs[:1], *ops, epsneg)
+        expand_rows(full, coeffs[:1], ops, epsneg)
     # an annihilation on a full row, or a creation of a present code, fits
-    c, _ = expand_ops_sparse(full, coeffs[:1], np.array([5, 1], dtype=np.int16),
-                             np.array([False, True]), ops[2][:2], epsneg)
+    c, _, _ = expand_rows(full, coeffs[:1], (np.array([5, 1], dtype=np.int16),
+                                             np.array([False, True]), ops[2][:2]), epsneg)
     assert c.tolist() == [[0, 1, 7, PAD]]
 
 
@@ -215,6 +249,49 @@ def test_expand_property(case):
         reference_expand(codes, coeffs, *ops, epsneg)
     except ValueError:
         with pytest.raises(ValueError, match="capacity"):
-            expand_ops_sparse(codes, coeffs, *ops, epsneg)
+            expand_rows(codes, coeffs, ops, epsneg)
+        return
+    assert_matches_reference(codes, coeffs, ops, epsneg)
+
+
+@st.composite
+def padded_rows(draw, width):
+    row = sorted(draw(st.sets(st.integers(0, 1021), max_size=width)))
+    return row + [int(PAD)] * (width - len(row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda w: st.lists(padded_rows(w), min_size=1, max_size=8)),
+       st.lists(st.tuples(st.integers(0, 1021), st.booleans()), max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_keys_round_trip_order_and_wide_codes(rows, extra_ops, seed):
+    """Rows of up to six codes below 1022 pack to keys that unpack to the rows
+    and sort as the rows do lexicographically with PAD below every code; the
+    kernel expands such keys as the references expand the rows."""
+    codes = np.array(rows, dtype=np.int16)
+    keys = pack_rows(codes)
+    assert unpack_keys(keys, codes.shape[1]).tobytes() == codes.tobytes()
+    digits = [tuple(0 if c == PAD else c + 1 for c in row) for row in rows]
+    assert sorted(range(len(rows)), key=lambda r: (keys[r], r)) == \
+        sorted(range(len(rows)), key=lambda r: (digits[r], r))
+    # every code of the rows created and annihilated, and a few more ops
+    held = sorted({c for row in rows for c in row if c != PAD})
+    ops = [(c, create) for c in held for create in (False, True)] + extra_ops
+    if not ops:
+        return
+    rng = np.random.default_rng(seed)
+    # random signs among the codes in use, the only entries the expansion reads
+    used = np.array(sorted(set(held) | {c for c, _ in ops}))
+    signs = np.triu((rng.random((used.size, used.size)) < 0.5).astype(np.uint8))
+    epsneg = np.zeros((1022, 1022), dtype=np.uint8)
+    epsneg[np.ix_(used, used)] = signs | signs.T
+    coeffs = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    ops = (np.array([c for c, _ in ops], dtype=np.int16), np.array([f for _, f in ops]),
+           rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops)))
+    try:
+        reference_expand(codes, coeffs, *ops, epsneg)
+    except ValueError:
+        with pytest.raises(ValueError, match="capacity"):
+            expand_rows(codes, coeffs, ops, epsneg)
         return
     assert_matches_reference(codes, coeffs, ops, epsneg)
