@@ -5,8 +5,9 @@ Every command takes only the flags it reads and echoes their settings
 and exits 0 when all asserted checks pass, 1 on usage errors, and 2 when
 a numerical assertion fails (failing records go to stderr).  Grid-valued
 flags accept a single number, a comma list, or start:stop:step; an empty
-grid, a non-finite value, a count (--samples, --restarts) below 1, or
-more than one value for a single-valued flag is a usage error.
+grid, a non-finite value, a count (--samples, --restarts) below 1, a
+negative --tol, or more than one value for a single-valued flag is a
+usage error.
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite value of at least 0."""
+    tol = float(text)
+    if not 0.0 <= tol < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return tol
+
+
 def _one(text: str, flag: str) -> float:
     """The value of a single-valued flag."""
     values = parse_values(text)
@@ -124,8 +133,7 @@ def cmd_relations(args):
 def cmd_density(args):
     model = get_model(_model_from_args(args))
     tol = args.tol if args.tol is not None else 1e-9
-    dens = get_density(model)
-    D = dens.density
+    D = get_density(model)
     records = []
     eigs = np.linalg.eigvalsh(D)
     trace_err = abs(float(np.trace(D).real) - 1.0)
@@ -138,7 +146,7 @@ def cmd_density(args):
         diff = float(np.linalg.norm(solved - D) / np.linalg.norm(D))
         records.append({"check": "solve_agrees", "residual": diff, "tol": tol,
                         "pass": diff <= tol})
-    half = dens.power(0.5)
+    half = get_density(model, 0.5)
     for i in range(1, model.n + 1):
         want = model.mu[i - 1] ** -2
         got = float(np.trace(model.apply_gamma_star(i, model.apply_gamma(i, D))).real)
@@ -160,12 +168,11 @@ def cmd_density(args):
 def cmd_lpnorm(args):
     model = get_model(_model_from_args(args))
     ps = parse_values(args.p) if args.p else [2.0, 3.0, 4.0, 6.0]
-    dens = get_density(model)
     records = []
     for i in range(1, model.n + 1):
         mu = model.mu[i - 1]
         for p in ps:
-            nrm = schatten_norm(model.apply_gamma(i, dens.power(1.0 / p)), p)
+            nrm = schatten_norm(model.apply_gamma(i, get_density(model, 1.0 / p)), p)
             ratio = float(nrm / mu ** (1.0 - 4.0 / p))
             rec = {"index": i, "p": p, "norm": nrm, "growth_ratio": ratio,
                    "pass": bool(0.7 <= ratio <= 1.5) if mu >= 2 else True}
@@ -312,11 +319,10 @@ def cmd_perturb(args):
             raise ValueError("perturb needs mu > 1 (the expansion assumes lam > 1)")
         params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
         model = get_model(params)
-        dens = get_density(model)
         g = model.apply_gamma(1, model.identity())
         ident = np.eye(model.dim)
         for p in ps:
-            d = dens.power(1.0 / p)
+            d = get_density(model, 1.0 / p)
             lam = mu ** (4.0 / p)
             closed = expansion_second_order(d, g, p, lam)
             frech = expansion_via_frechet(d, g, p)
@@ -408,7 +414,7 @@ _FLAGS = {
     "--m": {"help": "sum length value or grid"},
     "--samples": {"type": _count},
     "--restarts": {"type": _count},
-    "--tol": {"type": float, "help": "tolerance override"},
+    "--tol": {"type": _tolerance, "help": "tolerance override"},
     "--direction": {"choices": ("primal", "dual"), "default": "primal"},
     "--sign-seed": {"type": int, "default": 0},
     "--seed": {"type": int, "default": 0},
@@ -473,9 +479,8 @@ def emit(args, records, passed) -> str:
     fields = list(records[0].keys()) if records else ["pass"]
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields + ["provenance"])
-    for rec in records:
-        writer.writerow([repr(rec.get(f)) if isinstance(rec.get(f), float)
-                         else rec.get(f) for f in fields] + [provenance])
+    # csv writes a float as str(), which is repr() for a float
+    writer.writerows([*map(rec.get, fields), provenance] for rec in records)
     return buf.getvalue()
 
 

@@ -35,6 +35,8 @@ __all__ = [
 MAX_CLT_WORD = 6
 MAX_CLT_M = 64
 PRUNE_TOL = 1e-15
+# pinned single-sample moments per convergence_report row
+TRAJECTORIES = 3
 # uncombined expansion entries made at a time by _expand_combined
 EXPAND_TERMS = 1 << 22
 
@@ -257,13 +259,12 @@ def clt_estimate(letters, q: float, mu, m: int, samples: int, seed: int):
     return _estimate(letters, q, mu, n, m, samples, seed)[1:]
 
 
-def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int,
-                       trajectories: int = 3) -> list:
+def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int) -> list:
     """Rows of (m, mean, stderr, oracle, abs err) against the exact oracle.
 
     The limit statement holds sample by sample, so each row also carries
-    the raw moments of the first few pinned sign samples ("traj", at
-    most ``samples`` of them), not just the average.
+    the raw moments of the first ``TRAJECTORIES`` pinned sign samples
+    ("traj", at most ``samples`` of them), not just the average.
     """
     letters, mu, n = _prepare(letters, mu, samples)
     for m in m_list:
@@ -275,7 +276,7 @@ def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int,
         vals, mean, stderr = _estimate(letters, q, mu, n, int(m), samples, seed)
         rows.append({"m": int(m), "mean": mean, "stderr": stderr,
                      "oracle": oracle, "abs_err": abs(mean - oracle),
-                     "traj": [complex(v) for v in vals[:trajectories]]})
+                     "traj": [complex(v) for v in vals[:TRAJECTORIES]]})
     return rows
 
 
@@ -283,16 +284,14 @@ def dense_reference_moment(letters, sample: BigSignSample, mu) -> complex:
     """Dense cross-check: evaluate the same moment in the flat base model.
 
     The lifted model with nm total pair indices is itself a base model
-    whose k-th gaussian is g_(i,j) with k = (i-1) m + j; only small
-    instances (nm <= 3) are accepted.
+    whose k-th gaussian is g_(i,j) with k = (i-1) m + j, so nm is bounded
+    by the base model's MAX_N.
     """
     from .babyfock import BabyFock
     from .signs import ModelParams, SignTable
 
     n, m = sample.n, sample.m
     nm = n * m
-    if nm > 3:
-        raise ValueError("dense reference limited to n*m <= 3")
     table = SignTable.from_dict(
         {(k, l): int(sample.signs[k - 1, l - 1]) for k in range(1, nm + 1)
          for l in range(k + 1, nm + 1)}, nm)

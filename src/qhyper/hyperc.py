@@ -321,9 +321,6 @@ class ViolationWitness:
 
     coeffs: np.ndarray
     ratio: float
-    t: float
-    p: float
-    direction: str
 
 
 def _canonical_seeds(model: BabyFock) -> list:
@@ -403,8 +400,7 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
         if ratio[blk_best] > best_ratio:
             best_ratio = float(ratio[blk_best])
             best_coeffs = C[blk_best].copy()
-    return ViolationWitness(coeffs=best_coeffs, ratio=best_ratio, t=t, p=p,
-                            direction=direction)
+    return ViolationWitness(coeffs=best_coeffs, ratio=best_ratio)
 
 
 # ============================================================================
@@ -426,13 +422,12 @@ def witness_dual_to_primal(model: BabyFock, coeffs: np.ndarray, t: float, p: flo
     returns an algebra element because everything is a function of
     elements of the algebra.
     """
-    dens = get_density(model)
     pprime = p / (p - 1.0)
     scaled = np.asarray(coeffs) * np.exp(-t * model.monomial_degrees)
-    z = model.reconstruct(scaled) @ dens.power(1.0 / pprime)
+    z = model.reconstruct(scaled) @ get_density(model, 1.0 / pprime)
     z /= schatten_norm(z, pprime)
     xi = z @ psd_power(z.conj().T @ z, (pprime - 2.0) / 2.0)
-    out = model.expand(xi @ dens.power(-1.0 / p))
+    out = model.expand(xi @ get_density(model, -1.0 / p))
     return out / np.linalg.norm(out)
 
 

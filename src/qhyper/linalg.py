@@ -10,37 +10,33 @@ is catastrophically cancellative for near-equal arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "CONFLUENT_RELGAP", "HermitianSpectrum", "eig_hermitian", "singular_values",
+    "CONFLUENT_RELGAP", "eig_hermitian", "singular_values",
     "schatten_norm", "schatten_norm_from_sv", "psd_power", "PowerDividedDifferences",
     "frechet1", "frechet2", "c_coeff", "expansion_second_order",
     "expansion_via_frechet", "first_order_term", "richardson_second_coeff",
 ]
 
 CONFLUENT_RELGAP = 1e-7
+# relative size of an anti-Hermitian part, and of a negative eigenvalue of
+# psd_power's input, below which it is taken as roundoff
+SPECTRAL_TOL = 1e-10
+# halved eps grid of richardson_second_coeff
+RICHARDSON_EPS = (1e-2, 5e-3, 2.5e-3)
 _TINY = 1e-300
 
 
-@dataclass
-class HermitianSpectrum:
-    """Eigenvalues in descending order with the matching unitary."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(A: np.ndarray, tol: float = 1e-10) -> HermitianSpectrum:
-    """Spectral decomposition; rejects visibly non-Hermitian input."""
+def eig_hermitian(A: np.ndarray) -> tuple:
+    """(w, v): eigenvalues in descending order and the matching unitary;
+    rejects visibly non-Hermitian input."""
     A = np.asarray(A)
     scale = np.linalg.norm(A)
-    if np.linalg.norm(A - A.conj().T) > tol * max(scale, _TINY):
+    if np.linalg.norm(A - A.conj().T) > SPECTRAL_TOL * max(scale, _TINY):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(A)
-    return HermitianSpectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:
@@ -73,17 +69,15 @@ def schatten_norm_from_sv(s: np.ndarray, p: float):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def psd_power(A: np.ndarray, alpha: float, tol: float = 1e-10) -> np.ndarray:
+def psd_power(A: np.ndarray, alpha: float) -> np.ndarray:
     """A**alpha by spectral calculus for positive semidefinite A."""
-    spec = eig_hermitian(A, tol=tol)
-    w = spec.eigenvalues
+    w, v = eig_hermitian(A)
     top = np.max(np.abs(w)) if w.size else 0.0
-    if np.min(w) < -tol * max(top, _TINY):
+    if np.min(w) < -SPECTRAL_TOL * max(top, _TINY):
         raise ValueError("matrix is not positive semidefinite within tolerance")
     w = np.clip(w, 0.0, None)
     if alpha < 0 and np.min(w) <= 0.0:
         raise ValueError("negative power of a singular matrix")
-    v = spec.eigenvectors
     return (v * w ** alpha) @ v.conj().T
 
 
@@ -99,10 +93,8 @@ class PowerDividedDifferences:
     patterns fall back to the analytic limit formulas.
     """
 
-    def __init__(self, p: float, relgap: float = CONFLUENT_RELGAP):
-        self.p = float(p)
+    def __init__(self, p: float):
         self.half = 0.5 * float(p)
-        self.relgap = relgap
 
     def f(self, a):
         return a ** self.half
@@ -120,7 +112,7 @@ class PowerDividedDifferences:
     def f1(self, a, b):
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        near = self._gap(a, b) <= self.relgap
+        near = self._gap(a, b) <= CONFLUENT_RELGAP
         denom = np.where(near, 1.0, a - b)
         quot = (self.f(a) - self.f(b)) / denom
         return np.where(near, self.df(0.5 * (a + b)), quot)
@@ -129,12 +121,12 @@ class PowerDividedDifferences:
         a = np.asarray(a, dtype=np.float64)
         b, c = np.asarray(b, dtype=np.float64), np.asarray(c, dtype=np.float64)
         a, b, c = np.broadcast_arrays(a, b, c)
-        near_ab = self._gap(a, b) <= self.relgap
+        near_ab = self._gap(a, b) <= CONFLUENT_RELGAP
         denom = np.where(near_ab, 1.0, a - b)
         quot = (self.f1(a, c) - self.f1(b, c)) / denom
         # a ~ b: differentiate the first slot of f1(., c) at the midpoint
         ab = 0.5 * (a + b)
-        near_abc = self._gap(ab, c) <= self.relgap
+        near_abc = self._gap(ab, c) <= CONFLUENT_RELGAP
         dd = np.where(near_abc, 1.0, ab - c)
         partial = (self.df(ab) * dd - (self.f(ab) - self.f(c))) / dd ** 2
         lim = np.where(near_abc, 0.5 * self.d2f((ab + c) / 2.0), partial)
@@ -142,17 +134,15 @@ class PowerDividedDifferences:
 
 
 def _spectral_setup(x: np.ndarray, p: float):
-    spec = eig_hermitian(x)
-    w = spec.eigenvalues
+    w, v = eig_hermitian(x)
     if np.min(w) <= 1e-8 * max(np.max(np.abs(w)), _TINY):
         raise ValueError("x must be safely positive definite for the derivative formulas")
-    return spec, PowerDividedDifferences(p)
+    return w, v, PowerDividedDifferences(p)
 
 
 def frechet1(x: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
     """Derivative of x -> x**(p/2) at positive definite x applied to h."""
-    spec, dd = _spectral_setup(x, p)
-    w, v = spec.eigenvalues, spec.eigenvectors
+    w, v, dd = _spectral_setup(x, p)
     hp = v.conj().T @ h @ v
     k1 = dd.f1(w[:, None], w[None, :])
     return v @ (k1 * hp) @ v.conj().T
@@ -163,8 +153,7 @@ def frechet2(x: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
 
     Returns 2 * sum_{s,t,u} f2(l_s, l_t, l_u) p_s h p_t h p_u.
     """
-    spec, dd = _spectral_setup(x, p)
-    w, v = spec.eigenvalues, spec.eigenvectors
+    w, v, dd = _spectral_setup(x, p)
     hp = v.conj().T @ h @ v
     t2 = dd.f2(w[:, None, None], w[None, :, None], w[None, None, :])
     k = 2.0 * np.einsum("stu,st,tu->su", t2, hp, hp, optimize=True)
@@ -186,14 +175,14 @@ def c_coeff(p: float, lam: float) -> float:
     return (lam ** p - 1.0) / ((l2 - 1.0) * (1.0 - 1.0 / l2)) - p * l2 / (2.0 * (l2 - 1.0))
 
 
-def _check_modular_pair(d: np.ndarray, g: np.ndarray, lam: float, tol: float = 1e-8):
+def _check_modular_pair(d: np.ndarray, g: np.ndarray, lam: float):
     d = np.asarray(d)
     g = np.asarray(g)
-    if np.linalg.norm(d - d.conj().T) > 1e-10 * max(np.linalg.norm(d), _TINY):
+    if np.linalg.norm(d - d.conj().T) > SPECTRAL_TOL * max(np.linalg.norm(d), _TINY):
         raise ValueError("d must be self-adjoint")
     resid = np.linalg.norm(d @ g - lam * (g @ d))
     scale = max(np.linalg.norm(d) * np.linalg.norm(g), _TINY)
-    if resid > tol * scale:
+    if resid > 1e-8 * scale:
         raise ValueError(f"d g = lam g d violated: residual {resid:.3e} vs scale {scale:.3e}")
 
 
@@ -236,22 +225,21 @@ def first_order_term(d: np.ndarray, g: np.ndarray, p: float) -> float:
     return float(np.real(np.trace(frechet1(d @ d, h1, p))))
 
 
-def richardson_second_coeff(fn, eps_values=(1e-2, 5e-3, 2.5e-3)) -> float:
+def richardson_second_coeff(fn) -> float:
     """eps**2 Taylor coefficient of fn at 0 by extrapolated central differences.
 
     Each estimate (fn(e) + fn(-e) - 2 fn(0)) / (2 e**2) has an error
     series in e**2; Richardson extrapolation over the halved eps grid
-    removes the leading terms.
+    ``RICHARDSON_EPS`` removes the leading terms.
     """
-    eps_values = list(eps_values)
     f0 = fn(0.0)
-    est = [(fn(e) + fn(-e) - 2.0 * f0) / (2.0 * e * e) for e in eps_values]
+    est = [(fn(e) + fn(-e) - 2.0 * f0) / (2.0 * e * e) for e in RICHARDSON_EPS]
     table = [est]
     for level in range(1, len(est)):
         prev = table[-1]
         row = []
         for i in range(len(prev) - 1):
-            w = ((eps_values[i] / eps_values[i + 1]) ** 2) ** level
+            w = ((RICHARDSON_EPS[i] / RICHARDSON_EPS[i + 1]) ** 2) ** level
             row.append((w * prev[i + 1] - prev[i]) / (w - 1.0))
         table.append(row)
     return float(table[-1][0])

@@ -18,6 +18,8 @@ __all__ = ["SignTable", "ModelParams", "MAX_N"]
 
 # dense 4**n GNS matrices (4096 at n = 6); the ratio search runs at 2**n (64)
 MAX_N = 6
+# P(+1) of each off-diagonal sign drawn by SignTable.random
+P_PLUS = 0.5
 
 
 @dataclass(frozen=True)
@@ -54,13 +56,13 @@ class SignTable:
         return cls.from_dict({(k, l): 1 for k in range(1, n + 1) for l in range(k + 1, n + 1)}, n)
 
     @classmethod
-    def random(cls, n: int, seed: int, p_plus: float = 0.5) -> "SignTable":
-        """i.i.d. off-diagonal signs with P(+1) = p_plus, Philox-keyed by seed."""
+    def random(cls, n: int, seed: int) -> "SignTable":
+        """i.i.d. off-diagonal signs with P(+1) = P_PLUS, Philox-keyed by seed."""
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
         pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
         draws = rng.random(len(pairs))
         return cls.from_dict(
-            {pair: (1 if u < p_plus else -1) for pair, u in zip(pairs, draws)}, n)
+            {pair: (1 if u < P_PLUS else -1) for pair, u in zip(pairs, draws)}, n)
 
     def eps(self, i: int, j: int) -> int:
         """Full sign function on I x I."""

@@ -10,7 +10,7 @@ projection p_i = g*_i g_i / (mu_i**2 + mu_i**-2),
 
 a product of n commuting two-level factors whose trace is exactly one.
 Every power D**alpha is the product of the factors raised to alpha,
-applied to the identity by the letter kernels (``DensityFactorization``);
+applied to the identity by the letter kernels (``get_density(model, alpha)``);
 no eigendecomposition and no dense projection is formed.  L^p elements
 are x D**(1/p) with the Schatten p-norm.  No generator is stored as a
 matrix: g_i D**(1/p) is one letter application on D**(1/p), which is how
@@ -28,16 +28,13 @@ with no scale factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .babyfock import BabyFock
 from .linalg import schatten_norm
 
 __all__ = [
-    "DensityFactorization", "density_closed_form", "get_density",
-    "density_solve", "haagerup_embed", "haagerup_norm", "modular_check",
+    "get_density", "density_solve", "haagerup_norm", "modular_check",
     "embed_lower", "defining_property_residual", "SOLVE_MAX_N",
 ]
 
@@ -49,45 +46,40 @@ PAIR_BLOCK = 1 << 18
 VERIFY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DensityFactorization:
-    """The vacuum density of ``model``: D = 2**-n prod_i F_i with the commuting
-    factors F_i = (1 - lambda_i) (1 - p_i) + lambda_i p_i.  Only the model is held;
-    the powers are cached on it as plain arrays, so the two form no reference cycle.
+def get_density(model: BabyFock, alpha: float = 1.0) -> np.ndarray:
+    """D**alpha for the vacuum density D = 2**-n prod_i F_i, with the commuting factors
+    F_i = (1 - lambda_i) (1 - p_i) + lambda_i p_i, lambda_i = 1/(1 + mu_i**4).
+
+    D**alpha = 2**(-n alpha) prod_i F_i**alpha is applied to the identity and cached
+    on the model per alpha: F_i**alpha X = (1 - lambda_i)**alpha X + (lambda_i**alpha -
+    (1 - lambda_i)**alpha) p_i X, p_i X = g*_i g_i X / (mu_i**2 + mu_i**-2), two
+    letter applications per index.  Every lambda_i is in (0, 1), so every real
+    power exists; the product of the F_i has trace exactly 2**n (pi(rho) tensor 1,
+    rho of trace one on C**(2**n)), so no computed trace is divided out.  D itself
+    is built first, whichever power is asked for, and its build checks that it
+    represents tau on every word: once per model.
     """
 
-    model: BabyFock
+    def build(a):
+        X = model.identity()
+        for i, mu in enumerate(model.mu, 1):
+            lam = 1.0 / (1.0 + mu ** 4)
+            off, on = (1.0 - lam) ** a, lam ** a
+            pX = model.apply_gamma_star(i, model.apply_gamma(i, X))
+            pX *= (on - off) / (mu ** 2 + mu ** -2)
+            X *= off
+            X += pX
+        X *= 2.0 ** (-model.n * a)
+        if a == 1.0:
+            resid = defining_property_residual(model, X)
+            if resid > VERIFY_TOL:
+                raise AssertionError(
+                    f"density does not represent the vacuum state: residual {resid:.3e}")
+        return X
 
-    @property
-    def lambdas(self) -> tuple:
-        return tuple(1.0 / (1.0 + m ** 4) for m in self.model.mu)
-
-    @property
-    def density(self) -> np.ndarray:
-        return self.power(1.0)
-
-    def power(self, alpha: float) -> np.ndarray:
-        """D**alpha = 2**(-n alpha) prod_i F_i**alpha, applied to the identity and
-        cached per alpha: F_i**alpha X = (1 - lambda_i)**alpha X + (lambda_i**alpha -
-        (1 - lambda_i)**alpha) p_i X, p_i X = g*_i g_i X / (mu_i**2 + mu_i**-2), two
-        letter applications per index.  Every lambda_i is in (0, 1), so every real
-        power exists; the product of the F_i has trace exactly 2**n (pi(rho) tensor 1,
-        rho of trace one on C**(2**n)), so no computed trace is divided out.
-        """
-        model = self.model
-
-        def build():
-            X = model.identity()
-            for i, (lam, mu) in enumerate(zip(self.lambdas, model.mu), 1):
-                off, on = (1.0 - lam) ** alpha, lam ** alpha
-                pX = model.apply_gamma_star(i, model.apply_gamma(i, X))
-                pX *= (on - off) / (mu ** 2 + mu ** -2)
-                X *= off
-                X += pX
-            X *= 2.0 ** (-model.n * alpha)
-            return X
-
-        return model._cached(("density", float(alpha)), build)
+    D = model._cached(("density", 1.0), lambda: build(1.0))
+    alpha = float(alpha)
+    return D if alpha == 1.0 else model._cached(("density", alpha), lambda: build(alpha))
 
 
 def defining_property_residual(model: BabyFock, D: np.ndarray) -> float:
@@ -102,23 +94,6 @@ def defining_property_residual(model: BabyFock, D: np.ndarray) -> float:
         + 1j * np.bincount(word, terms.imag, model.dim)
     traces[0] -= 1.0
     return float(np.max(np.abs(traces)))
-
-
-def density_closed_form(model: BabyFock) -> DensityFactorization:
-    """The model's density from its factors, checked to represent tau on every word."""
-    dens = DensityFactorization(model)
-    resid = defining_property_residual(model, dens.power(1.0))
-    if resid > VERIFY_TOL:
-        raise AssertionError(
-            f"density does not represent the vacuum state: residual {resid:.3e}")
-    return dens
-
-
-def get_density(model: BabyFock) -> DensityFactorization:
-    """The model's density; the first call per model builds D and checks it."""
-    if ("density", 1.0) in model._matrix_cache:
-        return DensityFactorization(model)
-    return density_closed_form(model)
 
 
 def _transposed_runs(row: np.ndarray, col: np.ndarray, dim: int):
@@ -174,17 +149,12 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
     return model.reconstruct(coeffs)
 
 
-def haagerup_embed(model: BabyFock, x: np.ndarray, p: float) -> np.ndarray:
-    """x D**(1/p), the L^p representative of x."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return np.asarray(x) @ get_density(model).power(1.0 / p)
-
-
 def haagerup_norm(model: BabyFock, x: np.ndarray, p: float) -> float:
     """||x D**(1/p)||_p, the Schatten p-norm under the plain trace on C**(4**n),
     under which D has trace one."""
-    return schatten_norm(haagerup_embed(model, x, p), p)
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    return schatten_norm(np.asarray(x) @ get_density(model, 1.0 / p), p)
 
 
 def modular_check(model: BabyFock, p: float) -> list:
@@ -193,7 +163,7 @@ def modular_check(model: BabyFock, p: float) -> list:
     Each side is one letter application: g_k D**(1/p) applies g_k, and
     D**(1/p) g_k = (g*_k D**(1/p))* because D**(1/p) is Hermitian.
     """
-    dp = get_density(model).power(1.0 / p)
+    dp = get_density(model, 1.0 / p)
     out = []
     for k in range(1, model.n + 1):
         lhs = model.apply_gamma_star(k, dp).conj().T

@@ -67,14 +67,14 @@ def test_criterion_02_density():
     for n in (1, 2, 3, 4):
         mu = tuple(1.0 + 2.0 * rng.random(n))
         model = BabyFock(ModelParams.make(n, mu, sign_seed=600 + n))
-        dens = get_density(model)
+        D = get_density(model)
         solved = density_solve(model)
         worst_solve = max(worst_solve, float(
-            np.linalg.norm(solved - dens.density) / np.linalg.norm(dens.density)))
-        worst_def = max(worst_def, defining_property_residual(model, dens.density))
+            np.linalg.norm(solved - D) / np.linalg.norm(D)))
+        worst_def = max(worst_def, defining_property_residual(model, D))
         for i in range(1, n + 1):
             g = model.apply_gamma(i, model.identity())
-            tr = float(np.trace(dens.density @ model.apply_gamma_star(i, g)).real)
+            tr = float(np.trace(D @ model.apply_gamma_star(i, g)).real)
             worst_state = max(worst_state, abs(tr - mu[i - 1] ** -2))
             l2 = haagerup_norm(model, g, 2)
             worst_l2 = max(worst_l2, abs(l2 - 1.0 / mu[i - 1]))
@@ -205,11 +205,10 @@ def test_criterion_08_perturbation():
     for mu in (1.2, 1.5, 2.0):
         params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
         model = get_model(params)
-        dens = get_density(model)
         g = model.apply_gamma(1, model.identity())
         ident = np.eye(model.dim)
         for p in (3.0, 4.0, 6.0):
-            d = dens.power(1.0 / p)
+            d = get_density(model, 1.0 / p)
             frech = expansion_via_frechet(d, g, p)
             fd = richardson_second_coeff(
                 lambda e: schatten_norm((ident + e * g) @ d, p) ** p)

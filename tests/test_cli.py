@@ -154,9 +154,9 @@ def test_bad_value_exit_code(capsys):
 
 
 def test_assertion_failure_exit_code(capsys):
-    # an impossible tolerance forces the pass flags off
-    code, out, errtext = run(capsys, ["relations", "--n", "1", "--mu", "1",
-                                      "--tol", "-1"])
+    # two samples at m = 5 miss the limit moment by 0.36, far outside the tolerance
+    code, out, errtext = run(capsys, ["clt", "(s+s*)^4", "--m", "5", "--samples", "2",
+                                      "--tol", "0.01"])
     assert code == 2
     assert "FAIL" in errtext
 
@@ -202,7 +202,7 @@ def test_density_and_lpnorm_match_dense_oracle(capsys):
     assert code == 0
     norms = json.loads(out)["records"]
     model = get_model(ModelParams.make(3, mu, sign_seed=4))
-    D = get_density(model).density
+    D = get_density(model)
     for i in (1, 2, 3):
         g = model.apply_gamma(i, model.identity())
         tr = np.trace(D @ g.conj().T @ g).real
@@ -286,6 +286,15 @@ BOUNDARY_CASES = [
     (["clt", "(s+s*)^2", "--q", "0.1,0.2"], "--q takes one value"),
     (["fock-moment", "g1*g1g2*g2g3*g3", "--mu", "1,2"], "--mu takes one value or 3"),
     (["clt", "g1*g2*g2g1", "--mu", "1,2,3"], "--mu takes one value or 2"),
+    # nan fails every comparison, a negative tolerance fails every record and
+    # inf passes every one: none of them is a tolerance
+    (["relations", "--n", "1", "--tol", "nan"], "finite and at least 0"),
+    (["density", "--tol=-1"], "finite and at least 0"),
+    (["choi", "--tol", "inf"], "finite and at least 0"),
+    (["convexity", "--tol", "nan"], "finite and at least 0"),
+    (["hyperc-verify", "--tol=-1e-3"], "finite and at least 0"),
+    (["perturb", "--tol", "inf"], "finite and at least 0"),
+    (["clt", "s*s", "--m", "5", "--samples", "2", "--tol", "nan"], "finite and at least 0"),
 ]
 
 

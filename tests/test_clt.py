@@ -136,6 +136,19 @@ def test_sparse_matches_dense_small_models(n, m):
             assert abs(sparse - dense) <= 1e-12
 
 
+@pytest.mark.parametrize("n,m", [(1, 6), (2, 3), (3, 2)])
+def test_sparse_matches_dense_at_six_pair_indices(n, m):
+    """n*m = 6, the base model's MAX_N: the largest dense cross-check there is."""
+    mu = (1.3, 1.0, 2.0)[:n]
+    words = ["(s+s*)^6", "(s+s*)^4"] + (["(s2+s2*) s1* (s2+s2*) s1"] if n > 1 else [])
+    for s in range(3):
+        sample = sample_signs(-0.4, n, m, seed=11, sample_index=s)
+        for word in words:
+            letters = parse_word(word)
+            assert abs(sample_moment(letters, sample, mu)
+                       - dense_reference_moment(letters, sample, mu)) <= 1e-13
+
+
 def pairings(points):
     """Every pair partition of the list ``points``, as lists of (a, b), a < b."""
     if not points:

@@ -11,8 +11,8 @@ from qhyper.babyfock import GEN, STAR, UNIT, Y, BabyFock, get_model
 from qhyper.hyperc import contraction_ratio, dual_contraction_ratio
 from qhyper.signs import ModelParams, SignTable
 from qhyper.state import (SOLVE_MAX_N, _transposed_runs, defining_property_residual,
-                          density_closed_form, density_solve, embed_lower, get_density,
-                          haagerup_embed, haagerup_norm, modular_check)
+                          density_solve, embed_lower, get_density, haagerup_norm,
+                          modular_check)
 
 MU = np.sqrt(2.0)
 
@@ -28,24 +28,50 @@ def m2():
 
 
 def test_density_small_closed_forms(m1):
-    dens = density_closed_form(m1)
-    # lambda = 1/5 at mu^2 = 2: eigenvalues {1/10, 1/10, 2/5, 2/5}
-    assert np.allclose(np.sort(np.linalg.eigvalsh(dens.density)),
-                       [0.1, 0.1, 0.4, 0.4], atol=1e-12)
-    assert abs(np.trace(dens.density).real - 1.0) < 1e-12
-    assert abs(dens.lambdas[0] - 0.2) < 1e-15
+    D = get_density(m1)
+    # lambda = 1/5 at mu^2 = 2: eigenvalues {lambda/2, lambda/2, (1 - lambda)/2, (1 - lambda)/2}
+    assert np.allclose(np.sort(np.linalg.eigvalsh(D)), [0.1, 0.1, 0.4, 0.4], rtol=0, atol=1e-15)
+    assert abs(np.trace(D).real - 1.0) < 1e-12
     flat = BabyFock(ModelParams.make(1, 1.0, SignTable.all_anticommuting(1)))
-    assert np.allclose(density_closed_form(flat).density, np.eye(4) / 4, atol=1e-14)
+    assert np.allclose(get_density(flat), np.eye(4) / 4, atol=1e-14)
 
 
 def test_density_projections_commute(m2):
-    D = get_density(m2).density
+    D = get_density(m2)
     for i in range(1, m2.n + 1):
         mu = m2.mu[i - 1]
         p = m2.apply_gamma_star(i, m2.apply_gamma(i, m2.identity())) / (mu ** 2 + mu ** -2)
         assert np.linalg.norm(p @ p - p) < 1e-10
         assert np.linalg.norm(p - p.conj().T) < 1e-12
         assert np.linalg.norm(D @ p - p @ D) < 1e-10
+
+
+def test_density_is_checked_once_per_model(monkeypatch):
+    """Whichever power is asked first, D is built and checked once per model."""
+    calls = []
+    check = state.defining_property_residual
+    monkeypatch.setattr(state, "defining_property_residual",
+                        lambda model, D: calls.append(model) or check(model, D))
+    for order in ((0.5, 1.0, 0.5, 2.0, 1.0), (1.0, 0.5, 1.0, -0.5)):
+        model = BabyFock(ModelParams.make(2, (1.5, 2.0), sign_seed=3))
+        for alpha in order:
+            get_density(model, alpha)
+            assert calls == [model]
+        haagerup_norm(model, model.identity(), 1.5)
+        modular_check(model, 3.0)
+        assert calls == [model]
+        calls.clear()
+
+
+def test_corrupted_density_build_is_rejected(monkeypatch):
+    model = BabyFock(ModelParams.make(2, (1.5, 2.0), sign_seed=3))
+    star = model.apply_gamma_star
+    # a projection off by 1e-6 gives a D that misrepresents tau on some word
+    monkeypatch.setattr(model, "apply_gamma_star", lambda i, X: (1.0 + 1e-6) * star(i, X))
+    for alpha in (0.5, 1.0):
+        with pytest.raises(AssertionError, match="does not represent the vacuum state"):
+            get_density(model, alpha)
+    assert not model._matrix_cache.keys() & {("density", 1.0), ("density", 0.5)}
 
 
 POWER_MODELS = [(1, (1.4,), 0), (2, (1.5, 2.0), 3), (3, (1.2, 2.0, 1.0), 9),
@@ -78,19 +104,19 @@ def _rel(a, b):
 @pytest.mark.parametrize("n,mu,seed", POWER_MODELS)
 def test_power_matches_eigh_power(n, mu, seed):
     model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
-    dens = get_density(model)
     D = dense_product_density(model)
     for alpha in (1.0, 0.8, 0.5, 0.25, -0.5):
-        assert _rel(dens.power(alpha), eigh_power(D, alpha)) <= 1e-12
+        assert _rel(get_density(model, alpha), eigh_power(D, alpha)) <= 1e-12
     # the 2**-n normalization is exact: no trace is divided out
-    assert abs(np.trace(dens.density).real - 1.0) <= 1e-14
+    assert abs(np.trace(get_density(model)).real - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("n,mu,seed", POWER_MODELS[1:3])
 def test_power_is_multiplicative(n, mu, seed):
-    dens = get_density(BabyFock(ModelParams.make(n, mu, sign_seed=seed)))
+    model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
     for a, b in ((0.5, 0.5), (0.25, 0.75), (1.0 / 3.0, -0.5), (0.8, 1.2)):
-        assert _rel(dens.power(a) @ dens.power(b), dens.power(a + b)) <= 1e-12
+        assert _rel(get_density(model, a) @ get_density(model, b),
+                    get_density(model, a + b)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,mu,seed", POWER_MODELS)
@@ -124,7 +150,7 @@ def test_model_and_density_form_no_cycle():
 
 def dense_modular(model, p):
     """modular_check by dense products with the generators."""
-    dp = get_density(model).power(1.0 / p)
+    dp = state.get_density(model, 1.0 / p)
     out = []
     for k in range(1, model.n + 1):
         g = model.apply_gamma(k, model.identity())
@@ -140,8 +166,8 @@ def test_modular_check_matches_dense_products(monkeypatch, n, mu, seed):
         assert np.max(np.abs(np.array(modular_check(model, p)) - dense_modular(model, p))) <= 1e-12
     # a wrong power breaks the relation at every mu_k != 1, and both forms see
     # the same residual
-    power = state.DensityFactorization.power
-    monkeypatch.setattr(state.DensityFactorization, "power", lambda self, a: power(self, 0.7 * a))
+    power = state.get_density
+    monkeypatch.setattr(state, "get_density", lambda model, a=1.0: power(model, 0.7 * a))
     broken = model.mu != 1.0
     for p in (1.0, 1.5, 3.0):
         got, want = np.array(modular_check(model, p)), dense_modular(model, p)
@@ -169,7 +195,7 @@ def test_transposed_runs_match_searchsorted(n, mu, seed):
                                        (3, 9, (1.2, 2.0, 1.0))])
 def test_density_solve_agreement(n, seed, mu):
     model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
-    closed = density_closed_form(model).density
+    closed = get_density(model)
     solved = density_solve(model)
     assert np.linalg.norm(solved - closed) <= 1e-9 * np.linalg.norm(closed)
 
@@ -208,7 +234,7 @@ def test_haagerup_norm_values(m1):
 
 def test_l2_orthogonality_of_letters(m1):
     basis = [m1.apply_letter(L, 1, m1.identity()) for L in (UNIT, GEN, STAR, Y)]
-    emb = [haagerup_embed(m1, b, 2) for b in basis]
+    emb = [b @ get_density(m1, 0.5) for b in basis]
     for i in range(4):
         for j in range(4):
             ip = np.trace(emb[j].conj().T @ emb[i])
@@ -272,7 +298,7 @@ def test_embed_lower_rejects_sign_mismatch():
 @pytest.mark.parametrize("n,mu", [(3, (1.2, 2.0, 1.0)), (4, (1.5, 1.1, 2.4, 1.0))])
 def test_defining_residual_stack_matches_per_word(n, mu):
     model = BabyFock(ModelParams.make(n, mu, sign_seed=70 + n))
-    D = density_closed_form(model).density
+    D = get_density(model)
 
     def per_word(X):
         return max(abs(np.trace(X @ model.monomial_matrix(model.word_of(w))) - (w == 0))
@@ -296,12 +322,12 @@ def m5():
 
 
 def test_density_solve_agreement_n5(m5):
-    closed = get_density(m5).density
+    closed = get_density(m5)
     assert np.linalg.norm(density_solve(m5) - closed) <= 1e-9 * np.linalg.norm(closed)
 
 
 def test_defining_residual_all_words_n5(m5):
-    D = get_density(m5).density
+    D = get_density(m5)
     assert defining_property_residual(m5, D) <= 1e-10
     rng = np.random.default_rng(5)
     E = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
