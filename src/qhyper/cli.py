@@ -25,12 +25,12 @@ from .babyfock import get_model
 from .clt import convergence_report
 from .hyperc import (convexity_margins, dual_contraction_ratio, necessary_time_exact,
                      sufficient_time, violation_search)
-from .linalg import (expansion_second_order, expansion_via_frechet, psd_power,
-                     richardson_second_coeff, schatten_norm)
+from .linalg import (expansion_second_order, expansion_via_frechet, richardson_second_coeff,
+                     schatten_norm)
 from .qfock import QParams, moment_operator, moment_pairings, parse_word
 from .semigroup import choi_identity_residual, choi_matrix
 from .signs import ModelParams, SignTable
-from .state import SOLVE_MAX_N, density_solve, get_density, modular_check
+from .state import density_solve, get_density, modular_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,11 +141,9 @@ def cmd_density(args):
                     "tol": 1e-12, "pass": trace_err <= 1e-12})
     records.append({"check": "positive", "residual": float(max(0.0, -eigs.min())),
                     "tol": 1e-12, "pass": bool(eigs.min() >= -1e-12)})
-    if model.n <= SOLVE_MAX_N:
-        solved = density_solve(model)
-        diff = float(np.linalg.norm(solved - D) / np.linalg.norm(D))
-        records.append({"check": "solve_agrees", "residual": diff, "tol": tol,
-                        "pass": diff <= tol})
+    diff = float(np.linalg.norm(density_solve(model) - D) / np.linalg.norm(D))
+    records.append({"check": "solve_agrees", "residual": diff, "tol": tol,
+                    "pass": diff <= tol})
     half = get_density(model, 0.5)
     for i in range(1, model.n + 1):
         want = model.mu[i - 1] ** -2
@@ -168,6 +166,9 @@ def cmd_density(args):
 def cmd_lpnorm(args):
     model = get_model(_model_from_args(args))
     ps = parse_values(args.p) if args.p else [2.0, 3.0, 4.0, 6.0]
+    for p in ps:
+        if p < 1.0:
+            raise ValueError(f"lpnorm needs p >= 1, got {p}")
     records = []
     for i in range(1, model.n + 1):
         mu = model.mu[i - 1]
@@ -313,6 +314,9 @@ def cmd_perturb(args):
     ps = parse_values(args.p) if args.p else [3.0, 4.0, 6.0]
     mus = parse_values(args.mu) if args.mu else [1.2, 1.5, 2.0]
     tol = args.tol if args.tol is not None else 1e-4
+    for p in ps:
+        if p <= 2.0:
+            raise ValueError(f"perturb needs p > 2, got {p}")
     records = []
     for mu in mus:
         if mu <= 1.0:
@@ -321,6 +325,10 @@ def cmd_perturb(args):
         model = get_model(params)
         g = model.apply_gamma(1, model.identity())
         ident = np.eye(model.dim)
+        # trace(D g* g) = mu**-2 and trace(D g g*) = mu**2, whatever p is
+        D = get_density(model)
+        tr_gg = float(np.trace(D @ g.conj().T @ g).real)
+        tr_ggs = float(np.trace(D @ g @ g.conj().T).real)
         for p in ps:
             d = get_density(model, 1.0 / p)
             lam = mu ** (4.0 / p)
@@ -329,9 +337,6 @@ def cmd_perturb(args):
             fd = richardson_second_coeff(
                 lambda e: schatten_norm((ident + e * g) @ d, p) ** p)
             special = (p / (2.0 * mu ** 2)) * (mu ** 4 - 1.0) / (mu ** (8.0 / p) - 1.0)
-            dp = psd_power(d @ d, p / 2.0)
-            tr_gg = float(np.trace(dp @ g.conj().T @ g).real)
-            tr_ggs = float(np.trace(dp @ g @ g.conj().T).real)
             rec = {
                 "p": p, "mu": mu, "closed_form": closed, "frechet": frech,
                 "finite_diff": fd,

@@ -17,8 +17,9 @@ matrix: g_i D**(1/p) is one letter application on D**(1/p), which is how
 the CLI takes it, and ``haagerup_norm``'s dense product x @ D**(1/p) is
 the oracle for it.  The functions here stay in the 4**n representation
 and serve as the oracle.  The check trace(D M_w) = tau(M_w) over every
-word and the independent linear solve for D (n <= SOLVE_MAX_N) both read
-the sparse monomial table (``BabyFock.monomial_table``), whatever n is.
+word reads the sparse monomial table (``BabyFock.monomial_table``); the
+independent linear solve for D takes its Gram matrix block by block in
+the irrep and scatters its solution through the same table, at every n.
 The ratio search in
 ``hyperc`` takes its norms in the closed-form 2**n dimensional
 irreducible representation (``BabyFock.irrep``), where the same product
@@ -35,13 +36,9 @@ from .linalg import schatten_norm
 
 __all__ = [
     "get_density", "density_solve", "haagerup_norm", "modular_check",
-    "embed_lower", "defining_property_residual", "SOLVE_MAX_N",
+    "embed_lower", "defining_property_residual",
 ]
 
-# largest n for density_solve: its Gram matrix is 4**n x 4**n, a 16**n-entry dense solve
-SOLVE_MAX_N = 5
-# monomial-table entries paired at a time by density_solve (17**4 = 83521 at n = 4)
-PAIR_BLOCK = 1 << 18
 # largest max_w |trace(D M_w) - tau(M_w)| accepted from the closed form
 VERIFY_TOL = 1e-10
 
@@ -96,56 +93,32 @@ def defining_property_residual(model: BabyFock, D: np.ndarray) -> float:
     return float(np.max(np.abs(traces)))
 
 
-def _transposed_runs(row: np.ndarray, col: np.ndarray, dim: int):
-    """(order, lo, hi): ``order`` sorts the keys row * dim + col stably, and the
-    entries at the transposed position of entry e sit at sorted positions lo[e]
-    to hi[e] - 1.  M_w* = +-M_{w*}, so the transposed keys are the same multiset:
-    the runs of equal sorted keys map back to the entries through the stable
-    sort of the transposed keys, with no search."""
-    key, tkey = row * dim + col, col * dim + row
-    order, torder = np.argsort(key, kind="stable"), np.argsort(tkey, kind="stable")
-    if not np.array_equal(key[order], tkey[torder]):
-        raise AssertionError("monomial table is not closed under adjoints: construction bug")
-    new = np.r_[True, np.diff(key[order]) != 0]
-    bounds, run = np.append(np.flatnonzero(new), key.size), np.cumsum(new) - 1
-    lo, hi = np.empty_like(key), np.empty_like(key)
-    lo[torder], hi[torder] = bounds[run], bounds[run + 1]
-    return order, lo, hi
-
-
 def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> np.ndarray:
     """Independent density oracle: solve trace(D M_b) = tau(M_b) over monomials.
 
     ``vacuum_values`` overrides the right-hand side (indexed by monomial);
-    by default tau(M_b) is 1 for the unit word and 0 otherwise.  The Gram
-    matrix trace(M_a M_b) pairs each entry (r, c) of the monomial table with
-    the entries at (c, r); its 4**n x 4**n solve limits n to SOLVE_MAX_N.
+    by default tau(M_b) is 1 for the unit word and 0 otherwise.  The 4**n
+    representation is 2**n copies of the irrep (``BabyFock.irrep``), so the Gram
+    matrix is trace(M_a M_b) = 2**n sum_r vals[a, r] vals[b, r ^ m], non-zero only
+    when a and b share the column map r -> r ^ m: 2**n blocks of 2**n words, each
+    solved on its own.  The solve reads neither rho nor the closed-form D.
     """
-    if model.n > SOLVE_MAX_N:
-        raise ValueError(f"density_solve is limited to n <= {SOLVE_MAX_N}")
-    nw, dim = model.dim, model.dim
-    word, row, col, val = model.monomial_table()
-    # entry e pairs with the cnt[e] entries at its transposed position
-    order, lo, hi = _transposed_runs(row, col, dim)
-    cnt = hi - lo
-    # pairs are made PAIR_BLOCK entries at a time and added in entry order, so
-    # every Gram entry is the same sum as one bincount over all pairs
-    gram = np.zeros(nw * nw)
-    for a in range(0, word.size, PAIR_BLOCK):
-        c = cnt[a:a + PAIR_BLOCK]
-        first = np.repeat(np.arange(a, a + c.size), c)
-        second = order[np.repeat(lo[a:a + PAIR_BLOCK] - np.cumsum(c) + c, c)
-                       + np.arange(first.size)]
-        np.add.at(gram, word[first] * nw + word[second], val[first] * val[second])
-    gram = gram.reshape(nw, nw)
-    rhs = np.zeros(nw, dtype=np.complex128)
+    cols, vals, _ = model.irrep()
+    rows = np.arange(vals.shape[1])
+    rhs = np.zeros(model.dim, dtype=np.complex128)
     rhs[0] = 1.0
     if vacuum_values is not None:
         rhs = np.asarray(vacuum_values, dtype=np.complex128)
-    coeffs = np.linalg.solve(gram, rhs)
-    resid = np.linalg.norm(gram @ coeffs - rhs)
-    if resid > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        raise AssertionError(f"monomial trace system is ill-conditioned: residual {resid:.3e}")
+    if rhs.shape != (model.dim,):
+        raise ValueError(f"expected {model.dim} vacuum values, got shape {rhs.shape}")
+    coeffs = np.zeros(model.dim, dtype=np.complex128)
+    for m in rows:
+        w = np.flatnonzero(cols[:, 0] == m)
+        gram = rows.size * (vals[w] @ vals[w][:, rows ^ m].T)
+        coeffs[w] = np.linalg.solve(gram, rhs[w])
+        resid = np.linalg.norm(gram @ coeffs[w] - rhs[w])
+        if resid > 1e-8 * max(1.0, np.linalg.norm(rhs[w])):
+            raise AssertionError(f"monomial trace system is ill-conditioned: residual {resid:.3e}")
     return model.reconstruct(coeffs)
 
 

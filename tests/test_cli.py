@@ -281,6 +281,11 @@ BOUNDARY_CASES = [
     (["convexity", "--q", "1.5"], "need q >= 2"),
     (["convexity", "--p", "1"], "need 1 < p <= 2"),
     (["convexity", "--p", "2.5"], "need 1 < p <= 2"),
+    # checked before any density power D**(1/p) is built
+    (["lpnorm", "--p", "0"], "lpnorm needs p >= 1"),
+    (["lpnorm", "--p", "0.5"], "lpnorm needs p >= 1"),
+    (["perturb", "--p", "0"], "perturb needs p > 2"),
+    (["perturb", "--p", "2"], "perturb needs p > 2"),
     (["hyperc-verify", "--t", "0.1,0.2"], "--t takes one value"),
     (["fock-moment", "(g+g*)^2", "--q", "0.1,0.2"], "--q takes one value"),
     (["clt", "(s+s*)^2", "--q", "0.1,0.2"], "--q takes one value"),

@@ -10,9 +10,8 @@ from qhyper import state
 from qhyper.babyfock import GEN, STAR, UNIT, Y, BabyFock, get_model
 from qhyper.hyperc import contraction_ratio, dual_contraction_ratio
 from qhyper.signs import ModelParams, SignTable
-from qhyper.state import (SOLVE_MAX_N, _transposed_runs, defining_property_residual,
-                          density_solve, embed_lower, get_density, haagerup_norm,
-                          modular_check)
+from qhyper.state import (defining_property_residual, density_solve, embed_lower,
+                          get_density, haagerup_norm, modular_check)
 
 MU = np.sqrt(2.0)
 
@@ -176,21 +175,6 @@ def test_modular_check_matches_dense_products(monkeypatch, n, mu, seed):
         assert np.max(np.abs(got - want)[~broken], initial=0.0) <= 1e-12
 
 
-@pytest.mark.parametrize("n,mu,seed", POWER_MODELS[:3])
-def test_transposed_runs_match_searchsorted(n, mu, seed):
-    model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
-    _, row, col, _ = model.monomial_table()
-    order, lo, hi = _transposed_runs(row, col, model.dim)
-    key = row * model.dim + col
-    assert np.array_equal(order, np.argsort(key, kind="stable"))
-    for side, got in (("left", lo), ("right", hi)):
-        assert np.array_equal(got, np.searchsorted(key[order], col * model.dim + row, side))
-    # without one off-diagonal entry the keys are no longer closed under transposition
-    keep = np.arange(row.size) != np.flatnonzero(row != col)[0]
-    with pytest.raises(AssertionError, match="closed under adjoints"):
-        _transposed_runs(row[keep], col[keep], model.dim)
-
-
 @pytest.mark.parametrize("n,seed,mu", [(1, 0, (1.4,)), (2, 5, (1.0, 1.7)),
                                        (3, 9, (1.2, 2.0, 1.0))])
 def test_density_solve_agreement(n, seed, mu):
@@ -200,16 +184,19 @@ def test_density_solve_agreement(n, seed, mu):
     assert np.linalg.norm(solved - closed) <= 1e-9 * np.linalg.norm(closed)
 
 
-def test_density_solve_pair_blocks_keep_every_sum(monkeypatch):
-    """Pairs made a few entries at a time give the Gram matrix, and so the
-    solved density, of one pass over all entries, bit for bit."""
-    from qhyper import state
-
-    model = BabyFock(ModelParams.make(3, (1.2, 2.0, 1.0), sign_seed=9))
-    assert model.monomial_table()[0].size <= state.PAIR_BLOCK
-    whole = density_solve(model)
-    monkeypatch.setattr(state, "PAIR_BLOCK", 7)
-    assert density_solve(model).tobytes() == whole.tobytes()
+@pytest.mark.parametrize("n,mu,seed", POWER_MODELS[:3])
+def test_density_solve_blocks_match_dense_gram(n, mu, seed):
+    """The block solve equals the solve of the whole 4**n Gram matrix
+    trace(M_a M_b) built from dense monomials, for a random right-hand side,
+    which reaches every block and not only the unit word's."""
+    model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
+    mats = np.stack([model.monomial_matrix(model.word_of(w)) for w in range(model.dim)])
+    gram = np.einsum("arc,bcr->ab", mats, mats)
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    dense = model.reconstruct(np.linalg.solve(gram, rhs))
+    blocks = density_solve(model, vacuum_values=rhs)
+    assert np.linalg.norm(blocks - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_density_solve_corruption_detected(m1):
@@ -218,6 +205,12 @@ def test_density_solve_corruption_detected(m1):
     rhs[3] = 5.0  # above the norm of the degree-two letter: infeasible for PSD
     bad = density_solve(m1, vacuum_values=rhs)
     assert np.min(np.linalg.eigvalsh(bad)) < -1e-6
+
+
+def test_density_solve_rejects_wrong_length_vacuum_values(m1):
+    for size in (m1.dim - 1, m1.dim + 1):
+        with pytest.raises(ValueError, match="expected 4 vacuum values"):
+            density_solve(m1, vacuum_values=np.ones(size))
 
 
 def test_haagerup_norm_values(m1):
@@ -333,9 +326,3 @@ def test_defining_residual_all_words_n5(m5):
     E = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
     np.fill_diagonal(E, 0.0)
     assert defining_property_residual(m5, D + 1e-8 * E) > 1e-10
-
-
-def test_density_solve_rejects_n_above_cap():
-    model = BabyFock(ModelParams.make(SOLVE_MAX_N + 1, 1.5, sign_seed=1))
-    with pytest.raises(ValueError, match="limited to n <= 5"):
-        density_solve(model)
