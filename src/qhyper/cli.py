@@ -103,7 +103,7 @@ def _model_from_args(args) -> ModelParams:
 
 
 # ============================================================================
-# commands: each returns (records, passed)
+# commands: each returns its records; the run passes when every record does
 # ============================================================================
 
 
@@ -127,7 +127,7 @@ def cmd_relations(args):
     records.append({"check": "monomial_condition",
                     "residual": model.embedding_condition(), "tol": float("inf"),
                     "pass": True})
-    return records, all(r["pass"] for r in records)
+    return records
 
 
 def cmd_density(args):
@@ -160,7 +160,7 @@ def cmd_density(args):
         worst = float(max(modular_check(model, p)))
         records.append({"check": f"modular_p_{p}", "residual": worst,
                         "tol": 1e-9, "pass": worst <= 1e-9})
-    return records, all(r["pass"] for r in records)
+    return records
 
 
 def cmd_lpnorm(args):
@@ -183,7 +183,7 @@ def cmd_lpnorm(args):
             if model.n == 1:
                 rec["pass"] = bool(rec["pass"] and rec["closed_form_resid"] <= 1e-10)
             records.append(rec)
-    return records, all(r["pass"] for r in records)
+    return records
 
 
 def cmd_choi(args):
@@ -201,7 +201,7 @@ def cmd_choi(args):
                for t, row_min, row_resid in zip(ts, mins.min(axis=-1).tolist(),
                                                  resids.tolist())
                for mu, mine, resid in zip(mus, row_min, row_resid)]
-    return records, all(r["pass"] for r in records)
+    return records
 
 
 def cmd_convexity(args):
@@ -243,7 +243,7 @@ def cmd_convexity(args):
     records = [{"inequality": k[0], "exponent": k[1], "mu": k[2],
                 "min_margin": v, "pass": bool(v >= -tol)}
                for k, v in sorted(worst.items())]
-    return records, all(r["pass"] for r in records)
+    return records
 
 
 def cmd_hyperc_verify(args):
@@ -262,7 +262,7 @@ def cmd_hyperc_verify(args):
         records.append({"p": p, "t": t, "exp_minus_2t": float(np.exp(-2 * t)),
                         "threshold": theta, "max_ratio": wit.ratio,
                         "pass": bool(wit.ratio <= 1.0 + tol)})
-    return records, all(r["pass"] for r in records)
+    return records
 
 
 def cmd_hyperc_search(args):
@@ -281,7 +281,7 @@ def cmd_hyperc_search(args):
                             "max_ratio": wit.ratio,
                             "violation": bool(wit.ratio > 1.0 + 1e-9),
                             "pass": True})
-    return records, True
+    return records
 
 
 def cmd_necessary_time(args):
@@ -307,7 +307,7 @@ def cmd_necessary_time(args):
                 "paper_display": thr.paper_display, "differs": thr.differs,
                 "ratio_above": r_above, "ratio_below": r_below,
                 "pass": bool(r_above > 1.0 and r_below < 1.0)})
-    return records, all(r["pass"] for r in records)
+    return records
 
 
 def cmd_perturb(args):
@@ -350,7 +350,7 @@ def cmd_perturb(args):
                                and rec["trace_gstar_g_resid"] <= 1e-10
                                and rec["trace_g_gstar_resid"] <= 1e-10)
             records.append(rec)
-    return records, all(r["pass"] for r in records)
+    return records
 
 
 def cmd_fock_moment(args):
@@ -358,7 +358,7 @@ def cmd_fock_moment(args):
     q = _one(args.q, "--q") if args.q else 0.0
     n = max(i for _, i in letters)
     mus = _weights(args.mu or "1", n)
-    qp = QParams(q=q, n=n, mu=mus, max_level=max(1, len(letters)))
+    qp = QParams(q=q, n=n, mu=mus)
     val_pair = moment_pairings(letters, qp)
     rec = {"word": args.word, "q": q, "mu": ",".join(repr(m) for m in mus),
            "value_re": val_pair.real, "value_im": val_pair.imag}
@@ -369,7 +369,7 @@ def cmd_fock_moment(args):
     else:
         rec["oracle_disagreement"] = 0.0
         rec["pass"] = True
-    return [rec], rec["pass"]
+    return [rec]
 
 
 def cmd_clt(args):
@@ -385,11 +385,9 @@ def cmd_clt(args):
                 "stderr": r["stderr"], "oracle_re": r["oracle"].real,
                 "oracle_im": r["oracle"].imag, "abs_err": r["abs_err"],
                 "pass": True} for r in rows]
-    passed = True
-    if args.tol is not None and records:
-        passed = records[-1]["abs_err"] <= args.tol
-        records[-1]["pass"] = bool(passed)
-    return records, passed
+    if args.tol is not None:
+        records[-1]["pass"] = bool(records[-1]["abs_err"] <= args.tol)
+    return records
 
 
 COMMANDS = {
@@ -493,14 +491,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        records, passed = args.func(args)
+        records = args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    passed = all(rec["pass"] for rec in records)
     sys.stdout.write(emit(args, records, passed))
     if not passed:
         for rec in records:
-            if not rec.get("pass", True):
+            if not rec["pass"]:
                 sys.stderr.write("FAIL: " + json.dumps(rec) + "\n")
         return 2
     return 0

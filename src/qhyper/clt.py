@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import expand_ops_sparse
-from .qfock import QParams, moment, parse_word, word_adjoint
+from .qfock import QParams, letter_parts, moment, parse_word, word_adjoint
 
 __all__ = [
     "BigSignSample", "sample_signs", "pair_code", "clt_estimate",
@@ -142,20 +142,14 @@ def _letter_ops(kind: str, i: int, mu_i: float, n: int, m: int):
     """
     if not (1 <= i <= n and m >= 1):
         raise ValueError(f"bad pair index ({i}, 1..{m}) for n={n}")
-    if kind == "g":
-        scale, stars = 1.0, (False,)
-    elif kind == "g*":
-        scale, stars = 1.0, (True,)
-    elif kind == "x":
-        scale, stars = 1.0 / np.sqrt(mu_i ** 2 + mu_i ** -2), (False, True)
-    else:
-        raise ValueError(f"unknown letter kind {kind!r}")
+    # the g part creates at (i, j) and annihilates at (-i, -j), the g* part the reverse
+    parts = [(star, c) for star, c in zip((False, True), letter_parts(kind, mu_i)) if c]
     j = np.arange(m)
     codes = np.stack([n * m + (i - 1) * m + j, (n - i) * m + (m - 1 - j)], axis=1)
-    create = np.concatenate([np.tile([not star, star], m) for star in stars])
+    create = np.concatenate([np.tile([not star, star], m) for star, _ in parts])
     w = 1.0 / np.sqrt(m)
-    weights = np.tile([scale * w / mu_i, scale * w * mu_i], m * len(stars))
-    return (np.tile(codes.reshape(-1), len(stars)).astype(np.int16), create,
+    weights = np.concatenate([np.tile([c * w / mu_i, c * w * mu_i], m) for _, c in parts])
+    return (np.tile(codes.reshape(-1), len(parts)).astype(np.int16), create,
             weights.astype(np.complex128))
 
 
@@ -269,8 +263,7 @@ def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int) -
     letters, mu, n = _prepare(letters, mu, samples)
     for m in m_list:
         _validate_word(letters, n, int(m))
-    oracle = moment(letters, QParams(q=q, n=n, mu=mu[:n],
-                                     max_level=max(1, len(letters))))
+    oracle = moment(letters, QParams(q=q, n=n, mu=mu[:n]))
     rows = []
     for m in m_list:
         vals, mean, stderr = _estimate(letters, q, mu, n, int(m), samples, seed)

@@ -1,8 +1,9 @@
-"""Exact moment oracle on the truncated q-deformed Fock space.
+"""Exact moment oracle on the q-deformed Fock space.
 
-Vectors are level-graded sparse maps from label words to coefficients;
-creation prepends a label, annihilation removes matching labels with
-weights q**(position).  Generalized circular letters expand as
+A vector is a dict from label words to amplitudes; the level of a word
+is its length, and the vacuum is {(): 1}.  Creation prepends a label,
+annihilation removes matching labels with weights q**(position).
+Generalized circular letters expand as
 g_i = mu_i**-1 l(e_i) + mu_i l*(e_{-i}).  Moments are computed two
 independent ways: by operator application to the vacuum, and by a
 pair-partition sum with crossing weight q**crossings; the two must
@@ -18,15 +19,14 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QParams", "TruncatedFockVector", "create_apply", "annihilate_apply",
-    "gram_matrix", "q_inner", "second_quantize_OU", "positivity_check",
-    "moment", "moment_operator", "moment_pairings", "parse_word",
-    "word_adjoint",
+    "QParams", "create_apply", "annihilate_apply", "gram_matrix", "q_inner",
+    "second_quantize_OU", "positivity_check", "letter_parts", "moment",
+    "moment_operator", "moment_pairings", "parse_word", "word_adjoint",
 ]
 
 MAX_WORD_LEN = 10
@@ -35,12 +35,11 @@ MAX_GRAM_LEVEL = 8
 
 @dataclass(frozen=True)
 class QParams:
-    """Deformation q in [-1, 1), number of letter indices, weights, level cap."""
+    """Deformation q in [-1, 1), number of letter indices, weights."""
 
     q: float
     n: int = 1
     mu: tuple = (1.0,)
-    max_level: int = 8
 
     def __post_init__(self):
         if not (-1.0 <= self.q < 1.0):
@@ -50,79 +49,27 @@ class QParams:
             raise ValueError(f"need {self.n} mu values, got {len(self.mu)}")
         if any(m < 1.0 for m in self.mu):
             raise ValueError("mu entries must be >= 1")
-        if self.max_level < 1:
-            raise ValueError("max_level must be >= 1")
 
 
-@dataclass
-class TruncatedFockVector:
-    """Sparse level-graded coefficients; level k maps k-label words to amplitudes."""
-
-    levels: dict = field(default_factory=dict)
-
-    @classmethod
-    def vacuum(cls) -> "TruncatedFockVector":
-        return cls(levels={0: {(): 1.0 + 0.0j}})
-
-    def coefficient(self, word: tuple) -> complex:
-        return self.levels.get(len(word), {}).get(tuple(word), 0.0 + 0.0j)
-
-    def axpy(self, scalar: complex, other: "TruncatedFockVector"):
-        for k, terms in other.levels.items():
-            dst = self.levels.setdefault(k, {})
-            for w, c in terms.items():
-                dst[w] = dst.get(w, 0.0) + scalar * c
-
-    def prune(self, tol: float = 0.0) -> "TruncatedFockVector":
-        self.levels = {
-            k: {w: c for w, c in terms.items() if abs(c) > tol}
-            for k, terms in self.levels.items()}
-        self.levels = {k: t for k, t in self.levels.items() if t}
-        return self
-
-
-def create_apply(label: int, v: TruncatedFockVector, params: QParams,
-                 level_cap: int | None = None) -> TruncatedFockVector:
-    """Left creation by the basis label; aborts past the truncation level.
-
-    ``level_cap`` below max_level projects instead of aborting; callers
-    use it when the dropped components provably cannot reach the vacuum
-    again within the remaining word.
-    """
+def create_apply(label: int, v: dict, params: QParams) -> dict:
+    """Left creation by the basis label."""
     if not (1 <= abs(label) <= params.n):
         raise ValueError(f"label {label} out of range")
-    cap = params.max_level if level_cap is None else min(level_cap, params.max_level)
-    out = TruncatedFockVector()
-    for k, terms in v.levels.items():
-        if k + 1 > cap:
-            if level_cap is None and terms:
-                raise OverflowError(
-                    f"creation would exceed truncation level {params.max_level}")
-            continue
-        dst = out.levels.setdefault(k + 1, {})
-        for w, c in terms.items():
-            nw = (label,) + w
-            dst[nw] = dst.get(nw, 0.0) + c
-    return out
+    return {(label,) + w: c for w, c in v.items()}
 
 
-def annihilate_apply(label: int, v: TruncatedFockVector, params: QParams) -> TruncatedFockVector:
+def annihilate_apply(label: int, v: dict, params: QParams) -> dict:
     """q-annihilation: remove each matching label with weight q**(position)."""
     if not (1 <= abs(label) <= params.n):
         raise ValueError(f"label {label} out of range")
     q = params.q
-    out = TruncatedFockVector()
-    for k, terms in v.levels.items():
-        if k == 0:
-            continue
-        dst = out.levels.setdefault(k - 1, {})
-        for w, c in terms.items():
-            for pos, lab in enumerate(w):
-                if lab != label:
-                    continue
-                nw = w[:pos] + w[pos + 1:]
-                dst[nw] = dst.get(nw, 0.0) + (q ** pos) * c
-    out.levels = {k: t for k, t in out.levels.items() if t}
+    out = {}
+    for w, c in v.items():
+        for pos, lab in enumerate(w):
+            if lab != label:
+                continue
+            nw = w[:pos] + w[pos + 1:]
+            out[nw] = out.get(nw, 0.0) + (q ** pos) * c
     return out
 
 
@@ -173,32 +120,21 @@ def gram_matrix(words, q: float) -> np.ndarray:
     return g
 
 
-def q_inner(x: TruncatedFockVector, y: TruncatedFockVector, q: float) -> complex:
-    """<x, y>_q, linear in the first argument."""
+def q_inner(x: dict, y: dict, q: float) -> complex:
+    """<x, y>_q, linear in the first argument; words of different levels are orthogonal."""
     total = 0.0 + 0.0j
-    cache: dict = {}
-    for k, xterms in x.levels.items():
-        yterms = y.levels.get(k)
-        if not yterms:
-            continue
-        for u, cu in xterms.items():
-            for v, cv in yterms.items():
-                key = (u, v)
-                ent = cache.get(key)
-                if ent is None:
-                    ent = _gram_entry(u, v, q)
-                    cache[key] = ent
-                total += cu * np.conj(cv) * ent
+    for u, cu in x.items():
+        for v, cv in y.items():
+            if len(u) == len(v):
+                total += cu * np.conj(cv) * _gram_entry(u, v, q)
     return complex(total)
 
 
-def second_quantize_OU(v: TruncatedFockVector, t: float) -> TruncatedFockVector:
-    """Scale level k by exp(-k t)."""
+def second_quantize_OU(v: dict, t: float) -> dict:
+    """Scale each word w by exp(-len(w) t)."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return TruncatedFockVector(levels={
-        k: {w: c * np.exp(-k * t) for w, c in terms.items()}
-        for k, terms in v.levels.items()})
+    return {w: c * np.exp(-len(w) * t) for w, c in v.items()}
 
 
 def positivity_check(k: int, q: float, sample_words) -> float:
@@ -273,50 +209,59 @@ def word_adjoint(letters) -> list:
     return [(flip[k], i) for k, i in reversed(letters)]
 
 
-def _apply_g_parts(i: int, parts, v, params, level_cap):
-    """Apply a combination sum_j weight_j * (create or annihilate)."""
-    out = TruncatedFockVector()
-    for weight, label, create in parts:
-        piece = (create_apply(label, v, params, level_cap=level_cap)
-                 if create else annihilate_apply(label, v, params))
-        out.axpy(weight, piece)
-    return out.prune()
+def letter_parts(kind: str, mu: float) -> tuple:
+    """(c_g, c_s) of the letter c_g g + c_s g* of weight mu.
 
-
-def _letter_parts(kind: str, i: int, mu_i: float):
-    g_parts = [(1.0 / mu_i, i, True), (mu_i, -i, False)]
-    gs_parts = [(1.0 / mu_i, i, False), (mu_i, -i, True)]
+    x is the real combination (g + g*) / sqrt(mu**2 + mu**-2).
+    """
     if kind == "g":
-        return g_parts
+        return 1.0, 0.0
     if kind == "g*":
-        return gs_parts
-    nrm = 1.0 / np.sqrt(mu_i ** 2 + mu_i ** -2)
-    return [(w * nrm, lab, cr) for w, lab, cr in g_parts + gs_parts]
+        return 0.0, 1.0
+    if kind == "x":
+        nrm = 1.0 / np.sqrt(mu ** 2 + mu ** -2)
+        return nrm, nrm
+    raise ValueError(f"unknown letter kind {kind!r}")
+
+
+def _checked(letters, params: QParams) -> list:
+    """The letters as a list, at most MAX_WORD_LEN of them, each index in 1..n."""
+    letters = list(letters)
+    if len(letters) > MAX_WORD_LEN:
+        raise ValueError(f"words capped at length {MAX_WORD_LEN}")
+    for _, i in letters:
+        if not (1 <= i <= params.n):
+            raise ValueError(f"letter index {i} out of range")
+    return letters
 
 
 def moment_operator(letters, params: QParams) -> complex:
     """tau of the word by right-to-left application to the vacuum.
 
-    Intermediate levels are capped by both the truncation level and the
-    number of remaining letters (components above that can no longer
-    come back to the vacuum, so dropping them is exact).
+    g_i = mu**-1 l(e_i) + mu l*(e_{-i}) and g*_i = mu**-1 l*(e_i) + mu l(e_{-i}).
+    After each letter only words no longer than the letters still to apply
+    are kept (longer ones can no longer come back to the vacuum, so
+    dropping them is exact); creation skips the words already at that cap.
     """
-    letters = list(letters)
     if params.q == -1.0:
         raise ValueError("the operator path needs q > -1; use the pair-partition path")
-    if len(letters) > MAX_WORD_LEN:
-        raise ValueError(f"words capped at length {MAX_WORD_LEN}")
-    if len(letters) > 2 * params.max_level:
-        raise ValueError(
-            f"word of length {len(letters)} needs max_level >= {len(letters) / 2:.0f}")
-    v = TruncatedFockVector.vacuum()
-    for step, (kind, i) in enumerate(reversed(letters)):
-        if not (1 <= i <= params.n):
-            raise ValueError(f"letter index {i} out of range")
-        remaining = len(letters) - step - 1
-        v = _apply_g_parts(i, _letter_parts(kind, i, params.mu[i - 1]), v,
-                           params, level_cap=remaining)
-    return complex(v.coefficient(()))
+    letters = _checked(letters, params)
+    v = {(): 1.0 + 0.0j}
+    for remaining, (kind, i) in reversed(list(enumerate(letters))):
+        mu_i = params.mu[i - 1]
+        c_g, c_s = letter_parts(kind, mu_i)
+        low = {w: c for w, c in v.items() if len(w) < remaining}
+        out = {}
+        for weight, label, create in ((c_g * (1.0 / mu_i), i, True), (c_g * mu_i, -i, False),
+                                      (c_s * (1.0 / mu_i), i, False), (c_s * mu_i, -i, True)):
+            if weight == 0.0:
+                continue
+            piece = (create_apply(label, low, params) if create
+                     else annihilate_apply(label, v, params))
+            for w, c in piece.items():
+                out[w] = out.get(w, 0.0) + weight * c
+        v = {w: c for w, c in out.items() if abs(c) > 0.0}
+    return complex(v.get((), 0.0))
 
 
 def _crossings(pairs) -> int:
@@ -331,15 +276,10 @@ def _crossings(pairs) -> int:
 def _pair_weights(letters, mu) -> list:
     """weights[a][b] = tau(l_a l_b) for a pair of positions a < b.
 
-    A letter is c_g g + c_s g*, with x = (g + g*) / sqrt(mu**2 + mu**-2);
-    tau(g g*) = mu**2, tau(g* g) = mu**-2, and letters of different
-    indices do not pair.
+    A letter is c_g g + c_s g* (``letter_parts``); tau(g g*) = mu**2,
+    tau(g* g) = mu**-2, and letters of different indices do not pair.
     """
-    parts = []
-    for kind, i in letters:
-        m = mu[i - 1]
-        nrm = 1.0 / np.sqrt(m * m + m ** -2)
-        parts.append({"g": (1.0, 0.0), "g*": (0.0, 1.0), "x": (nrm, nrm)}[kind])
+    parts = [letter_parts(kind, mu[i - 1]) for kind, i in letters]
     weights = [[0.0] * len(letters) for _ in letters]
     for a, (_, i) in enumerate(letters):
         for b, (_, j) in enumerate(letters):
@@ -379,9 +319,7 @@ def moment_pairings(letters, params: QParams) -> complex:
     enumerated once, every pair weighted by its letters' g/g* parts; x
     letters are not expanded into 2**k pure words.
     """
-    letters = list(letters)
-    if len(letters) > MAX_WORD_LEN:
-        raise ValueError(f"words capped at length {MAX_WORD_LEN}")
+    letters = _checked(letters, params)
     return complex(_pairing_sum(_pair_weights(letters, params.mu), params.q))
 
 

@@ -25,7 +25,7 @@ from qhyper.linalg import (expansion_second_order, expansion_via_frechet,
                            schatten_norm_from_sv, singular_values)
 from qhyper.qfock import (QParams, annihilate_apply, create_apply, gram_matrix,
                           moment, moment_operator, moment_pairings, parse_word,
-                          positivity_check, q_inner, TruncatedFockVector)
+                          positivity_check, q_inner)
 from qhyper.semigroup import (choi_identity_residual, choi_matrix,
                               l2_pythagoras_residual)
 from qhyper.signs import ModelParams, SignTable
@@ -238,11 +238,11 @@ def test_criterion_09_qfock():
             ok = ok and positivity_check(level, q, words) > 0.0
     worst_moment = 0.0
     for q in (-0.5, 0.0, 0.5, 0.9):
-        qp1 = QParams(q=q, n=1, mu=(1.0,), max_level=4)
+        qp1 = QParams(q=q, n=1, mu=(1.0,))
         worst_moment = max(worst_moment,
                            abs(moment("(g+g*)^4", qp1) - (2.0 + q)))
     worst_agree = 0.0
-    qp = QParams(q=-0.7, n=1, mu=(1.5,), max_level=6)
+    qp = QParams(q=-0.7, n=1, mu=(1.5,))
     for length in (2, 4, 6):
         for kinds in itertools.product(("g", "g*"), repeat=length):
             letters = [(k, 1) for k in kinds]
@@ -252,17 +252,16 @@ def test_criterion_09_qfock():
     rng = np.random.default_rng(1010)
     worst_adj = 0.0
     for q in (-0.9, -0.5, 0.0, 0.5, 0.9):
-        qpq = QParams(q=q, n=2, mu=(1.0, 1.0), max_level=5)
+        qpq = QParams(q=q, n=2, mu=(1.0, 1.0))
         for _ in range(5):
             def rand_vec():
-                v = TruncatedFockVector()
+                v = {}
                 for _ in range(10):
                     lvl = int(rng.integers(0, 4))
                     w = tuple(int(rng.integers(1, 3))
                               * (1 if rng.random() < 0.5 else -1)
                               for _ in range(lvl))
-                    dst = v.levels.setdefault(lvl, {})
-                    dst[w] = dst.get(w, 0.0) + complex(*rng.standard_normal(2))
+                    v[w] = v.get(w, 0.0) + complex(*rng.standard_normal(2))
                 return v
             x, y = rand_vec(), rand_vec()
             lhs = q_inner(create_apply(1, x, qpq), y, q)

@@ -274,6 +274,7 @@ BOUNDARY_CASES = [
     (["hyperc-search", "--t", "-3"], "t must be"),
     (["fock-moment", "(g+g*)^0"], "exponent must be at least 1"),
     (["fock-moment", "g0"], "index must be at least 1"),
+    (["fock-moment", "h"], "cannot parse word"),
     (["clt", "g^0", "--m", "5"], "exponent must be at least 1"),
     (["choi", "--mu", "0.5"], "need t >= 0 and mu >= 1"),
     (["choi", "--t=-1"], "need t >= 0 and mu >= 1"),

@@ -1,14 +1,14 @@
-"""Truncated q-Fock oracle: inner products, moments, dual-oracle agreement."""
+"""q-Fock oracle: inner products, moments, dual-oracle agreement."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from qhyper.qfock import (QParams, TruncatedFockVector, annihilate_apply,
-                          create_apply, gram_matrix, moment, moment_operator,
-                          moment_pairings, parse_word, positivity_check,
-                          q_inner, second_quantize_OU, word_adjoint)
+from qhyper.qfock import (QParams, annihilate_apply, create_apply, gram_matrix,
+                          letter_parts, moment, moment_operator, moment_pairings,
+                          parse_word, positivity_check, q_inner, second_quantize_OU,
+                          word_adjoint)
 
 
 def test_gram_small_cases():
@@ -20,49 +20,43 @@ def test_gram_small_cases():
 
 
 def test_create_annihilate_examples():
-    qp = QParams(q=0.5, n=1, mu=(1.0,), max_level=4)
-    vac = TruncatedFockVector.vacuum()
-    assert not annihilate_apply(1, vac, qp).levels
+    qp = QParams(q=0.5, n=1, mu=(1.0,))
+    vac = {(): 1.0}
+    assert not annihilate_apply(1, vac, qp)
     e1 = create_apply(1, vac, qp)
-    assert e1.coefficient((1,)) == 1.0
+    assert e1 == {(1,): 1.0}
     e11 = create_apply(1, e1, qp)
     down = annihilate_apply(1, e11, qp)
-    assert abs(down.coefficient((1,)) - 1.5) < 1e-15   # weights q^0 + q^1
-    with pytest.raises(OverflowError):
-        v = e11
-        for _ in range(4):
-            v = create_apply(1, v, qp)
+    assert abs(down[(1,)] - 1.5) < 1e-15   # weights q^0 + q^1
 
 
 def test_q_inner_and_positivity():
     rng = np.random.default_rng(0)
     for q in (-0.9, -0.5, 0.0, 0.5, 0.9):
-        v = TruncatedFockVector()
+        v = {}
         for _ in range(10):
             lvl = int(rng.integers(0, 4))
             w = tuple(int(rng.integers(1, 3)) * (1 if rng.random() < 0.5 else -1)
                       for _ in range(lvl))
-            dst = v.levels.setdefault(lvl, {})
-            dst[w] = dst.get(w, 0.0) + complex(*rng.standard_normal(2))
+            v[w] = v.get(w, 0.0) + complex(*rng.standard_normal(2))
         sq = q_inner(v, v, q)
         assert sq.real >= -1e-12 and abs(sq.imag) < 1e-12
-    assert q_inner(TruncatedFockVector.vacuum(), TruncatedFockVector.vacuum(), 0.3) == 1.0
+    assert q_inner({(): 1.0}, {(): 1.0}, 0.3) == 1.0
 
 
 def test_adjointness_create_annihilate():
     rng = np.random.default_rng(1)
-    qp_template = dict(n=2, mu=(1.0, 1.0), max_level=5)
+    qp_template = dict(n=2, mu=(1.0, 1.0))
     for q in (-0.9, -0.5, 0.0, 0.5, 0.9):
         qp = QParams(q=q, **qp_template)
 
         def rand_vec():
-            v = TruncatedFockVector()
+            v = {}
             for _ in range(12):
                 lvl = int(rng.integers(0, 4))
                 w = tuple(int(rng.integers(1, 3)) * (1 if rng.random() < 0.5 else -1)
                           for _ in range(lvl))
-                dst = v.levels.setdefault(lvl, {})
-                dst[w] = dst.get(w, 0.0) + complex(*rng.standard_normal(2))
+                v[w] = v.get(w, 0.0) + complex(*rng.standard_normal(2))
             return v
 
         for lab in (1, -2):
@@ -73,7 +67,7 @@ def test_adjointness_create_annihilate():
 
 
 def test_moment_pair_values():
-    qp = QParams(q=0.4, n=1, mu=(1.3,), max_level=4)
+    qp = QParams(q=0.4, n=1, mu=(1.3,))
     assert abs(moment("g*g", qp) - 1.3 ** -2) < 1e-14
     assert abs(moment("gg*", qp) - 1.3 ** 2) < 1e-14
     assert abs(moment("g", qp)) < 1e-15
@@ -83,26 +77,26 @@ def test_moment_pair_values():
 
 @pytest.mark.parametrize("q", [-0.5, 0.0, 0.5, 0.9])
 def test_normalized_fourth_moment(q):
-    qp = QParams(q=q, n=1, mu=(1.0,), max_level=4)
+    qp = QParams(q=q, n=1, mu=(1.0,))
     assert abs(moment("(g+g*)^2", qp) - 1.0) < 1e-13
     assert abs(moment("(g+g*)^4", qp) - (2.0 + q)) < 1e-12
 
 
 def test_car_limit_via_pairings():
-    qp = QParams(q=-1.0, n=1, mu=(1.0,), max_level=4)
+    qp = QParams(q=-1.0, n=1, mu=(1.0,))
     assert abs(moment("(g+g*)^2", qp) - 1.0) < 1e-14
     assert abs(moment("(g+g*)^4", qp) - 1.0) < 1e-14
 
 
 def test_free_case_counts_noncrossing():
     # q = 0 keeps only non-crossing pairings: catalan-style counts
-    qp = QParams(q=0.0, n=1, mu=(1.0,), max_level=6)
+    qp = QParams(q=0.0, n=1, mu=(1.0,))
     assert abs(moment("(g+g*)^4", qp) - 2.0) < 1e-14
     assert abs(moment("(g+g*)^6", qp) - 5.0) < 1e-14
 
 
 def test_oracle_agreement_exhaustive_n1():
-    qp = QParams(q=-0.7, n=1, mu=(1.4,), max_level=6)
+    qp = QParams(q=-0.7, n=1, mu=(1.4,))
     worst = 0.0
     for length in (2, 4, 6):
         for kinds in itertools.product(("g", "g*"), repeat=length):
@@ -115,7 +109,7 @@ def test_oracle_agreement_exhaustive_n1():
 
 def test_oracle_agreement_random_mixed_indices():
     rng = np.random.default_rng(2)
-    qp = QParams(q=0.6, n=3, mu=(1.0, 1.5, 2.0), max_level=6)
+    qp = QParams(q=0.6, n=3, mu=(1.0, 1.5, 2.0))
     for _ in range(100):
         length = int(rng.choice([2, 4, 6]))
         letters = [(("g", "g*", "x")[rng.integers(0, 3)], int(rng.integers(1, 4)))
@@ -166,7 +160,7 @@ def test_pairings_match_expanded_words():
     for q in (-1.0, -0.5, 0.0, 0.3, 0.9):
         for _ in range(60):
             n = int(rng.integers(1, 3))
-            qp = QParams(q=q, n=n, mu=tuple(1.0 + 2.0 * rng.random(n)), max_level=4)
+            qp = QParams(q=q, n=n, mu=tuple(1.0 + 2.0 * rng.random(n)))
             letters = [(("g", "g*", "x")[rng.integers(0, 3)], int(rng.integers(1, n + 1)))
                        for _ in range(int(rng.integers(1, 9)))]
             got = moment_pairings(letters, qp)
@@ -178,9 +172,37 @@ def test_pairings_match_expanded_words():
             assert abs(got.real - want) <= 1e-12 * scale
 
 
+def test_letter_parts():
+    assert letter_parts("g", 2.0) == (1.0, 0.0)
+    assert letter_parts("g*", 2.0) == (0.0, 1.0)
+    c_g, c_s = letter_parts("x", 2.0)
+    assert c_g == c_s and abs(c_g ** 2 * (4.0 + 0.25) - 1.0) < 1e-15
+    with pytest.raises(ValueError, match="unknown letter kind"):
+        letter_parts("h", 2.0)
+
+
+ORACLES = {
+    "operator": lambda letters: moment_operator(letters, QParams(q=0.3, n=2, mu=(1, 2))),
+    "pairings": lambda letters: moment_pairings(letters, QParams(q=0.3, n=2, mu=(1, 2))),
+    "moment q=-1": lambda letters: moment(letters, QParams(q=-1.0, n=2, mu=(1, 2))),
+    "moment q=0.3": lambda letters: moment(letters, QParams(q=0.3, n=2, mu=(1, 2))),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+@pytest.mark.parametrize("letters", [[("h", 1), ("h", 1)], [("g*", 0), ("g", 0)],
+                                     [("g*", 3), ("g", 3)]],
+                         ids=["kind h", "index 0", "index n+1"])
+def test_bad_letters_raise_on_every_route(oracle, letters):
+    """Index 0 once read mu[-1] on the pairing route, index n + 1 raised
+    IndexError there, and an unknown kind was taken as x by the operator."""
+    with pytest.raises(ValueError):
+        ORACLES[oracle](letters)
+
+
 def test_moment_positive_on_w_star_w():
     rng = np.random.default_rng(3)
-    qp = QParams(q=0.3, n=2, mu=(1.2, 1.7), max_level=5)
+    qp = QParams(q=0.3, n=2, mu=(1.2, 1.7))
     for _ in range(25):
         length = int(rng.integers(1, 4))
         w = [(("g", "g*")[rng.integers(0, 2)], int(rng.integers(1, 3)))
@@ -189,25 +211,11 @@ def test_moment_positive_on_w_star_w():
         assert val.real >= -1e-12 and abs(val.imag) < 1e-12
 
 
-def test_truncation_sufficiency():
-    letters = parse_word("(g+g*)^4")
-    ref = None
-    for level in (2, 3, 5, 8):
-        qp = QParams(q=0.3, n=1, mu=(1.4,), max_level=level)
-        val = moment(letters, qp)
-        ref = val if ref is None else ref
-        assert abs(val - ref) < 1e-14
-    with pytest.raises(ValueError):
-        moment(letters, QParams(q=0.3, n=1, mu=(1.4,), max_level=1))
-
-
 def test_second_quantization():
-    qp = QParams(q=0.5, n=1, mu=(1.0,), max_level=4)
-    v = TruncatedFockVector(levels={0: {(): 0.3}, 1: {(1,): 1.0, (-1,): 0.5},
-                                    2: {(1, -1): 0.7}})
-    assert second_quantize_OU(v, 0.0).levels == v.levels
-    vac = TruncatedFockVector.vacuum()
-    assert second_quantize_OU(vac, 3.0).coefficient(()) == 1.0
+    qp = QParams(q=0.5, n=1, mu=(1.0,))
+    v = {(): 0.3, (1,): 1.0, (-1,): 0.5, (1, -1): 0.7}
+    assert second_quantize_OU(v, 0.0) == v
+    assert second_quantize_OU({(): 1.0}, 3.0) == {(): 1.0}
     before = q_inner(v, v, qp.q).real
     after_v = second_quantize_OU(v, 0.4)
     after = q_inner(after_v, after_v, qp.q).real
