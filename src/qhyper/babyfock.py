@@ -251,47 +251,53 @@ class BabyFock:
         return self._cached(("table",), lambda: self._word_entries(np.arange(self.dim)))
 
     def irrep(self):
-        """(cols, vals, rho): the 2**n dimensional irreducible representation
+        """(flip, vals, rho): the 2**n dimensional irreducible representation
         in closed form (twisted Jordan-Wigner), built from ``params`` alone.
 
         On site i (bit i - 1), pi(g_i) = sqrt(mu_i**2 + mu_i**-2) Z..Z a_i, a = |0><1|,
         with Z on each site j < i where eps(i, j) = -1, and pi(y_i) = (mu_i**2 +
         mu_i**-2) n_i - mu_i**-2.  Row r of pi(M_w) has its one non-zero, ``vals[w, r]``
-        (0 on a dead row), at column ``cols[w, r]`` = r ^ cols[w, 0]: g_i and g*_i both
-        flip bit i - 1, so the words fall into 2**n groups of 2**n words sharing one
-        column map.  ``rho`` is the diagonal of the trace-one density prod_i
-        ((1 - lambda_i) + (2 lambda_i - 1) n_i).  The build checks trace(rho pi(M_w)) =
-        tau(M_w) and trace(rho pi(M_w)* pi(M_w)) = |M_w x_empty|**2 against this model."""
+        (0 on a dead row), at column r ^ ``flip[w]``: g_i and g*_i both flip bit i - 1, so
+        2**n groups of 2**n words share one column map.  ``rho`` is the diagonal of the
+        trace-one density prod_i ((1 - lambda_i) + (2 lambda_i - 1) n_i).  The build checks
+        trace(rho pi(M_w)) = tau(M_w) and trace(rho pi(M_w)* pi(M_w)) = |M_w x_empty|**2."""
 
         def build():
             n, eps, c = self.n, self.params.signs.matrix(), self.mu ** 2 + self.mu ** -2
             rows = np.arange(1 << n)
-            letters = []            # per site: (column map, value) of g, g*, y
+            letters = []            # per site: (flipped bit, value) of g, g*, y
             for k in range(n):
                 zmask = sum(1 << j for j in range(k) if eps[k, j] == -1)
                 gval = np.sqrt(c[k]) * (1.0 - 2.0 * (_kernels.popcount_table(n)[rows & zmask] & 1))
                 full = (rows & (1 << k)) != 0
-                letters.append((None, (rows ^ 1 << k, np.where(full, 0.0, gval)),
-                                (rows ^ 1 << k, np.where(full, gval, 0.0)),
-                                (rows, np.where(full, c[k], 0.0) - self.mu[k] ** -2)))
-            cols, vals = np.empty((self.dim, rows.size), np.int64), np.empty((self.dim, rows.size))
-            cols[0], vals[0] = rows, 1.0
+                letters.append((None, (1 << k, np.where(full, 0.0, gval)),
+                                (1 << k, np.where(full, gval, 0.0)),
+                                (0, np.where(full, c[k], 0.0) - self.mu[k] ** -2)))
+            flip, vals = np.zeros(self.dim, np.int64), np.ones((self.dim, rows.size))
             for w in range(1, self.dim):
                 k = ((w & -w).bit_length() - 1) // 2
-                sigma, v = letters[k][(w >> (2 * k)) & 3]
+                bit, v = letters[k][(w >> (2 * k)) & 3]
                 prev = w & ~(3 << (2 * k))
-                cols[w], vals[w] = cols[prev][sigma], v * vals[prev][sigma]
+                flip[w], vals[w] = flip[prev] ^ bit, v * vals[prev][rows ^ bit]
             lam = 1.0 / (1.0 + self.mu ** 4)
             rho = np.prod([np.where(rows & 1 << k, lam[k], 1 - lam[k]) for k in range(n)], axis=0)
             rho /= rho.sum()
-            traces = np.sum(np.where(cols == rows, vals, 0.0) * rho, axis=1)
+            traces = np.sum(np.where(flip[:, None] == 0, vals, 0.0) * rho, axis=1)
             traces[0] -= 1.0
-            weights = np.sum(rho[cols] * vals ** 2, axis=1) / self._monomial_data()[1] ** 2
+            weights = np.sum(rho[rows ^ flip[:, None]] * vals ** 2, axis=1)
+            weights /= self._monomial_data()[1] ** 2
             if max(np.max(np.abs(traces)), np.max(np.abs(weights - 1.0))) > 1e-12:
                 raise AssertionError("closed-form irrep does not reproduce the vacuum state")
-            return cols, vals, rho
+            return flip, vals, rho
 
         return self._cached(("irrep",), build)
+
+    def irrep_matrix(self, word) -> np.ndarray:
+        """Dense 2**n x 2**n pi(M_w) of the monomial with the given letter tuple."""
+        flip, vals, rho = self.irrep()
+        out, rows, w = np.zeros((rho.size, rho.size)), np.arange(rho.size), self.windex_of(word)
+        out[rows, rows ^ flip[w]] = vals[w]
+        return out
 
     def expand(self, X: np.ndarray) -> np.ndarray:
         """Monomial coefficients of X (exact inverse of the embedding)."""

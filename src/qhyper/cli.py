@@ -21,9 +21,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .babyfock import get_model
+from .babyfock import GEN, UNIT, get_model
 from .clt import convergence_report
-from .hyperc import (convexity_margins, dual_contraction_ratio, necessary_time_exact,
+from .hyperc import (RatioEvaluator, convexity_margins, necessary_time_exact,
                      sufficient_time, violation_search)
 from .linalg import (expansion_second_order, expansion_via_frechet, richardson_second_coeff,
                      schatten_norm)
@@ -169,19 +169,20 @@ def cmd_lpnorm(args):
     for p in ps:
         if p < 1.0:
             raise ValueError(f"lpnorm needs p >= 1, got {p}")
+    _, _, rho = model.irrep()       # ||g_i D**(1/p)||_p = ||pi(g_i) rho**(1/p)||_p
     records = []
     for i in range(1, model.n + 1):
         mu = model.mu[i - 1]
+        g = model.irrep_matrix(tuple(GEN if k == i - 1 else UNIT for k in range(model.n)))
         for p in ps:
-            nrm = schatten_norm(model.apply_gamma(i, get_density(model, 1.0 / p)), p)
+            nrm = schatten_norm(g * rho ** (1.0 / p), p)
             ratio = float(nrm / mu ** (1.0 - 4.0 / p))
             rec = {"index": i, "p": p, "norm": nrm, "growth_ratio": ratio,
                    "pass": bool(0.7 <= ratio <= 1.5) if mu >= 2 else True}
             closed = float((mu ** 2 + mu ** -2) ** 0.5 * (1.0 + mu ** 4) ** (-1.0 / p))
             rec["closed_form"] = closed
             rec["closed_form_resid"] = abs(nrm - closed)
-            if model.n == 1:
-                rec["pass"] = bool(rec["pass"] and rec["closed_form_resid"] <= 1e-10)
+            rec["pass"] = bool(rec["pass"] and rec["closed_form_resid"] <= 1e-10)
             records.append(rec)
     return records
 
@@ -295,13 +296,12 @@ def cmd_necessary_time(args):
             raise ValueError(f"necessary-time needs p' an even integer >= 4, got {pp}")
         for mu in mus:
             thr = necessary_time_exact(n_half, mu)
-            params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
-            model = get_model(params)
-            wit = model.identity() + eps * model.apply_gamma(1, model.identity())
+            model = get_model(ModelParams.make(1, mu, SignTable.all_anticommuting(1)))
+            wit = np.array([1.0, eps, 0.0, 0.0])    # 1 + eps g on the words 1, g, g*, y
             t_hi = float(-0.5 * np.log(1.05 * thr.exact))
             t_lo = float(-0.5 * np.log(0.95 * thr.exact))
-            r_above = dual_contraction_ratio(model, wit, t_hi, pp)
-            r_below = dual_contraction_ratio(model, wit, t_lo, pp)
+            r_above = RatioEvaluator(model, t_hi, pp, "dual").ratio(wit)
+            r_below = RatioEvaluator(model, t_lo, pp, "dual").ratio(wit)
             records.append({
                 "p_prime": pp, "mu": mu, "exact": thr.exact,
                 "paper_display": thr.paper_display, "differs": thr.differs,
@@ -321,16 +321,15 @@ def cmd_perturb(args):
     for mu in mus:
         if mu <= 1.0:
             raise ValueError("perturb needs mu > 1 (the expansion assumes lam > 1)")
-        params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
-        model = get_model(params)
-        g = model.apply_gamma(1, model.identity())
-        ident = np.eye(model.dim)
+        model = get_model(ModelParams.make(1, mu, SignTable.all_anticommuting(1)))
+        _, _, rho = model.irrep()       # D = diag(rho) in the 2-dimensional irrep
+        g, ident = model.irrep_matrix((GEN,)), np.eye(rho.size)
         # trace(D g* g) = mu**-2 and trace(D g g*) = mu**2, whatever p is
-        D = get_density(model)
+        D = np.diag(rho)
         tr_gg = float(np.trace(D @ g.conj().T @ g).real)
         tr_ggs = float(np.trace(D @ g @ g.conj().T).real)
         for p in ps:
-            d = get_density(model, 1.0 / p)
+            d = np.diag(rho ** (1.0 / p))
             lam = mu ** (4.0 / p)
             closed = expansion_second_order(d, g, p, lam)
             frech = expansion_via_frechet(d, g, p)

@@ -234,6 +234,8 @@ def _prepare(letters, mu, samples: int):
     n = max(i for _, i in letters)
     if len(mu) < n:
         raise ValueError(f"need {n} mu values")
+    if not all(1.0 <= m < np.inf for m in mu):
+        raise ValueError(f"mu entries must be finite and >= 1, got {mu}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     return letters, mu, n

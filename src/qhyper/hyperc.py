@@ -49,6 +49,10 @@ STEP_FLOOR = 1e-8           # relative step below which a restart retires
 # ============================================================================
 
 
+def _lam(mu: float) -> float:
+    return 1.0 / (1.0 + mu ** 4)
+
+
 def C_of_mu(p: float, mu: float) -> float:
     """Asymmetric convexity constant; the range boundary sits at p = 4/3.
 
@@ -74,7 +78,7 @@ def bcl_check(A: np.ndarray, B: np.ndarray, p: float) -> float:
 
 def asym_convexity_check(A: np.ndarray, B: np.ndarray, p: float, mu: float) -> float:
     """Margin of the weighted asymmetric version with constant C(mu)."""
-    lam = 1.0 / (1.0 + mu ** 4)
+    lam = _lam(mu)
     lhs = (lam * schatten_norm(A + mu ** 2 * B, p) ** p
            + (1.0 - lam) * schatten_norm(A - B / mu ** 2, p) ** p) ** (2.0 / p)
     rhs = schatten_norm(A, p) ** 2 + C_of_mu(p, mu) * (p - 1.0) * schatten_norm(B, p) ** 2
@@ -91,17 +95,13 @@ def dual_convexity_check(X: np.ndarray, Y: np.ndarray, q: float, mu: float,
     """
     if q < 2.0:
         raise ValueError(f"need q >= 2, got {q}")
-    lam = 1.0 / (1.0 + mu ** 4)
+    lam = _lam(mu)
     if coeff is None:
         coeff = (q - 1.0) / (mu ** 4 * C_of_mu(q / (q - 1.0), mu))
     lhs = schatten_norm(X, q) ** 2 + coeff * schatten_norm(Y, q) ** 2
     rhs = (lam * schatten_norm(X + Y, q) ** q
            + (1.0 - lam) * schatten_norm(X - (lam / (1.0 - lam)) * Y, q) ** q) ** (2.0 / q)
     return float(lhs - rhs)
-
-
-def _lam(mu: float) -> float:
-    return 1.0 / (1.0 + mu ** 4)
 
 
 def _per_mu(mu: np.ndarray, fn) -> np.ndarray:
@@ -263,9 +263,9 @@ class RatioEvaluator:
     representation (``BabyFock.irrep``) with its diagonal trace-one density rho; there
     the plain p-norm of sum_w c_w pi(M_w) rho**(1/p) is the Haagerup norm.  Each
     pi(M_w) rho**(1/p) stays one-sparse: row r holds ``vals[w, r]`` at column
-    ``cols[w, r]``, two (4**n, 2**n) arrays (4 MB at n = 6).  The 4**n density and
-    monomial table are never read, so every n up to MAX_N works; the 4**n path
-    stays as the oracle (``contraction_ratio``, ``dual_contraction_ratio``).
+    r ^ ``flip[w]`` (2 MB at n = 6).  The 4**n density and monomial table are never
+    read, so every n up to MAX_N works; the 4**n path stays as the oracle
+    (``contraction_ratio``, ``dual_contraction_ratio``).
     """
 
     def __init__(self, model: BabyFock, t: float, p: float, direction: str = "primal"):
@@ -279,8 +279,8 @@ class RatioEvaluator:
         self.t = float(t)
         self.p = float(p)           # in the dual direction p plays the role of p'
         self.direction = direction
-        self.cols, vals, rho = model.irrep()
-        self.vals = vals * rho[self.cols] ** (1.0 / self.p)
+        self.flip, vals, rho = model.irrep()
+        self.vals = vals * rho[np.arange(rho.size) ^ self.flip[:, None]] ** (1.0 / self.p)
         if direction == "primal":
             self.vec_weights = _l2_weights(model, t)
         else:
@@ -289,15 +289,15 @@ class RatioEvaluator:
 
     def add_words(self, mats: np.ndarray, words: np.ndarray, coeffs: np.ndarray) -> None:
         """mats[j] += coeffs[j] pi(M_{words[j]}) rho**(1/p) in place: 2**n entries per j."""
-        j, rows = np.arange(len(words))[:, None], np.arange(self.cols.shape[1])
-        mats[j, rows, self.cols[words]] += coeffs[:, None] * self.vals[words]
+        j, rows = np.arange(len(words))[:, None], np.arange(self.vals.shape[1])
+        mats[j, rows, rows ^ self.flip[words][:, None]] += coeffs[:, None] * self.vals[words]
 
     def matrices(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_w c_w pi(M_w) rho**(1/p) per row c: one product per column-map group."""
         coeffs = np.atleast_2d(coeffs)
-        j, rows = np.arange(coeffs.shape[0])[:, None], np.arange(self.cols.shape[1])
+        j, rows = np.arange(coeffs.shape[0])[:, None], np.arange(self.vals.shape[1])
         out = np.empty((coeffs.shape[0], rows.size, rows.size), dtype=np.complex128)
-        for m, words in enumerate(np.argsort(self.cols[:, 0]).reshape(rows.size, -1)):
+        for m, words in enumerate(np.argsort(self.flip).reshape(rows.size, -1)):
             out[j, rows, rows ^ m] = coeffs[:, words] @ self.vals[words]
         return out
 
@@ -448,7 +448,7 @@ def decomposition_identity_check(a: np.ndarray, d: np.ndarray, p: float,
     a, d live in the model on indices 1..n-1.
     """
     small, mu = _split_models(model)
-    lam = 1.0 / (1.0 + mu ** 4)
+    lam = _lam(mu)
     A = embed_lower(a, small, model)
     Dd = embed_lower(d, small, model)
     X = A + model.apply_y(model.n, Dd)
@@ -465,7 +465,7 @@ def gamma_lower_bound_check(b: np.ndarray, c: np.ndarray, p: float,
     """Margins of || g_n b D**(1/p) ||_p >= lam**(1/p) (mu^2+mu^-2)**(1/2) || b D'**(1/p) ||_p
     and the starred counterpart with 1 - lam."""
     small, mu = _split_models(model)
-    lam = 1.0 / (1.0 + mu ** 4)
+    lam = _lam(mu)
     fac = np.sqrt(mu ** 2 + mu ** -2)
     B = embed_lower(b, small, model)
     Cc = embed_lower(c, small, model)

@@ -47,8 +47,8 @@ class QParams:
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
         if len(self.mu) != self.n:
             raise ValueError(f"need {self.n} mu values, got {len(self.mu)}")
-        if any(m < 1.0 for m in self.mu):
-            raise ValueError("mu entries must be >= 1")
+        if not all(1.0 <= m < np.inf for m in self.mu):
+            raise ValueError(f"mu entries must be finite and >= 1, got {self.mu}")
 
 
 def create_apply(label: int, v: dict, params: QParams) -> dict:

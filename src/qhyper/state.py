@@ -14,17 +14,17 @@ applied to the identity by the letter kernels (``get_density(model, alpha)``);
 no eigendecomposition and no dense projection is formed.  L^p elements
 are x D**(1/p) with the Schatten p-norm.  No generator is stored as a
 matrix: g_i D**(1/p) is one letter application on D**(1/p), which is how
-the CLI takes it, and ``haagerup_norm``'s dense product x @ D**(1/p) is
-the oracle for it.  The functions here stay in the 4**n representation
-and serve as the oracle.  The check trace(D M_w) = tau(M_w) over every
-word reads the sparse monomial table (``BabyFock.monomial_table``); the
-independent linear solve for D takes its Gram matrix block by block in
-the irrep and scatters its solution through the same table, at every n.
-The ratio search in
-``hyperc`` takes its norms in the closed-form 2**n dimensional
-irreducible representation (``BabyFock.irrep``), where the same product
-is a diagonal rho of trace one and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p
-with no scale factor.
+the CLI's ``density`` command checks its L^2 norms and the modular
+relation.  The functions here stay in the 4**n representation and serve
+as the oracle.  The check trace(D M_w) = tau(M_w) over every word reads
+the sparse monomial table (``BabyFock.monomial_table``); the independent
+linear solve for D takes its Gram matrix block by block in the irrep and
+scatters its solution through the same table, at every n.  Every norm
+the ratio search and the CLI report is taken in the closed-form 2**n
+dimensional irreducible representation (``BabyFock.irrep``) instead,
+where the same product is a diagonal rho of trace one and
+||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p with no scale factor;
+``haagerup_norm``'s dense product x @ D**(1/p) is the oracle for it.
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
     by default tau(M_b) is 1 for the unit word and 0 otherwise.  The 4**n
     representation is 2**n copies of the irrep (``BabyFock.irrep``), so the Gram
     matrix is trace(M_a M_b) = 2**n sum_r vals[a, r] vals[b, r ^ m], non-zero only
-    when a and b share the column map r -> r ^ m: 2**n blocks of 2**n words, each
-    solved on its own.  The solve reads neither rho nor the closed-form D.
+    when a and b share the column map r -> r ^ m (``flip`` = m): 2**n blocks of 2**n
+    words, each solved on its own.  The solve reads neither rho nor the closed-form D.
     """
-    cols, vals, _ = model.irrep()
+    flip, vals, _ = model.irrep()
     rows = np.arange(vals.shape[1])
     rhs = np.zeros(model.dim, dtype=np.complex128)
     rhs[0] = 1.0
@@ -113,7 +113,7 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
         raise ValueError(f"expected {model.dim} vacuum values, got shape {rhs.shape}")
     coeffs = np.zeros(model.dim, dtype=np.complex128)
     for m in rows:
-        w = np.flatnonzero(cols[:, 0] == m)
+        w = np.flatnonzero(flip == m)
         gram = rows.size * (vals[w] @ vals[w][:, rows ^ m].T)
         coeffs[w] = np.linalg.solve(gram, rhs[w])
         resid = np.linalg.norm(gram @ coeffs[w] - rhs[w])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhyper.babyfock import get_model
+from qhyper import cli, hyperc, state
+from qhyper.babyfock import BabyFock, get_model
 from qhyper.cli import COMMANDS, _config_echo, build_parser, emit, main, parse_values
 from qhyper.semigroup import choi_identity_residual, choi_matrix
 from qhyper.signs import ModelParams, SignTable
@@ -192,7 +193,8 @@ def test_clt_reports(capsys):
 
 
 def test_density_and_lpnorm_match_dense_oracle(capsys):
-    # the commands apply letters to powers of D; the oracle multiplies dense generators
+    # density applies letters to powers of D and lpnorm works in the 2**n irrep;
+    # the oracle multiplies dense generators
     mu = (1.2, 1.7, 2.5)
     argv = ["--n", "3", "--mu", ",".join(map(str, mu)), "--sign-seed", "4"]
     code, out, _ = run(capsys, ["density"] + argv)
@@ -221,6 +223,41 @@ def test_necessary_time_flags_discrepancy(capsys):
     rec = json.loads(out)["records"][0]
     assert rec["differs"] is True
     assert rec["ratio_above"] > 1.0 > rec["ratio_below"]
+
+
+def test_norm_commands_never_touch_the_4n_model(capsys, monkeypatch):
+    # lpnorm, necessary-time and perturb take every norm in the 2**n irrep
+    def forbidden(*args, **kwargs):
+        raise AssertionError("4**n density, dense norm or monomial table used")
+
+    for module in (cli, hyperc, state):
+        for name in ("get_density", "haagerup_norm", "dual_contraction_ratio"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for name in ("monomial_table", "identity", "reconstruct"):
+        monkeypatch.setattr(BabyFock, name, forbidden)
+    for argv in (["lpnorm", "--n", "3", "--mu", "1,1.5,2.5"], ["necessary-time"], ["perturb"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+
+def test_lpnorm_n6_meets_closed_form(capsys):
+    code, out, _ = run(capsys, ["lpnorm", "--n", "6", "--mu", "1,1.2,1.5,2,2.5,3"])
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == 24
+    assert all(r["closed_form_resid"] <= 1e-10 for r in records)
+
+
+def test_lpnorm_checks_closed_form_beyond_n1(capsys, monkeypatch):
+    # a norm off by one part in a million fails the closed form at n = 3
+    real = cli.schatten_norm
+    monkeypatch.setattr(cli, "schatten_norm", lambda a, p: (1.0 + 1e-6) * real(a, p))
+    code, out, err = run(capsys, ["lpnorm", "--n", "3"])
+    assert code == 2
+    assert json.loads(out)["pass"] is False
+    assert "FAIL" in err
 
 
 def test_hyperc_search_reports_only(capsys):

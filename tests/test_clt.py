@@ -286,6 +286,17 @@ def test_estimators_reject_zero_samples():
     with pytest.raises(ValueError, match="samples"):
         convergence_report(word, 0.0, (1.0,), [5], samples=0, seed=0)
 
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), 0.5])
+def test_estimators_reject_bad_weights(mu):
+    # NaN gave (0j, 0.0), 0.5 a finite estimate, inf a late np.concatenate error
+    word = parse_word("(s+s*)^2")
+    with pytest.raises(ValueError, match="mu entries must be"):
+        clt_estimate(word, 0.3, (mu,), 5, samples=2, seed=0)
+    with pytest.raises(ValueError, match="mu entries must be"):
+        convergence_report(word, 0.3, (1.0, mu), [5], samples=2, seed=0)
+
+
 def test_estimator_determinism():
     word = parse_word("(s+s*)^4")
     a = clt_estimate(word, -0.5, (1.0,), 12, samples=20, seed=9)

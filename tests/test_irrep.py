@@ -37,20 +37,13 @@ def _rel(a, b):
 
 
 def _dense(model):
-    """(4**n, 2**n, 2**n) stack of pi(M_w) scattered from the one-sparse rows."""
-    cols, vals, rho = model.irrep()
-    out = np.zeros((model.dim, rho.size, rho.size))
-    out[np.arange(model.dim)[:, None], np.arange(rho.size), cols] = vals
-    return out
+    """(4**n, 2**n, 2**n) stack of pi(M_w), one ``irrep_matrix`` per word."""
+    return np.stack([model.irrep_matrix(model.word_of(w)) for w in range(model.dim)])
 
 
 def _letter(model, letter, i):
     """Dense pi of one letter on index i."""
-    cols, vals, rho = model.irrep()
-    w = model.windex_of(tuple(letter if k == i - 1 else 0 for k in range(model.n)))
-    out = np.zeros((rho.size, rho.size))
-    out[np.arange(rho.size), cols[w]] = vals[w]
-    return out
+    return model.irrep_matrix(tuple(letter if k == i - 1 else 0 for k in range(model.n)))
 
 
 @pytest.mark.parametrize("params", BY_N, ids=_ids)
@@ -89,19 +82,22 @@ def test_irrep_words_are_one_sparse_letter_products(params):
 
 @pytest.mark.parametrize("params", BY_N, ids=_ids)
 def test_irrep_column_maps_are_xor_groups(params):
-    # g and g* flip their site's bit, so cols[w] = rows ^ cols[w, 0]: 2**n
-    # column maps, each shared by 2**n words
-    cols, _, rho = BabyFock(params).irrep()
-    rows = np.arange(rho.size)
-    assert np.array_equal(cols, rows ^ cols[:, :1])
-    assert np.array_equal(np.bincount(cols[:, 0], minlength=rho.size),
+    # g and g* flip their site's bit, so row r of pi(M_w) has its non-zero at
+    # column r ^ flip[w], flip[w] the sites of w's g and g* letters: 2**n column
+    # maps, each shared by 2**n words
+    model = BabyFock(params)
+    flip, _, rho = model.irrep()
+    letters = (np.arange(model.dim)[:, None] >> 2 * np.arange(model.n)) & 3
+    sites = np.isin(letters, (GEN, STAR)) << np.arange(model.n)
+    assert np.array_equal(flip, sites.sum(axis=1))
+    assert np.array_equal(np.bincount(flip, minlength=rho.size),
                           np.full(rho.size, rho.size))
 
 
 def _dense_letter_products(model, t, p, direction):
     """(4**n, 2**n, 2**n): pi(M_w) as dense letter products, times rho**(1/p),
     with exp(-t deg_w) in the dual direction."""
-    cols, vals, rho = model.irrep()
+    _, _, rho = model.irrep()
     letters = [[np.eye(rho.size)] + [_letter(model, lt, i) for lt in (GEN, STAR, Y)]
                for i in range(1, model.n + 1)]
     out = np.empty((model.dim, rho.size, rho.size))
@@ -153,13 +149,13 @@ def test_irrep_trace_and_weight_identities(params):
     # trace(rho pi(M_w)) = tau(M_w) = delta_{w,0} and
     # trace(rho pi(M_w)* pi(M_w)) = |M_w x_empty|**2 from the 4**n model
     model = BabyFock(params)
-    cols, vals, rho = model.irrep()
+    flip, vals, rho = model.irrep()
     assert abs(rho.sum() - 1.0) <= 1e-12 and np.all(rho > 0)
-    traces = np.sum(np.where(cols == np.arange(rho.size), vals, 0.0) * rho, axis=1)
+    traces = np.sum(np.where(flip[:, None] == 0, vals, 0.0) * rho, axis=1)
     assert abs(traces[0] - 1.0) <= 1e-12
     assert np.max(np.abs(traces[1:])) <= 1e-12
     amp = model._monomial_data()[1]
-    weights = np.sum(rho[cols] * vals ** 2, axis=1)
+    weights = np.sum(rho[np.arange(rho.size) ^ flip[:, None]] * vals ** 2, axis=1)
     assert np.max(np.abs(weights - amp ** 2) / amp ** 2) <= 1e-12
 
 
@@ -189,7 +185,7 @@ def test_irrep_images_match_gns_gram(model):
 def test_compressed_norm_matches_haagerup(model, p):
     # ||pi(x) rho**(1/p)||_p in the 2**n representation, no scale factor
     rng = np.random.default_rng(100 + model.n)
-    cols, vals, rho = model.irrep()
+    _, _, rho = model.irrep()
     stack = _dense(model) * rho ** (1.0 / p)
     for _ in range(3):
         c = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)

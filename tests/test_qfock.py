@@ -231,6 +231,15 @@ def test_positivity_check_values():
     assert positivity_check(4, -0.95, sorted(words)) > 0.0
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), 0.5])
+def test_qparams_rejects_bad_weights(mu):
+    # a NaN weight used to pass and make the two oracles disagree silently
+    with pytest.raises(ValueError, match="mu entries must be"):
+        QParams(q=0.3, n=1, mu=(mu,))
+    with pytest.raises(ValueError, match="mu entries must be"):
+        QParams(q=0.3, n=2, mu=(1.5, mu))
+
+
 def test_parse_word():
     assert parse_word("g*g") == [("g*", 1), ("g", 1)]
     assert parse_word("(g+g*)^4") == [("x", 1)] * 4
