@@ -165,6 +165,8 @@ class BabyFock:
         word = tuple(word)
         if len(word) != self.n:
             raise ValueError(f"word must have {self.n} letters, got {len(word)}")
+        if any(l not in (UNIT, GEN, STAR, Y) for l in word):
+            raise ValueError(f"unknown letter in word {word}")
         return sum(l << (2 * k) for k, l in enumerate(word))
 
     def _monomial_data(self):
@@ -298,6 +300,14 @@ class BabyFock:
         out, rows, w = np.zeros((rho.size, rho.size)), np.arange(rho.size), self.windex_of(word)
         out[rows, rows ^ flip[w]] = vals[w]
         return out
+
+    def irrep_coeffs(self, A: np.ndarray, p: float) -> np.ndarray:
+        """Monomial coefficients of the x with pi(x) rho**(1/p) = A: the monomials are orthogonal
+        in the vacuum state, so c_w = trace(rho pi(M_w)* pi(x)) / |M_w x_empty|**2."""
+        flip, vals, rho = self.irrep()
+        rows, cols = np.arange(rho.size), np.arange(rho.size) ^ flip[:, None]
+        terms = vals * rho[cols] ** (1.0 - 1.0 / p) * np.asarray(A)[rows, cols]
+        return terms.sum(axis=1) / self._monomial_data()[1] ** 2
 
     def expand(self, X: np.ndarray) -> np.ndarray:
         """Monomial coefficients of X (exact inverse of the embedding)."""

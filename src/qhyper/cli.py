@@ -221,21 +221,28 @@ def cmd_convexity(args):
         if q < 2.0:
             raise ValueError(f"need q >= 2, got {q}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-    # draws in sample order; pairs sharing (m, p, q) take their margins in one call
-    groups = {}
-    for k in range(samples):
-        m = 2 + k % 15
-        A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        mu = mus[(k // len(ps)) % len(mus)]
-        groups.setdefault((m, ps[k % len(ps)], qs[k % len(qs)]), []).append((A, B, mu))
+    # pairs sharing (m, p, q) take their margins in one call: count the pairs per key,
+    # then draw each pair in sample order into its slot of the key's stack
+    keys = [(2 + k % 15, ps[k % len(ps)], qs[k % len(qs)]) for k in range(samples)]
+    slots, counts = [], {}
+    for key in keys:
+        slots.append(counts.get(key, 0))
+        counts[key] = slots[-1] + 1
+    stacks = {key: (np.empty((c, key[0], key[0]), np.complex128),
+                    np.empty((c, key[0], key[0]), np.complex128), np.empty(c))
+              for key, c in counts.items()}
+    for k, (key, j) in enumerate(zip(keys, slots)):
+        A, B, mu = stacks[key]
+        m = key[0]
+        A[j] = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        B[j] = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        mu[j] = mus[(k // len(ps)) % len(mus)]
     worst = {}
 
     def fold(key, margins):
         worst[key] = min(worst.get(key, np.inf), *margins.tolist())
 
-    for (_, p, q), pairs in groups.items():
-        A, B, mu = (np.array(x) for x in zip(*pairs))
+    for (_, p, q), (A, B, mu) in stacks.items():
         bcl, asym, dual = convexity_margins(A, B, p, mu, q)
         fold(("bcl", p, 1.0), bcl)
         for w in np.unique(mu).tolist():

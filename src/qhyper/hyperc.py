@@ -14,10 +14,12 @@ displayed closed form (1/n) mu**(4/n - 4) differs for mu > 1; both are
 reported with a discrepancy flag.
 
 The search is multistart randomized coordinate ascent over monomial
-coefficients, vectorized across restarts, deterministic for a fixed
-seed, with its Schatten norms taken in the closed-form 2**n dimensional
-irreducible representation.  It only ever produces lower bounds on the
-operator norm.
+coefficients, vectorized across restarts and deterministic for a fixed
+seed; it only ever produces lower bounds on the operator norm.  It, the
+structural split checks and the duality transport work on monomial
+coefficients with every Schatten norm taken in the closed-form 2**n
+dimensional irreducible representation; only the oracles
+``contraction_ratio`` and ``dual_contraction_ratio`` read the 4**n model.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .babyfock import GEN, BabyFock, get_model
-from .linalg import psd_power, schatten_norm, schatten_norm_from_sv, singular_values
-from .state import embed_lower, get_density, haagerup_norm
+from .babyfock import GEN, STAR, UNIT, Y, BabyFock, get_model
+from .linalg import schatten_norm, schatten_norm_from_sv, singular_values
+from .state import haagerup_norm
 
 __all__ = [
     "C_of_mu", "bcl_check", "asym_convexity_check", "dual_convexity_check",
@@ -295,6 +297,8 @@ class RatioEvaluator:
     def matrices(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_w c_w pi(M_w) rho**(1/p) per row c: one product per column-map group."""
         coeffs = np.atleast_2d(coeffs)
+        if coeffs.ndim != 2 or coeffs.shape[1] != self.flip.size:
+            raise ValueError(f"expected rows of {self.flip.size} coefficients, got {coeffs.shape}")
         j, rows = np.arange(coeffs.shape[0])[:, None], np.arange(self.vals.shape[1])
         out = np.empty((coeffs.shape[0], rows.size, rows.size), dtype=np.complex128)
         for m, words in enumerate(np.argsort(self.flip).reshape(rows.size, -1)):
@@ -418,16 +422,14 @@ def witness_dual_to_primal(model: BabyFock, coeffs: np.ndarray, t: float, p: flo
     """Norming element transport: dual witness -> primal candidate coefficients.
 
     For z = P_t(Y) D**(1/p'), the Hoelder-equality partner in L^p is
-    z (z*z)**((p'-2)/2) up to normalization; dividing out D**(1/p)
-    returns an algebra element because everything is a function of
-    elements of the algebra.
+    z (z*z)**((p'-2)/2) = U S**(p'-1) V* (z = U S V*) up to normalization, taken
+    in the irrep; dividing out D**(1/p) returns an algebra element, whose
+    coefficients ``BabyFock.irrep_coeffs`` reads back.
     """
     pprime = p / (p - 1.0)
-    scaled = np.asarray(coeffs) * np.exp(-t * model.monomial_degrees)
-    z = model.reconstruct(scaled) @ get_density(model, 1.0 / pprime)
-    z /= schatten_norm(z, pprime)
-    xi = z @ psd_power(z.conj().T @ z, (pprime - 2.0) / 2.0)
-    out = model.expand(xi @ get_density(model, -1.0 / p))
+    z = RatioEvaluator(model, t, pprime, "dual").matrices(np.asarray(coeffs)[None, :])[0]
+    u, s, vh = np.linalg.svd(z / schatten_norm(z, pprime))
+    out = model.irrep_coeffs((u * s ** (pprime - 1.0)) @ vh, p)
     return out / np.linalg.norm(out)
 
 
@@ -436,26 +438,29 @@ def witness_dual_to_primal(model: BabyFock, coeffs: np.ndarray, t: float, p: flo
 # ============================================================================
 
 
-def _split_models(model: BabyFock):
+def _split(model: BabyFock, p: float, x, z, *letters) -> tuple:
+    """pi(x) rho**(1/p) and pi(z) rho**(1/p) for two coefficient vectors of the model on
+    indices 1..n-1, in that model and lifted into this one (a word keeps its linear index,
+    so a lift is a zero-pad), then pi of each given letter at index n."""
     small = get_model(model.params.sub(model.n - 1))
-    return small, model.mu[model.n - 1]
+    c = np.array([x, z], dtype=np.complex128)
+    return (RatioEvaluator(small, 0.0, p).matrices(c),
+            RatioEvaluator(model, 0.0, p).matrices(np.pad(c, ((0, 0), (0, model.dim - small.dim)))),
+            *(model.irrep_matrix((UNIT,) * small.n + (l,)) for l in letters))
 
 
 def decomposition_identity_check(a: np.ndarray, d: np.ndarray, p: float,
                                  model: BabyFock) -> dict:
     """Both sides of the exact split of || (a + y_n d) D**(1/p) ||_p**2.
 
-    a, d live in the model on indices 1..n-1.
+    a, d are monomial coefficients of the model on indices 1..n-1.
     """
-    small, mu = _split_models(model)
+    mu = model.mu[model.n - 1]
     lam = _lam(mu)
-    A = embed_lower(a, small, model)
-    Dd = embed_lower(d, small, model)
-    X = A + model.apply_y(model.n, Dd)
-    lhs = haagerup_norm(model, X, p) ** 2
-    rhs = (lam * haagerup_norm(small, np.asarray(a) + mu ** 2 * np.asarray(d), p) ** p
-           + (1.0 - lam) * haagerup_norm(small, np.asarray(a) - np.asarray(d) / mu ** 2, p) ** p
-           ) ** (2.0 / p)
+    (sa, sd), (A, Dd), y = _split(model, p, a, d, Y)
+    lhs = schatten_norm(A + y @ Dd, p) ** 2
+    plus, minus = schatten_norm(np.array([sa + mu ** 2 * sd, sa - sd / mu ** 2]), p)
+    rhs = (lam * plus ** p + (1.0 - lam) * minus ** p) ** (2.0 / p)
     return {"lhs": float(lhs), "rhs": float(rhs),
             "residual": float(abs(lhs - rhs)), "scale": float(max(lhs, rhs, 1e-300))}
 
@@ -463,16 +468,13 @@ def decomposition_identity_check(a: np.ndarray, d: np.ndarray, p: float,
 def gamma_lower_bound_check(b: np.ndarray, c: np.ndarray, p: float,
                             model: BabyFock) -> dict:
     """Margins of || g_n b D**(1/p) ||_p >= lam**(1/p) (mu^2+mu^-2)**(1/2) || b D'**(1/p) ||_p
-    and the starred counterpart with 1 - lam."""
-    small, mu = _split_models(model)
+    and the starred counterpart with 1 - lam; b, c as in the decomposition check."""
+    mu = model.mu[model.n - 1]
     lam = _lam(mu)
     fac = np.sqrt(mu ** 2 + mu ** -2)
-    B = embed_lower(b, small, model)
-    Cc = embed_lower(c, small, model)
-    lhs_b = haagerup_norm(model, model.apply_gamma(model.n, B), p)
-    rhs_b = lam ** (1.0 / p) * fac * haagerup_norm(small, b, p)
-    lhs_c = haagerup_norm(model, model.apply_gamma_star(model.n, Cc), p)
-    rhs_c = (1.0 - lam) ** (1.0 / p) * fac * haagerup_norm(small, c, p)
+    small, big, g, gs = _split(model, p, b, c, GEN, STAR)
+    lhs_b, lhs_c = schatten_norm(np.array([g, gs]) @ big, p)
+    rhs_b, rhs_c = np.array([lam, 1.0 - lam]) ** (1.0 / p) * fac * schatten_norm(small, p)
     return {"margin_b": float(lhs_b - rhs_b), "margin_c": float(lhs_c - rhs_c),
             "scale_b": float(max(lhs_b, rhs_b, 1e-300)),
             "scale_c": float(max(lhs_c, rhs_c, 1e-300))}
@@ -480,15 +482,12 @@ def gamma_lower_bound_check(b: np.ndarray, c: np.ndarray, p: float,
 
 def disjoint_support_check(b: np.ndarray, c: np.ndarray, p: float,
                            model: BabyFock) -> dict:
-    """p-th power additivity of g_n b + g*_n c (the two parts have disjoint support)."""
-    small, _ = _split_models(model)
-    B = embed_lower(b, small, model)
-    Cc = embed_lower(c, small, model)
-    gb = model.apply_gamma(model.n, B)
-    gc = model.apply_gamma_star(model.n, Cc)
+    """p-th power additivity of g_n b + g*_n c (disjoint supports); b, c as in the gamma check."""
+    _, big, g, gs = _split(model, p, b, c, GEN, STAR)
+    gb, gc = np.array([g, gs]) @ big
     if not (np.any(np.abs(gb) > 0) or np.any(np.abs(gc) > 0)):
         raise ValueError("both parts vanish; additivity check is degenerate")
-    total = haagerup_norm(model, gb + gc, p) ** p
-    parts = haagerup_norm(model, gb, p) ** p + haagerup_norm(model, gc, p) ** p
+    total = schatten_norm(gb + gc, p) ** p
+    parts = schatten_norm(gb, p) ** p + schatten_norm(gc, p) ** p
     return {"residual": float(abs(total - parts)),
             "scale": float(max(total, parts, 1e-300))}

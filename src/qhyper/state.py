@@ -20,11 +20,12 @@ as the oracle.  The check trace(D M_w) = tau(M_w) over every word reads
 the sparse monomial table (``BabyFock.monomial_table``); the independent
 linear solve for D takes its Gram matrix block by block in the irrep and
 scatters its solution through the same table, at every n.  Every norm
-the ratio search and the CLI report is taken in the closed-form 2**n
-dimensional irreducible representation (``BabyFock.irrep``) instead,
-where the same product is a diagonal rho of trace one and
-||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p with no scale factor;
-``haagerup_norm``'s dense product x @ D**(1/p) is the oracle for it.
+the ratio search, the structural split checks, the duality transport and
+the CLI report is taken in the closed-form 2**n dimensional irreducible
+representation (``BabyFock.irrep``) instead, where the same product is a
+diagonal rho of trace one and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p
+with no scale factor; ``haagerup_norm``'s dense product x @ D**(1/p) is
+the oracle for it, called only by the GNS-space ratios of ``hyperc``.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from qhyper.hyperc import (asym_convexity_check, bcl_check, convexity_margins_sv
                            gamma_lower_bound_check, necessary_time_exact,
                            sufficient_time, violation_search)
 from qhyper.linalg import (expansion_second_order, expansion_via_frechet,
-                           psd_power, richardson_second_coeff, schatten_norm,
+                           richardson_second_coeff, schatten_norm,
                            schatten_norm_from_sv, singular_values)
 from qhyper.qfock import (QParams, annihilate_apply, create_apply, gram_matrix,
                           moment, moment_operator, moment_pairings, parse_word,
@@ -207,6 +207,10 @@ def test_criterion_08_perturbation():
         model = get_model(params)
         g = model.apply_gamma(1, model.identity())
         ident = np.eye(model.dim)
+        D = get_density(model)
+        worst_tr = max(worst_tr,
+                       abs(float(np.trace(D @ g.conj().T @ g).real) - mu ** -2),
+                       abs(float(np.trace(D @ g @ g.conj().T).real) - mu ** 2))
         for p in (3.0, 4.0, 6.0):
             d = get_density(model, 1.0 / p)
             frech = expansion_via_frechet(d, g, p)
@@ -216,10 +220,6 @@ def test_criterion_08_perturbation():
             closed = expansion_second_order(d, g, p, mu ** (4.0 / p))
             special = (p / (2 * mu ** 2)) * (mu ** 4 - 1) / (mu ** (8 / p) - 1)
             worst_special = max(worst_special, abs(closed - special) / special)
-            dp = psd_power(d @ d, p / 2.0)
-            worst_tr = max(worst_tr,
-                           abs(float(np.trace(dp @ g.conj().T @ g).real) - mu ** -2),
-                           abs(float(np.trace(dp @ g @ g.conj().T).real) - mu ** 2))
     ok = worst_fd <= 1e-4 and worst_special <= 1e-6 and worst_tr <= 1e-10
     _report(8, "perturbation", ok,
             f"(fd {worst_fd:.2e}, closed {worst_special:.2e}, traces {worst_tr:.2e})")
@@ -327,7 +327,9 @@ def test_criterion_12_structural():
         small = get_model(params.sub(n - 1))
         for k in range(count):
             p = (1.5, 2.0, 3.0)[k % 3]
-            a, b, c, d = (small.random_element(rng) for _ in range(4))
+            # monomial coefficients, drawn as ``random_element`` draws them
+            a, b, c, d = (rng.standard_normal(small.dim) + 1j * rng.standard_normal(small.dim)
+                          for _ in range(4))
             rep = decomposition_identity_check(a, d, p, model)
             worst_decomp = max(worst_decomp, rep["residual"] / rep["scale"])
             rep = gamma_lower_bound_check(b, c, p, model)
@@ -338,7 +340,7 @@ def test_criterion_12_structural():
             worst_disj = max(worst_disj, rep["residual"] / rep["scale"])
             if k % 10 == 0:
                 worst_pyth = max(worst_pyth, l2_pythagoras_residual(
-                    model, a, b, c, d, 0.1 + 0.3 * (k % 4)))
+                    model, *map(small.reconstruct, (a, b, c, d)), 0.1 + 0.3 * (k % 4)))
     elapsed = time.time() - t0
     ok = (worst_decomp <= 1e-9 and worst_margin <= 1e-10 and worst_disj <= 1e-9
           and worst_pyth <= 1e-9)

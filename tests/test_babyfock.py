@@ -204,6 +204,16 @@ def test_index_range_errors(m1):
         m1.windex_of((GEN, GEN))
 
 
+@pytest.mark.parametrize("word", [(4, UNIT), (-1, UNIT), (UNIT, 7), (GEN, -4)])
+def test_windex_rejects_unknown_letters(word):
+    # (4, 0) would alias the index of (0, 1) and (-1, 0) would wrap to the last word
+    model = get_model(ModelParams.make(2, (1.0, 1.5), sign_seed=1))
+    with pytest.raises(ValueError, match="unknown letter"):
+        model.windex_of(word)
+    with pytest.raises(ValueError, match="unknown letter"):
+        model.irrep_matrix(word)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_monomial_table_matches_monomial_matrix(n):
     model = BabyFock(ModelParams.make(n, tuple(1.0 + 0.4 * k for k in range(n)),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qhyper.babyfock import get_model
+from qhyper import hyperc, state
+from qhyper.babyfock import BabyFock, get_model
 from qhyper.hyperc import (C_of_mu, RatioEvaluator, asym_convexity_check,
                            bcl_check, contraction_ratio, convexity_margins,
                            decomposition_identity_check,
@@ -12,7 +13,9 @@ from qhyper.hyperc import (C_of_mu, RatioEvaluator, asym_convexity_check,
                            necessary_time_exact, sufficient_time, theorem_bound,
                            violation_search, witness_dual_to_primal,
                            witness_primal_to_dual)
+from qhyper.linalg import psd_power, schatten_norm
 from qhyper.signs import ModelParams, SignTable
+from qhyper.state import embed_lower, get_density, haagerup_norm
 
 
 def _rand(rng, m):
@@ -267,12 +270,16 @@ def m3():
     return get_model(ModelParams.make(3, (1.2, 1.0, 1.7), sign_seed=8))
 
 
+def _coeffs(rng, dim):
+    """Monomial coefficients drawn as ``BabyFock.random_element`` draws them."""
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_decomposition_identity(m3, p):
-    small = get_model(m3.params.sub(2))
     rng = np.random.default_rng(13)
     for _ in range(5):
-        a, d = small.random_element(rng), small.random_element(rng)
+        a, d = _coeffs(rng, 16), _coeffs(rng, 16)
         rep = decomposition_identity_check(a, d, p, m3)
         assert rep["residual"] <= 1e-9 * rep["scale"]
     # d = 0 reduces to the isometric embedding
@@ -281,28 +288,177 @@ def test_decomposition_identity(m3, p):
 
 
 def test_gamma_lower_bounds(m3):
-    small = get_model(m3.params.sub(2))
     rng = np.random.default_rng(14)
     for p in (1.5, 2.0, 2.5):
         for _ in range(5):
-            b, c = small.random_element(rng), small.random_element(rng)
+            b, c = _coeffs(rng, 16), _coeffs(rng, 16)
             rep = gamma_lower_bound_check(b, c, p, m3)
             assert rep["margin_b"] >= -1e-10 * rep["scale_b"]
             assert rep["margin_c"] >= -1e-10 * rep["scale_c"]
-        ident = np.eye(small.dim, dtype=complex)
+        ident = np.eye(1, 16, dtype=complex)[0]
         rep = gamma_lower_bound_check(ident, ident, p, m3)
         assert abs(rep["margin_b"]) <= 1e-10 * rep["scale_b"]   # equality case
         assert abs(rep["margin_c"]) <= 1e-10 * rep["scale_c"]
 
 
 def test_disjoint_support(m3):
-    small = get_model(m3.params.sub(2))
     rng = np.random.default_rng(15)
     for p in (1.5, 2.0, 3.0):
-        b, c = small.random_element(rng), small.random_element(rng)
+        b, c = _coeffs(rng, 16), _coeffs(rng, 16)
         rep = disjoint_support_check(b, c, p, m3)
         assert rep["residual"] <= 1e-9 * rep["scale"]
     rep = disjoint_support_check(b, np.zeros_like(c), 1.5, m3)
     assert rep["residual"] <= 1e-12 * rep["scale"]
     with pytest.raises(ValueError):
         disjoint_support_check(np.zeros_like(b), np.zeros_like(c), 1.5, m3)
+
+
+# The structural checks and the transport in the 4**n GNS model, as the oracle for
+# their irrep versions: dense elements lifted by ``embed_lower``, every norm a dense
+# ``haagerup_norm``, the transport through density powers.
+
+def _gns_split(model, *coeffs):
+    small = get_model(model.params.sub(model.n - 1))
+    dense = [small.reconstruct(c) for c in coeffs]
+    return (small, model.mu[model.n - 1], dense,
+            [embed_lower(x, small, model) for x in dense])
+
+
+def _gns_decomposition(a, d, p, model):
+    small, mu, (a, d), (A, Dd) = _gns_split(model, a, d)
+    lam = 1.0 / (1.0 + mu ** 4)
+    lhs = haagerup_norm(model, A + model.apply_y(model.n, Dd), p) ** 2
+    rhs = (lam * haagerup_norm(small, a + mu ** 2 * d, p) ** p
+           + (1.0 - lam) * haagerup_norm(small, a - d / mu ** 2, p) ** p) ** (2.0 / p)
+    return lhs, rhs
+
+
+def _gns_gamma(b, c, p, model):
+    small, mu, (b, c), (B, Cc) = _gns_split(model, b, c)
+    lam = 1.0 / (1.0 + mu ** 4)
+    fac = np.sqrt(mu ** 2 + mu ** -2)
+    return (haagerup_norm(model, model.apply_gamma(model.n, B), p),
+            lam ** (1.0 / p) * fac * haagerup_norm(small, b, p),
+            haagerup_norm(model, model.apply_gamma_star(model.n, Cc), p),
+            (1.0 - lam) ** (1.0 / p) * fac * haagerup_norm(small, c, p))
+
+
+def _gns_disjoint(b, c, p, model):
+    _, _, _, (B, Cc) = _gns_split(model, b, c)
+    gb, gc = model.apply_gamma(model.n, B), model.apply_gamma_star(model.n, Cc)
+    return (haagerup_norm(model, gb + gc, p) ** p,
+            haagerup_norm(model, gb, p) ** p + haagerup_norm(model, gc, p) ** p)
+
+
+def _gns_transport(model, coeffs, t, p):
+    pprime = p / (p - 1.0)
+    scaled = np.asarray(coeffs) * np.exp(-t * model.monomial_degrees)
+    z = model.reconstruct(scaled) @ get_density(model, 1.0 / pprime)
+    z /= schatten_norm(z, pprime)
+    xi = z @ psd_power(z.conj().T @ z, (pprime - 2.0) / 2.0)
+    out = model.expand(xi @ get_density(model, -1.0 / p))
+    return out / np.linalg.norm(out)
+
+
+SPLIT_MODELS = [ModelParams.make(2, (1.3, 2.0), sign_seed=21),
+                ModelParams.make(3, (1.0, 1.75, 2.5), sign_seed=22),
+                ModelParams.make(4, (1.5, 1.0, 2.0, 1.25), sign_seed=23)]
+
+
+def _hoelder_gap(model, coeffs, primal, t, p):
+    """Relative gap of |trace(X* Z)| <= ||X||_p ||Z||_p' for X = pi(primal) rho**(1/p)
+    and Z = pi(P_t coeffs) rho**(1/p'): zero for a norming partner."""
+    pprime = p / (p - 1.0)
+    X = RatioEvaluator(model, 0.0, p).matrices(primal)[0]
+    Z = RatioEvaluator(model, t, pprime, "dual").matrices(coeffs)[0]
+    bound = schatten_norm(X, p) * schatten_norm(Z, pprime)
+    return abs(abs(np.vdot(X, Z)) - bound) / bound
+
+
+@pytest.mark.parametrize("params", SPLIT_MODELS, ids=lambda pr: f"n{pr.n}")
+def test_structural_checks_match_gns_formulas(params):
+    model = get_model(params)
+    rng = np.random.default_rng(600 + model.n)
+    for p in (1.5, 2.0, 3.0):
+        a, b, c, d = (_coeffs(rng, model.dim // 4) for _ in range(4))
+        rep = decomposition_identity_check(a, d, p, model)
+        lhs, rhs = _gns_decomposition(a, d, p, model)
+        assert abs(rep["lhs"] - lhs) <= 1e-12 * lhs and abs(rep["rhs"] - rhs) <= 1e-12 * rhs
+        assert abs(rep["residual"] - abs(lhs - rhs)) <= 1e-12 * rep["scale"]
+        rep = gamma_lower_bound_check(b, c, p, model)
+        lhs_b, rhs_b, lhs_c, rhs_c = _gns_gamma(b, c, p, model)
+        assert abs(rep["scale_b"] - max(lhs_b, rhs_b)) <= 1e-12 * rep["scale_b"]
+        assert abs(rep["scale_c"] - max(lhs_c, rhs_c)) <= 1e-12 * rep["scale_c"]
+        assert abs(rep["margin_b"] - (lhs_b - rhs_b)) <= 1e-12 * rep["scale_b"]
+        assert abs(rep["margin_c"] - (lhs_c - rhs_c)) <= 1e-12 * rep["scale_c"]
+        rep = disjoint_support_check(b, c, p, model)
+        total, parts = _gns_disjoint(b, c, p, model)
+        assert abs(rep["scale"] - max(total, parts)) <= 1e-12 * rep["scale"]
+        assert abs(rep["residual"] - abs(total - parts)) <= 1e-12 * rep["scale"]
+
+
+@pytest.mark.parametrize("params", SPLIT_MODELS, ids=lambda pr: f"n{pr.n}")
+def test_transport_matches_gns_formula(params):
+    model = get_model(params)
+    rng = np.random.default_rng(700 + model.n)
+    for p, t in ((1.25, 0.0), (1.5, 0.3), (1.75, 0.8)):
+        coeffs = _coeffs(rng, model.dim)
+        got = witness_dual_to_primal(model, coeffs, t, p)
+        assert np.linalg.norm(got - _gns_transport(model, coeffs, t, p)) <= 1e-12
+        assert _hoelder_gap(model, coeffs, got, t, p) <= 1e-12
+
+
+def test_structural_checks_never_touch_the_4n_model(monkeypatch):
+    # a fresh n = 5 model: every norm in the irrep, no density, table or dense element
+    model = BabyFock(ModelParams.make(5, (1.0, 1.5, 2.0, 2.5, 3.0), sign_seed=5))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("4**n density, dense norm, lift or monomial table used")
+
+    for module in (hyperc, state):
+        for name in ("get_density", "haagerup_norm", "embed_lower"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for name in ("monomial_table", "reconstruct", "identity", "expand"):
+        monkeypatch.setattr(BabyFock, name, forbidden)
+    rng = np.random.default_rng(800)
+    a, b, c, d = (_coeffs(rng, 256) for _ in range(4))
+    rep = decomposition_identity_check(a, d, 1.5, model)
+    assert rep["residual"] <= 1e-9 * rep["scale"]
+    rep = gamma_lower_bound_check(b, c, 3.0, model)
+    assert min(rep["margin_b"] / rep["scale_b"], rep["margin_c"] / rep["scale_c"]) >= -1e-10
+    rep = disjoint_support_check(b, c, 2.0, model)
+    assert rep["residual"] <= 1e-9 * rep["scale"]
+    coeffs = _coeffs(rng, model.dim)
+    primal = witness_dual_to_primal(model, coeffs, 0.3, 1.5)
+    assert abs(np.linalg.norm(primal) - 1.0) <= 1e-12
+    assert _hoelder_gap(model, coeffs, primal, 0.3, 1.5) <= 1e-12
+
+
+def test_structural_identities_n6():
+    # criterion 12's tolerances, one model beyond the reach of the 4**n formulas
+    model = get_model(ModelParams.make(6, (1.2, 1.0, 1.7, 1.4, 2.0, 1.1), sign_seed=1106))
+    rng = np.random.default_rng(1016)
+    for k in range(30):
+        p = (1.5, 2.0, 3.0)[k % 3]
+        a, b, c, d = (_coeffs(rng, model.dim // 4) for _ in range(4))
+        rep = decomposition_identity_check(a, d, p, model)
+        assert rep["residual"] <= 1e-9 * rep["scale"]
+        rep = gamma_lower_bound_check(b, c, p, model)
+        assert rep["margin_b"] >= -1e-10 * rep["scale_b"]
+        assert rep["margin_c"] >= -1e-10 * rep["scale_c"]
+        rep = disjoint_support_check(b, c, p, model)
+        assert rep["residual"] <= 1e-9 * rep["scale"]
+
+
+@pytest.mark.parametrize("shape", ["dense", "big"])
+def test_structural_checks_reject_wrong_coefficients(m3, shape):
+    # 4**(n-1) = 16 coefficients expected; a dense 16 x 16 element or 64 coefficients fail
+    bad = np.eye(16, dtype=complex) if shape == "dense" else np.ones(m3.dim, dtype=complex)
+    good = np.ones(16, dtype=complex)
+    for check in (decomposition_identity_check, gamma_lower_bound_check, disjoint_support_check):
+        for args in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError):
+                check(*args, 1.5, m3)
+    with pytest.raises(ValueError):
+        witness_dual_to_primal(m3, good if shape == "big" else np.eye(m3.dim), 0.3, 1.5)

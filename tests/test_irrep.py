@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from qhyper import hyperc, state
+from qhyper import state
 from qhyper.babyfock import GEN, STAR, Y, BabyFock
 from qhyper.hyperc import RatioEvaluator, contraction_ratio, dual_contraction_ratio
+from qhyper.linalg import schatten_norm
 from qhyper.signs import ModelParams, SignTable
 from qhyper.state import haagerup_norm
 
@@ -227,10 +228,36 @@ def test_evaluator_never_reads_monomial_table(params, monkeypatch):
 
     monkeypatch.setattr(BabyFock, "monomial_table", forbidden)
     monkeypatch.setattr(state, "get_density", forbidden)
-    monkeypatch.setattr(hyperc, "get_density", forbidden)
     got = RatioEvaluator(model, t, p).ratios(coeffs)
     for r, w in zip(got, want):
         assert _rel(r, w) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.25, 2.0, 4.0])
+@pytest.mark.parametrize("params", BY_N, ids=_ids)
+def test_irrep_coeffs_inverts_evaluator_matrices(params, p):
+    model = BabyFock(params)
+    rng = np.random.default_rng(400 + model.n)
+    coeffs = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    got = model.irrep_coeffs(RatioEvaluator(model, 0.0, p).matrices(coeffs)[0], p)
+    assert np.linalg.norm(got - coeffs) <= 1e-12 * np.linalg.norm(coeffs)
+    if model.n <= 4:
+        gns = model.expand(model.reconstruct(coeffs))
+        assert np.linalg.norm(got - gns) <= 1e-12 * np.linalg.norm(gns)
+
+
+@pytest.mark.parametrize("p", [1.25, 2.0, 4.0])
+def test_irrep_coeffs_reads_any_matrix_back(model, p):
+    # the 4**n words span M_(2**n): a generic A is pi(x) rho**(1/p) of the x read back,
+    # and the 4**n oracle gives x the same Haagerup norm
+    rng = np.random.default_rng(500 + model.n)
+    m = 1 << model.n
+    A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    coeffs = model.irrep_coeffs(A, p)
+    back = RatioEvaluator(model, 0.0, p).matrices(coeffs)[0]
+    assert np.linalg.norm(back - A) <= 1e-12 * np.linalg.norm(A)
+    assert _rel(haagerup_norm(model, model.reconstruct(coeffs), p),
+                schatten_norm(A, p)) <= 1e-12
 
 
 @pytest.mark.parametrize("p,t", [(0.0, 0.3), (0.99, 0.3), (float("nan"), 0.3),
