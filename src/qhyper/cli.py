@@ -1,12 +1,13 @@
 """Command-line entry point: verification campaigns with CSV/JSON emission.
 
-Every command takes only the flags it reads and echoes their settings
-(plus the package version), runs a deterministic sweep for the given seed,
-and exits 0 when all asserted checks pass, 1 on usage errors, and 2 when
-a numerical assertion fails (failing records go to stderr).  Grid-valued
+Every command takes only the flags it reads, each with a default parsed
+as if typed, and echoes the value each flag took (plus the package
+version).  It runs a deterministic sweep for the given
+seed and exits 0 when all asserted checks pass, 1 on usage errors, and 2
+when a numerical assertion fails (failing records go to stderr).  Grid
 flags accept a single number, a comma list, or start:stop:step; an empty
-grid, a non-finite value, a count (--samples, --restarts) below 1, a
-negative --tol, or more than one value for a single-valued flag is a
+value or grid, a non-finite value, a count (--samples, --restarts) below 1,
+a negative --tol, or more than one value for a single-valued flag is a
 usage error.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -94,7 +96,7 @@ def _weights(text: str, n: int) -> tuple:
 
 
 def _model_from_args(args) -> ModelParams:
-    if args.sign_file:
+    if args.sign_file is not None:
         with open(args.sign_file, "r", encoding="utf-8") as fh:
             signs = SignTable.from_json(fh.read())
     else:
@@ -109,10 +111,9 @@ def _model_from_args(args) -> ModelParams:
 
 def cmd_relations(args):
     model = get_model(_model_from_args(args))
-    tol = args.tol if args.tol is not None else 1e-12
     rep = model.verify_relations()
     records = [
-        {"check": name, "residual": val, "tol": tol, "pass": val <= tol}
+        {"check": name, "residual": val, "tol": args.tol, "pass": val <= args.tol}
         for name, val in (("commutation", rep.commutation),
                           ("star_commutation", rep.star_commutation),
                           ("square", rep.square),
@@ -132,7 +133,6 @@ def cmd_relations(args):
 
 def cmd_density(args):
     model = get_model(_model_from_args(args))
-    tol = args.tol if args.tol is not None else 1e-9
     D = get_density(model)
     records = []
     eigs = np.linalg.eigvalsh(D)
@@ -142,8 +142,8 @@ def cmd_density(args):
     records.append({"check": "positive", "residual": float(max(0.0, -eigs.min())),
                     "tol": 1e-12, "pass": bool(eigs.min() >= -1e-12)})
     diff = float(np.linalg.norm(density_solve(model) - D) / np.linalg.norm(D))
-    records.append({"check": "solve_agrees", "residual": diff, "tol": tol,
-                    "pass": diff <= tol})
+    records.append({"check": "solve_agrees", "residual": diff, "tol": args.tol,
+                    "pass": diff <= args.tol})
     half = get_density(model, 0.5)
     for i in range(1, model.n + 1):
         want = model.mu[i - 1] ** -2
@@ -165,7 +165,7 @@ def cmd_density(args):
 
 def cmd_lpnorm(args):
     model = get_model(_model_from_args(args))
-    ps = parse_values(args.p) if args.p else [2.0, 3.0, 4.0, 6.0]
+    ps = parse_values(args.p)
     for p in ps:
         if p < 1.0:
             raise ValueError(f"lpnorm needs p >= 1, got {p}")
@@ -188,9 +188,8 @@ def cmd_lpnorm(args):
 
 
 def cmd_choi(args):
-    ts = parse_values(args.t) if args.t else parse_values("0:5:0.01")
-    mus = parse_values(args.mu) if args.mu else parse_values("1:4:0.1")
-    tol = args.tol if args.tol is not None else 1e-12
+    ts = parse_values(args.t)
+    mus = parse_values(args.mu)
 
     # one t-column per mu, (T, M, 4, 4) in the records' t-major order;
     # one stacked eigensolve over the grid, LAPACK still sees one 4x4 at a time
@@ -198,7 +197,7 @@ def cmd_choi(args):
     mins = np.linalg.eigvalsh(np.stack([choi_matrix(times, mu) for mu in mus], axis=1))
     resids = np.stack([choi_identity_residual(times, mu) for mu in mus], axis=1)
     records = [{"t": t, "mu": mu, "min_eigenvalue": mine, "identity_residual": resid,
-                "pass": mine >= -tol and resid <= tol}
+                "pass": mine >= -args.tol and resid <= args.tol}
                for t, row_min, row_resid in zip(ts, mins.min(axis=-1).tolist(),
                                                  resids.tolist())
                for mu, mine, resid in zip(mus, row_min, row_resid)]
@@ -206,11 +205,9 @@ def cmd_choi(args):
 
 
 def cmd_convexity(args):
-    ps = parse_values(args.p) if args.p else [1.1 + 0.1 * k for k in range(10)]
-    mus = parse_values(args.mu) if args.mu else [1.0, 1.5, 2.0, 3.0]
-    qs = parse_values(args.q) if args.q else [2.0, 3.0, 4.0]
-    samples = args.samples or 1000
-    tol = args.tol if args.tol is not None else 1e-10
+    ps = parse_values(args.p)
+    mus = parse_values(args.mu)
+    qs = parse_values(args.q)
     for p in ps:
         if not 1.0 < p <= 2.0:
             raise ValueError(f"need 1 < p <= 2, got {p}")
@@ -223,7 +220,7 @@ def cmd_convexity(args):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
     # pairs sharing (m, p, q) take their margins in one call: count the pairs per key,
     # then draw each pair in sample order into its slot of the key's stack
-    keys = [(2 + k % 15, ps[k % len(ps)], qs[k % len(qs)]) for k in range(samples)]
+    keys = [(2 + k % 15, ps[k % len(ps)], qs[k % len(qs)]) for k in range(args.samples)]
     slots, counts = [], {}
     for key in keys:
         slots.append(counts.get(key, 0))
@@ -249,7 +246,7 @@ def cmd_convexity(args):
             fold(("asym", p, w), asym[mu == w])
             fold(("dual", q, w), dual[mu == w])
     records = [{"inequality": k[0], "exponent": k[1], "mu": k[2],
-                "min_margin": v, "pass": bool(v >= -tol)}
+                "min_margin": v, "pass": bool(v >= -args.tol)}
                for k, v in sorted(worst.items())]
     return records
 
@@ -257,32 +254,28 @@ def cmd_convexity(args):
 def cmd_hyperc_verify(args):
     params = _model_from_args(args)
     model = get_model(params)
-    ps = parse_values(args.p) if args.p else [1.25, 1.5, 1.75]
-    restarts = args.restarts or 1000
-    tol = args.tol if args.tol is not None else 1e-9
-
+    ps = parse_values(args.p)
     records = []
     for p in ps:
         theta = sufficient_time(p, params.mu)
         t = float(-0.5 * np.log(theta)) if args.t is None else _one(args.t, "--t")
-        wit = violation_search(model, t, p, "primal", restarts=restarts,
+        wit = violation_search(model, t, p, "primal", restarts=args.restarts,
                                seed=args.seed)
         records.append({"p": p, "t": t, "exp_minus_2t": float(np.exp(-2 * t)),
                         "threshold": theta, "max_ratio": wit.ratio,
-                        "pass": bool(wit.ratio <= 1.0 + tol)})
+                        "pass": bool(wit.ratio <= 1.0 + args.tol)})
     return records
 
 
 def cmd_hyperc_search(args):
     params = _model_from_args(args)
     model = get_model(params)
-    ps = parse_values(args.p) if args.p else [1.5]
-    ts = parse_values(args.t) if args.t else [0.5]
-    restarts = args.restarts or 200
+    ps = parse_values(args.p)
+    ts = parse_values(args.t)
     records = []
     for p in ps:
         for t in ts:
-            wit = violation_search(model, t, p, args.direction, restarts=restarts,
+            wit = violation_search(model, t, p, args.direction, restarts=args.restarts,
                                    seed=args.seed)
             records.append({"direction": args.direction, "p": p, "t": t,
                             "exp_minus_2t": float(np.exp(-2 * t)),
@@ -293,8 +286,8 @@ def cmd_hyperc_search(args):
 
 
 def cmd_necessary_time(args):
-    pps = parse_values(args.p) if args.p else [4.0, 6.0]
-    mus = parse_values(args.mu) if args.mu else [1.0, 1.3, 2.0]
+    pps = parse_values(args.p)
+    mus = parse_values(args.mu)
     eps = 1e-2
     records = []
     for pp in pps:
@@ -318,9 +311,8 @@ def cmd_necessary_time(args):
 
 
 def cmd_perturb(args):
-    ps = parse_values(args.p) if args.p else [3.0, 4.0, 6.0]
-    mus = parse_values(args.mu) if args.mu else [1.2, 1.5, 2.0]
-    tol = args.tol if args.tol is not None else 1e-4
+    ps = parse_values(args.p)
+    mus = parse_values(args.mu)
     for p in ps:
         if p <= 2.0:
             raise ValueError(f"perturb needs p > 2, got {p}")
@@ -351,7 +343,7 @@ def cmd_perturb(args):
                 "trace_gstar_g_resid": abs(tr_gg - mu ** -2),
                 "trace_g_gstar_resid": abs(tr_ggs - mu ** 2),
             }
-            rec["pass"] = bool(rec["frechet_vs_fd"] <= tol
+            rec["pass"] = bool(rec["frechet_vs_fd"] <= args.tol
                                and rec["closed_vs_special"] <= 1e-6
                                and rec["trace_gstar_g_resid"] <= 1e-10
                                and rec["trace_g_gstar_resid"] <= 1e-10)
@@ -361,9 +353,9 @@ def cmd_perturb(args):
 
 def cmd_fock_moment(args):
     letters = parse_word(args.word)
-    q = _one(args.q, "--q") if args.q else 0.0
+    q = _one(args.q, "--q")
     n = max(i for _, i in letters)
-    mus = _weights(args.mu or "1", n)
+    mus = _weights(args.mu, n)
     qp = QParams(q=q, n=n, mu=mus)
     val_pair = moment_pairings(letters, qp)
     rec = {"word": args.word, "q": q, "mu": ",".join(repr(m) for m in mus),
@@ -380,13 +372,12 @@ def cmd_fock_moment(args):
 
 def cmd_clt(args):
     letters = parse_word(args.word)
-    q = _one(args.q, "--q") if args.q else 0.0
-    mus = _weights(args.mu or "1", max(i for _, i in letters))
-    ms = parse_values(args.m) if args.m else [5, 10, 20, 40]
+    q = _one(args.q, "--q")
+    mus = _weights(args.mu, max(i for _, i in letters))
+    ms = parse_values(args.m)
     if any(v != int(v) for v in ms):
         raise ValueError(f"--m takes integers, got {args.m!r}")
-    samples = args.samples or 100
-    rows = convergence_report(letters, q, mus, ms, samples, args.seed)
+    rows = convergence_report(letters, q, mus, ms, args.samples, args.seed)
     records = [{"m": r["m"], "mean_re": r["mean"].real, "mean_im": r["mean"].imag,
                 "stderr": r["stderr"], "oracle_re": r["oracle"].real,
                 "oracle_im": r["oracle"].imag, "abs_err": r["abs_err"],
@@ -410,12 +401,11 @@ COMMANDS = {
     "clt": cmd_clt,
 }
 
-# each flag's argparse spec, keyed by its option string ("model --mu": the models' default)
+# each flag's argparse spec, keyed by its option string
 _FLAGS = {
     "word": {"help": "word expression, e.g. '(g+g*)^4' or 'g*g'"},
-    "--n": {"type": int, "default": 1, "help": "number of gaussian indices"},
-    "model --mu": {"default": "1", "help": "model weights: one for every index, or n of them"},
-    "--mu": {"help": "weight value or grid; a word takes one, or one per index"},
+    "--n": {"type": int, "help": "number of gaussian indices"},
+    "--mu": {"help": "weight value or grid; a model or a word takes one, or one per index"},
     "--sign-file": {"help": "JSON sign table {n, pairs}"},
     "--p": {"help": "exponent value or grid"},
     "--t": {"help": "time value or grid"},
@@ -423,30 +413,37 @@ _FLAGS = {
     "--m": {"help": "sum length value or grid"},
     "--samples": {"type": _count},
     "--restarts": {"type": _count},
-    "--tol": {"type": _tolerance, "help": "tolerance override"},
-    "--direction": {"choices": ("primal", "dual"), "default": "primal"},
-    "--sign-seed": {"type": int, "default": 0},
-    "--seed": {"type": int, "default": 0},
-    "--emit": {"choices": ("csv", "json"), "default": "json"},
+    "--tol": {"type": _tolerance, "help": "tolerance"},
+    "--direction": {"choices": ("primal", "dual")},
+    "--sign-seed": {"type": int},
+    "--seed": {"type": int},
+    "--emit": {"choices": ("csv", "json")},
 }
 
-_MODEL = ("--n", "model --mu", "--sign-file")
-# the flags each command reads; every command also takes the last three
+# the flags each command reads, each with its default as a user would type it (None:
+# no default), and those every command takes
+_MODEL = {"--n": "1", "--mu": "1", "--sign-file": None}
 _TAKES = {
-    "relations": _MODEL + ("--tol",),
-    "density": _MODEL + ("--tol",),
-    "lpnorm": _MODEL + ("--p",),
-    "choi": ("--t", "--mu", "--tol"),
-    "convexity": ("--p", "--mu", "--q", "--samples", "--tol"),
-    "hyperc-verify": _MODEL + ("--p", "--t", "--restarts", "--tol"),
-    "hyperc-search": _MODEL + ("--p", "--t", "--restarts", "--direction"),
-    "necessary-time": ("--p", "--mu"),
-    "perturb": ("--p", "--mu", "--tol"),
-    "fock-moment": ("word", "--q", "--mu"),
-    "clt": ("word", "--q", "--mu", "--m", "--samples", "--tol"),
+    "relations": {**_MODEL, "--tol": "1e-12"},
+    "density": {**_MODEL, "--tol": "1e-9"},
+    "lpnorm": {**_MODEL, "--p": "2,3,4,6"},
+    "choi": {"--t": "0:5:0.01", "--mu": "1:4:0.1", "--tol": "1e-12"},
+    "convexity": {"--p": "1.1:2:0.1", "--mu": "1,1.5,2,3", "--q": "2,3,4",
+                  "--samples": "1000", "--tol": "1e-10"},
+    "hyperc-verify": {**_MODEL, "--p": "1.25,1.5,1.75", "--t": None, "--restarts": "1000",
+                      "--tol": "1e-9"},
+    "hyperc-search": {**_MODEL, "--p": "1.5", "--t": "0.5", "--restarts": "200",
+                      "--direction": "primal"},
+    "necessary-time": {"--p": "4,6", "--mu": "1,1.3,2"},
+    "perturb": {"--p": "3,4,6", "--mu": "1.2,1.5,2", "--tol": "1e-4"},
+    "fock-moment": {"word": None, "--q": "0", "--mu": "1"},
+    "clt": {"word": None, "--q": "0", "--mu": "1", "--m": "5,10,20,40", "--samples": "100",
+            "--tol": None},
 }
+_COMMON = {"--sign-seed": "0", "--seed": "0", "--emit": "json"}
 
 
+@functools.cache     # once per process: a rebuild was two thirds of `lpnorm --n 2`
 def build_parser() -> _Parser:
     parser = _Parser(prog="qhyper", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qhyper {__version__}")
@@ -454,16 +451,13 @@ def build_parser() -> _Parser:
     for name, flags in _TAKES.items():
         # no abbreviations: --m would otherwise stand for --mu, --t for --tol
         p = sub.add_parser(name, allow_abbrev=False)
-        for flag in flags + ("--sign-seed", "--seed", "--emit"):
-            p.add_argument(flag.split()[-1], **_FLAGS[flag])
-        p.set_defaults(func=COMMANDS[name])
+        for flag, default in {**flags, **_COMMON}.items():
+            p.add_argument(flag, default=default, **_FLAGS[flag])
     return parser
 
 
 def _config_echo(args) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    cfg["version"] = __version__
-    return cfg
+    return dict(sorted(vars(args).items()), version=__version__)
 
 
 def emit(args, records, passed) -> str:
@@ -488,16 +482,19 @@ def emit(args, records, passed) -> str:
     fields = list(records[0].keys()) if records else ["pass"]
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields + ["provenance"])
-    # csv writes a float as str(), which is repr() for a float
-    writer.writerows([*map(rec.get, fields), provenance] for rec in records)
-    return buf.getvalue()
+    # csv writes a float as repr().  A NUL placeholder ends each row and becomes the
+    # provenance, quoted once as csv quotes a field holding '"', not once per row
+    writer.writerows([*map(rec.get, fields), "\0"] for rec in records)
+    rows = buf.getvalue()
+    if rows.count("\0") != len(records):
+        raise ValueError("csv fields must not hold a NUL character")
+    return rows.replace(",\0\n", ',"' + provenance.replace('"', '""') + '"\n')
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        records = args.func(args)
+        records = COMMANDS[args.command](args)     # looked up per call: entries may be rebound
     except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -128,9 +128,16 @@ def convexity_stack(A: np.ndarray, B: np.ndarray, mu) -> np.ndarray:
     if np.any(mu < 1.0):
         raise ValueError(f"mu must be >= 1, got {mu[mu < 1.0][0]}")
     mu2 = _per_mu(mu, lambda m: m ** 2)[:, None, None]
-    shift = _per_mu(mu, lambda m: _lam(m) / (1.0 - _lam(m)))
-    return np.stack([A, B, A + B, A - B, A + mu2 * B, A - B / mu2,
-                     A - shift[:, None, None] * B], axis=1)
+    shift = _per_mu(mu, lambda m: _lam(m) / (1.0 - _lam(m)))[:, None, None]
+    # each slice written in place: one (K, m, m) temporary at a time, not six
+    stack = np.empty(A.shape[:1] + (7,) + A.shape[1:], np.result_type(A, B, mu2))
+    stack[:, 0], stack[:, 1] = A, B
+    stack[:, 2] = A + B
+    stack[:, 3] = A - B
+    stack[:, 4] = A + mu2 * B
+    stack[:, 5] = A - B / mu2
+    stack[:, 6] = A - shift * B
+    return stack
 
 
 def convexity_margins_sv(s: np.ndarray, p: float, mu, q: float) -> tuple:

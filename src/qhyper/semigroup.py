@@ -17,20 +17,9 @@ from .babyfock import LETTER_DEGREE, BabyFock, get_model
 from .state import embed_lower
 
 __all__ = [
-    "number_degree", "index_degree", "apply_OU", "apply_OU_coeffs",
-    "apply_Ti", "choi_matrix", "choi_identity_residual", "is_cp",
-    "cp_randomized_check", "l2_pythagoras_residual",
+    "apply_OU", "apply_OU_coeffs", "apply_Ti", "choi_matrix",
+    "choi_identity_residual", "is_cp", "cp_randomized_check", "l2_pythagoras_residual",
 ]
-
-
-def number_degree(word) -> int:
-    """Total letter degree of a monomial word."""
-    return sum(LETTER_DEGREE[l] for l in word)
-
-
-def index_degree(word, i: int) -> int:
-    """Degree carried by the letter at index i (1-based)."""
-    return LETTER_DEGREE[word[i - 1]]
 
 
 def apply_OU_coeffs(model: BabyFock, coeffs: np.ndarray, t: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 """CLI contract: determinism, exit codes, emission formats."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -133,6 +135,39 @@ def test_json_emission_matches_indented_dumps(records, passed):
     want = json.dumps({"config": _config_echo(JSON_ARGS), "records": records,
                        "pass": passed}, indent=2) + "\n"
     assert emit(JSON_ARGS, records, passed) == want
+
+
+CSV_ARGS = build_parser().parse_args(["choi", "--emit", "csv"])
+
+
+def per_row_csv(args, records) -> str:
+    """The CSV as one csv.writer row per record, provenance quoted on each."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    provenance = json.dumps(_config_echo(args), sort_keys=True)
+    fields = list(records[0]) if records else ["pass"]
+    writer.writerow(fields + ["provenance"])
+    for rec in records:
+        writer.writerow([rec.get(field) for field in fields] + [provenance])
+    return buf.getvalue()
+
+
+CSV_TEXT = st.text(st.sampled_from(',"\n\r :aZ\u00e9'), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(CSV_TEXT, JSON_VALUES | CSV_TEXT, min_size=1, max_size=4),
+                max_size=5))
+def test_csv_emission_matches_per_row_writer(records):
+    """Quoting the provenance once gives the per-row writer's bytes, for fields
+    holding commas, quotes, newlines and carriage returns, empty strings,
+    one-field records, records missing a field of the first, and no records."""
+    assert emit(CSV_ARGS, records, True) == per_row_csv(CSV_ARGS, records)
+
+
+def test_csv_emission_rejects_nul():
+    with pytest.raises(ValueError, match="NUL"):
+        emit(CSV_ARGS, [{"word": "g\0", "pass": True}], True)
 
 
 def test_json_emission_rejects_nested_records():
@@ -294,6 +329,35 @@ def test_clt_rejects_packed_key_overflow(capsys):
     assert "2*n*m" in errtext
 
 
+# the flags each command reads, besides --emit, --seed and --sign-seed, and their
+# defaults as typed (None: the command runs without the flag)
+MODEL = {"--n": "1", "--mu": "1", "--sign-file": None}
+TAKES = {
+    "relations": {**MODEL, "--tol": "1e-12"},
+    "density": {**MODEL, "--tol": "1e-9"},
+    "lpnorm": {**MODEL, "--p": "2,3,4,6"},
+    "choi": {"--t": "0:5:0.01", "--mu": "1:4:0.1", "--tol": "1e-12"},
+    "convexity": {"--p": "1.1:2:0.1", "--mu": "1,1.5,2,3", "--q": "2,3,4",
+                  "--samples": "1000", "--tol": "1e-10"},
+    "hyperc-verify": {**MODEL, "--p": "1.25,1.5,1.75", "--t": None, "--restarts": "1000",
+                      "--tol": "1e-9"},
+    "hyperc-search": {**MODEL, "--p": "1.5", "--t": "0.5", "--restarts": "200",
+                      "--direction": "primal"},
+    "necessary-time": {"--p": "4,6", "--mu": "1,1.3,2"},
+    "perturb": {"--p": "3,4,6", "--mu": "1.2,1.5,2", "--tol": "1e-4"},
+    "fock-moment": {"--q": "0", "--mu": "1"},
+    "clt": {"--q": "0", "--mu": "1", "--m": "5,10,20,40", "--samples": "100", "--tol": None},
+}
+COMMON = {"--emit": "json", "--seed": "0", "--sign-seed": "0"}
+FLAG_VALUE = {"--direction": "dual", "--sign-file": "signs.json", "--n": "2"}
+ALL_FLAGS = sorted({f for flags in TAKES.values() for f in flags})
+WORD = {"fock-moment": ["g*g"], "clt": ["g*g"]}
+
+
+def _argv(command, flag, value=None):
+    return [command] + WORD.get(command, []) + [flag, value or FLAG_VALUE.get(flag, "1")]
+
+
 BOUNDARY_CASES = [
     (["clt", "(s+s*)^2", "--samples", "0"], "at least 1"),
     (["convexity", "--samples", "0"], "at least 1"),
@@ -338,7 +402,12 @@ BOUNDARY_CASES = [
     (["hyperc-verify", "--tol=-1e-3"], "finite and at least 0"),
     (["perturb", "--tol", "inf"], "finite and at least 0"),
     (["clt", "s*s", "--m", "5", "--samples", "2", "--tol", "nan"], "finite and at least 0"),
+    (["relations", "--sign-file="], "No such file"),
 ]
+# an empty value is no value, not the default
+BOUNDARY_CASES += [([command, *WORD.get(command, []), flag + "="], "at least one value")
+                   for command, flags in TAKES.items()
+                   for flag in ("--p", "--t", "--mu", "--q", "--m") if flag in flags]
 
 
 @pytest.mark.parametrize("argv,message", BOUNDARY_CASES,
@@ -391,35 +460,32 @@ def test_word_weights_broadcast_one_value(capsys):
     assert outs[0][0]["mu"] == "1.5,1.5"
 
 
-# the flags each command reads, besides --emit, --seed and --sign-seed
-TAKES = {
-    "relations": ("--n", "--mu", "--sign-file", "--tol"),
-    "density": ("--n", "--mu", "--sign-file", "--tol"),
-    "lpnorm": ("--n", "--mu", "--sign-file", "--p"),
-    "choi": ("--t", "--mu", "--tol"),
-    "convexity": ("--p", "--mu", "--q", "--samples", "--tol"),
-    "hyperc-verify": ("--n", "--mu", "--sign-file", "--p", "--t", "--restarts", "--tol"),
-    "hyperc-search": ("--n", "--mu", "--sign-file", "--p", "--t", "--restarts",
-                      "--direction"),
-    "necessary-time": ("--p", "--mu"),
-    "perturb": ("--p", "--mu", "--tol"),
-    "fock-moment": ("--q", "--mu"),
-    "clt": ("--q", "--mu", "--m", "--samples", "--tol"),
-}
-FLAG_VALUE = {"--direction": "dual", "--sign-file": "signs.json", "--n": "2"}
-ALL_FLAGS = sorted({f for flags in TAKES.values() for f in flags})
-WORD = {"fock-moment": ["g*g"], "clt": ["g*g"]}
+@pytest.mark.parametrize("command", TAKES)
+def test_defaults_spelled_out_change_nothing(capsys, command):
+    # config echoes each default as parsed, so both runs print the same bytes
+    spelled = [f"{flag}={value}" for flag, value in {**TAKES[command], **COMMON}.items()
+               if value is not None]
+    code, out, _ = run(capsys, [command] + WORD.get(command, []))
+    assert code == 0
+    assert run(capsys, [command] + WORD.get(command, []) + spelled) == (code, out, "")
+    unset = {flag[2:].replace("-", "_") for flag, value in TAKES[command].items() if value is None}
+    assert {k for k, v in json.loads(out)["config"].items() if v is None} == unset
 
 
-def _argv(command, flag, value=None):
-    return [command] + WORD.get(command, []) + [flag, value or FLAG_VALUE.get(flag, "1")]
+def test_parser_is_built_once_and_main_calls_the_commands_table(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    # a tracer wraps a command by rebinding its COMMANDS entry after the parser exists
+    monkeypatch.setitem(COMMANDS, "necessary-time", lambda args: [{"p": args.p, "pass": True}])
+    code, out, _ = run(capsys, ["necessary-time", "--p", "4"])
+    assert code == 0
+    assert json.loads(out)["records"] == [{"p": "4", "pass": True}]
 
 
 def test_commands_take_their_flags():
     assert set(TAKES) == set(COMMANDS)
     parser = build_parser()
     for command, flags in TAKES.items():
-        for flag in flags + ("--emit", "--seed", "--sign-seed"):
+        for flag in (*flags, *COMMON):
             args = parser.parse_args(_argv(command, flag, "csv" if flag == "--emit" else None))
             assert getattr(args, flag[2:].replace("-", "_")) is not None
 

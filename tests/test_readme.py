@@ -36,3 +36,16 @@ def test_readme_example_passes(line, capsys):
         assert all(row[col] != "False" for row in rows)
     else:
         assert json.loads(out)["pass"] is True
+
+
+def test_readme_flag_table_matches_the_parser():
+    # each row: | `command` | `flags` | `defaults` |, against cli._TAKES
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```sh\n", 1)[0]
+    rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+    assert {row[0].strip(" `") for row in rows} == set(cli._TAKES)
+    for command, flags, defaults in rows:
+        takes = cli._TAKES[command.strip(" `")]
+        assert flags.strip(" `").split() == list(takes)
+        words = defaults.strip(" `").split()
+        assert dict(zip(words[::2], words[1::2])) == \
+            {flag: value for flag, value in takes.items() if value is not None}

@@ -1,28 +1,18 @@
-"""Semigroup action, degree bookkeeping, and positivity certificates."""
+"""Semigroup action and positivity certificates."""
 
 import numpy as np
 import pytest
 
-from qhyper.babyfock import GEN, STAR, UNIT, Y, BabyFock
+from qhyper.babyfock import BabyFock
 from qhyper.semigroup import (apply_OU, apply_Ti, choi_identity_residual,
-                              choi_matrix, cp_randomized_check, index_degree,
-                              is_cp, l2_pythagoras_residual, number_degree)
+                              choi_matrix, cp_randomized_check, is_cp,
+                              l2_pythagoras_residual)
 from qhyper.signs import ModelParams
 
 
 @pytest.fixture(scope="module")
 def m3():
     return BabyFock(ModelParams.make(3, (1.2, 1.6, 2.0), sign_seed=4))
-
-
-def test_degrees():
-    word = (GEN, STAR, UNIT, Y)      # g_1 g*_2 y_4 up to ordering by index
-    assert number_degree(word) == 4
-    assert index_degree(word, 1) == 1
-    assert index_degree(word, 3) == 0
-    assert index_degree(word, 4) == 2
-    assert number_degree((UNIT, UNIT, UNIT, UNIT)) == 0
-    assert number_degree((GEN, GEN, GEN, GEN)) == 4
 
 
 def test_ou_action(m3):
