@@ -482,13 +482,15 @@ def emit(args, records, passed) -> str:
     fields = list(records[0].keys()) if records else ["pass"]
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields + ["provenance"])
-    # csv writes a float as repr().  A NUL placeholder ends each row and becomes the
-    # provenance, quoted once as csv quotes a field holding '"', not once per row
-    writer.writerows([*map(rec.get, fields), "\0"] for rec in records)
+    # csv writes a float as repr().  A private-use placeholder, which csv writes
+    # unquoted (a NUL would not do: Python 3.10's csv takes it for the unset
+    # escapechar), ends each row and becomes the provenance, quoted once as csv
+    # quotes a field holding '"', not once per row
+    writer.writerows([*map(rec.get, fields), "\ue000"] for rec in records)
     rows = buf.getvalue()
-    if rows.count("\0") != len(records):
-        raise ValueError("csv fields must not hold a NUL character")
-    return rows.replace(",\0\n", ',"' + provenance.replace('"', '""') + '"\n')
+    if rows.count("\ue000") != len(records):
+        raise ValueError("csv fields must not hold U+E000")
+    return rows.replace("\ue000", '"' + provenance.replace('"', '""') + '"')
 
 
 def main(argv=None) -> int:
