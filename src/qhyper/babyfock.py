@@ -261,7 +261,8 @@ class BabyFock:
         mu_i**-2) n_i - mu_i**-2.  Row r of pi(M_w) has its one non-zero, ``vals[w, r]``
         (0 on a dead row), at column r ^ ``flip[w]``: g_i and g*_i both flip bit i - 1, so
         2**n groups of 2**n words share one column map.  ``rho`` is the diagonal of the
-        trace-one density prod_i ((1 - lambda_i) + (2 lambda_i - 1) n_i).  The build checks
+        density prod_i ((1 - lambda_i) + (2 lambda_i - 1) n_i), a product of two-level
+        factors of trace one each, so no computed trace is divided out.  The build checks
         trace(rho pi(M_w)) = tau(M_w) and trace(rho pi(M_w)* pi(M_w)) = |M_w x_empty|**2."""
 
         def build():
@@ -283,7 +284,6 @@ class BabyFock:
                 flip[w], vals[w] = flip[prev] ^ bit, v * vals[prev][rows ^ bit]
             lam = 1.0 / (1.0 + self.mu ** 4)
             rho = np.prod([np.where(rows & 1 << k, lam[k], 1 - lam[k]) for k in range(n)], axis=0)
-            rho /= rho.sum()
             traces = np.sum(np.where(flip[:, None] == 0, vals, 0.0) * rho, axis=1)
             traces[0] -= 1.0
             weights = np.sum(rho[rows ^ flip[:, None]] * vals ** 2, axis=1)
@@ -327,12 +327,6 @@ class BabyFock:
         out.real = np.bincount(flat, terms.real, out.size)
         out.imag = np.bincount(flat, terms.imag, out.size)
         return out.reshape(self.dim, self.dim)
-
-    def membership_residual(self, X: np.ndarray) -> float:
-        """Relative Frobenius distance of X from the monomial span."""
-        rec = self.reconstruct(self.expand(X))
-        scale = np.linalg.norm(X)
-        return float(np.linalg.norm(X - rec) / (scale if scale > 0 else 1.0))
 
     def random_element(self, rng, scale: float = 1.0) -> np.ndarray:
         """Random algebra element with i.i.d. complex gaussian coefficients."""

@@ -32,7 +32,7 @@ from .linalg import (expansion_second_order, expansion_via_frechet, richardson_s
 from .qfock import QParams, moment_operator, moment_pairings, parse_word
 from .semigroup import choi_identity_residual, choi_matrix
 from .signs import ModelParams, SignTable
-from .state import density_solve, get_density, modular_check
+from .state import density_solve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,57 +109,58 @@ def _model_from_args(args) -> ModelParams:
 # ============================================================================
 
 
+def _check(name: str, residual: float, tol: float) -> dict:
+    """The record of a check that passes when its residual is at most tol."""
+    return {"check": name, "residual": float(residual), "tol": tol, "pass": bool(residual <= tol)}
+
+
 def cmd_relations(args):
     model = get_model(_model_from_args(args))
     rep = model.verify_relations()
-    records = [
-        {"check": name, "residual": val, "tol": args.tol, "pass": val <= args.tol}
-        for name, val in (("commutation", rep.commutation),
-                          ("star_commutation", rep.star_commutation),
-                          ("square", rep.square),
-                          ("anticommutator", rep.anticommutator))
-    ]
+    records = [_check(name, val, args.tol)
+               for name, val in (("commutation", rep.commutation),
+                                 ("star_commutation", rep.star_commutation),
+                                 ("square", rep.square),
+                                 ("anticommutator", rep.anticommutator))]
     for i in range(1, model.n + 1):
         expect = float(np.sqrt(model.mu[i - 1] ** 2 + model.mu[i - 1] ** -2))
-        got = model.generator_norm(i)
-        resid = abs(got - expect) / expect
-        records.append({"check": f"opnorm_gamma_{i}", "residual": resid,
-                        "tol": 1e-10, "pass": resid <= 1e-10})
-    records.append({"check": "monomial_condition",
-                    "residual": model.embedding_condition(), "tol": float("inf"),
-                    "pass": True})
+        records.append(_check(f"opnorm_gamma_{i}",
+                              abs(model.generator_norm(i) - expect) / expect, 1e-10))
+    records.append(_check("monomial_condition", model.embedding_condition(), float("inf")))
     return records
 
 
 def cmd_density(args):
+    # the 4**n model is 2**n copies of the irrep, where pi(D) = diag(rho) / 2**n:
+    # traces over C**(4**n) are 2**n times those over C**(2**n)
     model = get_model(_model_from_args(args))
-    D = get_density(model)
-    records = []
-    eigs = np.linalg.eigvalsh(D)
-    trace_err = abs(float(np.trace(D).real) - 1.0)
-    records.append({"check": "trace_one", "residual": trace_err,
-                    "tol": 1e-12, "pass": trace_err <= 1e-12})
-    records.append({"check": "positive", "residual": float(max(0.0, -eigs.min())),
-                    "tol": 1e-12, "pass": bool(eigs.min() >= -1e-12)})
-    diff = float(np.linalg.norm(density_solve(model) - D) / np.linalg.norm(D))
-    records.append({"check": "solve_agrees", "residual": diff, "tol": args.tol,
-                    "pass": diff <= args.tol})
-    half = get_density(model, 0.5)
-    for i in range(1, model.n + 1):
-        want = model.mu[i - 1] ** -2
-        got = float(np.trace(model.apply_gamma_star(i, model.apply_gamma(i, D))).real)
-        resid = float(abs(got - want))
-        records.append({"check": f"trace_gstar_g_{i}", "residual": resid,
-                        "tol": 1e-10, "pass": resid <= 1e-10})
-        # the Schatten 2-norm of g_i D**(1/2) is its Frobenius norm
-        nrm = float(np.linalg.norm(model.apply_gamma(i, half)))
-        resid2 = float(abs(nrm - 1.0 / model.mu[i - 1]))
-        records.append({"check": f"l2_norm_gamma_{i}", "residual": resid2,
-                        "tol": 1e-10, "pass": resid2 <= 1e-10})
+    flip, vals, rho = model.irrep()
+    records = [_check("trace_one", abs(float(rho.sum()) - 1.0), 1e-12),
+               _check("positive", max(0.0, -float(rho.min())), 1e-12)]
+    coeffs, rows = density_solve(model), np.arange(rho.size)
+    solved = np.zeros((rho.size, rho.size), dtype=np.complex128)
+    for m in rows:                  # sum_w c_w pi(M_w), one column map r -> r ^ m at a time
+        words = flip == m
+        solved[rows, rows ^ m] = coeffs[words] @ vals[words]
+    D = np.diag(rho / rho.size)
+    records.append(_check("solve_agrees", np.linalg.norm(solved - D) / np.linalg.norm(D),
+                          args.tol))
+    gens = [model.irrep_matrix(tuple(GEN if k == i else UNIT for k in range(model.n)))
+            for i in range(model.n)]
+    for i, (mu, g) in enumerate(zip(model.mu, gens), 1):
+        # trace(D g*_i g_i) = trace(rho pi(g_i)* pi(g_i)), and the Schatten 2-norm of
+        # g_i D**(1/2) is the Frobenius norm of pi(g_i) rho**(1/2)
+        records.append(_check(f"trace_gstar_g_{i}", abs(np.sum(g ** 2 * rho) - mu ** -2), 1e-10))
+        records.append(_check(f"l2_norm_gamma_{i}",
+                              abs(np.linalg.norm(g * rho ** 0.5) - 1.0 / mu), 1e-10))
     for p in (1.0, 1.5, 2.0, 3.0):
-        worst = float(max(modular_check(model, p)))
-        records.append({"check": f"modular_p_{p}", "residual": worst,
-                        "tol": 1e-9, "pass": worst <= 1e-9})
+        # D**(1/p) g_k = mu_k**(4/p) g_k D**(1/p); the factor 2**(-n/p) cancels
+        dp, worst = rho ** (1.0 / p), 0.0
+        for mu, g in zip(model.mu, gens):
+            lhs, rhs = dp[:, None] * g, mu ** (4.0 / p) * g * dp
+            scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
+            worst = max(worst, float(np.linalg.norm(lhs - rhs) / scale))
+        records.append(_check(f"modular_p_{p}", worst, 1e-9))
     return records
 
 
@@ -204,6 +205,11 @@ def cmd_choi(args):
     return records
 
 
+# convexity draws, groups and evaluates this many samples at a time, so its memory
+# does not grow with --samples
+CONVEXITY_CHUNK = 1000
+
+
 def cmd_convexity(args):
     ps = parse_values(args.p)
     mus = parse_values(args.mu)
@@ -218,33 +224,28 @@ def cmd_convexity(args):
         if q < 2.0:
             raise ValueError(f"need q >= 2, got {q}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-    # pairs sharing (m, p, q) take their margins in one call: count the pairs per key,
-    # then draw each pair in sample order into its slot of the key's stack
-    keys = [(2 + k % 15, ps[k % len(ps)], qs[k % len(qs)]) for k in range(args.samples)]
-    slots, counts = [], {}
-    for key in keys:
-        slots.append(counts.get(key, 0))
-        counts[key] = slots[-1] + 1
-    stacks = {key: (np.empty((c, key[0], key[0]), np.complex128),
-                    np.empty((c, key[0], key[0]), np.complex128), np.empty(c))
-              for key, c in counts.items()}
-    for k, (key, j) in enumerate(zip(keys, slots)):
-        A, B, mu = stacks[key]
-        m = key[0]
-        A[j] = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        B[j] = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        mu[j] = mus[(k // len(ps)) % len(mus)]
     worst = {}
 
     def fold(key, margins):
         worst[key] = min(worst.get(key, np.inf), *margins.tolist())
 
-    for (_, p, q), (A, B, mu) in stacks.items():
-        bcl, asym, dual = convexity_margins(A, B, p, mu, q)
-        fold(("bcl", p, 1.0), bcl)
-        for w in np.unique(mu).tolist():
-            fold(("asym", p, w), asym[mu == w])
-            fold(("dual", q, w), dual[mu == w])
+    # the sample order is drawn CONVEXITY_CHUNK pairs at a time; pairs of a chunk that
+    # share (m, p, q) take their margins in one call, folded before the next chunk
+    for start in range(0, args.samples, CONVEXITY_CHUNK):
+        stacks = {}
+        for k in range(start, min(start + CONVEXITY_CHUNK, args.samples)):
+            m = 2 + k % 15
+            A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            stacks.setdefault((m, ps[k % len(ps)], qs[k % len(qs)]), []).append(
+                (A, B, mus[(k // len(ps)) % len(mus)]))
+        for (_, p, q), pairs in stacks.items():
+            A, B, mu = map(np.array, zip(*pairs))
+            bcl, asym, dual = convexity_margins(A, B, p, mu, q)
+            fold(("bcl", p, 1.0), bcl)
+            for w in np.unique(mu).tolist():
+                fold(("asym", p, w), asym[mu == w])
+                fold(("dual", q, w), dual[mu == w])
     records = [{"inequality": k[0], "exponent": k[1], "mu": k[2],
                 "min_margin": v, "pass": bool(v >= -args.tol)}
                for k, v in sorted(worst.items())]

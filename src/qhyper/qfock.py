@@ -25,8 +25,8 @@ import numpy as np
 
 __all__ = [
     "QParams", "create_apply", "annihilate_apply", "gram_matrix", "q_inner",
-    "second_quantize_OU", "positivity_check", "letter_parts", "moment",
-    "moment_operator", "moment_pairings", "parse_word", "word_adjoint",
+    "positivity_check", "letter_parts", "moment", "moment_operator", "moment_pairings",
+    "parse_word", "word_adjoint",
 ]
 
 MAX_WORD_LEN = 10
@@ -128,13 +128,6 @@ def q_inner(x: dict, y: dict, q: float) -> complex:
             if len(u) == len(v):
                 total += cu * np.conj(cv) * _gram_entry(u, v, q)
     return complex(total)
-
-
-def second_quantize_OU(v: dict, t: float) -> dict:
-    """Scale each word w by exp(-len(w) t)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return {w: c * np.exp(-len(w) * t) for w, c in v.items()}
 
 
 def positivity_check(k: int, q: float, sample_words) -> float:

@@ -14,18 +14,20 @@ applied to the identity by the letter kernels (``get_density(model, alpha)``);
 no eigendecomposition and no dense projection is formed.  L^p elements
 are x D**(1/p) with the Schatten p-norm.  No generator is stored as a
 matrix: g_i D**(1/p) is one letter application on D**(1/p), which is how
-the CLI's ``density`` command checks its L^2 norms and the modular
-relation.  The functions here stay in the 4**n representation and serve
-as the oracle.  The check trace(D M_w) = tau(M_w) over every word reads
-the sparse monomial table (``BabyFock.monomial_table``); the independent
-linear solve for D takes its Gram matrix block by block in the irrep and
-scatters its solution through the same table, at every n.  Every norm
+``modular_check`` takes both sides of the modular relation.  The functions
+here stay in the 4**n representation and serve as the oracle.  The check
+trace(D M_w) = tau(M_w) over every word reads the sparse monomial table
+(``BabyFock.monomial_table``).  The independent linear solve for D takes
+its Gram matrix block by block in the irrep and returns the monomial
+coefficients of D, at every n; ``model.reconstruct`` turns them into the
+4**n matrix.  Every check of the CLI's ``density`` command and every norm
 the ratio search, the structural split checks, the duality transport and
 the CLI report is taken in the closed-form 2**n dimensional irreducible
-representation (``BabyFock.irrep``) instead, where the same product is a
-diagonal rho of trace one and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p
-with no scale factor; ``haagerup_norm``'s dense product x @ D**(1/p) is
-the oracle for it, called only by the GNS-space ratios of ``hyperc``.
+representation (``BabyFock.irrep``) instead.  The 4**n model is 2**n copies
+of it, so pi(D) = diag(rho) / 2**n with rho the same product of two-level
+factors, of trace one, and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p with no
+scale factor; ``haagerup_norm``'s dense product x @ D**(1/p) is the oracle
+for it, called only by the GNS-space ratios of ``hyperc``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ def get_density(model: BabyFock, alpha: float = 1.0) -> np.ndarray:
     power exists; the product of the F_i has trace exactly 2**n (pi(rho) tensor 1,
     rho of trace one on C**(2**n)), so no computed trace is divided out.  D itself
     is built first, whichever power is asked for, and its build checks that it
-    represents tau on every word: once per model.
+    represents tau on every word: once per model.  This is the 4**n oracle; the
+    CLI's ``density`` reads pi(D) = diag(rho) / 2**n from ``BabyFock.irrep``.
     """
 
     def build(a):
@@ -95,14 +98,15 @@ def defining_property_residual(model: BabyFock, D: np.ndarray) -> float:
 
 
 def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> np.ndarray:
-    """Independent density oracle: solve trace(D M_b) = tau(M_b) over monomials.
+    """Monomial coefficients of D, solved from trace(D M_b) = tau(M_b) over monomials.
 
     ``vacuum_values`` overrides the right-hand side (indexed by monomial);
     by default tau(M_b) is 1 for the unit word and 0 otherwise.  The 4**n
     representation is 2**n copies of the irrep (``BabyFock.irrep``), so the Gram
     matrix is trace(M_a M_b) = 2**n sum_r vals[a, r] vals[b, r ^ m], non-zero only
     when a and b share the column map r -> r ^ m (``flip`` = m): 2**n blocks of 2**n
-    words, each solved on its own.  The solve reads neither rho nor the closed-form D.
+    words, each solved on its own.  The solve reads neither rho nor the closed-form D,
+    and forms no 4**n matrix: ``model.reconstruct`` of the result is the dense D.
     """
     flip, vals, _ = model.irrep()
     rows = np.arange(vals.shape[1])
@@ -120,7 +124,7 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
         resid = np.linalg.norm(gram @ coeffs[w] - rhs[w])
         if resid > 1e-8 * max(1.0, np.linalg.norm(rhs[w])):
             raise AssertionError(f"monomial trace system is ill-conditioned: residual {resid:.3e}")
-    return model.reconstruct(coeffs)
+    return coeffs
 
 
 def haagerup_norm(model: BabyFock, x: np.ndarray, p: float) -> float:

@@ -68,7 +68,7 @@ def test_criterion_02_density():
         mu = tuple(1.0 + 2.0 * rng.random(n))
         model = BabyFock(ModelParams.make(n, mu, sign_seed=600 + n))
         D = get_density(model)
-        solved = density_solve(model)
+        solved = model.reconstruct(density_solve(model))
         worst_solve = max(worst_solve, float(
             np.linalg.norm(solved - D) / np.linalg.norm(D)))
         worst_def = max(worst_def, defining_property_residual(model, D))

@@ -159,7 +159,6 @@ def test_expand_round_trip_and_membership(m3):
     coeffs = rng.standard_normal(m3.dim) + 1j * rng.standard_normal(m3.dim)
     X = m3.reconstruct(coeffs)
     assert np.allclose(m3.expand(X), coeffs, atol=1e-10)
-    assert m3.membership_residual(X) < 1e-9
     assert np.isfinite(m3.embedding_condition())
 
 

@@ -13,7 +13,7 @@ from qhyper.babyfock import BabyFock, get_model
 from qhyper.cli import COMMANDS, _config_echo, build_parser, emit, main, parse_values
 from qhyper.semigroup import choi_identity_residual, choi_matrix
 from qhyper.signs import ModelParams, SignTable
-from qhyper.state import get_density, haagerup_norm
+from qhyper.state import density_solve, get_density, haagerup_norm, modular_check
 
 
 def run(capsys, argv):
@@ -229,8 +229,9 @@ def test_clt_reports(capsys):
 
 
 def test_density_and_lpnorm_match_dense_oracle(capsys):
-    # density applies letters to powers of D and lpnorm works in the 2**n irrep;
-    # the oracle multiplies dense generators
+    # density and lpnorm work in the 2**n irrep; the oracle multiplies dense
+    # generators, applies letters to powers of the 4**n density and reconstructs
+    # the solved density through the monomial table
     mu = (1.2, 1.7, 2.5)
     argv = ["--n", "3", "--mu", ",".join(map(str, mu)), "--sign-seed", "4"]
     code, out, _ = run(capsys, ["density"] + argv)
@@ -251,6 +252,41 @@ def test_density_and_lpnorm_match_dense_oracle(capsys):
         assert len(recs) == 4
         for rec in recs:
             assert abs(rec["norm"] - haagerup_norm(model, g, rec["p"])) <= 1e-12
+    solved = model.reconstruct(density_solve(model))
+    assert abs(resid["solve_agrees"] - np.linalg.norm(solved - D) / np.linalg.norm(D)) <= 1e-12
+    for p in (1.0, 1.5, 2.0, 3.0):
+        assert abs(resid[f"modular_p_{p}"] - max(modular_check(model, p))) <= 1e-12
+
+
+def test_density_checks_fail_on_a_swapped_factor(capsys, monkeypatch):
+    # rho with lambda_2 <-> 1 - lambda_2 keeps its trace and positivity, but breaks
+    # the modular relation at index 2 and no longer matches the solved density
+    irrep = BabyFock.irrep
+
+    def swapped(model):
+        flip, vals, rho = irrep(model)
+        lam = 1.0 / (1.0 + model.mu[1] ** 4)
+        on = (np.arange(rho.size) & 2) != 0
+        return flip, vals, rho * np.where(on, (1.0 - lam) / lam, lam / (1.0 - lam))
+
+    monkeypatch.setattr(BabyFock, "irrep", swapped)
+    code, out, err = run(capsys, ["density", "--n", "3", "--mu", "1.2,1.7,2.5"])
+    assert code == 2
+    failed = {r["check"] for r in json.loads(out)["records"] if not r["pass"]}
+    assert {"solve_agrees", "modular_p_1.0", "modular_p_3.0"} <= failed
+    assert {"trace_one", "positive"}.isdisjoint(failed)
+    assert "FAIL" in err
+
+
+def test_convexity_chunks_leave_stdout_unchanged(capsys, monkeypatch):
+    # 150 samples in chunks of 7: every chunk boundary cuts the 30-key cycle
+    # of (m, p, q) somewhere else, and the draws stay in sample order
+    argv = ["convexity", "--samples", "150", "--seed", "2"]
+    code, whole, _ = run(capsys, argv)
+    assert code == 0 and cli.CONVEXITY_CHUNK >= 150
+    monkeypatch.setattr(cli, "CONVEXITY_CHUNK", 7)
+    code, chunked, _ = run(capsys, argv)
+    assert code == 0 and chunked == whole
 
 
 def test_necessary_time_flags_discrepancy(capsys):
@@ -262,17 +298,20 @@ def test_necessary_time_flags_discrepancy(capsys):
 
 
 def test_norm_commands_never_touch_the_4n_model(capsys, monkeypatch):
-    # lpnorm, necessary-time and perturb take every norm in the 2**n irrep
+    # density, lpnorm, necessary-time and perturb take every check and norm in the
+    # 2**n irrep; density at n = 6 would build 4096 x 4096 matrices on the 4**n model
     def forbidden(*args, **kwargs):
         raise AssertionError("4**n density, dense norm or monomial table used")
 
     for module in (cli, hyperc, state):
-        for name in ("get_density", "haagerup_norm", "dual_contraction_ratio"):
+        for name in ("get_density", "haagerup_norm", "dual_contraction_ratio",
+                     "modular_check"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     for name in ("monomial_table", "identity", "reconstruct"):
         monkeypatch.setattr(BabyFock, name, forbidden)
-    for argv in (["lpnorm", "--n", "3", "--mu", "1,1.5,2.5"], ["necessary-time"], ["perturb"]):
+    for argv in (["density", "--n", "6", "--mu", "1,1.2,1.5,2,2.5,3"],
+                 ["lpnorm", "--n", "3", "--mu", "1,1.5,2.5"], ["necessary-time"], ["perturb"]):
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert json.loads(out)["pass"] is True

@@ -7,8 +7,7 @@ import pytest
 
 from qhyper.qfock import (QParams, annihilate_apply, create_apply, gram_matrix,
                           letter_parts, moment, moment_operator, moment_pairings,
-                          parse_word, positivity_check, q_inner, second_quantize_OU,
-                          word_adjoint)
+                          parse_word, positivity_check, q_inner, word_adjoint)
 
 
 def test_gram_small_cases():
@@ -209,17 +208,6 @@ def test_moment_positive_on_w_star_w():
              for _ in range(length)]
         val = moment(word_adjoint(w) + w, qp)
         assert val.real >= -1e-12 and abs(val.imag) < 1e-12
-
-
-def test_second_quantization():
-    qp = QParams(q=0.5, n=1, mu=(1.0,))
-    v = {(): 0.3, (1,): 1.0, (-1,): 0.5, (1, -1): 0.7}
-    assert second_quantize_OU(v, 0.0) == v
-    assert second_quantize_OU({(): 1.0}, 3.0) == {(): 1.0}
-    before = q_inner(v, v, qp.q).real
-    after_v = second_quantize_OU(v, 0.4)
-    after = q_inner(after_v, after_v, qp.q).real
-    assert after <= before + 1e-14
 
 
 def test_positivity_check_values():

@@ -180,7 +180,7 @@ def test_modular_check_matches_dense_products(monkeypatch, n, mu, seed):
 def test_density_solve_agreement(n, seed, mu):
     model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
     closed = get_density(model)
-    solved = density_solve(model)
+    solved = model.reconstruct(density_solve(model))
     assert np.linalg.norm(solved - closed) <= 1e-9 * np.linalg.norm(closed)
 
 
@@ -195,7 +195,7 @@ def test_density_solve_blocks_match_dense_gram(n, mu, seed):
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
     dense = model.reconstruct(np.linalg.solve(gram, rhs))
-    blocks = density_solve(model, vacuum_values=rhs)
+    blocks = model.reconstruct(density_solve(model, vacuum_values=rhs))
     assert np.linalg.norm(blocks - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
@@ -203,7 +203,7 @@ def test_density_solve_corruption_detected(m1):
     rhs = np.zeros(m1.dim, dtype=complex)
     rhs[0] = 1.0
     rhs[3] = 5.0  # above the norm of the degree-two letter: infeasible for PSD
-    bad = density_solve(m1, vacuum_values=rhs)
+    bad = m1.reconstruct(density_solve(m1, vacuum_values=rhs))
     assert np.min(np.linalg.eigvalsh(bad)) < -1e-6
 
 
@@ -316,7 +316,8 @@ def m5():
 
 def test_density_solve_agreement_n5(m5):
     closed = get_density(m5)
-    assert np.linalg.norm(density_solve(m5) - closed) <= 1e-9 * np.linalg.norm(closed)
+    solved = m5.reconstruct(density_solve(m5))
+    assert np.linalg.norm(solved - closed) <= 1e-9 * np.linalg.norm(closed)
 
 
 def test_defining_residual_all_words_n5(m5):
