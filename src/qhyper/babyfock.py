@@ -276,12 +276,17 @@ class BabyFock:
                 letters.append((None, (1 << k, np.where(full, 0.0, gval)),
                                 (1 << k, np.where(full, gval, 0.0)),
                                 (0, np.where(full, c[k], 0.0) - self.mu[k] ** -2)))
-            flip, vals = np.zeros(self.dim, np.int64), np.ones((self.dim, rows.size))
-            for w in range(1, self.dim):
-                k = ((w & -w).bit_length() - 1) // 2
-                bit, v = letters[k][(w >> (2 * k)) & 3]
-                prev = w & ~(3 << (2 * k))
-                flip[w], vals[w] = flip[prev] ^ bit, v * vals[prev][rows ^ bit]
+            # site by site from the highest: the words on sites k..n-1 are the four
+            # letters of site k (base-4 digit k) times the words on sites k+1..n-1, so
+            # each row of vals is v_k * (v_k' * (...)) over its sites k < k' < ...
+            flip, vals = np.zeros(1, np.int64), np.ones((1, rows.size))
+            for k in range(n - 1, -1, -1):
+                new_flip = np.empty((flip.size, 4), np.int64)
+                new_vals = np.empty((flip.size, 4, rows.size))
+                new_flip[:, 0], new_vals[:, 0] = flip, vals
+                for d, (bit, v) in enumerate(letters[k][1:], 1):
+                    new_flip[:, d], new_vals[:, d] = flip ^ bit, v * vals[:, rows ^ bit]
+                flip, vals = new_flip.reshape(-1), new_vals.reshape(-1, rows.size)
             lam = 1.0 / (1.0 + self.mu ** 4)
             rho = np.prod([np.where(rows & 1 << k, lam[k], 1 - lam[k]) for k in range(n)], axis=0)
             traces = np.sum(np.where(flip[:, None] == 0, vals, 0.0) * rho, axis=1)

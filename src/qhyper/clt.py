@@ -1,4 +1,4 @@
-"""Monte-Carlo central limit: random sign lifts and sparse moment evaluation.
+"""Monte-Carlo central limit: random sign lifts and their Wick moments.
 
 The model on pair indices (i, j), 1 <= i <= n, 1 <= j <= m carries the
 same construction as the base model, with the sign function sampled
@@ -7,51 +7,37 @@ s_i = m**-0.5 sum_j g_(i,j) converge in moments to the q-deformed
 circular variables, which is what the report measures against the
 exact oracle.
 
-A sparse state is a pair (keys, coeffs): each basis set of ascending
-letter codes c_1 < c_2 < ... is one int64 key with base-1024 digits
-c_1 + 1, c_2 + 1, ..., most significant first, 0 in each empty slot (the
-vacuum is key 0).  Keys are unique and ascending, sums of modulus below
-1e-15 are pruned.  Moments are evaluated by splitting the word in half
-and pairing the two vacuum images, which keeps the support near
-(2m)**(len/2) and the keys at 3 digits (MAX_CLT_WORD = 6); 2nm <= 1022
-keeps each code + 1 below 1024.  The inner loop lives in ``_kernels``.
+For one sign sample a moment is a finite Wick sum: over the pair
+partitions of the word, each pair on one pair index, each crossing of
+two pairs weighted by the sample's sign between their pair indices.
+The partitions are enumerated once per (word, weights) and grouped by
+crossing graph; a sample then costs one small contraction of its sign
+matrix per group.  The budget (MAX_CLT_WORD letters, 1 <= m <= MAX_CLT_M,
+2nm <= 1022) keeps every accepted size within reach of the tests'
+independent sparse Fock oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from itertools import combinations, permutations
 
 import numpy as np
 
-from ._kernels import expand_ops_sparse
-from .qfock import QParams, letter_parts, moment, parse_word, word_adjoint
+from .qfock import QParams, _pair_weights, _pairings, moment, parse_word
+from .signs import check_weights
 
 __all__ = [
-    "BigSignSample", "sample_signs", "pair_code", "clt_estimate",
+    "BigSignSample", "sample_signs", "clt_estimate",
     "convergence_report", "sample_moment", "dense_reference_moment",
     "MAX_CLT_WORD", "MAX_CLT_M",
 ]
 
 MAX_CLT_WORD = 6
 MAX_CLT_M = 64
-PRUNE_TOL = 1e-15
 # pinned single-sample moments per convergence_report row
 TRAJECTORIES = 3
-# uncombined expansion entries made at a time by _expand_combined
-EXPAND_TERMS = 1 << 22
-
-
-def pair_code(i: int, j: int, n: int, m: int) -> int:
-    """Order-preserving code of the signed pair index (i, j) in [0, 2nm).
-
-    The total order is lexicographic on (first, second); negative pairs
-    (-i, -j) occupy codes [0, nm), positive ones [nm, 2nm).
-    """
-    if not (1 <= abs(i) <= n and 1 <= abs(j) <= m) or (i > 0) != (j > 0):
-        raise ValueError(f"bad pair index ({i}, {j})")
-    if i > 0:
-        return n * m + (i - 1) * m + (j - 1)
-    return (n - (-i)) * m + (m - (-j))
 
 
 @dataclass
@@ -64,21 +50,6 @@ class BigSignSample:
     seed: int
     sample_index: int
     signs: np.ndarray  # (nm, nm) int8, symmetric, -1 on the diagonal
-    _epsneg: np.ndarray = field(default=None, repr=False)
-
-    def epsneg(self) -> np.ndarray:
-        """(2nm, 2nm) uint8 table: 1 where the lifted sign is -1."""
-        if self._epsneg is None:
-            nm = self.n * self.m
-            # absolute pair index of each code
-            a = np.arange(2 * nm)
-            first = a // self.m
-            second = a % self.m
-            i_abs = np.where(first < self.n, self.n - first, first - self.n + 1)
-            j_abs = np.where(first < self.n, self.m - second, second + 1)
-            k = (i_abs - 1) * self.m + (j_abs - 1)
-            self._epsneg = (self.signs[np.ix_(k, k)] == -1).astype(np.uint8)
-        return self._epsneg
 
 
 def sample_signs(q: float, n: int, m: int, seed: int, sample_index: int = 0) -> BigSignSample:
@@ -100,142 +71,78 @@ def sample_signs(q: float, n: int, m: int, seed: int, sample_index: int = 0) -> 
     return BigSignSample(n=n, m=m, q=q, seed=seed, sample_index=sample_index, signs=signs)
 
 
-# ============================================================================
-# sparse states
-# ============================================================================
-
-
-def _combine(keys: np.ndarray, coeffs: np.ndarray, prune: float = PRUNE_TOL):
-    """Sum the amplitudes of equal keys and drop sums of modulus <= prune.
-
-    The keys come out ascending, one each.  Equal keys stay in input order,
-    so each sum adds its terms in the order they came.
-    """
-    if coeffs.size == 0:
-        return keys, coeffs
-    # a stable sort as one plain sort of the distinct key * 2**bits + position
-    bits = keys.size.bit_length()
-    if int(keys.max()) >> (63 - bits):
-        raise ValueError("keys too large to sort with their positions")
-    packed = keys << bits
-    packed |= np.arange(keys.size)
-    packed.sort()
-    order = packed & ((1 << bits) - 1)
-    packed >>= bits
-    start = np.concatenate(([True], packed[1:] != packed[:-1]))
-    uniq = packed.take(np.flatnonzero(start))
-    del packed
-    run = np.cumsum(start)
-    run -= 1
-    agg = np.empty(uniq.size, dtype=np.complex128)
-    agg.real = np.bincount(run, coeffs.real[order], uniq.size)
-    agg.imag = np.bincount(run, coeffs.imag[order], uniq.size)
-    keep = np.abs(agg) > prune
-    return uniq[keep], agg[keep]
-
-
-def _letter_ops(kind: str, i: int, mu_i: float, n: int, m: int):
-    """Operator list (codes, create flags, weights) of s_i, s*_i, or x_i.
-
-    Per j = 1..m the pairs (i, j) and (-i, -j) alternate, with the codes
-    of ``pair_code``.
-    """
-    if not (1 <= i <= n and m >= 1):
-        raise ValueError(f"bad pair index ({i}, 1..{m}) for n={n}")
-    # the g part creates at (i, j) and annihilates at (-i, -j), the g* part the reverse
-    parts = [(star, c) for star, c in zip((False, True), letter_parts(kind, mu_i)) if c]
-    j = np.arange(m)
-    codes = np.stack([n * m + (i - 1) * m + j, (n - i) * m + (m - 1 - j)], axis=1)
-    create = np.concatenate([np.tile([not star, star], m) for star, _ in parts])
-    w = 1.0 / np.sqrt(m)
-    weights = np.concatenate([np.tile([c * w / mu_i, c * w * mu_i], m) for _, c in parts])
-    return (np.tile(codes.reshape(-1), len(parts)).astype(np.int16), create,
-            weights.astype(np.complex128))
-
-
-def _expand_combined(keys, coeffs, ops, epsneg, width):
-    """One operator application with duplicate combining, chunked by operator terms.
-
-    A chunk keeps the uncombined expansion near EXPAND_TERMS entries.  Its
-    entries, op-major as in one whole expansion, are combined after the
-    running sums, pruned only at the end, so each sum adds its terms in the
-    unchunked order and the result is bit-identical for any chunk size.
-    """
-    step = max(1, EXPAND_TERMS // max(1, keys.size))
-    if ops[0].shape[0] <= step:
-        return _combine(*expand_ops_sparse(keys, coeffs, *ops, epsneg, width))
-    acc_k, acc_v = keys[:0], coeffs[:0]
-    for lo in range(0, ops[0].shape[0], step):
-        k, v = expand_ops_sparse(keys, coeffs, *(op[lo:lo + step] for op in ops), epsneg,
-                                 width)
-        # a sum dropped at exactly 0 changes none of the sums it would add to
-        acc_k, acc_v = _combine(np.concatenate([acc_k, k]), np.concatenate([acc_v, v]),
-                                prune=0.0)
-    keep = np.abs(acc_v) > PRUNE_TOL
-    return acc_k[keep], acc_v[keep]
-
-
-def _apply_word(letters, sample: BigSignSample, mu, width: int):
-    """Apply the letters right-to-left to the sparse vacuum."""
-    epsneg = sample.epsneg()
-    keys, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128)
-    for kind, i in reversed(letters):
-        ops = _letter_ops(kind, i, mu[i - 1], sample.n, sample.m)
-        keys, coeffs = _expand_combined(keys, coeffs, ops, epsneg, width)
-    return keys, coeffs
-
-
-def _sparse_inner(ka, va, kb, vb) -> complex:
-    """<a, b> = sum_A a_A conj(b_A) over the unique ascending keys of ``_combine``."""
-    if ka is kb and va is vb:
-        return complex(np.sum(va * np.conj(va)))
-    _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
-    return complex(np.sum(va[ia] * np.conj(vb[ib])))
-
-
 def _validate_word(letters, n: int, m: int):
-    if len(letters) > MAX_CLT_WORD or not (1 <= m <= MAX_CLT_M):
+    if len(letters) > MAX_CLT_WORD:
         raise ValueError(
-            f"budget: word length <= {MAX_CLT_WORD} and 1 <= m <= {MAX_CLT_M}, got m={m}")
+            f"budget: word length <= {MAX_CLT_WORD}, got a word of {len(letters)} letters")
+    if not (1 <= m <= MAX_CLT_M):
+        raise ValueError(f"budget: 1 <= m <= {MAX_CLT_M}, got m={m}")
     for kind, i in letters:
         if not (1 <= i <= n):
             raise ValueError(f"letter index {i} out of range for n={n}")
         if kind not in ("g", "g*", "x"):
             raise ValueError(f"unknown letter kind {kind!r}")
     if 2 * n * m > 1022:
-        raise ValueError(
-            f"budget: 2*n*m <= 1022 keeps letter codes packable, got n={n}, m={m}")
+        raise ValueError(f"budget: 2*n*m <= 1022, got 2*n*m = {2 * n * m} (n={n}, m={m})")
+
+
+@functools.lru_cache(maxsize=64)
+def _wick_classes(letters: tuple, mu: tuple) -> tuple:
+    """(weight, free, indices, edges) per class of the word's pair partitions.
+
+    A pair partition of non-zero weight prod tau(L_a L_b) is classed by the
+    letter index of each pair that crosses another and by its crossing graph
+    ``edges`` on those pairs, relabelled to the least (indices, edges) over
+    their orderings; ``free`` counts the pairs that cross none.  Partitions of
+    one class have the same sum over pair indices, so their weights add.
+    """
+    classes = {}
+    for pairs, weight in _pairings(_pair_weights(letters, mu)):
+        cross = [(p, r) for p, r in combinations(range(len(pairs)), 2)
+                 if pairs[p][0] < pairs[r][0] < pairs[p][1] < pairs[r][1]]
+        crossed = sorted({p for edge in cross for p in edge})
+        key = min((tuple(letters[pairs[p][0]][1] for p in order),
+                   tuple(sorted(tuple(sorted((order.index(p), order.index(r))))
+                                for p, r in cross)))
+                  for order in permutations(crossed))
+        key = (len(pairs) - len(crossed),) + key
+        classes[key] = classes.get(key, 0.0) + weight
+    return tuple((weight,) + key for key, weight in classes.items())
 
 
 def sample_moment(letters, sample: BigSignSample, mu) -> complex:
     """tau of the word in s_i / s*_i / x_i letters for one fixed sign sample.
 
-    The word W = L R is split in half and tau(W) = <R vac, L* vac>,
-    which caps the sparse support at the half-word depth.
+    tau = m**-k sum_pi prod_pairs tau(L_a L_b) sum_j prod_crossings E[(i_P, j_P),
+    (i_Q, j_Q)] over the pair partitions pi of the 2k letters: each pair P joins
+    two letters of one index i_P on one pair index (i_P, j_P), j_P = 1..m, and
+    each crossing of pairs P, Q contributes the sample's sign between their pair
+    indices (-1 on the diagonal).  Per class of ``_wick_classes`` the sum over
+    the j is one einsum of m x m blocks of the signs over the crossing graph,
+    times m per pair that crosses none; on +-1 entries every such sum is an
+    exact integer.
     """
     letters = list(letters)
     _validate_word(letters, sample.n, sample.m)
-    half = len(letters) // 2
-    width = max(1, max(half, len(letters) - half))
-    right = _apply_word(letters[half:], sample, mu, width)
-    if letters[:half] == letters[half:] and \
-            letters[:half] == word_adjoint(letters[:half]):
-        left = right
-    else:
-        left = _apply_word(word_adjoint(letters[:half]), sample, mu, width)
-    return _sparse_inner(*right, *left)
+    m, total = sample.m, 0.0
+    signs = sample.signs.astype(np.float64)
+    for weight, free, indices, edges in _wick_classes(tuple(letters),
+                                                     tuple(float(x) for x in mu)):
+        operands = [x for p, r in edges for x in (
+            signs[(indices[p] - 1) * m:indices[p] * m, (indices[r] - 1) * m:indices[r] * m],
+            [p, r])]
+        total += weight * m ** free * (np.einsum(*operands, []) if edges else 1.0)
+    return complex(total / m ** (len(letters) // 2))
 
 
 def _prepare(letters, mu, samples: int):
     """Parsed letters, mu as a float tuple, and n, for the estimators."""
     if isinstance(letters, str):
         letters = parse_word(letters)
-    mu = tuple(float(x) for x in (mu if np.iterable(mu) else (mu,)))
+    mu = check_weights(mu if np.iterable(mu) else (mu,))
     n = max(i for _, i in letters)
     if len(mu) < n:
         raise ValueError(f"need {n} mu values")
-    if not all(1.0 <= m < np.inf for m in mu):
-        raise ValueError(f"mu entries must be finite and >= 1, got {mu}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     return letters, mu, n

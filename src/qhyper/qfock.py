@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signs import check_weights
+
 __all__ = [
     "QParams", "create_apply", "annihilate_apply", "gram_matrix", "q_inner",
     "positivity_check", "letter_parts", "moment", "moment_operator", "moment_pairings",
@@ -44,11 +46,9 @@ class QParams:
     def __post_init__(self):
         if not (-1.0 <= self.q < 1.0):
             raise ValueError(f"q must be in [-1, 1), got {self.q}")
-        object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
+        object.__setattr__(self, "mu", check_weights(self.mu))
         if len(self.mu) != self.n:
             raise ValueError(f"need {self.n} mu values, got {len(self.mu)}")
-        if not all(1.0 <= m < np.inf for m in self.mu):
-            raise ValueError(f"mu entries must be finite and >= 1, got {self.mu}")
 
 
 def create_apply(label: int, v: dict, params: QParams) -> dict:
@@ -282,16 +282,16 @@ def _pair_weights(letters, mu) -> list:
     return weights
 
 
-def _pairing_sum(weights, q: float) -> float:
-    """Sum over pair partitions of prod weights[a][b] * q**crossings."""
-    if len(weights) % 2:
-        return 0.0
-    total = 0.0
+def _pairings(weights):
+    """Each pair partition of the positions with non-zero weight, as (pairs, weight).
+
+    The pairs (a, b), a < b, come ordered by a; the weight is the product of
+    weights[a][b] over them, taken in that order.
+    """
 
     def rec(avail, pairs, weight):
-        nonlocal total
         if not avail:
-            total += weight * q ** _crossings(pairs)
+            yield pairs, weight
             return
         a = avail[0]
         for idx in range(1, len(avail)):
@@ -299,9 +299,18 @@ def _pairing_sum(weights, q: float) -> float:
             w = weights[a][b]
             if w == 0.0:
                 continue
-            rec(avail[1:idx] + avail[idx + 1:], pairs + [(a, b)], weight * w)
+            yield from rec(avail[1:idx] + avail[idx + 1:], pairs + [(a, b)], weight * w)
 
-    rec(list(range(len(weights))), [], 1.0)
+    return rec(list(range(len(weights))), [], 1.0)
+
+
+def _pairing_sum(weights, q: float) -> float:
+    """Sum over pair partitions of prod weights[a][b] * q**crossings."""
+    if len(weights) % 2:
+        return 0.0
+    total = 0.0
+    for pairs, weight in _pairings(weights):
+        total += weight * q ** _crossings(pairs)
     return total
 
 

@@ -10,11 +10,12 @@ values, so it is determined by one sign per unordered pair {k, l} with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SignTable", "ModelParams", "MAX_N"]
+__all__ = ["SignTable", "ModelParams", "MAX_N", "check_weights"]
 
 # dense 4**n GNS matrices (4096 at n = 6); the ratio search runs at 2**n (64)
 MAX_N = 6
@@ -94,6 +95,18 @@ class SignTable:
         return cls(n=n, entries=tuple(sorted((tuple(sorted(kl)), s) for kl, s in pairs)))
 
 
+def check_weights(mu) -> tuple:
+    """The weights mu_1, mu_2, ... as floats, each finite and >= 1 with mu_i**4 finite:
+    every model forms lambda_i = 1/(1 + mu_i**4)."""
+    mu = tuple(float(m) for m in mu)
+    if not all(1.0 <= m < math.inf for m in mu):
+        raise ValueError(f"mu entries must be finite and >= 1, got {mu}")
+    for i, m in enumerate(mu, 1):
+        if not math.isfinite(m * m * m * m):
+            raise ValueError(f"weight mu_{i} = {m!r} is too large: mu_{i}**4 is not finite")
+    return mu
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Finite model parameters: size n, weights mu_i >= 1, and the sign table."""
@@ -105,13 +118,9 @@ class ModelParams:
     def __post_init__(self):
         if not (1 <= self.n <= MAX_N):
             raise ValueError(f"n must be in [1, {MAX_N}], got {self.n}")
-        object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
+        object.__setattr__(self, "mu", check_weights(self.mu))
         if len(self.mu) != self.n:
             raise ValueError(f"need {self.n} mu values, got {len(self.mu)}")
-        if not np.all(np.isfinite(self.mu)):
-            raise ValueError(f"mu entries must be finite, got {self.mu}")
-        if any(m < 1.0 for m in self.mu):
-            raise ValueError(f"mu entries must be >= 1, got {self.mu}")
         if self.signs.n != self.n:
             raise ValueError("sign table size does not match n")
 

@@ -39,11 +39,21 @@ from .linalg import schatten_norm
 
 __all__ = [
     "get_density", "density_solve", "haagerup_norm", "modular_check",
-    "embed_lower", "defining_property_residual",
+    "embed_lower", "defining_property_residual", "IllConditionedSolve", "SOLVE_TOL",
 ]
 
 # largest max_w |trace(D M_w) - tau(M_w)| accepted from the closed form
 VERIFY_TOL = 1e-10
+# largest residual of a block of density_solve, relative to max(1, |its right-hand side|)
+SOLVE_TOL = 1e-8
+
+
+class IllConditionedSolve(ArithmeticError):
+    """A block of the monomial trace system solved with a residual above SOLVE_TOL."""
+
+    def __init__(self, residual: float):
+        super().__init__(f"monomial trace system is ill-conditioned: residual {residual:.3e}")
+        self.residual = residual
 
 
 def get_density(model: BabyFock, alpha: float = 1.0) -> np.ndarray:
@@ -107,6 +117,7 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
     when a and b share the column map r -> r ^ m (``flip`` = m): 2**n blocks of 2**n
     words, each solved on its own.  The solve reads neither rho nor the closed-form D,
     and forms no 4**n matrix: ``model.reconstruct`` of the result is the dense D.
+    A block whose residual exceeds SOLVE_TOL raises ``IllConditionedSolve``.
     """
     flip, vals, _ = model.irrep()
     rows = np.arange(vals.shape[1])
@@ -121,9 +132,9 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
         w = np.flatnonzero(flip == m)
         gram = rows.size * (vals[w] @ vals[w][:, rows ^ m].T)
         coeffs[w] = np.linalg.solve(gram, rhs[w])
-        resid = np.linalg.norm(gram @ coeffs[w] - rhs[w])
-        if resid > 1e-8 * max(1.0, np.linalg.norm(rhs[w])):
-            raise AssertionError(f"monomial trace system is ill-conditioned: residual {resid:.3e}")
+        resid = np.linalg.norm(gram @ coeffs[w] - rhs[w]) / max(1.0, np.linalg.norm(rhs[w]))
+        if not resid <= SOLVE_TOL:
+            raise IllConditionedSolve(float(resid))
     return coeffs
 
 

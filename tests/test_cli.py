@@ -278,6 +278,35 @@ def test_density_checks_fail_on_a_swapped_factor(capsys, monkeypatch):
     assert "FAIL" in err
 
 
+def test_density_reports_an_ill_conditioned_solve_as_a_failing_check(capsys):
+    # at mu = 5 one block of the monomial trace system misses the solve's bound
+    code, out, err = run(capsys, ["density", "--n", "6", "--mu", "5"])
+    assert code == 2
+    records = {r["check"]: r for r in json.loads(out)["records"]}
+    solve = records.pop("solve_agrees")
+    assert solve["pass"] is False and solve["tol"] == state.SOLVE_TOL
+    assert solve["residual"] > state.SOLVE_TOL
+    assert all(r["pass"] for r in records.values())
+    assert "FAIL" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["density", "--n", "2", "--mu", "1.5,1e100"],
+                                  ["lpnorm", "--n", "1", "--mu", "1e200"],
+                                  ["relations", "--mu", "1e100"],
+                                  ["fock-moment", "g*g", "--mu", "1e200"],
+                                  ["clt", "g*g", "--mu", "1e200", "--m", "3"]])
+def test_weight_with_infinite_fourth_power_exit_code(capsys, argv):
+    code, out, errtext = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert "weight mu_" in errtext and "**4 is not finite" in errtext
+
+
+def test_clt_budget_error_names_the_word_length(capsys):
+    code, out, errtext = run(capsys, ["clt", "(s+s*)^8", "--m", "3"])
+    assert code == 1 and out == ""
+    assert "word length <= 6, got a word of 8 letters" in errtext
+
+
 def test_convexity_chunks_leave_stdout_unchanged(capsys, monkeypatch):
     # 150 samples in chunks of 7: every chunk boundary cuts the 30-key cycle
     # of (m, p, q) somewhere else, and the draws stay in sample order

@@ -1,15 +1,14 @@
 """Random sign sampling and Monte-Carlo moment convergence."""
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 
+import sparse_clt
 from qhyper import clt
-from qhyper._kernels import expand_ops_sparse
-from qhyper.clt import (_apply_word, _letter_ops, clt_estimate, convergence_report,
-                        dense_reference_moment, pair_code, sample_moment, sample_signs)
-from qhyper.qfock import _pair_weights, parse_word, word_adjoint
+from qhyper.clt import (clt_estimate, convergence_report, dense_reference_moment,
+                        sample_moment, sample_signs)
+from qhyper.qfock import _pair_weights, _pairings, parse_word, word_adjoint
+from sparse_clt import _apply_word, _letter_ops, expand_ops_sparse, pair_code, sparse_moment
 from test_kernels import PAD, pack_rows, unpack_keys
 
 
@@ -107,10 +106,13 @@ def test_second_moment_exact_zero_variance():
 
 
 def test_odd_word_vanishes():
-    mean, stderr = clt_estimate(parse_word("s"), 0.2, (1.1,), 8, samples=4, seed=1)
-    assert abs(mean) < 1e-15
-    mean, _ = clt_estimate(parse_word("s s*s"), 0.2, (1.1,), 8, samples=4, seed=1)
-    assert abs(mean) < 1e-15
+    # an odd word has no pair partition, so its Wick sum is empty
+    for word in ("s", "s s*s", "(s+s*)^5", "g1 g2* (g1+g1*)"):
+        letters = parse_word(word)
+        mu = (1.1, 1.4)[:max(i for _, i in letters)]
+        mean, stderr = clt_estimate(letters, 0.2, mu, 8, samples=4, seed=1)
+        assert mean == 0 and stderr == 0
+        assert sample_moment(letters, sample_signs(0.2, len(mu), 8, seed=1), mu) == 0
 
 
 def test_car_square_exact():
@@ -149,45 +151,33 @@ def test_sparse_matches_dense_at_six_pair_indices(n, m):
                        - dense_reference_moment(letters, sample, mu)) <= 1e-13
 
 
-def pairings(points):
-    """Every pair partition of the list ``points``, as lists of (a, b), a < b."""
-    if not points:
-        yield []
-        return
-    a, rest = points[0], points[1:]
-    for idx, b in enumerate(rest):
-        for tail in pairings(rest[:idx] + rest[idx + 1:]):
-            yield [(a, b)] + tail
+PAIRED_KINDS = (("g", "g*"), ("x", "x"), ("x", "g"), ("g*", "x"))
 
 
-def wick_moment(letters, sample, mu):
-    """tau of the word for one sign sample by the sign-matrix Wick formula,
-    with the sum of its term magnitudes.
+def test_three_index_words_match_dense():
+    """Random words with two letters of each of three indices, at n*m = 6, against
+    the dense model: pairs of different indices cross with the sample's signs."""
+    rng = np.random.default_rng(8)
+    mu = (1.3, 1.0, 2.0)
+    nonzero = 0
+    for s in range(3):
+        sample = sample_signs(0.3, 3, 2, seed=17, sample_index=s)
+        for _ in range(6):
+            # each index's two letters pair with a non-zero weight, in either order
+            kinds = [PAIRED_KINDS[k] for k in rng.integers(0, len(PAIRED_KINDS), 3)]
+            letters = [(kinds[i][0], i + 1) for i in range(3)] + \
+                [(kinds[i][1], i + 1) for i in range(3)]
+            letters = [letters[t] for t in rng.permutation(6)]
+            want = dense_reference_moment(letters, sample, mu)
+            assert abs(sample_moment(letters, sample, mu) - want) <= 1e-13
+            nonzero += abs(want) > 1e-3
+    assert nonzero >= 6      # not every sign sum cancels
 
-    tau = m^-k sum_pi prod_pairs tau(L_a L_b) sum_j prod_crossings E[j_P, j_Q]
-    over the pair partitions pi of the 2k letters.  A pair joins two letters
-    of one index i (``_pair_weights`` is 0 otherwise) on one pair index
-    (i, j_P); each crossing of pairs P, Q contributes the sample's sign
-    E[(i_P, j_P), (i_Q, j_Q)] (-1 on the diagonal), and the sum over the j_P
-    is one einsum over the crossing graph.  Every term (pi, j) has modulus
-    m^-k |prod_pairs tau(L_a L_b)|.
-    """
-    weights = _pair_weights(letters, mu)
-    m, k = sample.m, len(letters) // 2
-    total = scale = 0.0
-    for pairs in pairings(list(range(len(letters)))):
-        w = np.prod([weights[a][b] for a, b in pairs])
-        if w == 0.0:
-            continue
-        block = [slice((letters[a][1] - 1) * m, letters[a][1] * m) for a, _ in pairs]
-        operands = [x for p in range(k) for x in (np.ones(m), [p])]
-        for p, r in combinations(range(k), 2):
-            (a1, b1), (a2, b2) = pairs[p], pairs[r]
-            if a1 < a2 < b1 < b2:
-                operands += [sample.signs[block[p], block[r]].astype(float), [p, r]]
-        total += w * np.einsum(*operands, [])
-        scale += abs(w) * m ** k
-    return total / m ** k, scale / m ** k
+
+def term_scale(letters, mu):
+    """The sum of the Wick terms' magnitudes, m**-k |prod_pairs tau(L_a L_b)| over the
+    m**k pair-index choices of each pair partition: the scale of their rounding."""
+    return sum(abs(w) for _, w in _pairings(_pair_weights(letters, mu)))
 
 
 @pytest.mark.parametrize("word,q,mu", [("(s+s*)^4", -0.5, (1.0,)),
@@ -196,14 +186,15 @@ def wick_moment(letters, sample, mu):
                                        ("(g1+g1*)(g2+g2*)(g1+g1*)(g2+g2*)g2*g2", 0.3,
                                         (1.3, 1.9))])
 def test_sample_moment_matches_wick_formula(word, q, mu):
-    """The sparse moment equals the exact Wick sum sample by sample, far past
-    the n*m <= 3 of the dense reference."""
+    """The Wick-sum moment equals the sparse Fock oracle sample by sample, far
+    past the n*m <= 6 of the dense reference."""
     letters = parse_word(word)
+    scale = term_scale(letters, mu)
     for m in (5, 17, 40):
         for s in range(3):
             sample = sample_signs(q, len(mu), m, seed=13, sample_index=s)
-            want, scale = wick_moment(letters, sample, mu)
             got = sample_moment(letters, sample, mu)
+            want = sparse_moment(letters, sample, mu)
             assert abs(got - want) <= 1e-12 * scale
 
 
@@ -211,8 +202,9 @@ def test_wick_moment_matches_dense_reference():
     sample = sample_signs(-0.4, 1, 3, seed=2)
     for word in ("(s+s*)^4", "s*s s*s", "s s* s s*", "(s+s*)^2 s*s"):
         letters = parse_word(word)
-        want, scale = wick_moment(letters, sample, (1.3,))
-        assert abs(dense_reference_moment(letters, sample, (1.3,)) - want) <= 1e-12 * scale
+        want = dense_reference_moment(letters, sample, (1.3,))
+        assert abs(sample_moment(letters, sample, (1.3,)) - want) <= \
+            1e-12 * term_scale(letters, (1.3,))
 
 
 def test_hermiticity_per_sample():
@@ -228,9 +220,9 @@ def test_hermiticity_per_sample():
 
 
 def test_budget_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1 <= m <= 64, got m=100"):
         clt_estimate(parse_word("(s+s*)^4"), 0.5, (1.0,), 100, samples=1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="word length <= 6, got a word of 7 letters"):
         clt_estimate([("g", 1)] * 7, 0.5, (1.0,), 8, samples=1, seed=0)
 
 
@@ -304,7 +296,7 @@ def test_estimator_determinism():
     assert a == b
 
 
-def unique_combine(codes, coeffs, prune=clt.PRUNE_TOL):
+def unique_combine(codes, coeffs, prune=sparse_clt.PRUNE_TOL):
     """Duplicate combining by np.unique, np.add.at and a first-index scatter."""
     if coeffs.size == 0:
         return codes, coeffs
@@ -348,7 +340,7 @@ def bitwise_equal(a, b):
 def test_combine_matches_unique_add_at_bitwise(seed):
     rng = np.random.default_rng(seed)
     codes, coeffs = random_terms(rng, 500 * (seed + 1))
-    got, want = clt._combine(pack_rows(codes), coeffs), unique_combine(codes, coeffs)
+    got, want = sparse_clt._combine(pack_rows(codes), coeffs), unique_combine(codes, coeffs)
     assert bitwise_equal(got[0], pack_rows(want[0])) and bitwise_equal(got[1], want[1])
     keys = got[0]
     assert np.all(keys[1:] > keys[:-1])
@@ -359,8 +351,8 @@ def test_combine_rejects_keys_too_large_to_pack_with_positions():
     # two terms take two position bits (the bit length of 2), so keys stay below 2**61
     coeffs = np.ones(2, dtype=np.complex128)
     with pytest.raises(ValueError, match="too large"):
-        clt._combine(np.array([1 << 61, 0], dtype=np.int64), coeffs)
-    keys, agg = clt._combine(np.array([(1 << 61) - 1, 0], dtype=np.int64), coeffs)
+        sparse_clt._combine(np.array([1 << 61, 0], dtype=np.int64), coeffs)
+    keys, agg = sparse_clt._combine(np.array([(1 << 61) - 1, 0], dtype=np.int64), coeffs)
     assert keys.tolist() == [0, (1 << 61) - 1] and agg.tolist() == [1, 1]
 
 
@@ -369,8 +361,8 @@ def test_combine_matches_on_expanded_states():
     ops = _letter_ops("x", 2, 1.3, 2, 12)
     keys, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128)
     for _ in range(4):
-        terms = expand_ops_sparse(keys, coeffs, *ops, sample.epsneg(), 4)
-        got, want = clt._combine(*terms), unique_combine(unpack_keys(terms[0], 4), terms[1])
+        terms = expand_ops_sparse(keys, coeffs, *ops, sparse_clt.epsneg(sample), 4)
+        got, want = sparse_clt._combine(*terms), unique_combine(unpack_keys(terms[0], 4), terms[1])
         assert bitwise_equal(got[0], pack_rows(want[0])) and bitwise_equal(got[1], want[1])
         keys, coeffs = got
 
@@ -381,17 +373,17 @@ def test_chunked_expand_is_bitwise_unchunked(monkeypatch, word):
     whole expansion per letter, bit for bit."""
     letters = parse_word(word)
     samples = [sample_signs(0.3, 2, 8, seed=5, sample_index=s) for s in range(2)]
-    whole = np.array([sample_moment(letters, s, (1.3, 1.9)) for s in samples])
+    whole = np.array([sparse_moment(letters, s, (1.3, 1.9)) for s in samples])
     rows = []
-    real = clt.expand_ops_sparse
+    real = sparse_clt.expand_ops_sparse
 
     def counting(codes, *rest):
         rows.append(codes.shape[0])
         return real(codes, *rest)
 
-    monkeypatch.setattr(clt, "expand_ops_sparse", counting)
-    monkeypatch.setattr(clt, "EXPAND_TERMS", 40)
-    chunked = np.array([sample_moment(letters, s, (1.3, 1.9)) for s in samples])
+    monkeypatch.setattr(sparse_clt, "expand_ops_sparse", counting)
+    monkeypatch.setattr(sparse_clt, "EXPAND_TERMS", 40)
+    chunked = np.array([sparse_moment(letters, s, (1.3, 1.9)) for s in samples])
     assert len(rows) > len(letters) * len(samples)   # some letter took several chunks
     assert chunked.tobytes() == whole.tobytes()
 
@@ -399,14 +391,14 @@ def test_chunked_expand_is_bitwise_unchunked(monkeypatch, word):
 @pytest.mark.parametrize("seed", range(4))
 def test_sparse_inner_matches_intersect_bitwise(seed):
     rng = np.random.default_rng(10 + seed)
-    a, b = (clt._combine(pack_rows(c), v) for c, v in (random_terms(rng, 300),
+    a, b = (sparse_clt._combine(pack_rows(c), v) for c, v in (random_terms(rng, 300),
                                                         random_terms(rng, 200)))
     rows_a, rows_b = (unpack_keys(a[0], 3), a[1]), (unpack_keys(b[0], 3), b[1])
-    got = clt._sparse_inner(*a, *a)
+    got = sparse_clt._sparse_inner(*a, *a)
     want = intersect_inner(*rows_a, *rows_a)
     assert got.real.hex() == want.real.hex() and got.imag.hex() == want.imag.hex()
-    got, want = clt._sparse_inner(*a, *b), intersect_inner(*rows_a, *rows_b)
+    got, want = sparse_clt._sparse_inner(*a, *b), intersect_inner(*rows_a, *rows_b)
     assert got.real.hex() == want.real.hex() and got.imag.hex() == want.imag.hex()
     # a state against an equal copy takes the general path
     copy = tuple(x.copy() for x in a)
-    assert clt._sparse_inner(*a, *copy) == intersect_inner(*rows_a, *rows_a)
+    assert sparse_clt._sparse_inner(*a, *copy) == intersect_inner(*rows_a, *rows_a)

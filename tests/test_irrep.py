@@ -95,6 +95,40 @@ def test_irrep_column_maps_are_xor_groups(params):
                           np.full(rho.size, rho.size))
 
 
+def _irrep_word_loop(params):
+    """(flip, vals) word by word: each word is its lowest non-unit letter times the
+    word without it, the closed-form site letters as ``BabyFock.irrep`` states them."""
+    n, eps, mu = params.n, params.signs.matrix(), np.asarray(params.mu)
+    c, rows = mu ** 2 + mu ** -2, np.arange(1 << n)
+    letters = []
+    for k in range(n):
+        zmask = sum(1 << j for j in range(k) if eps[k, j] == -1)
+        gval = np.sqrt(c[k]) * (1.0 - 2.0 * (np.array([bin(r & zmask).count("1") for r in rows])
+                                             & 1))
+        full = (rows & (1 << k)) != 0
+        letters.append((None, (1 << k, np.where(full, 0.0, gval)),
+                        (1 << k, np.where(full, gval, 0.0)),
+                        (0, np.where(full, c[k], 0.0) - mu[k] ** -2)))
+    flip, vals = np.zeros(4 ** n, np.int64), np.ones((4 ** n, rows.size))
+    for w in range(1, 4 ** n):
+        k = ((w & -w).bit_length() - 1) // 2
+        bit, v = letters[k][(w >> (2 * k)) & 3]
+        prev = w & ~(3 << (2 * k))
+        flip[w], vals[w] = flip[prev] ^ bit, v * vals[prev][rows ^ bit]
+    return flip, vals
+
+
+@pytest.mark.parametrize("params", BY_N[:4] + MODELS[2:4] + [
+    ModelParams.make(4, (1.3, 1.0, 2.2, 1.7), signs) for signs in
+    (SignTable.all_anticommuting(4), SignTable.all_commuting(4), SignTable.random(4, 5))],
+    ids=_ids)
+def test_irrep_build_is_bytewise_the_word_loop(params):
+    flip, vals, _ = BabyFock(params).irrep()
+    want_flip, want_vals = _irrep_word_loop(params)
+    assert flip.dtype == want_flip.dtype and flip.tobytes() == want_flip.tobytes()
+    assert vals.shape == want_vals.shape and vals.tobytes() == want_vals.tobytes()
+
+
 def _dense_letter_products(model, t, p, direction):
     """(4**n, 2**n, 2**n): pi(M_w) as dense letter products, times rho**(1/p),
     with exp(-t deg_w) in the dual direction."""

@@ -1,10 +1,12 @@
-"""The hot kernels against pure-Python per-row references."""
+"""The hot kernels, and the sparse CLT oracle's expand kernel, against pure-Python
+per-row references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhyper._kernels import apply_beta_batch, expand_ops_sparse, popcount_table
+from qhyper._kernels import apply_beta_batch, popcount_table
+from sparse_clt import expand_ops_sparse
 
 # the references below read a sparse state as (N, width) int16 rows of
 # ascending letter codes padded with PAD; pack_rows and unpack_keys convert

@@ -74,3 +74,11 @@ def test_model_params_rejects_non_finite_mu(bad):
     # NaN compares False with everything, so "mu < 1" alone lets it through
     with pytest.raises(ValueError, match="finite"):
         ModelParams.make(2, (1.5, bad))
+
+
+@pytest.mark.parametrize("bad", [1e77 * 1.2, 1e100, 1e200])
+def test_model_params_rejects_weight_with_infinite_fourth_power(bad):
+    # lambda = 1/(1 + mu**4) would be 0, and mu**4 overflows where it is formed
+    with pytest.raises(ValueError, match="mu_2 = .* mu_2\\*\\*4 is not finite"):
+        ModelParams.make(2, (1.5, bad))
+    assert ModelParams.make(2, (1.5, 1e76)).mu == (1.5, 1e76)
