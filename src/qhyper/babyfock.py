@@ -293,18 +293,37 @@ class BabyFock:
             traces[0] -= 1.0
             weights = np.sum(rho[rows ^ flip[:, None]] * vals ** 2, axis=1)
             weights /= self._monomial_data()[1] ** 2
-            if max(np.max(np.abs(traces)), np.max(np.abs(weights - 1.0))) > 1e-12:
+            # np.max propagates a NaN from an overflowed entry, and NaN <= tol is False
+            if not np.max(np.abs(np.concatenate([traces, weights - 1.0]))) <= 1e-12:
                 raise AssertionError("closed-form irrep does not reproduce the vacuum state")
             return flip, vals, rho
 
         return self._cached(("irrep",), build)
 
+    def irrep_sum(self, coeffs: np.ndarray, p: float) -> np.ndarray:
+        """sum_w c_w pi(M_w) rho**(1/p) per row c, (K, 2**n, 2**n); pi(x) itself at p = inf."""
+        flip, vals, rho = self.irrep()
+        coeffs = np.atleast_2d(coeffs)
+        if coeffs.ndim != 2 or coeffs.shape[1] != flip.size:
+            raise ValueError(f"expected rows of {flip.size} coefficients, got {coeffs.shape}")
+        rows, rp = np.arange(rho.size), rho ** (1.0 / p)
+        out = np.empty((coeffs.shape[0], rho.size, rho.size), dtype=np.complex128)
+        for m, words in enumerate(np.argsort(flip, kind="stable").reshape(rho.size, -1)):
+            out[:, rows, rows ^ m] = coeffs[:, words] @ (vals[words] * rp[rows ^ m])
+        return out
+
+    def irrep_add(self, mats: np.ndarray, words: np.ndarray, coeffs: np.ndarray, p: float):
+        """mats[j] += coeffs[j] pi(M_{words[j]}) rho**(1/p) in place: 2**n entries per j."""
+        flip, vals, rho = self.irrep()
+        j, rows = np.arange(len(words))[:, None], np.arange(rho.size)
+        cols = rows ^ flip[words][:, None]
+        mats[j, rows, cols] += coeffs[:, None] * (vals[words] * (rho ** (1.0 / p))[cols])
+
     def irrep_matrix(self, word) -> np.ndarray:
         """Dense 2**n x 2**n pi(M_w) of the monomial with the given letter tuple."""
-        flip, vals, rho = self.irrep()
-        out, rows, w = np.zeros((rho.size, rho.size)), np.arange(rho.size), self.windex_of(word)
-        out[rows, rows ^ flip[w]] = vals[w]
-        return out
+        out = np.zeros((1, 1 << self.n, 1 << self.n))
+        self.irrep_add(out, [self.windex_of(word)], np.ones(1), np.inf)
+        return out[0]
 
     def irrep_coeffs(self, A: np.ndarray, p: float) -> np.ndarray:
         """Monomial coefficients of the x with pi(x) rho**(1/p) = A: the monomials are orthogonal

@@ -30,6 +30,7 @@ import numpy as np
 
 from .babyfock import GEN, STAR, UNIT, Y, BabyFock, get_model
 from .linalg import schatten_norm, schatten_norm_from_sv, singular_values
+from .semigroup import apply_OU_coeffs
 from .state import haagerup_norm
 
 __all__ = [
@@ -254,8 +255,7 @@ def dual_contraction_ratio(model: BabyFock, X: np.ndarray, t: float, pprime: flo
     coeffs = model.expand(X)
     if not np.any(np.abs(coeffs) > 0):
         raise ValueError("zero element has no contraction ratio")
-    scaled = coeffs * np.exp(-t * model.monomial_degrees)
-    num = haagerup_norm(model, model.reconstruct(scaled), pprime)
+    num = haagerup_norm(model, model.reconstruct(apply_OU_coeffs(model, coeffs, t)), pprime)
     den = np.sqrt(float(np.sum(_l2_weights(model, 0.0) * np.abs(coeffs) ** 2)))
     return float(num / den)
 
@@ -270,11 +270,10 @@ class RatioEvaluator:
 
     The Schatten norms are taken in the closed-form 2**n dimensional irreducible
     representation (``BabyFock.irrep``) with its diagonal trace-one density rho; there
-    the plain p-norm of sum_w c_w pi(M_w) rho**(1/p) is the Haagerup norm.  Each
-    pi(M_w) rho**(1/p) stays one-sparse: row r holds ``vals[w, r]`` at column
-    r ^ ``flip[w]`` (2 MB at n = 6).  The 4**n density and monomial table are never
-    read, so every n up to MAX_N works; the 4**n path stays as the oracle
-    (``contraction_ratio``, ``dual_contraction_ratio``).
+    the plain p-norm of sum_w c_w pi(M_w) rho**(1/p) is the Haagerup norm, taken by
+    ``BabyFock.irrep_sum`` and ``irrep_add`` with the decay exp(-t deg_w) in the coefficients.
+    The 4**n density and monomial table are never read, so every n up to MAX_N works; the
+    4**n path stays as the oracle (``contraction_ratio``, ``dual_contraction_ratio``).
     """
 
     def __init__(self, model: BabyFock, t: float, p: float, direction: str = "primal"):
@@ -288,29 +287,16 @@ class RatioEvaluator:
         self.t = float(t)
         self.p = float(p)           # in the dual direction p plays the role of p'
         self.direction = direction
-        self.flip, vals, rho = model.irrep()
-        self.vals = vals * rho[np.arange(rho.size) ^ self.flip[:, None]] ** (1.0 / self.p)
-        if direction == "primal":
-            self.vec_weights = _l2_weights(model, t)
-        else:
-            self.vals *= np.exp(-t * model.monomial_degrees)[:, None]
-            self.vec_weights = _l2_weights(model, 0.0)
+        self.vec_weights = _l2_weights(model, t if direction == "primal" else 0.0)
+        self.decay = np.exp(-(t if direction == "dual" else 0.0) * model.monomial_degrees)
 
     def add_words(self, mats: np.ndarray, words: np.ndarray, coeffs: np.ndarray) -> None:
-        """mats[j] += coeffs[j] pi(M_{words[j]}) rho**(1/p) in place: 2**n entries per j."""
-        j, rows = np.arange(len(words))[:, None], np.arange(self.vals.shape[1])
-        mats[j, rows, rows ^ self.flip[words][:, None]] += coeffs[:, None] * self.vals[words]
+        """mats[j] += coeffs[j] (decayed) pi(M_{words[j]}) rho**(1/p) in place."""
+        self.model.irrep_add(mats, words, coeffs * self.decay[words], self.p)
 
     def matrices(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_w c_w pi(M_w) rho**(1/p) per row c: one product per column-map group."""
-        coeffs = np.atleast_2d(coeffs)
-        if coeffs.ndim != 2 or coeffs.shape[1] != self.flip.size:
-            raise ValueError(f"expected rows of {self.flip.size} coefficients, got {coeffs.shape}")
-        j, rows = np.arange(coeffs.shape[0])[:, None], np.arange(self.vals.shape[1])
-        out = np.empty((coeffs.shape[0], rows.size, rows.size), dtype=np.complex128)
-        for m, words in enumerate(np.argsort(self.flip).reshape(rows.size, -1)):
-            out[j, rows, rows ^ m] = coeffs[:, words] @ self.vals[words]
-        return out
+        """sum_w c_w (decayed) pi(M_w) rho**(1/p) per row c."""
+        return self.model.irrep_sum(np.atleast_2d(coeffs) * self.decay, self.p)
 
     def ratios(self, coeffs: np.ndarray, mats: np.ndarray | None = None) -> np.ndarray:
         coeffs = np.atleast_2d(coeffs)
@@ -421,7 +407,7 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
 
 def witness_primal_to_dual(model: BabyFock, coeffs: np.ndarray, t: float) -> np.ndarray:
     """P_t maps a primal witness to a dual candidate with ratio at least as large."""
-    out = np.asarray(coeffs) * np.exp(-t * model.monomial_degrees)
+    out = apply_OU_coeffs(model, coeffs, t)
     return out / np.linalg.norm(out)
 
 
@@ -434,7 +420,7 @@ def witness_dual_to_primal(model: BabyFock, coeffs: np.ndarray, t: float, p: flo
     coefficients ``BabyFock.irrep_coeffs`` reads back.
     """
     pprime = p / (p - 1.0)
-    z = RatioEvaluator(model, t, pprime, "dual").matrices(np.asarray(coeffs)[None, :])[0]
+    z = model.irrep_sum(apply_OU_coeffs(model, coeffs, t)[None, :], pprime)[0]
     u, s, vh = np.linalg.svd(z / schatten_norm(z, pprime))
     out = model.irrep_coeffs((u * s ** (pprime - 1.0)) @ vh, p)
     return out / np.linalg.norm(out)
@@ -451,8 +437,8 @@ def _split(model: BabyFock, p: float, x, z, *letters) -> tuple:
     so a lift is a zero-pad), then pi of each given letter at index n."""
     small = get_model(model.params.sub(model.n - 1))
     c = np.array([x, z], dtype=np.complex128)
-    return (RatioEvaluator(small, 0.0, p).matrices(c),
-            RatioEvaluator(model, 0.0, p).matrices(np.pad(c, ((0, 0), (0, model.dim - small.dim)))),
+    return (small.irrep_sum(c, p),
+            model.irrep_sum(np.pad(c, ((0, 0), (0, model.dim - small.dim))), p),
             *(model.irrep_matrix((UNIT,) * small.n + (l,)) for l in letters))
 
 

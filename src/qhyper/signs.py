@@ -109,7 +109,10 @@ def check_weights(mu) -> tuple:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Finite model parameters: size n, weights mu_i >= 1, and the sign table."""
+    """Finite model parameters: size n, weights mu_i >= 1, and the sign table.
+
+    The weights must keep prod_i 1/(1 + mu_i**4) at or above the smallest normal float
+    (``np.finfo(float).tiny``): one weight up to about 8e76, two up to about 2.9e38 each."""
 
     n: int
     mu: tuple
@@ -121,6 +124,13 @@ class ModelParams:
         object.__setattr__(self, "mu", check_weights(self.mu))
         if len(self.mu) != self.n:
             raise ValueError(f"need {self.n} mu values, got {len(self.mu)}")
+        # the smallest entry of the density's diagonal rho is prod_i lambda_i: below the
+        # smallest normal float it is subnormal or 0, and rho loses the vacuum state
+        smallest = math.prod(1.0 / (1.0 + m * m * m * m) for m in self.mu)
+        if smallest < np.finfo(float).tiny:
+            raise ValueError(f"weights {self.mu} are too large: the density's smallest entry "
+                             f"prod_i 1/(1 + mu_i**4) = {smallest:.3e} is below the smallest "
+                             f"normal float")
         if self.signs.n != self.n:
             raise ValueError("sign table size does not match n")
 

@@ -18,16 +18,19 @@ matrix: g_i D**(1/p) is one letter application on D**(1/p), which is how
 here stay in the 4**n representation and serve as the oracle.  The check
 trace(D M_w) = tau(M_w) over every word reads the sparse monomial table
 (``BabyFock.monomial_table``).  The independent linear solve for D takes
-its Gram matrix block by block in the irrep and returns the monomial
+its Gram matrix block by block in the irrep, from the one-sparse rows of
+``BabyFock.irrep`` scaled to unit max, and returns the monomial
 coefficients of D, at every n; ``model.reconstruct`` turns them into the
-4**n matrix.  Every check of the CLI's ``density`` command and every norm
-the ratio search, the structural split checks, the duality transport and
-the CLI report is taken in the closed-form 2**n dimensional irreducible
-representation (``BabyFock.irrep``) instead.  The 4**n model is 2**n copies
-of it, so pi(D) = diag(rho) / 2**n with rho the same product of two-level
-factors, of trace one, and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p with no
-scale factor; ``haagerup_norm``'s dense product x @ D**(1/p) is the oracle
-for it, called only by the GNS-space ratios of ``hyperc``.
+4**n matrix, ``BabyFock.irrep_sum`` into pi(D).  It is the one reader of
+the irrep's layout outside ``babyfock``.  Every check of the CLI's
+``density`` command and every norm the ratio search, the structural split
+checks, the duality transport and the CLI report is taken in the
+closed-form 2**n dimensional irreducible representation (``BabyFock.irrep``)
+instead.  The 4**n model is 2**n copies of it, so pi(D) = diag(rho) / 2**n
+with rho the same product of two-level factors, of trace one, and
+||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p with no scale factor;
+``haagerup_norm``'s dense product x @ D**(1/p) is the oracle for it,
+called only by the GNS-space ratios of ``hyperc``.
 """
 
 from __future__ import annotations
@@ -115,9 +118,11 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
     representation is 2**n copies of the irrep (``BabyFock.irrep``), so the Gram
     matrix is trace(M_a M_b) = 2**n sum_r vals[a, r] vals[b, r ^ m], non-zero only
     when a and b share the column map r -> r ^ m (``flip`` = m): 2**n blocks of 2**n
-    words, each solved on its own.  The solve reads neither rho nor the closed-form D,
-    and forms no 4**n matrix: ``model.reconstruct`` of the result is the dense D.
-    A block whose residual exceeds SOLVE_TOL raises ``IllConditionedSolve``.
+    words, each solved on its own.  Its entries reach prod_i mu_i**4, so each word's row of
+    ``vals`` is first scaled to unit max, and the block is solved for the scaled
+    coefficients.  The solve reads neither rho nor the closed-form D, and forms no 4**n
+    matrix: ``model.reconstruct`` of the result is the dense D.  A block whose residual
+    (of the scaled system) exceeds SOLVE_TOL raises ``IllConditionedSolve``.
     """
     flip, vals, _ = model.irrep()
     rows = np.arange(vals.shape[1])
@@ -130,11 +135,16 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
     coeffs = np.zeros(model.dim, dtype=np.complex128)
     for m in rows:
         w = np.flatnonzero(flip == m)
-        gram = rows.size * (vals[w] @ vals[w][:, rows ^ m].T)
-        coeffs[w] = np.linalg.solve(gram, rhs[w])
-        resid = np.linalg.norm(gram @ coeffs[w] - rhs[w]) / max(1.0, np.linalg.norm(rhs[w]))
+        # each word's row scaled to unit max: S^-1 G S^-1 (S c) = S^-1 b, with entries
+        # near 1 where G's reach prod_i mu_i**4
+        scale = np.max(np.abs(vals[w]), axis=1)
+        v, b = vals[w] / scale[:, None], rhs[w] / scale
+        gram = rows.size * (v @ v[:, rows ^ m].T)
+        x = np.linalg.solve(gram, b)
+        resid = np.linalg.norm(gram @ x - b) / max(1.0, np.linalg.norm(b))
         if not resid <= SOLVE_TOL:
             raise IllConditionedSolve(float(resid))
+        coeffs[w] = x / scale
     return coeffs
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -278,9 +279,13 @@ def test_density_checks_fail_on_a_swapped_factor(capsys, monkeypatch):
     assert "FAIL" in err
 
 
-def test_density_reports_an_ill_conditioned_solve_as_a_failing_check(capsys):
-    # at mu = 5 one block of the monomial trace system misses the solve's bound
-    code, out, err = run(capsys, ["density", "--n", "6", "--mu", "5"])
+def test_density_reports_an_ill_conditioned_solve_as_a_failing_check(capsys, monkeypatch):
+    # the scaled blocks meet the solve's bound at every accepted weight, so the block
+    # solve is patched to miss by one part in a million: the unit word's block, the
+    # one with a non-zero right-hand side, then misses the bound
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: (1.0 + 1e-6) * solve(a, b))
+    code, out, err = run(capsys, ["density", "--n", "3", "--mu", "5"])
     assert code == 2
     records = {r["check"]: r for r in json.loads(out)["records"]}
     solve = records.pop("solve_agrees")
@@ -288,6 +293,59 @@ def test_density_reports_an_ill_conditioned_solve_as_a_failing_check(capsys):
     assert solve["residual"] > state.SOLVE_TOL
     assert all(r["pass"] for r in records.values())
     assert "FAIL" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n,mu", [(n, mu) for n in (1, 2) for mu in (1e8, 1e20, 1e38)]
+                         + [(1, 1e70)])
+def test_density_holds_at_large_weights(capsys, n, mu):
+    # the modular relation compared on pi(g_k)'s support, in a scale-free form, and the
+    # solve's blocks scaled to unit rows: no overflow, no NaN, every check passes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, ["density", "--n", str(n), "--mu", repr(mu)])
+    assert code == 0 and err == ""
+    for rec in json.loads(out)["records"]:
+        assert np.isfinite(rec["residual"]) and rec["residual"] <= 1e-9, rec
+
+
+def test_density_fails_a_nan_residual(capsys, monkeypatch):
+    # a NaN in rho on the support of both generators reaches every check, and no
+    # max drops it: each residual reads NaN and each record fails
+    irrep = BabyFock.irrep
+
+    def poisoned(model):
+        flip, vals, rho = irrep(model)
+        rho = rho.copy()
+        rho[1] = np.nan
+        return flip, vals, rho
+
+    monkeypatch.setattr(BabyFock, "irrep", poisoned)
+    code, out, err = run(capsys, ["density", "--n", "2", "--mu", "1.5,2"])
+    assert code == 2
+    records = json.loads(out)["records"]
+    assert {r["check"] for r in records} >= {"positive", "modular_p_1.0", "modular_p_3.0"}
+    assert all(np.isnan(r["residual"]) and r["pass"] is False for r in records)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["density", "--n", "2", "--mu", "1e50"],
+                                  ["density", "--n", "1", "--mu", "8.3e76"],
+                                  ["hyperc-search", "--n", "3", "--mu", "1e30"]])
+def test_weights_whose_density_underflows_exit_code(capsys, argv):
+    # prod_i 1/(1 + mu_i**4) below the smallest normal float is a usage error
+    code, out, errtext = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert "below the smallest normal float" in errtext
+
+
+def test_lpnorm_closed_form_resid_is_relative(capsys):
+    # at mu = 1e20 and p = 6 the norm is 4.6e6: 9.3e-10 absolute is 2e-16 relative
+    code, out, _ = run(capsys, ["lpnorm", "--n", "1", "--mu", "1e20"])
+    assert code == 0
+    for rec in json.loads(out)["records"]:
+        closed = rec["closed_form"]
+        assert rec["closed_form_resid"] == abs(rec["norm"] - closed) / closed
+        assert rec["closed_form_resid"] <= 1e-10
 
 
 @pytest.mark.parametrize("argv", [["density", "--n", "2", "--mu", "1.5,1e100"],

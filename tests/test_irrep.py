@@ -168,15 +168,46 @@ def test_evaluator_add_words_and_matrices_match_dense(params, direction, p):
 
 @pytest.mark.parametrize("direction", ["primal", "dual"])
 def test_fresh_n6_evaluator_holds_only_one_sparse_rows(direction):
-    # no dense (4**n, 2**n, 2**n) stack: every array the evaluator or its
-    # model's cache holds has at most 4**n * 2**n entries
+    # no dense (4**n, 2**n, 2**n) stack: the evaluator itself holds only 4**n
+    # per-word arrays, and its model's cache at most 4**n * 2**n entries an array
     model = BabyFock(BY_N[5])
     ev = RatioEvaluator(model, 0.3, 1.5, direction)
     arrays = [a for a in vars(ev).values() if isinstance(a, np.ndarray)]
-    arrays += [a for v in model._matrix_cache.values()
-               for a in (v if isinstance(v, tuple) else (v,))]
     assert arrays
-    assert max(a.size for a in arrays) <= model.dim << model.n
+    assert max(a.size for a in arrays) <= model.dim
+    cached = [a for v in model._matrix_cache.values()
+              for a in (v if isinstance(v, tuple) else (v,))]
+    assert max(a.size for a in cached) <= model.dim << model.n
+
+
+@pytest.mark.parametrize("p", [np.inf, 1.25, 4.0])
+@pytest.mark.parametrize("params", BY_N[:4], ids=_ids)
+def test_irrep_sum_and_add_match_dense(params, p):
+    model = BabyFock(params)
+    dense = _dense_letter_products(model, 0.0, p, "primal")
+    d = 1 << model.n
+    rng = np.random.default_rng(600 + model.n)
+    C = rng.standard_normal((5, model.dim)) + 1j * rng.standard_normal((5, model.dim))
+    want = np.tensordot(C, dense, axes=1)
+    assert np.max(np.abs(model.irrep_sum(C, p) - want)) <= 1e-15 * np.max(np.abs(want))
+    words = rng.integers(0, model.dim, size=3 * model.dim)      # with repeats
+    coeffs = rng.standard_normal(words.size) + 1j * rng.standard_normal(words.size)
+    mats = rng.standard_normal((words.size, d, d)) + 1j * rng.standard_normal((words.size, d, d))
+    want = mats + coeffs[:, None, None] * dense[words]
+    model.irrep_add(mats, words, coeffs, p)
+    assert np.max(np.abs(mats - want)) <= 1e-15 * np.max(np.abs(want))
+    if p == np.inf:         # rho**0.0 is exactly 1: pi(M_w) itself, as irrep_matrix has it
+        assert np.array_equal(model.irrep_sum(np.eye(model.dim), p), _dense(model))
+
+
+@pytest.mark.parametrize("p", [np.inf, 1.25, 4.0])
+@pytest.mark.parametrize("params", BY_N, ids=_ids)
+def test_irrep_coeffs_inverts_irrep_sum(params, p):
+    model = BabyFock(params)
+    rng = np.random.default_rng(700 + model.n)
+    coeffs = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    got = model.irrep_coeffs(model.irrep_sum(coeffs, p)[0], p)
+    assert np.linalg.norm(got - coeffs) <= 1e-12 * np.linalg.norm(coeffs)
 
 
 @pytest.mark.parametrize("params", BY_N, ids=_ids)

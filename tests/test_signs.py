@@ -82,3 +82,11 @@ def test_model_params_rejects_weight_with_infinite_fourth_power(bad):
     with pytest.raises(ValueError, match="mu_2 = .* mu_2\\*\\*4 is not finite"):
         ModelParams.make(2, (1.5, bad))
     assert ModelParams.make(2, (1.5, 1e76)).mu == (1.5, 1e76)
+
+
+@pytest.mark.parametrize("mu", [(1e50, 1e50), (1.5, 1e77), (3e38, 3e38)])
+def test_model_params_rejects_weights_whose_density_underflows(mu):
+    # rho's smallest entry prod_i 1/(1 + mu_i**4) must be a normal float
+    with pytest.raises(ValueError, match="below the smallest normal float"):
+        ModelParams.make(2, mu)
+    assert ModelParams.make(2, (2.8e38, 2.8e38)).mu == (2.8e38, 2.8e38)
