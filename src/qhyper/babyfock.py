@@ -62,7 +62,6 @@ class BabyFock:
         self.dim = 4 ** params.n
         self.mu = np.asarray(params.mu)
         eps = params.signs.matrix()
-        nbits = 2 * self.n
         # signed index i -> bit position, ascending with the index order
         self._pos = {}
         for i in range(-self.n, self.n + 1):
@@ -79,7 +78,6 @@ class BabyFock:
                 if e == -1:
                     mask |= 1 << self._pos[j]
             self._sign_mask[i] = mask
-        self._parity = _kernels.popcount_table(nbits) & 1
         self._matrix_cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -101,16 +99,16 @@ class BabyFock:
         return _kernels.apply_beta_batch(
             vec, 1 << self._pos[i], self._sign_mask[i], False, weight, out=out)
 
-    def apply_gamma(self, i: int, vec, out=None):
+    def apply_gamma(self, i: int, vec):
         self._check_index(i, positive=True)
         mu = self.mu[i - 1]
-        out = self.apply_creation(i, vec, 1.0 / mu, out=out)
+        out = self.apply_creation(i, vec, 1.0 / mu)
         return self.apply_annihilation(-i, vec, mu, out=out)
 
-    def apply_gamma_star(self, i: int, vec, out=None):
+    def apply_gamma_star(self, i: int, vec):
         self._check_index(i, positive=True)
         mu = self.mu[i - 1]
-        out = self.apply_annihilation(i, vec, 1.0 / mu, out=out)
+        out = self.apply_annihilation(i, vec, 1.0 / mu)
         return self.apply_creation(-i, vec, mu, out=out)
 
     def apply_y(self, i: int, vec):
@@ -205,7 +203,7 @@ class BabyFock:
 
     def _sign(self, i: int, rows):
         """sign(i, A) = (-1)**popcount(A & sign_mask(i)) for each row bitmask A."""
-        return 1.0 - 2.0 * self._parity[rows & self._sign_mask[i]]
+        return 1.0 - 2.0 * (np.bitwise_count(rows & self._sign_mask[i]) & 1)
 
     def _letter_entries(self, letter: int, i: int, word, row, col, val):
         """Entries (word, row, col, val) of L_i M_w from those of M_w: one sparse
@@ -271,7 +269,7 @@ class BabyFock:
             letters = []            # per site: (flipped bit, value) of g, g*, y
             for k in range(n):
                 zmask = sum(1 << j for j in range(k) if eps[k, j] == -1)
-                gval = np.sqrt(c[k]) * (1.0 - 2.0 * (_kernels.popcount_table(n)[rows & zmask] & 1))
+                gval = np.sqrt(c[k]) * (1.0 - 2.0 * (np.bitwise_count(rows & zmask) & 1))
                 full = (rows & (1 << k)) != 0
                 letters.append((None, (1 << k, np.where(full, 0.0, gval)),
                                 (1 << k, np.where(full, gval, 0.0)),

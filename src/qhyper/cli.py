@@ -292,6 +292,9 @@ def cmd_hyperc_search(args):
 def cmd_necessary_time(args):
     pps = parse_values(args.p)
     mus = parse_values(args.mu)
+    # the witness moves the dual ratio by about 2.5e-6 / mu**2; by mu = 1e5 it rounds to 1.0
+    if max(mus) > 1000.0:
+        raise ValueError(f"necessary-time needs --mu at most 1000, got {max(mus)}")
     eps = 1e-2
     records = []
     for pp in pps:
@@ -486,15 +489,9 @@ def emit(args, records, passed) -> str:
     fields = list(records[0].keys()) if records else ["pass"]
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields + ["provenance"])
-    # csv writes a float as repr().  A private-use placeholder, which csv writes
-    # unquoted (a NUL would not do: Python 3.10's csv takes it for the unset
-    # escapechar), ends each row and becomes the provenance, quoted once as csv
-    # quotes a field holding '"', not once per row
-    writer.writerows([*map(rec.get, fields), "\ue000"] for rec in records)
-    rows = buf.getvalue()
-    if rows.count("\ue000") != len(records):
-        raise ValueError("csv fields must not hold U+E000")
-    return rows.replace("\ue000", '"' + provenance.replace('"', '""') + '"')
+    # csv writes a float as repr() and quotes the provenance, which holds '"'
+    writer.writerows([*map(rec.get, fields), provenance] for rec in records)
+    return buf.getvalue()
 
 
 def main(argv=None) -> int:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
-from .qfock import QParams, _pair_weights, _pairings, moment, parse_word
+from .qfock import QParams, _crossing_pairs, _pair_weights, _pairings, moment, parse_word
 from .signs import check_weights
 
 __all__ = [
@@ -98,8 +98,7 @@ def _wick_classes(letters: tuple, mu: tuple) -> tuple:
     """
     classes = {}
     for pairs, weight in _pairings(_pair_weights(letters, mu)):
-        cross = [(p, r) for p, r in combinations(range(len(pairs)), 2)
-                 if pairs[p][0] < pairs[r][0] < pairs[p][1] < pairs[r][1]]
+        cross = _crossing_pairs(pairs)
         crossed = sorted({p for edge in cross for p in edge})
         key = min((tuple(letters[pairs[p][0]][1] for p in order),
                    tuple(sorted(tuple(sorted((order.index(p), order.index(r))))

@@ -91,7 +91,7 @@ def _gram_entry(u: tuple, v: tuple, q: float) -> float:
                 bit = 1 << s
                 if used & bit or v[s] != u[r]:
                     continue
-                above = bin(used >> (s + 1)).count("1")
+                above = (used >> (s + 1)).bit_count()
                 key = used | bit
                 ndp[key] = ndp.get(key, 0.0) + val * q ** above
         dp = ndp
@@ -257,13 +257,10 @@ def moment_operator(letters, params: QParams) -> complex:
     return complex(v.get((), 0.0))
 
 
-def _crossings(pairs) -> int:
-    cr = 0
-    for (a1, b1), (a2, b2) in itertools.combinations(pairs, 2):
-        lo, hi = ((a1, b1), (a2, b2)) if a1 < a2 else ((a2, b2), (a1, b1))
-        if lo[0] < hi[0] < lo[1] < hi[1]:
-            cr += 1
-    return cr
+def _crossing_pairs(pairs) -> list:
+    """The index pairs (p, r), p < r, of the crossing pairs in a list of pairs (a, b), a < b."""
+    return [(p, r) for (p, (a1, b1)), (r, (a2, b2)) in itertools.combinations(enumerate(pairs), 2)
+            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1]
 
 
 def _pair_weights(letters, mu) -> list:
@@ -310,7 +307,7 @@ def _pairing_sum(weights, q: float) -> float:
         return 0.0
     total = 0.0
     for pairs, weight in _pairings(weights):
-        total += weight * q ** _crossings(pairs)
+        total += weight * q ** len(_crossing_pairs(pairs))
     return total
 
 

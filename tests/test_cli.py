@@ -160,16 +160,21 @@ CSV_TEXT = st.text(st.sampled_from(',"\n\r :aZ\u00e9'), max_size=6)
 @given(st.lists(st.dictionaries(CSV_TEXT, JSON_VALUES | CSV_TEXT, max_size=4),
                 max_size=5))
 def test_csv_emission_matches_per_row_writer(records):
-    """Quoting the provenance once gives the per-row writer's bytes, for fields
-    holding commas, quotes, newlines and carriage returns, empty strings,
-    empty and one-field records, records missing a field of the first, and no
-    records."""
+    """The emitter gives the per-row writer's bytes, for fields holding commas,
+    quotes, newlines and carriage returns, empty strings, empty and one-field
+    records, records missing a field of the first, and no records."""
     assert emit(CSV_ARGS, records, True) == per_row_csv(CSV_ARGS, records)
 
 
-def test_csv_emission_rejects_the_placeholder():
-    with pytest.raises(ValueError, match="U\\+E000"):
-        emit(CSV_ARGS, [{"word": "g\ue000", "pass": True}], True)
+def test_csv_emission_reads_back_with_csv_reader():
+    """Fields holding a quote, a comma, a newline and U+E000 read back as written,
+    and every row carries the same provenance."""
+    records = [{"word": 'say "hi", then\nleave', "pass": True},
+               {"word": "g\ue000,\ue000\"", "pass": False}]
+    header, *rows = csv.reader(io.StringIO(emit(CSV_ARGS, records, True)))
+    assert header == ["word", "pass", "provenance"]
+    assert [row[:2] for row in rows] == [[rec["word"], str(rec["pass"])] for rec in records]
+    assert {row[2] for row in rows} == {json.dumps(_config_echo(CSV_ARGS), sort_keys=True)}
 
 
 def test_json_emission_rejects_nested_records():
@@ -384,6 +389,15 @@ def test_necessary_time_flags_discrepancy(capsys):
     assert rec["ratio_above"] > 1.0 > rec["ratio_below"]
 
 
+def test_necessary_time_crosses_up_to_the_weight_limit(capsys):
+    # at mu = 1000 the witness still moves the ratio by about 2.5e-12; past the
+    # limit both ratios round to 1.0, so a larger --mu is a usage error
+    code, out, _ = run(capsys, ["necessary-time", "--p", "4,6,8,10", "--mu", "1000"])
+    assert code == 0
+    assert all(rec["ratio_above"] > 1.0 > rec["ratio_below"]
+               for rec in json.loads(out)["records"])
+
+
 def test_norm_commands_never_touch_the_4n_model(capsys, monkeypatch):
     # density, lpnorm, necessary-time and perturb take every check and norm in the
     # 2**n irrep; density at n = 6 would build 4096 x 4096 matrices on the 4**n model
@@ -530,6 +544,8 @@ BOUNDARY_CASES = [
     (["perturb", "--tol", "inf"], "finite and at least 0"),
     (["clt", "s*s", "--m", "5", "--samples", "2", "--tol", "nan"], "finite and at least 0"),
     (["relations", "--sign-file="], "No such file"),
+    (["necessary-time", "--mu", "1001"], "--mu at most 1000"),
+    (["necessary-time", "--mu", "1e20"], "--mu at most 1000"),
 ]
 # an empty value is no value, not the default
 BOUNDARY_CASES += [([command, *WORD.get(command, []), flag + "="], "at least one value")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhyper._kernels import apply_beta_batch, popcount_table
+from qhyper._kernels import apply_beta_batch
 from sparse_clt import expand_ops_sparse
 
 # the references below read a sparse state as (N, width) int16 rows of
@@ -33,16 +33,6 @@ def unpack_keys(keys, width):
             if digit:
                 rows[r, t] = digit - 1
     return rows
-
-
-def test_parity_table():
-    tab = popcount_table(8)
-    assert tab.shape == (256,)
-    assert popcount_table(8) is tab
-    for x in range(256):
-        assert tab[x] == bin(x).count("1")
-        # the parity that BabyFock and apply_beta_batch read off the table
-        assert tab[x] & 1 == bin(x).count("1") % 2
 
 
 def test_apply_beta_create_and_annihilate():

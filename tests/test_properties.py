@@ -1,12 +1,13 @@
 """Property tests: sign-table serialization, sub-models, value grids, monomial expansion,
-word parsing."""
+phase invariance of the contraction ratios, word parsing."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhyper.babyfock import BabyFock
+from qhyper.babyfock import GEN, STAR, BabyFock
 from qhyper.cli import parse_values
+from qhyper.hyperc import RatioEvaluator, contraction_ratio, dual_contraction_ratio
 from qhyper.qfock import parse_word
 from qhyper.signs import ModelParams, SignTable
 
@@ -64,6 +65,29 @@ def test_expand_reconstruct_round_trip(params, seed):
     X = model.reconstruct(c)
     assert np.max(np.abs(model.expand(X) - c)) <= 1e-12 * np.max(np.abs(c))
     assert np.max(np.abs(model.reconstruct(model.expand(X)) - X)) <= 1e-12 * np.max(np.abs(X))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_params(max_n=3), st.sampled_from(["primal", "dual"]), st.floats(0.0, 1.5),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_ratios_are_phase_invariant(params, direction, t, p_frac, seed):
+    """g_i -> e^(i theta_i) g_i is an automorphism that fixes the vacuum state, so
+    c_w -> e^(i q_w . theta) c_w, with q_w counting g minus g* per index, leaves every
+    contraction ratio as it is."""
+    model = BabyFock(params)
+    rng = np.random.default_rng(seed)
+    p = 1.1 + 0.9 * p_frac if direction == "primal" else 2.0 + 4.0 * p_frac
+    c = rng.standard_normal((3, model.dim)) + 1j * rng.standard_normal((3, model.dim))
+    letters = (np.arange(model.dim)[:, None] >> 2 * np.arange(model.n)) & 3
+    charge = (letters == GEN).astype(float) - (letters == STAR)
+    rotated = c * np.exp(1j * charge @ rng.uniform(-np.pi, np.pi, model.n))
+    ev = RatioEvaluator(model, t, p, direction)
+    assert np.max(np.abs(ev.ratios(rotated) / ev.ratios(c) - 1.0)) <= 1e-12
+    if model.n <= 2:
+        oracle = contraction_ratio if direction == "primal" else dual_contraction_ratio
+        for x, y in zip(c, rotated):
+            before = oracle(model, model.reconstruct(x), t, p)
+            assert abs(oracle(model, model.reconstruct(y), t, p) / before - 1.0) <= 1e-12
 
 
 SPACE = st.sampled_from(["", " ", "  ", "\t", "\n"])

@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from qhyper.qfock import (QParams, annihilate_apply, create_apply, gram_matrix,
-                          letter_parts, moment, moment_operator, moment_pairings,
-                          parse_word, positivity_check, q_inner, word_adjoint)
+from qhyper.qfock import (QParams, _crossing_pairs, annihilate_apply, create_apply,
+                          gram_matrix, letter_parts, moment, moment_operator,
+                          moment_pairings, parse_word, positivity_check, q_inner,
+                          word_adjoint)
 
 
 def test_gram_small_cases():
@@ -92,6 +93,16 @@ def test_free_case_counts_noncrossing():
     qp = QParams(q=0.0, n=1, mu=(1.0,))
     assert abs(moment("(g+g*)^4", qp) - 2.0) < 1e-14
     assert abs(moment("(g+g*)^6", qp) - 5.0) < 1e-14
+
+
+def test_crossing_pairs_hand_cases():
+    assert _crossing_pairs([]) == []
+    assert _crossing_pairs([(0, 3), (1, 2)]) == []                   # nested
+    assert _crossing_pairs([(0, 1), (2, 3)]) == []                   # side by side
+    assert _crossing_pairs([(0, 2), (1, 3)]) == [(0, 1)]             # one crossing
+    assert _crossing_pairs([(1, 3), (0, 2)]) == [(0, 1)]             # in either order
+    assert _crossing_pairs([(0, 3), (1, 4), (2, 5)]) == [(0, 1), (0, 2), (1, 2)]
+    assert _crossing_pairs([(0, 5), (1, 3), (2, 4)]) == [(1, 2)]     # one inside another
 
 
 def test_oracle_agreement_exhaustive_n1():

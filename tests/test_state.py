@@ -199,6 +199,22 @@ def test_density_solve_blocks_match_dense_gram(n, mu, seed):
     assert np.linalg.norm(blocks - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
+@pytest.mark.parametrize("n,mu,seed", [(4, 100.0, 0), (6, 5.0, 1), (6, 1.0001, 2),
+                                       (3, 1.0 + 1e-8, 3), (3, (1.2, 1.6, 2.0), 4)])
+def test_density_solve_matches_closed_form_coefficients(n, mu, seed):
+    """The solved coefficients of D against their closed form: per index, a at the
+    unit letter and b at y, with n_i = (y_i + mu_i**-2) / (mu_i**2 + mu_i**-2) in
+    the factor ((1 - lambda_i) + (2 lambda_i - 1) n_i) / 2, and 0 on a word with a g
+    or a g*.  Normwise: near mu = 1 the coefficient b itself cancels."""
+    model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
+    mu, c = model.mu, model.mu ** 2 + model.mu ** -2
+    lam = 1.0 / (1.0 + mu ** 4)
+    a, b = ((1 - lam) + (2 * lam - 1) * mu ** -2 / c) / 2, (2 * lam - 1) / (2 * c)
+    letters = (np.arange(model.dim)[:, None] >> 2 * np.arange(n)) & 3
+    closed = np.prod(np.where(letters == UNIT, a, np.where(letters == Y, b, 0.0)), axis=1)
+    assert np.max(np.abs(density_solve(model) - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+
 def test_density_solve_corruption_detected(m1):
     rhs = np.zeros(m1.dim, dtype=complex)
     rhs[0] = 1.0
