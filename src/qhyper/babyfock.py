@@ -14,6 +14,15 @@ w_1 ... w_n with w_i in {1, g_i, g*_i, y_i}, y_i = g*_i g_i - mu_i^{-2};
 applied to the vacuum each monomial hits a single basis vector, so the
 monomial-to-vacuum-vector map is a signed scaled bijection and expansion
 is an exact relabeling.
+
+The model keeps the letter kernels, which ``relations`` applies to class
+probes, and the closed-form 2**n irrep, which every other command reads.  The
+map between monomial coefficients and dense 4**n x 4**n matrices (``expand``,
+``reconstruct``, ``monomial_matrix`` and the rest) is the tests' oracle, in
+``tests/gns_oracle.py``.  The dense ``identity`` and the sparse monomial table
+stay here: ``state.get_density`` builds D from the one and checks it against
+the other, and it stays in ``src`` because the benchmark's ``search`` set-up
+calls it.
 """
 
 from __future__ import annotations
@@ -111,22 +120,6 @@ class BabyFock:
         out = self.apply_annihilation(i, vec, 1.0 / mu)
         return self.apply_creation(-i, vec, mu, out=out)
 
-    def apply_y(self, i: int, vec):
-        out = self.apply_gamma_star(i, self.apply_gamma(i, vec))
-        out -= vec / self.mu[i - 1] ** 2
-        return out
-
-    def apply_letter(self, letter: int, i: int, vec):
-        if letter == UNIT:
-            return np.array(vec, dtype=np.complex128, copy=True)
-        if letter == GEN:
-            return self.apply_gamma(i, vec)
-        if letter == STAR:
-            return self.apply_gamma_star(i, vec)
-        if letter == Y:
-            return self.apply_y(i, vec)
-        raise ValueError(f"unknown letter {letter}")
-
     # ------------------------------------------------------------------
     # dense matrices
     # ------------------------------------------------------------------
@@ -144,20 +137,13 @@ class BabyFock:
         return mat
 
     # ------------------------------------------------------------------
-    # vacuum state and monomial expansion
+    # vacuum and monomials
     # ------------------------------------------------------------------
 
     def vacuum_vector(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.complex128)
         v[0] = 1.0
         return v
-
-    def vacuum_state(self, X: np.ndarray) -> complex:
-        return complex(X[0, 0])
-
-    def word_of(self, windex: int) -> tuple:
-        """Letter tuple (index 1 first) of a linear monomial index."""
-        return tuple((windex >> (2 * k)) & 3 for k in range(self.n))
 
     def windex_of(self, word) -> int:
         word = tuple(word)
@@ -191,15 +177,6 @@ class BabyFock:
         """Condition number of the monomial -> vacuum-vector bijection."""
         amp = self._monomial_data()[1]
         return float(np.max(np.abs(amp)) / np.min(np.abs(amp)))
-
-    def monomial_matrix(self, word) -> np.ndarray:
-        """Dense matrix of the monomial with the given letter tuple, the letters
-        applied right to left, index n first: the oracle for the monomial table."""
-        X = self.identity()
-        for k in range(self.n - 1, -1, -1):
-            if word[k] != UNIT:
-                X = self.apply_letter(word[k], k + 1, X)
-        return X
 
     def _sign(self, i: int, rows):
         """sign(i, A) = (-1)**popcount(A & sign_mask(i)) for each row bitmask A."""
@@ -330,30 +307,6 @@ class BabyFock:
         rows, cols = np.arange(rho.size), np.arange(rho.size) ^ flip[:, None]
         terms = vals * rho[cols] ** (1.0 - 1.0 / p) * np.asarray(A)[rows, cols]
         return terms.sum(axis=1) / self._monomial_data()[1] ** 2
-
-    def expand(self, X: np.ndarray) -> np.ndarray:
-        """Monomial coefficients of X (exact inverse of the embedding)."""
-        target, amp, _ = self._monomial_data()
-        v = X[:, 0] if X.ndim == 2 else X
-        return v[target] / amp
-
-    def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        """Dense matrix of sum_w coeffs[w] M_w, scattered from the monomial table."""
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (self.dim,):
-            raise ValueError(
-                f"expected {self.dim} monomial coefficients, got shape {coeffs.shape}")
-        word, row, col, val = self.monomial_table()
-        flat, terms = row * self.dim + col, coeffs[word] * val
-        out = np.empty(self.dim * self.dim, dtype=np.complex128)
-        out.real = np.bincount(flat, terms.real, out.size)
-        out.imag = np.bincount(flat, terms.imag, out.size)
-        return out.reshape(self.dim, self.dim)
-
-    def random_element(self, rng, scale: float = 1.0) -> np.ndarray:
-        """Random algebra element with i.i.d. complex gaussian coefficients."""
-        c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return self.reconstruct(scale * c)
 
     # ------------------------------------------------------------------
     # relation checks

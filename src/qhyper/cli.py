@@ -31,7 +31,7 @@ from .linalg import (expansion_second_order, expansion_via_frechet, richardson_s
                      schatten_norm)
 from .qfock import QParams, moment_operator, moment_pairings, parse_word
 from .semigroup import choi_identity_residual, choi_matrix
-from .signs import ModelParams, SignTable
+from .signs import ModelParams, SignTable, check_weights
 from .state import SOLVE_TOL, IllConditionedSolve, density_solve
 
 
@@ -193,7 +193,7 @@ def cmd_lpnorm(args):
 
 def cmd_choi(args):
     ts = parse_values(args.t)
-    mus = parse_values(args.mu)
+    mus = check_weights(parse_values(args.mu))
 
     # one t-column per mu, (T, M, 4, 4) in the records' t-major order;
     # one stacked eigensolve over the grid, LAPACK still sees one 4x4 at a time
@@ -215,14 +215,11 @@ CONVEXITY_CHUNK = 1000
 
 def cmd_convexity(args):
     ps = parse_values(args.p)
-    mus = parse_values(args.mu)
+    mus = check_weights(parse_values(args.mu))
     qs = parse_values(args.q)
     for p in ps:
         if not 1.0 < p <= 2.0:
             raise ValueError(f"need 1 < p <= 2, got {p}")
-    for mu in mus:
-        if mu < 1.0:
-            raise ValueError(f"mu must be >= 1, got {mu}")
     for q in qs:
         if q < 2.0:
             raise ValueError(f"need q >= 2, got {q}")
@@ -487,11 +484,17 @@ def emit(args, records, passed) -> str:
     buf = io.StringIO()
     provenance = json.dumps(cfg, sort_keys=True)
     fields = list(records[0].keys()) if records else ["pass"]
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields + ["provenance"])
-    # csv writes a float as repr() and quotes the provenance, which holds '"'
-    writer.writerows([*map(rec.get, fields), provenance] for rec in records)
-    return buf.getvalue()
+    # csv writes a float as repr() and quotes the provenance, which holds '"'.  It quotes
+    # a field holding a character of the line terminator, so "\r\n" has it quote a bare
+    # "\r" as well as "\n"; each row's own "\r\n" is then cut back to "\n"
+    writer = csv.writer(buf, lineterminator="\r\n")
+    lines = []
+    for row in [fields + ["provenance"], *([*map(rec.get, fields), provenance] for rec in records)]:
+        writer.writerow(row)
+        lines.append(buf.getvalue()[:-2])
+        buf.seek(0)
+        buf.truncate()
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

@@ -18,8 +18,11 @@ coefficients, vectorized across restarts and deterministic for a fixed
 seed; it only ever produces lower bounds on the operator norm.  It, the
 structural split checks and the duality transport work on monomial
 coefficients with every Schatten norm taken in the closed-form 2**n
-dimensional irreducible representation; only the oracles
-``contraction_ratio`` and ``dual_contraction_ratio`` read the 4**n model.
+dimensional irreducible representation; none reads the 4**n model.  The
+GNS-space ratios ``contraction_ratio`` and ``dual_contraction_ratio``, dense
+Haagerup norms of 4**n matrices, are the tests' oracle in
+``tests/gns_oracle.py``.  ``state.get_density`` stays in ``src`` only because
+the benchmark's ``search`` set-up calls it.
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ import numpy as np
 from .babyfock import GEN, STAR, UNIT, Y, BabyFock, get_model
 from .linalg import schatten_norm, schatten_norm_from_sv, singular_values
 from .semigroup import apply_OU_coeffs
-from .state import haagerup_norm
 
 __all__ = [
     "C_of_mu", "bcl_check", "asym_convexity_check", "dual_convexity_check",
     "convexity_stack", "convexity_margins_sv", "convexity_margins",
-    "sufficient_time", "theorem_bound", "contraction_ratio",
-    "dual_contraction_ratio", "RatioEvaluator", "ViolationWitness",
+    "sufficient_time", "theorem_bound", "RatioEvaluator", "ViolationWitness",
     "violation_search", "NecessaryThreshold", "necessary_time_exact",
     "decomposition_identity_check", "gamma_lower_bound_check",
     "disjoint_support_check", "witness_primal_to_dual", "witness_dual_to_primal",
@@ -240,26 +241,6 @@ def _l2_weights(model: BabyFock, t: float) -> np.ndarray:
     return amp ** 2 * np.exp(-2.0 * t * deg)
 
 
-def contraction_ratio(model: BabyFock, X: np.ndarray, t: float, p: float) -> float:
-    """|| P_t(X) D**(1/2) ||_2 / || X D**(1/p) ||_p."""
-    coeffs = model.expand(X)
-    if not np.any(np.abs(coeffs) > 0):
-        raise ValueError("zero element has no contraction ratio")
-    num = np.sqrt(float(np.sum(_l2_weights(model, t) * np.abs(coeffs) ** 2)))
-    den = haagerup_norm(model, X, p)
-    return float(num / den)
-
-
-def dual_contraction_ratio(model: BabyFock, X: np.ndarray, t: float, pprime: float) -> float:
-    """|| P_t(X) D**(1/p') ||_p' / || X D**(1/2) ||_2."""
-    coeffs = model.expand(X)
-    if not np.any(np.abs(coeffs) > 0):
-        raise ValueError("zero element has no contraction ratio")
-    num = haagerup_norm(model, model.reconstruct(apply_OU_coeffs(model, coeffs, t)), pprime)
-    den = np.sqrt(float(np.sum(_l2_weights(model, 0.0) * np.abs(coeffs) ** 2)))
-    return float(num / den)
-
-
 class RatioEvaluator:
     """Batched contraction-ratio evaluation over monomial coefficient vectors.
 
@@ -273,7 +254,8 @@ class RatioEvaluator:
     the plain p-norm of sum_w c_w pi(M_w) rho**(1/p) is the Haagerup norm, taken by
     ``BabyFock.irrep_sum`` and ``irrep_add`` with the decay exp(-t deg_w) in the coefficients.
     The 4**n density and monomial table are never read, so every n up to MAX_N works; the
-    4**n path stays as the oracle (``contraction_ratio``, ``dual_contraction_ratio``).
+    4**n path is the tests' oracle (``contraction_ratio`` and ``dual_contraction_ratio`` in
+    ``tests/gns_oracle.py``), and ``state.get_density`` stays in ``src`` for the benchmark.
     """
 
     def __init__(self, model: BabyFock, t: float, p: float, direction: str = "primal"):

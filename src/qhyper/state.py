@@ -1,4 +1,4 @@
-"""Vacuum-state density, Haagerup L^p norms, and modular commutation checks.
+"""Vacuum-state density: the closed form D, its powers, and the monomial trace solve.
 
 The vacuum state tau(X) = <X x_empty, x_empty> is represented inside the
 algebra by the positive element D with trace(D W) = tau(W), where the
@@ -11,26 +11,26 @@ projection p_i = g*_i g_i / (mu_i**2 + mu_i**-2),
 a product of n commuting two-level factors whose trace is exactly one.
 Every power D**alpha is the product of the factors raised to alpha,
 applied to the identity by the letter kernels (``get_density(model, alpha)``);
-no eigendecomposition and no dense projection is formed.  L^p elements
-are x D**(1/p) with the Schatten p-norm.  No generator is stored as a
-matrix: g_i D**(1/p) is one letter application on D**(1/p), which is how
-``modular_check`` takes both sides of the modular relation.  The functions
-here stay in the 4**n representation and serve as the oracle.  The check
+no eigendecomposition and no dense projection is formed.  The check
 trace(D M_w) = tau(M_w) over every word reads the sparse monomial table
-(``BabyFock.monomial_table``).  The independent linear solve for D takes
-its Gram matrix block by block in the irrep, from the one-sparse rows of
-``BabyFock.irrep`` scaled to unit max, and returns the monomial
-coefficients of D, at every n; ``model.reconstruct`` turns them into the
-4**n matrix, ``BabyFock.irrep_sum`` into pi(D).  It is the one reader of
-the irrep's layout outside ``babyfock``.  Every check of the CLI's
-``density`` command and every norm the ratio search, the structural split
-checks, the duality transport and the CLI report is taken in the
-closed-form 2**n dimensional irreducible representation (``BabyFock.irrep``)
-instead.  The 4**n model is 2**n copies of it, so pi(D) = diag(rho) / 2**n
-with rho the same product of two-level factors, of trace one, and
-||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p with no scale factor;
-``haagerup_norm``'s dense product x @ D**(1/p) is the oracle for it,
-called only by the GNS-space ratios of ``hyperc``.
+(``BabyFock.monomial_table``).  No command reads the 4**n density, but
+``get_density`` stays here: the benchmark's ``search`` set-up calls it, and
+``tests/test_bench_entry.py`` pins that call.  The rest of the 4**n L^p side,
+the Haagerup norm ||x D**(1/p)||_p as a dense product, the modular check and
+the lift of a smaller model's element, is the tests' oracle in
+``tests/gns_oracle.py``.
+
+The independent linear solve for D takes its Gram matrix block by block in
+the irrep, from the one-sparse rows of ``BabyFock.irrep`` scaled to unit
+max, and returns the monomial coefficients of D, at every n;
+``BabyFock.irrep_sum`` turns them into pi(D), the oracle's ``reconstruct``
+into the 4**n matrix.  It is the one reader of the irrep's layout outside
+``babyfock``.  Every check of the CLI's ``density`` command and every norm
+the ratio search, the structural split checks, the duality transport and the
+CLI report is taken in the closed-form 2**n dimensional irreducible
+representation (``BabyFock.irrep``).  The 4**n model is 2**n copies of it, so
+pi(D) = diag(rho) / 2**n with rho the same product of two-level factors, of
+trace one, and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p with no scale factor.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from __future__ import annotations
 import numpy as np
 
 from .babyfock import BabyFock
-from .linalg import schatten_norm
 
 __all__ = [
-    "get_density", "density_solve", "haagerup_norm", "modular_check",
-    "embed_lower", "defining_property_residual", "IllConditionedSolve", "SOLVE_TOL",
+    "get_density", "density_solve", "defining_property_residual",
+    "IllConditionedSolve", "SOLVE_TOL",
 ]
 
 # largest max_w |trace(D M_w) - tau(M_w)| accepted from the closed form
@@ -70,8 +69,9 @@ def get_density(model: BabyFock, alpha: float = 1.0) -> np.ndarray:
     power exists; the product of the F_i has trace exactly 2**n (pi(rho) tensor 1,
     rho of trace one on C**(2**n)), so no computed trace is divided out.  D itself
     is built first, whichever power is asked for, and its build checks that it
-    represents tau on every word: once per model.  This is the 4**n oracle; the
-    CLI's ``density`` reads pi(D) = diag(rho) / 2**n from ``BabyFock.irrep``.
+    represents tau on every word: once per model.  The benchmark's ``search`` set-up
+    and the tests' 4**n oracle call it; the CLI's ``density`` reads pi(D) =
+    diag(rho) / 2**n from ``BabyFock.irrep``.
     """
 
     def build(a):
@@ -121,8 +121,9 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
     words, each solved on its own.  Its entries reach prod_i mu_i**4, so each word's row of
     ``vals`` is first scaled to unit max, and the block is solved for the scaled
     coefficients.  The solve reads neither rho nor the closed-form D, and forms no 4**n
-    matrix: ``model.reconstruct`` of the result is the dense D.  A block whose residual
-    (of the scaled system) exceeds SOLVE_TOL raises ``IllConditionedSolve``.
+    matrix: ``reconstruct`` of the result in ``tests/gns_oracle.py`` is the dense D.  A
+    block whose residual (of the scaled system) exceeds SOLVE_TOL raises
+    ``IllConditionedSolve``.
     """
     flip, vals, _ = model.irrep()
     rows = np.arange(vals.shape[1])
@@ -146,42 +147,3 @@ def density_solve(model: BabyFock, vacuum_values: np.ndarray | None = None) -> n
             raise IllConditionedSolve(float(resid))
         coeffs[w] = x / scale
     return coeffs
-
-
-def haagerup_norm(model: BabyFock, x: np.ndarray, p: float) -> float:
-    """||x D**(1/p)||_p, the Schatten p-norm under the plain trace on C**(4**n),
-    under which D has trace one."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return schatten_norm(np.asarray(x) @ get_density(model, 1.0 / p), p)
-
-
-def modular_check(model: BabyFock, p: float) -> list:
-    """Relative residuals of D**(1/p) g_k = mu_k**(4/p) g_k D**(1/p), per index.
-
-    Each side is one letter application: g_k D**(1/p) applies g_k, and
-    D**(1/p) g_k = (g*_k D**(1/p))* because D**(1/p) is Hermitian.
-    """
-    dp = get_density(model, 1.0 / p)
-    out = []
-    for k in range(1, model.n + 1):
-        lhs = model.apply_gamma_star(k, dp).conj().T
-        rhs = model.mu[k - 1] ** (4.0 / p) * model.apply_gamma(k, dp)
-        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-        out.append(float(np.linalg.norm(lhs - rhs) / scale))
-    return out
-
-
-def embed_lower(x_small: np.ndarray, small: BabyFock, big: BabyFock) -> np.ndarray:
-    """Lift an element of the model on indices 1..k into a larger model.
-
-    Words over the first k indices keep the same linear index in the
-    larger model (higher letters are the unit), so this is a coefficient
-    zero-pad followed by reconstruction.  The small model must be the big
-    one restricted to its indices (``ModelParams.sub``): weights and signs.
-    """
-    if small.n > big.n or small.params != big.params.sub(small.n):
-        raise ValueError("small model is not an initial segment of the big model")
-    coeffs = np.zeros(big.dim, dtype=np.complex128)
-    coeffs[:small.dim] = small.expand(np.asarray(x_small))
-    return big.reconstruct(coeffs)

@@ -12,12 +12,13 @@ import time
 
 import numpy as np
 
+from gns_oracle import (dual_contraction_ratio, haagerup_norm, l2_pythagoras_residual,
+                        modular_check, reconstruct)
 from qhyper.babyfock import BabyFock, get_model
 from qhyper.clt import clt_estimate
 from qhyper.hyperc import (asym_convexity_check, bcl_check, convexity_margins_sv,
                            convexity_stack, decomposition_identity_check,
-                           disjoint_support_check,
-                           dual_contraction_ratio, dual_convexity_check,
+                           disjoint_support_check, dual_convexity_check,
                            gamma_lower_bound_check, necessary_time_exact,
                            sufficient_time, violation_search)
 from qhyper.linalg import (expansion_second_order, expansion_via_frechet,
@@ -26,11 +27,9 @@ from qhyper.linalg import (expansion_second_order, expansion_via_frechet,
 from qhyper.qfock import (QParams, annihilate_apply, create_apply, gram_matrix,
                           moment, moment_operator, moment_pairings, parse_word,
                           positivity_check, q_inner)
-from qhyper.semigroup import (choi_identity_residual, choi_matrix,
-                              l2_pythagoras_residual)
+from qhyper.semigroup import choi_identity_residual, choi_matrix
 from qhyper.signs import ModelParams, SignTable
-from qhyper.state import (defining_property_residual, density_solve, get_density,
-                          haagerup_norm, modular_check)
+from qhyper.state import defining_property_residual, density_solve, get_density
 
 
 def _report(num, name, ok, detail=""):
@@ -68,7 +67,7 @@ def test_criterion_02_density():
         mu = tuple(1.0 + 2.0 * rng.random(n))
         model = BabyFock(ModelParams.make(n, mu, sign_seed=600 + n))
         D = get_density(model)
-        solved = model.reconstruct(density_solve(model))
+        solved = reconstruct(model, density_solve(model))
         worst_solve = max(worst_solve, float(
             np.linalg.norm(solved - D) / np.linalg.norm(D)))
         worst_def = max(worst_def, defining_property_residual(model, D))
@@ -340,7 +339,7 @@ def test_criterion_12_structural():
             worst_disj = max(worst_disj, rep["residual"] / rep["scale"])
             if k % 10 == 0:
                 worst_pyth = max(worst_pyth, l2_pythagoras_residual(
-                    model, *map(small.reconstruct, (a, b, c, d)), 0.1 + 0.3 * (k % 4)))
+                    model, *(reconstruct(small, x) for x in (a, b, c, d)), 0.1 + 0.3 * (k % 4)))
     elapsed = time.time() - t0
     ok = (worst_decomp <= 1e-9 and worst_margin <= 1e-10 and worst_disj <= 1e-9
           and worst_pyth <= 1e-9)

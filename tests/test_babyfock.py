@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from gns_oracle import (apply_letter, apply_y, embed_lower, expand, monomial_matrix,
+                        random_element, reconstruct, vacuum_state, word_of)
 from qhyper.babyfock import (GEN, LETTER_DEGREE, STAR, UNIT, Y, BabyFock, RelationsReport,
                              get_model)
 from qhyper.signs import ModelParams, SignTable
@@ -42,10 +44,10 @@ def test_gamma_action_and_relations(m1):
 
 
 def test_vacuum_state_values(m1):
-    assert m1.vacuum_state(m1.identity()) == 1.0
+    assert vacuum_state(m1.identity()) == 1.0
     g = m1.apply_gamma(1, m1.identity())
-    assert abs(m1.vacuum_state(m1.apply_gamma_star(1, g)) - MU ** -2) < 1e-14
-    assert abs(m1.vacuum_state(g)) < 1e-15
+    assert abs(vacuum_state(m1.apply_gamma_star(1, g)) - MU ** -2) < 1e-14
+    assert abs(vacuum_state(g)) < 1e-15
 
 
 @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2)])
@@ -139,13 +141,13 @@ def test_relations_and_norms_never_build_dense_matrices(monkeypatch):
 
 def test_monomial_embedding_values(m3):
     # y_n hits the basis vector of {-n, n}
-    v = m3.apply_y(3, m3.vacuum_vector())
+    v = apply_y(m3, 3, m3.vacuum_vector())
     target = (1 << m3._pos[-3]) | (1 << m3._pos[3])
     assert abs(v[target] - 1.0) < 1e-14
     assert np.sum(np.abs(v) > 1e-14) == 1
     # gamma*gamma = mu^-2 unit + y
     gsg = m3.apply_gamma_star(2, m3.apply_gamma(2, m3.identity()))
-    coeffs = m3.expand(gsg)
+    coeffs = expand(m3, gsg)
     w_unit = m3.windex_of((UNIT, UNIT, UNIT))
     w_y2 = m3.windex_of((UNIT, Y, UNIT))
     expect = np.zeros(m3.dim, dtype=complex)
@@ -157,8 +159,8 @@ def test_monomial_embedding_values(m3):
 def test_expand_round_trip_and_membership(m3):
     rng = np.random.default_rng(9)
     coeffs = rng.standard_normal(m3.dim) + 1j * rng.standard_normal(m3.dim)
-    X = m3.reconstruct(coeffs)
-    assert np.allclose(m3.expand(X), coeffs, atol=1e-10)
+    X = reconstruct(m3, coeffs)
+    assert np.allclose(expand(m3, X), coeffs, atol=1e-10)
     assert np.isfinite(m3.embedding_condition())
 
 
@@ -166,7 +168,7 @@ def test_monomial_letter_order(m3):
     # stored word (w_1, w_2, w_3) is the operator product w_1 w_2 w_3
     word = (GEN, STAR, UNIT)
     direct = m3.apply_gamma(1, m3.identity()) @ m3.apply_gamma_star(2, m3.identity())
-    assert np.allclose(m3.monomial_matrix(word), direct, atol=1e-13)
+    assert np.allclose(monomial_matrix(m3, word), direct, atol=1e-13)
 
 
 def test_vacuum_factorization(m3):
@@ -174,15 +176,13 @@ def test_vacuum_factorization(m3):
     # b, c from the lower indices
     rng = np.random.default_rng(21)
     sub = get_model(m3.params.sub(2))
-    from qhyper.state import embed_lower
-
-    letters = [m3.apply_letter(L, 3, m3.identity()) for L in (UNIT, GEN, STAR, Y)]
+    letters = [apply_letter(m3, L, 3, m3.identity()) for L in (UNIT, GEN, STAR, Y)]
     wa = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     a = sum(w * L for w, L in zip(wa, letters))
-    b = embed_lower(sub.random_element(rng), sub, m3)
-    c = embed_lower(sub.random_element(rng), sub, m3)
-    lhs = m3.vacuum_state(c @ a @ b)
-    rhs = m3.vacuum_state(a) * m3.vacuum_state(c @ b)
+    b = embed_lower(random_element(sub, rng), sub, m3)
+    c = embed_lower(random_element(sub, rng), sub, m3)
+    lhs = vacuum_state(c @ a @ b)
+    rhs = vacuum_state(a) * vacuum_state(c @ b)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -224,7 +224,7 @@ def test_monomial_table_matches_monomial_matrix(n):
     dense = np.zeros((model.dim,) * 3)
     dense[word, row, col] = val
     for w in range(model.dim):
-        want = model.monomial_matrix(model.word_of(w))
+        want = monomial_matrix(model, word_of(model, w))
         assert np.max(np.abs(dense[w] - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -236,19 +236,19 @@ def test_monomial_data_is_the_vacuum_column(n):
     for w in range(model.dim):
         want = np.zeros(model.dim)
         want[target[w]] = amp[w]
-        got = model.monomial_matrix(model.word_of(w))[:, 0]
+        got = monomial_matrix(model, word_of(model, w))[:, 0]
         assert np.max(np.abs(got - want)) <= 1e-15 * abs(amp[w])
-        assert degree[w] == sum(LETTER_DEGREE[letter] for letter in model.word_of(w))
+        assert degree[w] == sum(LETTER_DEGREE[letter] for letter in word_of(model, w))
 
 
 def test_reconstruct_n4_matches_per_word_sum():
     model = BabyFock(ModelParams.make(4, (1.3, 1.0, 2.1, 1.6), sign_seed=44))
     rng = np.random.default_rng(44)
     coeffs = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-    got = model.reconstruct(coeffs)
+    got = reconstruct(model, coeffs)
     want = np.zeros((model.dim, model.dim), dtype=np.complex128)
     for w in range(model.dim):
-        want += coeffs[w] * model.monomial_matrix(model.word_of(w))
+        want += coeffs[w] * monomial_matrix(model, word_of(model, w))
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
@@ -256,4 +256,4 @@ def test_reconstruct_n4_matches_per_word_sum():
 def test_reconstruct_rejects_wrong_coefficient_shape(shape):
     model = BabyFock(ModelParams.make(2, (1.3, 2.0), sign_seed=2))
     with pytest.raises(ValueError, match="16 monomial coefficients"):
-        model.reconstruct(np.ones(shape))
+        reconstruct(model, np.ones(shape))

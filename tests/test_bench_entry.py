@@ -3,7 +3,10 @@
 ``perfbench/worker.py`` reaches into the package by name: ``get_density(model)``,
 ``sample_signs`` with ``dense_reference_moment``, ``violation_search(...).ratio``
 and ``cli.main``.  One round of each workload, with every verdict true, keeps a
-change that breaks one of them from passing the tests.
+change that breaks one of them from passing the tests.  The ``search`` set-up's
+``get_density`` call is why the 4**n density stays in ``qhyper.state`` while the
+rest of the 4**n model, the coefficient <-> matrix map and its norms, is the
+tests' oracle in ``tests/gns_oracle.py``.
 """
 
 import importlib

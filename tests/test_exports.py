@@ -1,11 +1,14 @@
-"""Every name a qhyper module exports in ``__all__`` exists."""
+"""Every name a qhyper module exports in ``__all__`` exists, and the tests alone
+hold the 4**n oracle."""
 
 import importlib
 import pkgutil
 
 import pytest
 
+import gns_oracle
 import qhyper
+from qhyper.babyfock import BabyFock
 
 MODULES = [m.name for m in pkgutil.iter_modules(qhyper.__path__)]
 
@@ -23,3 +26,19 @@ def test_all_names_resolve(name):
 def test_modules_declare_exports():
     declared = [n for n in MODULES if hasattr(importlib.import_module(f"qhyper.{n}"), "__all__")]
     assert set(MODULES) - set(declared) <= {"cli"}
+
+
+# the coefficient <-> 4**n matrix oracle: defined in tests/gns_oracle.py and nowhere in qhyper
+ORACLE_NAMES = {
+    "expand", "reconstruct", "random_element", "monomial_matrix", "apply_letter", "apply_y",
+    "vacuum_state", "word_of", "haagerup_norm", "modular_check", "embed_lower", "apply_OU",
+    "apply_Ti", "cp_randomized_check", "l2_pythagoras_residual", "contraction_ratio",
+    "dual_contraction_ratio",
+}
+
+
+def test_gns_oracle_lives_only_in_the_tests():
+    assert ORACLE_NAMES <= set(vars(gns_oracle))
+    for name in MODULES:
+        assert not ORACLE_NAMES & set(vars(importlib.import_module(f"qhyper.{name}"))), name
+    assert not ORACLE_NAMES & set(vars(BabyFock))

@@ -6,12 +6,13 @@ import weakref
 import numpy as np
 import pytest
 
+from gns_oracle import (apply_letter, contraction_ratio, dual_contraction_ratio, embed_lower,
+                        haagerup_norm, modular_check, monomial_matrix, random_element,
+                        reconstruct, word_of)
 from qhyper import state
 from qhyper.babyfock import GEN, STAR, UNIT, Y, BabyFock, get_model
-from qhyper.hyperc import contraction_ratio, dual_contraction_ratio
 from qhyper.signs import ModelParams, SignTable
-from qhyper.state import (defining_property_residual, density_solve, embed_lower,
-                          get_density, haagerup_norm, modular_check)
+from qhyper.state import defining_property_residual, density_solve, get_density
 
 MU = np.sqrt(2.0)
 
@@ -124,7 +125,7 @@ def test_density_route_needs_no_eigendecomposition(monkeypatch, n, mu, seed):
         raise AssertionError("eigh called on the density route")
 
     model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
-    x = model.random_element(np.random.default_rng(n))
+    x = random_element(model, np.random.default_rng(n))
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     get_density(model)
     assert haagerup_norm(model, x, 1.5) > 0
@@ -180,7 +181,7 @@ def test_modular_check_matches_dense_products(monkeypatch, n, mu, seed):
 def test_density_solve_agreement(n, seed, mu):
     model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
     closed = get_density(model)
-    solved = model.reconstruct(density_solve(model))
+    solved = reconstruct(model, density_solve(model))
     assert np.linalg.norm(solved - closed) <= 1e-9 * np.linalg.norm(closed)
 
 
@@ -190,12 +191,12 @@ def test_density_solve_blocks_match_dense_gram(n, mu, seed):
     trace(M_a M_b) built from dense monomials, for a random right-hand side,
     which reaches every block and not only the unit word's."""
     model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
-    mats = np.stack([model.monomial_matrix(model.word_of(w)) for w in range(model.dim)])
+    mats = np.stack([monomial_matrix(model, word_of(model, w)) for w in range(model.dim)])
     gram = np.einsum("arc,bcr->ab", mats, mats)
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-    dense = model.reconstruct(np.linalg.solve(gram, rhs))
-    blocks = model.reconstruct(density_solve(model, vacuum_values=rhs))
+    dense = reconstruct(model, np.linalg.solve(gram, rhs))
+    blocks = reconstruct(model, density_solve(model, vacuum_values=rhs))
     assert np.linalg.norm(blocks - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
@@ -219,7 +220,7 @@ def test_density_solve_corruption_detected(m1):
     rhs = np.zeros(m1.dim, dtype=complex)
     rhs[0] = 1.0
     rhs[3] = 5.0  # above the norm of the degree-two letter: infeasible for PSD
-    bad = m1.reconstruct(density_solve(m1, vacuum_values=rhs))
+    bad = reconstruct(m1, density_solve(m1, vacuum_values=rhs))
     assert np.min(np.linalg.eigvalsh(bad)) < -1e-6
 
 
@@ -242,7 +243,7 @@ def test_haagerup_norm_values(m1):
 
 
 def test_l2_orthogonality_of_letters(m1):
-    basis = [m1.apply_letter(L, 1, m1.identity()) for L in (UNIT, GEN, STAR, Y)]
+    basis = [apply_letter(m1, L, 1, m1.identity()) for L in (UNIT, GEN, STAR, Y)]
     emb = [b @ get_density(m1, 0.5) for b in basis]
     for i in range(4):
         for j in range(4):
@@ -258,7 +259,7 @@ def test_norm_monotone_in_p(m2):
     # the vacuum state is normalized, so the L^p norms grow with p
     rng = np.random.default_rng(8)
     for _ in range(5):
-        x = m2.random_element(rng)
+        x = random_element(m2, rng)
         vals = [haagerup_norm(m2, x, p) for p in (1, 1.5, 2, 3, 4, 6)]
         assert all(vals[k] <= vals[k + 1] + 1e-10 * vals[k] for k in range(len(vals) - 1))
 
@@ -276,7 +277,7 @@ def test_modular_exact_at_mu_one():
 def test_embedding_isometry(m2):
     small = get_model(m2.params.sub(1))
     rng = np.random.default_rng(11)
-    x = small.random_element(rng)
+    x = random_element(small, rng)
     lifted = embed_lower(x, small, m2)
     for p in (1.0, 1.7, 2.0, 2.5):
         a = haagerup_norm(small, x, p)
@@ -310,7 +311,7 @@ def test_defining_residual_stack_matches_per_word(n, mu):
     D = get_density(model)
 
     def per_word(X):
-        return max(abs(np.trace(X @ model.monomial_matrix(model.word_of(w))) - (w == 0))
+        return max(abs(np.trace(X @ monomial_matrix(model, word_of(model, w))) - (w == 0))
                    for w in range(model.dim))
 
     # the table's traces against one dense trace per word
@@ -332,7 +333,7 @@ def m5():
 
 def test_density_solve_agreement_n5(m5):
     closed = get_density(m5)
-    solved = m5.reconstruct(density_solve(m5))
+    solved = reconstruct(m5, density_solve(m5))
     assert np.linalg.norm(solved - closed) <= 1e-9 * np.linalg.norm(closed)
 
 
