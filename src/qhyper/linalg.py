@@ -1,11 +1,14 @@
-"""Dense Hermitian spectral calculus.
+"""Schatten norms, and the eps**2 coefficient of ||(1 + eps g) d||_p^p.
 
-Eigendecomposition, Schatten norms, fractional powers of positive
-matrices, and first/second derivatives of x -> x**(p/2) expressed
-through divided differences on the spectrum.  Divided differences
-switch from the difference quotient to the analytic limit when the
-relative eigenvalue gap drops below ``CONFLUENT_RELGAP``; the quotient
-is catastrophically cancellative for near-equal arguments.
+Schatten norms come from the SVD.  The expansion coefficient is taken
+three ways: in closed form, through the first and second derivatives of
+x -> x**(p/2), and by Richardson-extrapolated finite differences.  The
+derivatives are taken at a diagonal base point x = diag(w), w > 0, where
+each is the perturbation weighted entrywise by divided differences of
+x**(p/2) on w.  Divided differences switch from the difference quotient
+to the analytic limit when the relative gap drops below
+``CONFLUENT_RELGAP``; the quotient is catastrophically cancellative for
+near-equal arguments.
 """
 
 from __future__ import annotations
@@ -13,30 +16,15 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "CONFLUENT_RELGAP", "eig_hermitian", "singular_values",
-    "schatten_norm", "schatten_norm_from_sv", "psd_power", "PowerDividedDifferences",
-    "frechet1", "frechet2", "c_coeff", "expansion_second_order",
-    "expansion_via_frechet", "first_order_term", "richardson_second_coeff",
+    "CONFLUENT_RELGAP", "singular_values", "schatten_norm", "schatten_norm_from_sv",
+    "PowerDividedDifferences", "frechet1", "frechet2", "c_coeff",
+    "expansion_second_order", "expansion_via_frechet", "richardson_second_coeff",
 ]
 
 CONFLUENT_RELGAP = 1e-7
-# relative size of an anti-Hermitian part, and of a negative eigenvalue of
-# psd_power's input, below which it is taken as roundoff
-SPECTRAL_TOL = 1e-10
 # halved eps grid of richardson_second_coeff
 RICHARDSON_EPS = (1e-2, 5e-3, 2.5e-3)
 _TINY = 1e-300
-
-
-def eig_hermitian(A: np.ndarray) -> tuple:
-    """(w, v): eigenvalues in descending order and the matching unitary;
-    rejects visibly non-Hermitian input."""
-    A = np.asarray(A)
-    scale = np.linalg.norm(A)
-    if np.linalg.norm(A - A.conj().T) > SPECTRAL_TOL * max(scale, _TINY):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(A)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:
@@ -67,18 +55,6 @@ def schatten_norm_from_sv(s: np.ndarray, p: float):
     top = np.maximum(s[..., :1], _TINY)
     norms = top[..., 0] * np.sum((s / top) ** p, axis=-1) ** (1.0 / p)
     return float(norms) if norms.ndim == 0 else norms
-
-
-def psd_power(A: np.ndarray, alpha: float) -> np.ndarray:
-    """A**alpha by spectral calculus for positive semidefinite A."""
-    w, v = eig_hermitian(A)
-    top = np.max(np.abs(w)) if w.size else 0.0
-    if np.min(w) < -SPECTRAL_TOL * max(top, _TINY):
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-    w = np.clip(w, 0.0, None)
-    if alpha < 0 and np.min(w) <= 0.0:
-        raise ValueError("negative power of a singular matrix")
-    return (v * w ** alpha) @ v.conj().T
 
 
 # ============================================================================
@@ -133,31 +109,27 @@ class PowerDividedDifferences:
         return np.where(near_ab, lim, quot)
 
 
-def _spectral_setup(x: np.ndarray, p: float):
-    w, v = eig_hermitian(x)
-    if np.min(w) <= 1e-8 * max(np.max(np.abs(w)), _TINY):
-        raise ValueError("x must be safely positive definite for the derivative formulas")
-    return w, v, PowerDividedDifferences(p)
+def _positive(w) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1 or not np.all(w > 0.0):
+        raise ValueError("the base point must be a vector of positive entries")
+    return w
 
 
-def frechet1(x: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
-    """Derivative of x -> x**(p/2) at positive definite x applied to h."""
-    w, v, dd = _spectral_setup(x, p)
-    hp = v.conj().T @ h @ v
-    k1 = dd.f1(w[:, None], w[None, :])
-    return v @ (k1 * hp) @ v.conj().T
+def frechet1(w: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
+    """Derivative of x -> x**(p/2) at x = diag(w), w > 0, applied to h."""
+    w = _positive(w)
+    return PowerDividedDifferences(p).f1(w[:, None], w[None, :]) * h
 
 
-def frechet2(x: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
-    """Second derivative of x -> x**(p/2) at x applied to (h, h).
+def frechet2(w: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
+    """Second derivative of x -> x**(p/2) at x = diag(w) applied to (h, h).
 
-    Returns 2 * sum_{s,t,u} f2(l_s, l_t, l_u) p_s h p_t h p_u.
+    Returns 2 * sum_t f2(w_s, w_t, w_u) h_st h_tu.
     """
-    w, v, dd = _spectral_setup(x, p)
-    hp = v.conj().T @ h @ v
-    t2 = dd.f2(w[:, None, None], w[None, :, None], w[None, None, :])
-    k = 2.0 * np.einsum("stu,st,tu->su", t2, hp, hp, optimize=True)
-    return v @ k @ v.conj().T
+    w = _positive(w)
+    t2 = PowerDividedDifferences(p).f2(w[:, None, None], w[None, :, None], w[None, None, :])
+    return 2.0 * np.einsum("stu,st,tu->su", t2, h, h, optimize=True)
 
 
 # ============================================================================
@@ -166,63 +138,59 @@ def frechet2(x: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
 
 
 def c_coeff(p: float, lam: float) -> float:
-    """(lam**p - 1)/((lam**2 - 1)(1 - lam**-2)) - p lam**2 / (2 (lam**2 - 1))."""
+    """(lam**p - 1)/((lam**2 - 1)(1 - lam**-2)) - p lam**2 / (2 (lam**2 - 1)).
+
+    Written over the common denominator in s = ln lam, where each term of
+    (expm1(p s) - (p/2) expm1(2 s)) / (expm1(2 s) (-expm1(-2 s))) is
+    accurate to roundoff: the two O(1/s) terms of the displayed form cancel
+    to an O(1) value as lam -> 1.  The numerator still cancels to O(s**2),
+    so the relative error grows like 1e-16 / s.
+    """
     if p <= 2:
         raise ValueError(f"expansion coefficient needs p > 2, got {p}")
     if lam <= 0 or lam == 1.0:
         raise ValueError(f"lam must be positive and != 1, got {lam}")
-    l2 = lam * lam
-    return (lam ** p - 1.0) / ((l2 - 1.0) * (1.0 - 1.0 / l2)) - p * l2 / (2.0 * (l2 - 1.0))
+    s = np.log(lam)
+    return float((np.expm1(p * s) - 0.5 * p * np.expm1(2.0 * s))
+                 / (np.expm1(2.0 * s) * -np.expm1(-2.0 * s)))
 
 
 def _check_modular_pair(d: np.ndarray, g: np.ndarray, lam: float):
-    d = np.asarray(d)
-    g = np.asarray(g)
-    if np.linalg.norm(d - d.conj().T) > SPECTRAL_TOL * max(np.linalg.norm(d), _TINY):
-        raise ValueError("d must be self-adjoint")
-    resid = np.linalg.norm(d @ g - lam * (g @ d))
+    resid = np.linalg.norm(d[:, None] * g - lam * (g * d[None, :]))
     scale = max(np.linalg.norm(d) * np.linalg.norm(g), _TINY)
     if resid > 1e-8 * scale:
         raise ValueError(f"d g = lam g d violated: residual {resid:.3e} vs scale {scale:.3e}")
 
 
 def expansion_second_order(d: np.ndarray, g: np.ndarray, p: float, lam: float) -> float:
-    """Closed-form eps**2 coefficient of ||(1 + eps g) d||_p^p.
+    """Closed-form eps**2 coefficient of ||(1 + eps g) diag(d)||_p^p.
 
-    Requires d self-adjoint invertible and d g = lam g d with lam > 1.
+    Requires d > 0 and diag(d) g = lam g diag(d) with lam > 1.
     """
     if lam <= 1.0:
         raise ValueError(f"lam must be > 1, got {lam}")
+    d, g = _positive(d), np.asarray(g)
     _check_modular_pair(d, g, lam)
-    dp = psd_power(np.asarray(d) @ np.asarray(d), p / 2.0)
-    t_gg = float(np.real(np.trace(dp @ g.conj().T @ g)))
-    t_gg_star = float(np.real(np.trace(dp @ g @ g.conj().T)))
+    dp, g2 = d ** p, np.abs(g) ** 2
+    t_gg = float(dp @ g2.sum(axis=0))            # tr(d**p g* g)
+    t_gg_star = float(dp @ g2.sum(axis=1))       # tr(d**p g g*)
     return (p / 2.0 + c_coeff(p, lam)) * t_gg + c_coeff(p, 1.0 / lam) * t_gg_star
 
 
 def expansion_via_frechet(d: np.ndarray, g: np.ndarray, p: float) -> float:
     """Same eps**2 coefficient through the derivative machinery.
 
-    Expands tr (d**2 + eps d(g+g*)d + eps**2 d g*g d)**(p/2); the
-    second-order term combines the first derivative applied to the
+    Expands tr (d**2 + eps d(g+g*)d + eps**2 d g*g d)**(p/2), d = diag(d);
+    the second-order term combines the first derivative applied to the
     eps**2 part with half the second derivative applied to the eps part.
     """
-    d = np.asarray(d)
-    g = np.asarray(g)
-    x = d @ d
-    h1 = d @ (g + g.conj().T) @ d
-    h2 = d @ g.conj().T @ g @ d
-    first = np.trace(frechet1(x, h2, p))
-    second = 0.5 * np.trace(frechet2(x, h1, p))
+    d, g = _positive(d), np.asarray(g)
+    dd = np.outer(d, d)
+    h1 = dd * (g + g.conj().T)
+    h2 = dd * (g.conj().T @ g)
+    first = np.trace(frechet1(d * d, h2, p))
+    second = 0.5 * np.trace(frechet2(d * d, h1, p))
     return float(np.real(first + second))
-
-
-def first_order_term(d: np.ndarray, g: np.ndarray, p: float) -> float:
-    """tr of the derivative applied to d(g+g*)d; zero under d g = lam g d, lam != 1."""
-    d = np.asarray(d)
-    g = np.asarray(g)
-    h1 = d @ (g + g.conj().T) @ d
-    return float(np.real(np.trace(frechet1(d @ d, h1, p))))
 
 
 def richardson_second_coeff(fn) -> float:

@@ -115,6 +115,13 @@ def embed_lower(x_small: np.ndarray, small: BabyFock, big: BabyFock) -> np.ndarr
 # ============================================================================
 
 
+def eigh_power(D, alpha):
+    """D**alpha by eigh, with eigenvalues in [-1e-12, 0) clipped to 0: v w**alpha v*."""
+    w, v = np.linalg.eigh(D)
+    w = np.where((w < 0) & (w >= -1e-12), 0.0, w)
+    return (v * w ** alpha) @ v.conj().T
+
+
 def haagerup_norm(model: BabyFock, x: np.ndarray, p: float) -> float:
     """||x D**(1/p)||_p, the Schatten p-norm under the plain trace on C**(4**n),
     under which D has trace one."""

@@ -192,6 +192,16 @@ def test_bad_value_exit_code(capsys):
     assert "error" in errtext
 
 
+@pytest.mark.parametrize("argv", [["--mu", "1.0000001"],
+                                  ["--p", "2.001,10", "--mu", "1.00000001,30"]],
+                         ids=["mu-near-one", "corners"])
+def test_perturb_passes_inside_its_bounds(capsys, argv):
+    # mu near 1 once failed closed_vs_special through c_coeff's cancellation
+    code, out, _ = run(capsys, ["perturb", *argv])
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_assertion_failure_exit_code(capsys):
     # two samples at m = 5 miss the limit moment by 0.36, far outside the tolerance
     code, out, errtext = run(capsys, ["clt", "(s+s*)^4", "--m", "5", "--samples", "2",
@@ -526,6 +536,13 @@ BOUNDARY_CASES = [
     (["lpnorm", "--p", "0.5"], "lpnorm needs p >= 1"),
     (["perturb", "--p", "0"], "perturb needs p > 2"),
     (["perturb", "--p", "2"], "perturb needs p > 2"),
+    # past these the closed form's cancellation or the fixed finite-difference grid
+    # would fail a record falsely; --p 1e6 once overflowed float ** p
+    (["perturb", "--p", "10.5"], "--p at most 10"),
+    (["perturb", "--p", "1e6"], "--p at most 10"),
+    (["perturb", "--mu", "1.000000001"], "--mu in [1 + 1e-8, 30]"),
+    (["perturb", "--mu", "31"], "--mu in [1 + 1e-8, 30]"),
+    (["perturb", "--mu", "1e20"], "--mu in [1 + 1e-8, 30]"),
     (["hyperc-verify", "--t", "0.1,0.2"], "--t takes one value"),
     (["fock-moment", "(g+g*)^2", "--q", "0.1,0.2"], "--q takes one value"),
     (["clt", "(s+s*)^2", "--q", "0.1,0.2"], "--q takes one value"),

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gns_oracle import (apply_y, contraction_ratio, dual_contraction_ratio, embed_lower,
-                        expand, haagerup_norm, random_element, reconstruct)
+from gns_oracle import (apply_y, contraction_ratio, dual_contraction_ratio, eigh_power,
+                        embed_lower, expand, haagerup_norm, random_element, reconstruct)
 from qhyper import hyperc, state
 from qhyper.babyfock import BabyFock, get_model
 from qhyper.hyperc import (C_of_mu, RatioEvaluator, asym_convexity_check,
@@ -14,7 +14,7 @@ from qhyper.hyperc import (C_of_mu, RatioEvaluator, asym_convexity_check,
                            necessary_time_exact, sufficient_time, theorem_bound,
                            violation_search, witness_dual_to_primal,
                            witness_primal_to_dual)
-from qhyper.linalg import psd_power, schatten_norm
+from qhyper.linalg import schatten_norm
 from qhyper.signs import ModelParams, SignTable
 from qhyper.state import get_density
 
@@ -356,7 +356,7 @@ def _gns_transport(model, coeffs, t, p):
     scaled = np.asarray(coeffs) * np.exp(-t * model.monomial_degrees)
     z = reconstruct(model, scaled) @ get_density(model, 1.0 / pprime)
     z /= schatten_norm(z, pprime)
-    xi = z @ psd_power(z.conj().T @ z, (pprime - 2.0) / 2.0)
+    xi = z @ eigh_power(z.conj().T @ z, (pprime - 2.0) / 2.0)
     out = expand(model, xi @ get_density(model, -1.0 / p))
     return out / np.linalg.norm(out)
 

@@ -1,11 +1,11 @@
-"""Spectral calculus: eigen decompositions, norms, derivative machinery."""
+"""Schatten norms and the derivative machinery at a diagonal base point."""
 
 import numpy as np
 import pytest
 
-from qhyper.linalg import (PowerDividedDifferences, c_coeff, eig_hermitian,
-                           expansion_second_order, expansion_via_frechet,
-                           first_order_term, frechet1, frechet2, psd_power,
+from gns_oracle import eigh_power
+from qhyper.linalg import (PowerDividedDifferences, c_coeff, expansion_second_order,
+                           expansion_via_frechet, frechet1, frechet2,
                            richardson_second_coeff, schatten_norm)
 
 
@@ -16,18 +16,6 @@ def _rand_matrix(rng, m):
 def _rand_hermitian(rng, m):
     a = _rand_matrix(rng, m)
     return (a + a.conj().T) / 2
-
-
-def test_eig_hermitian_contract():
-    rng = np.random.default_rng(0)
-    h = _rand_hermitian(rng, 64)
-    w, v = eig_hermitian(h)
-    assert np.all(np.diff(w) <= 0)
-    assert np.linalg.norm((v * w) @ v.conj().T - h) <= 1e-10 * np.linalg.norm(h)
-    assert np.linalg.norm(v.conj().T @ v - np.eye(64)) <= 1e-10
-    assert np.allclose(eig_hermitian(np.diag([3.0, 1.0]))[0], [3.0, 1.0])
-    with pytest.raises(ValueError):
-        eig_hermitian(_rand_matrix(rng, 8))
 
 
 def test_schatten_norm_values():
@@ -67,18 +55,6 @@ def test_schatten_norm_graded_spectrum(m, p):
     assert schatten_norm(stack.reshape(2, 2, m, m), p).shape == (2, 2)
 
 
-def test_psd_power_composition():
-    rng = np.random.default_rng(2)
-    a = _rand_matrix(rng, 24)
-    pos = a @ a.conj().T
-    for alpha, beta in [(0.5, 2.0), (1.0 / 3.0, 0.5), (2.0, 0.25)]:
-        lhs = psd_power(psd_power(pos, alpha), beta)
-        rhs = psd_power(pos, alpha * beta)
-        assert np.linalg.norm(lhs - rhs) < 1e-9 * np.linalg.norm(rhs)
-    with pytest.raises(ValueError):
-        psd_power(-np.eye(3), 0.5)
-
-
 def test_divided_difference_confluence():
     dd = PowerDividedDifferences(3.0)
     assert abs(dd.f1(2.0, 2.0) - dd.df(2.0)) < 1e-15
@@ -94,36 +70,40 @@ def test_divided_difference_confluence():
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
 def test_frechet_vs_finite_difference(p):
+    # at a non-diagonal x: the engine runs in x's eigenbasis, the differences on x itself
     rng = np.random.default_rng(3)
     b = _rand_matrix(rng, 8)
     x = b @ b.conj().T + 0.5 * np.eye(8)
     h = _rand_hermitian(rng, 8)
+    w, v = np.linalg.eigh(x)
+    hw = v.conj().T @ h @ v
     eps = 1e-5
-    fd1 = (psd_power(x + eps * h, p / 2) - psd_power(x - eps * h, p / 2)) / (2 * eps)
-    fr1 = frechet1(x, h, p)
+    fd1 = (eigh_power(x + eps * h, p / 2) - eigh_power(x - eps * h, p / 2)) / (2 * eps)
+    fr1 = v @ frechet1(w, hw, p) @ v.conj().T
     assert np.linalg.norm(fd1 - fr1) < 1e-6 * np.linalg.norm(fr1)
     eps = 1e-4
-    fd2 = (psd_power(x + eps * h, p / 2) - 2 * psd_power(x, p / 2)
-           + psd_power(x - eps * h, p / 2)) / eps ** 2
-    fr2 = frechet2(x, h, p)
+    fd2 = (eigh_power(x + eps * h, p / 2) - 2 * eigh_power(x, p / 2)
+           + eigh_power(x - eps * h, p / 2)) / eps ** 2
+    fr2 = v @ frechet2(w, hw, p) @ v.conj().T
     assert np.linalg.norm(fd2 - fr2) < 1e-4 * np.linalg.norm(fr2)
     # trace identity for the first derivative
     lhs = np.trace(fr1)
-    rhs = (p / 2) * np.trace(psd_power(x, p / 2 - 1) @ h)
+    rhs = (p / 2) * np.trace(eigh_power(x, p / 2 - 1) @ h)
     assert abs(lhs - rhs) < 1e-8 * abs(lhs)
 
 
 def test_frechet_identity_base_case():
     rng = np.random.default_rng(4)
     h = _rand_hermitian(rng, 5)
-    assert np.linalg.norm(frechet1(np.eye(5), h, 3.0) - 1.5 * h) < 1e-12
-    with pytest.raises(ValueError):
-        frechet1(np.diag([1.0, 0.0]), h[:2, :2], 3.0)
+    assert np.linalg.norm(frechet1(np.ones(5), h, 3.0) - 1.5 * h) < 1e-12
+    for w in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan], np.eye(2)):
+        with pytest.raises(ValueError):
+            frechet1(np.asarray(w), h[:2, :2], 3.0)
 
 
 def _modular_pair(rng, sizes, lam):
-    """Block pair with d g = lam g d: d diagonal blocks, g a shift block."""
-    d = np.diag(np.concatenate([np.full(sizes[0], lam), np.ones(sizes[1])]))
+    """Block pair with diag(d) g = lam g diag(d): d a vector, g a shift block."""
+    d = np.concatenate([np.full(sizes[0], lam), np.ones(sizes[1])])
     g = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
     g[:sizes[0], sizes[0]:] = _rand_matrix(rng, sizes[0])[:, :sizes[1]]
     return d, g
@@ -143,6 +123,16 @@ def test_c_coeff_consistency_with_alternate_form():
         c_coeff(3.0, 1.0)
 
 
+@pytest.mark.parametrize("p", [2.001, 3.0, 6.0, 10.0])
+def test_c_coeff_near_one(p):
+    # c(e**s) = p(p - 2)/8 + p(p**2 - 4) s/24 + O(s**2), against the coefficient's own
+    # scale p**2/4 at lam = 1; the displayed form, which cancels two O(1/s) terms, is off
+    # by more than 4e-7 p**2 at s = 1e-6
+    for s in (1e-6, -1e-6, 1e-7):
+        series = p * (p - 2.0) / 8.0 + p * (p * p - 4.0) * s / 24.0
+        assert abs(c_coeff(p, np.exp(s)) - series) <= 1e-9 * p * p
+
+
 @pytest.mark.parametrize("p,lam", [(3.0, 1.5), (4.0, 2.0), (6.0, 1.2)])
 def test_expansion_second_order_against_finite_difference(p, lam):
     rng = np.random.default_rng(5)
@@ -150,11 +140,13 @@ def test_expansion_second_order_against_finite_difference(p, lam):
     closed = expansion_second_order(d, g, p, lam)
     frech = expansion_via_frechet(d, g, p)
     fd = richardson_second_coeff(
-        lambda e: schatten_norm((np.eye(d.shape[0]) + e * g) @ d, p) ** p)
+        lambda e: schatten_norm((np.eye(d.size) + e * g) * d, p) ** p)
     assert abs(closed - fd) < 1e-4 * abs(fd)
     assert abs(frech - fd) < 1e-4 * abs(fd)
-    # the displayed first-order term vanishes through the commutation
-    assert abs(first_order_term(d, g, p)) < 1e-8 * abs(closed)
+    # the displayed first-order term, tr of the derivative applied to d(g+g*)d, vanishes
+    # through the commutation
+    first = np.trace(frechet1(d * d, np.outer(d, d) * (g + g.conj().T), p))
+    assert abs(first) < 1e-8 * abs(closed)
     # zero perturbation
     assert expansion_second_order(d, np.zeros_like(g), p, lam) == 0.0
 
@@ -168,6 +160,8 @@ def test_expansion_rejects_bad_pairs():
         expansion_second_order(d, g, 3.0, 2.5)    # wrong lam breaks commutation
     with pytest.raises(ValueError):
         expansion_second_order(d, _rand_matrix(rng, 4), 3.0, 1.7)
+    with pytest.raises(ValueError):
+        expansion_second_order(-d, g, 3.0, 1.7)     # d must be positive
 
 
 def test_richardson_known_series():

@@ -6,9 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from gns_oracle import (apply_letter, contraction_ratio, dual_contraction_ratio, embed_lower,
-                        haagerup_norm, modular_check, monomial_matrix, random_element,
-                        reconstruct, word_of)
+from gns_oracle import (apply_letter, contraction_ratio, dual_contraction_ratio, eigh_power,
+                        embed_lower, haagerup_norm, modular_check, monomial_matrix,
+                        random_element, reconstruct, word_of)
 from qhyper import state
 from qhyper.babyfock import GEN, STAR, UNIT, Y, BabyFock, get_model
 from qhyper.signs import ModelParams, SignTable
@@ -88,13 +88,6 @@ def dense_product_density(model):
         lam = 1.0 / (1.0 + mu ** 4)
         D = (1.0 - lam) * D + (2.0 * lam - 1.0) * (D @ p)
     return D / np.trace(D).real
-
-
-def eigh_power(D, alpha):
-    """D**alpha by eigh, with eigenvalues in [-1e-12, 0) clipped to 0: v w**alpha v*."""
-    w, v = np.linalg.eigh(D)
-    w = np.where((w < 0) & (w >= -1e-12), 0.0, w)
-    return (v * w ** alpha) @ v.conj().T
 
 
 def _rel(a, b):
