@@ -27,7 +27,6 @@ calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,29 +36,11 @@ from .signs import ModelParams
 
 __all__ = [
     "UNIT", "GEN", "STAR", "Y", "LETTER_DEGREE",
-    "BabyFock", "get_model", "RelationsReport",
+    "BabyFock", "get_model",
 ]
 
 UNIT, GEN, STAR, Y = 0, 1, 2, 3
 LETTER_DEGREE = (0, 1, 1, 2)
-
-
-@dataclass
-class RelationsReport:
-    """Max absolute residuals of the generator relations, per family."""
-
-    commutation: float
-    star_commutation: float
-    square: float
-    anticommutator: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.commutation, self.star_commutation,
-                   self.square, self.anticommutator)
-
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.max_residual <= tol
 
 
 class BabyFock:
@@ -338,8 +319,9 @@ class BabyFock:
         blocks = self.apply_gamma(i, probe)[outer[:, None] | masks]
         return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
 
-    def verify_relations(self, check_signs=None) -> RelationsReport:
-        """Residuals of the four generator relation families.
+    def verify_relations(self, check_signs=None) -> dict:
+        """Max absolute residuals of the four generator relation families, by name:
+        commutation, star_commutation, square and anticommutator, in that order.
 
         Each relation operator flips only the bits of +-i and +-j, so it is
         applied, by the letter kernels, to the (4**n, 16) class probe of the
@@ -375,8 +357,8 @@ class BabyFock:
             acomm = gs(i, gam) + g(i, gst)
             acomm -= (self.mu[i - 1] ** 2 + self.mu[i - 1] ** -2) * probe
             anti = max(anti, maxabs(acomm))
-        return RelationsReport(commutation=comm, star_commutation=star_comm,
-                               square=square, anticommutator=anti)
+        return {"commutation": comm, "star_commutation": star_comm,
+                "square": square, "anticommutator": anti}
 
 
 @lru_cache(maxsize=64)

@@ -14,7 +14,11 @@ The partitions are enumerated once per (word, weights) and grouped by
 crossing graph; a sample then costs one small contraction of its sign
 matrix per group.  The budget (MAX_CLT_WORD letters, 1 <= m <= MAX_CLT_M,
 2nm <= 1022) keeps every accepted size within reach of the tests'
-independent sparse Fock oracle.
+independent sparse Fock oracle.  ``convergence_report`` gives each m's mean
+and standard error over the sign samples; the ``clt`` command reports them.
+``dense_reference_moment`` evaluates one sample's moment in the flat base
+model; no command calls it, but the benchmark's ``campaign`` checks the
+``clt`` mean against it.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ from .qfock import QParams, _crossing_pairs, _pair_weights, _pairings, moment, p
 from .signs import check_weights
 
 __all__ = [
-    "BigSignSample", "sample_signs", "clt_estimate",
-    "convergence_report", "sample_moment", "dense_reference_moment",
-    "MAX_CLT_WORD", "MAX_CLT_M",
+    "BigSignSample", "sample_signs", "convergence_report", "sample_moment",
+    "dense_reference_moment", "MAX_CLT_WORD", "MAX_CLT_M",
 ]
 
 MAX_CLT_WORD = 6
@@ -134,8 +137,14 @@ def sample_moment(letters, sample: BigSignSample, mu) -> complex:
     return complex(total / m ** (len(letters) // 2))
 
 
-def _prepare(letters, mu, samples: int):
-    """Parsed letters, mu as a float tuple, and n, for the estimators."""
+def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int) -> list:
+    """Rows of (m, mean, stderr, oracle, abs err) against the exact oracle.
+
+    Row m averages the moments of sign samples 0..samples-1.  The limit
+    statement holds sample by sample, so each row also carries the raw
+    moments of the first ``TRAJECTORIES`` pinned sign samples ("traj", at
+    most ``samples`` of them), not just the average.
+    """
     if isinstance(letters, str):
         letters = parse_word(letters)
     mu = check_weights(mu if np.iterable(mu) else (mu,))
@@ -144,38 +153,16 @@ def _prepare(letters, mu, samples: int):
         raise ValueError(f"need {n} mu values")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    return letters, mu, n
-
-
-def _estimate(letters, q: float, mu, n: int, m: int, samples: int, seed: int):
-    """Per-sample moments of samples 0..samples-1, their mean and standard error."""
-    vals = np.array([sample_moment(letters, sample_signs(q, n, m, seed, sample_index=s), mu)
-                     for s in range(samples)], dtype=np.complex128)
-    var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1) if samples > 1 else 0.0
-    return vals, complex(vals.mean()), float(np.sqrt(var / samples))
-
-
-def clt_estimate(letters, q: float, mu, m: int, samples: int, seed: int):
-    """Monte-Carlo mean and standard error of tau over sign samples."""
-    letters, mu, n = _prepare(letters, mu, samples)
-    return _estimate(letters, q, mu, n, m, samples, seed)[1:]
-
-
-def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int) -> list:
-    """Rows of (m, mean, stderr, oracle, abs err) against the exact oracle.
-
-    The limit statement holds sample by sample, so each row also carries
-    the raw moments of the first ``TRAJECTORIES`` pinned sign samples
-    ("traj", at most ``samples`` of them), not just the average.
-    """
-    letters, mu, n = _prepare(letters, mu, samples)
     for m in m_list:
         _validate_word(letters, n, int(m))
     oracle = moment(letters, QParams(q=q, n=n, mu=mu[:n]))
     rows = []
-    for m in m_list:
-        vals, mean, stderr = _estimate(letters, q, mu, n, int(m), samples, seed)
-        rows.append({"m": int(m), "mean": mean, "stderr": stderr,
+    for m in map(int, m_list):
+        vals = np.array([sample_moment(letters, sample_signs(q, n, m, seed, sample_index=s), mu)
+                         for s in range(samples)], dtype=np.complex128)
+        var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1) if samples > 1 else 0.0
+        mean = complex(vals.mean())
+        rows.append({"m": m, "mean": mean, "stderr": float(np.sqrt(var / samples)),
                      "oracle": oracle, "abs_err": abs(mean - oracle),
                      "traj": [complex(v) for v in vals[:TRAJECTORIES]]})
     return rows

@@ -7,22 +7,24 @@ sufficient threshold is the proof-level bound
     exp(-2t) <= min over indices of
         min{ (mu**4 + 1)**(1 - 2/p) (p - 1),  sqrt(C(mu)) sqrt(p - 1) },
 
-with C(mu) the asymmetric-convexity constant.  The necessary threshold
-comes from the second-order expansion of the canonical witness family
-1 + eps g: exactly (mu**(4/n) - 1)/(mu**4 - 1) at p' = 2n, while the
-displayed closed form (1/n) mu**(4/n - 4) differs for mu > 1; both are
-reported with a discrepancy flag.
+with C(mu) the asymmetric-convexity constant.  The three convexity
+inequalities behind it are taken on stacks of random pairs, one SVD per
+pair (``convexity_margins``).  The necessary threshold comes from the
+second-order expansion of the canonical witness family 1 + eps g: exactly
+(mu**(4/n) - 1)/(mu**4 - 1) at p' = 2n, while the displayed closed form
+(1/n) mu**(4/n - 4) differs for mu > 1; both are reported with a
+discrepancy flag.
 
 The search is multistart randomized coordinate ascent over monomial
 coefficients, vectorized across restarts and deterministic for a fixed
-seed; it only ever produces lower bounds on the operator norm.  It, the
-structural split checks and the duality transport work on monomial
-coefficients with every Schatten norm taken in the closed-form 2**n
-dimensional irreducible representation; none reads the 4**n model.  The
-GNS-space ratios ``contraction_ratio`` and ``dual_contraction_ratio``, dense
-Haagerup norms of 4**n matrices, are the tests' oracle in
-``tests/gns_oracle.py``.  ``state.get_density`` stays in ``src`` only because
-the benchmark's ``search`` set-up calls it.
+seed; it only ever produces lower bounds on the operator norm.  It and the
+duality transport work on monomial coefficients with every Schatten norm
+taken in the closed-form 2**n dimensional irreducible representation; none
+reads the 4**n model.  The per-pair convexity functions and the structural
+split identities of the n-index algebra over the (n-1)-index one are the
+tests' reference, in ``tests/paper_reference.py``; the GNS-space ratios
+``contraction_ratio`` and ``dual_contraction_ratio``, dense Haagerup norms of
+4**n matrices, are the tests' oracle in ``tests/gns_oracle.py``.
 """
 
 from __future__ import annotations
@@ -31,17 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .babyfock import GEN, STAR, UNIT, Y, BabyFock, get_model
+from .babyfock import GEN, BabyFock
 from .linalg import schatten_norm, schatten_norm_from_sv, singular_values
 from .semigroup import apply_OU_coeffs
 
 __all__ = [
-    "C_of_mu", "bcl_check", "asym_convexity_check", "dual_convexity_check",
-    "convexity_stack", "convexity_margins_sv", "convexity_margins",
-    "sufficient_time", "theorem_bound", "RatioEvaluator", "ViolationWitness",
-    "violation_search", "NecessaryThreshold", "necessary_time_exact",
-    "decomposition_identity_check", "gamma_lower_bound_check",
-    "disjoint_support_check", "witness_primal_to_dual", "witness_dual_to_primal",
+    "C_of_mu", "convexity_stack", "convexity_margins_sv", "convexity_margins",
+    "sufficient_time", "RatioEvaluator", "ViolationWitness", "violation_search",
+    "NecessaryThreshold", "necessary_time_exact", "witness_primal_to_dual",
+    "witness_dual_to_primal",
 ]
 
 SEARCH_ITERS = 200          # coordinate-ascent steps per search restart
@@ -72,59 +72,23 @@ def C_of_mu(p: float, mu: float) -> float:
     return mu ** (8.0 - 16.0 / p) / 3.0
 
 
-def bcl_check(A: np.ndarray, B: np.ndarray, p: float) -> float:
-    """Margin of the two-point convexity inequality, >= 0 for 1 < p <= 2."""
-    if not (1.0 < p <= 2.0):
-        raise ValueError(f"need 1 < p <= 2, got {p}")
-    lhs = (0.5 * schatten_norm(A + B, p) ** p + 0.5 * schatten_norm(A - B, p) ** p) ** (2.0 / p)
-    return float(lhs - schatten_norm(A, p) ** 2 - (p - 1.0) * schatten_norm(B, p) ** 2)
-
-
-def asym_convexity_check(A: np.ndarray, B: np.ndarray, p: float, mu: float) -> float:
-    """Margin of the weighted asymmetric version with constant C(mu)."""
-    lam = _lam(mu)
-    lhs = (lam * schatten_norm(A + mu ** 2 * B, p) ** p
-           + (1.0 - lam) * schatten_norm(A - B / mu ** 2, p) ** p) ** (2.0 / p)
-    rhs = schatten_norm(A, p) ** 2 + C_of_mu(p, mu) * (p - 1.0) * schatten_norm(B, p) ** 2
-    return float(lhs - rhs)
-
-
-def dual_convexity_check(X: np.ndarray, Y: np.ndarray, q: float, mu: float,
-                         coeff: float | None = None) -> float:
-    """Margin of the dual inequality for q >= 2.
-
-    The default coefficient (q-1) / (mu**4 C(p, mu)) with p conjugate to
-    q is the one the duality argument produces; at q = 2 the sharp
-    coefficient mu**-4 (an equality) can be passed explicitly.
-    """
-    if q < 2.0:
-        raise ValueError(f"need q >= 2, got {q}")
-    lam = _lam(mu)
-    if coeff is None:
-        coeff = (q - 1.0) / (mu ** 4 * C_of_mu(q / (q - 1.0), mu))
-    lhs = schatten_norm(X, q) ** 2 + coeff * schatten_norm(Y, q) ** 2
-    rhs = (lam * schatten_norm(X + Y, q) ** q
-           + (1.0 - lam) * schatten_norm(X - (lam / (1.0 - lam)) * Y, q) ** q) ** (2.0 / q)
-    return float(lhs - rhs)
-
-
 def _per_mu(mu: np.ndarray, fn) -> np.ndarray:
     """fn of each weight in Python float arithmetic, once per distinct weight.
 
     numpy's array ``**`` can differ from Python's scalar ``**`` by an ulp, so
-    the per-pair constants are taken as the per-sample functions take them.
+    the per-pair constants are taken as the tests' per-pair reference takes them,
+    and the ``convexity`` records keep their bytes.
     """
     values, inverse = np.unique(mu, return_inverse=True)
     return np.array([fn(float(m)) for m in values])[inverse]
 
 
 def convexity_stack(A: np.ndarray, B: np.ndarray, mu) -> np.ndarray:
-    """The seven distinct matrices of the three convexity checks, per pair.
+    """The seven distinct matrices of the three convexity inequalities, per pair.
 
     A, B are (K, m, m) and mu is one weight per pair; the (K, 7, m, m)
     result holds A, B, A + B, A - B, A + mu**2 B, A - B / mu**2 and
-    A - (lam / (1 - lam)) B, each formed as ``bcl_check``,
-    ``asym_convexity_check`` and ``dual_convexity_check`` form it.
+    A - (lam / (1 - lam)) B, lam = 1 / (1 + mu**4).
     """
     mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), A.shape[:1])
     if np.any(mu < 1.0):
@@ -143,9 +107,17 @@ def convexity_stack(A: np.ndarray, B: np.ndarray, mu) -> np.ndarray:
 
 
 def convexity_margins_sv(s: np.ndarray, p: float, mu, q: float) -> tuple:
-    """Margins of bcl_check(A, B, p), asym_convexity_check(A, B, p, mu) and
-    dual_convexity_check(A, B, q, mu) from the (K, 7, m) singular values
-    of ``convexity_stack``: three (K,) arrays, not normalized."""
+    """The three convexity margins from the (K, 7, m) singular values of
+    ``convexity_stack``: three (K,) arrays, not normalized, with ||.|| = ||.||_p,
+    C = C(p, mu) and c = (q - 1) / (mu**4 C(q / (q - 1), mu)):
+
+    - two-point: ((||A + B||**p + ||A - B||**p) / 2)**(2/p) - ||A||**2 - (p - 1) ||B||**2;
+    - asymmetric: (lam ||A + mu**2 B||**p + (1 - lam) ||A - B / mu**2||**p)**(2/p)
+      - ||A||**2 - C (p - 1) ||B||**2;
+    - dual, in the q-norm: ||A||**2 + c ||B||**2
+      - (lam ||A + B||**q + (1 - lam) ||A - (lam / (1 - lam)) B||**q)**(2/q).
+
+    Each is >= 0 for 1 < p <= 2 and q >= 2."""
     if not (1.0 < p <= 2.0):
         raise ValueError(f"need 1 < p <= 2, got {p}")
     if q < 2.0:
@@ -165,8 +137,7 @@ def convexity_margins_sv(s: np.ndarray, p: float, mu, q: float) -> tuple:
 def convexity_margins(A: np.ndarray, B: np.ndarray, p: float, mu, q: float) -> tuple:
     """The three convexity margins of each pair over ||A||_2**2 + ||B||_2**2.
 
-    One stacked SVD of the seven distinct matrices per pair replaces the
-    fourteen that the three per-sample functions take.
+    One stacked SVD of the seven distinct matrices per pair serves all three.
     """
     s = singular_values(convexity_stack(A, B, mu))
     nA, nB = schatten_norm_from_sv(s[:, :2], 2.0).T
@@ -190,13 +161,6 @@ def sufficient_time(p: float, mu) -> float:
         b = np.sqrt(C_of_mu(p, float(m))) * np.sqrt(p - 1.0)
         best = min(best, a, b)
     return float(best)
-
-
-def theorem_bound(p: float, alpha_mu: float, c_universal: float) -> float:
-    """exp(-2t) <= C alpha**(4 - 8/p) (p - 1); the constant is a free input."""
-    if not (1.0 < p < 2.0):
-        raise ValueError(f"need 1 < p < 2, got {p}")
-    return float(c_universal * alpha_mu ** (4.0 - 8.0 / p) * (p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -406,63 +370,3 @@ def witness_dual_to_primal(model: BabyFock, coeffs: np.ndarray, t: float, p: flo
     u, s, vh = np.linalg.svd(z / schatten_norm(z, pprime))
     out = model.irrep_coeffs((u * s ** (pprime - 1.0)) @ vh, p)
     return out / np.linalg.norm(out)
-
-
-# ============================================================================
-# structural identities (position of the smaller algebra)
-# ============================================================================
-
-
-def _split(model: BabyFock, p: float, x, z, *letters) -> tuple:
-    """pi(x) rho**(1/p) and pi(z) rho**(1/p) for two coefficient vectors of the model on
-    indices 1..n-1, in that model and lifted into this one (a word keeps its linear index,
-    so a lift is a zero-pad), then pi of each given letter at index n."""
-    small = get_model(model.params.sub(model.n - 1))
-    c = np.array([x, z], dtype=np.complex128)
-    return (small.irrep_sum(c, p),
-            model.irrep_sum(np.pad(c, ((0, 0), (0, model.dim - small.dim))), p),
-            *(model.irrep_matrix((UNIT,) * small.n + (l,)) for l in letters))
-
-
-def decomposition_identity_check(a: np.ndarray, d: np.ndarray, p: float,
-                                 model: BabyFock) -> dict:
-    """Both sides of the exact split of || (a + y_n d) D**(1/p) ||_p**2.
-
-    a, d are monomial coefficients of the model on indices 1..n-1.
-    """
-    mu = model.mu[model.n - 1]
-    lam = _lam(mu)
-    (sa, sd), (A, Dd), y = _split(model, p, a, d, Y)
-    lhs = schatten_norm(A + y @ Dd, p) ** 2
-    plus, minus = schatten_norm(np.array([sa + mu ** 2 * sd, sa - sd / mu ** 2]), p)
-    rhs = (lam * plus ** p + (1.0 - lam) * minus ** p) ** (2.0 / p)
-    return {"lhs": float(lhs), "rhs": float(rhs),
-            "residual": float(abs(lhs - rhs)), "scale": float(max(lhs, rhs, 1e-300))}
-
-
-def gamma_lower_bound_check(b: np.ndarray, c: np.ndarray, p: float,
-                            model: BabyFock) -> dict:
-    """Margins of || g_n b D**(1/p) ||_p >= lam**(1/p) (mu^2+mu^-2)**(1/2) || b D'**(1/p) ||_p
-    and the starred counterpart with 1 - lam; b, c as in the decomposition check."""
-    mu = model.mu[model.n - 1]
-    lam = _lam(mu)
-    fac = np.sqrt(mu ** 2 + mu ** -2)
-    small, big, g, gs = _split(model, p, b, c, GEN, STAR)
-    lhs_b, lhs_c = schatten_norm(np.array([g, gs]) @ big, p)
-    rhs_b, rhs_c = np.array([lam, 1.0 - lam]) ** (1.0 / p) * fac * schatten_norm(small, p)
-    return {"margin_b": float(lhs_b - rhs_b), "margin_c": float(lhs_c - rhs_c),
-            "scale_b": float(max(lhs_b, rhs_b, 1e-300)),
-            "scale_c": float(max(lhs_c, rhs_c, 1e-300))}
-
-
-def disjoint_support_check(b: np.ndarray, c: np.ndarray, p: float,
-                           model: BabyFock) -> dict:
-    """p-th power additivity of g_n b + g*_n c (disjoint supports); b, c as in the gamma check."""
-    _, big, g, gs = _split(model, p, b, c, GEN, STAR)
-    gb, gc = np.array([g, gs]) @ big
-    if not (np.any(np.abs(gb) > 0) or np.any(np.abs(gc) > 0)):
-        raise ValueError("both parts vanish; additivity check is degenerate")
-    total = schatten_norm(gb + gc, p) ** p
-    parts = schatten_norm(gb, p) ** p + schatten_norm(gc, p) ** p
-    return {"residual": float(abs(total - parts)),
-            "scale": float(max(total, parts, 1e-300))}

@@ -22,8 +22,6 @@ __all__ = [
 ]
 
 CONFLUENT_RELGAP = 1e-7
-# halved eps grid of richardson_second_coeff
-RICHARDSON_EPS = (1e-2, 5e-3, 2.5e-3)
 _TINY = 1e-300
 
 
@@ -193,21 +191,15 @@ def expansion_via_frechet(d: np.ndarray, g: np.ndarray, p: float) -> float:
     return float(np.real(first + second))
 
 
-def richardson_second_coeff(fn) -> float:
+def richardson_second_coeff(fn, h: float) -> float:
     """eps**2 Taylor coefficient of fn at 0 by extrapolated central differences.
 
     Each estimate (fn(e) + fn(-e) - 2 fn(0)) / (2 e**2) has an error
-    series in e**2; Richardson extrapolation over the halved eps grid
-    ``RICHARDSON_EPS`` removes the leading terms.
+    series in e**2; Richardson extrapolation over the halved steps
+    (h, h/2, h/4) removes the leading terms.
     """
     f0 = fn(0.0)
-    est = [(fn(e) + fn(-e) - 2.0 * f0) / (2.0 * e * e) for e in RICHARDSON_EPS]
-    table = [est]
-    for level in range(1, len(est)):
-        prev = table[-1]
-        row = []
-        for i in range(len(prev) - 1):
-            w = ((RICHARDSON_EPS[i] / RICHARDSON_EPS[i + 1]) ** 2) ** level
-            row.append((w * prev[i + 1] - prev[i]) / (w - 1.0))
-        table.append(row)
-    return float(table[-1][0])
+    est = [(fn(e) + fn(-e) - 2.0 * f0) / (2.0 * e * e) for e in (h, h / 2.0, h / 4.0)]
+    for w in (4.0, 16.0):       # halving the step divides the level's leading error by w
+        est = [(w * b - a) / (w - 1.0) for a, b in zip(est, est[1:])]
+    return float(est[0])

@@ -7,8 +7,10 @@ Generalized circular letters expand as
 g_i = mu_i**-1 l(e_i) + mu_i l*(e_{-i}).  Moments are computed two
 independent ways: by operator application to the vacuum, and by a
 pair-partition sum with crossing weight q**crossings; the two must
-agree, which pins the annihilation convention against the abstract
-definition by adjointness.
+agree (``fock-moment`` reports their disagreement).  The q-inner product
+and its Gram matrices, which pin the annihilation convention against the
+abstract definition by adjointness, are the tests' reference, in
+``tests/paper_reference.py``.
 
 Word expressions admit the token (g+g*), the real combination divided
 by sqrt(mu**2 + mu**-2) so that its square has moment exactly one; raw
@@ -26,13 +28,11 @@ import numpy as np
 from .signs import check_weights
 
 __all__ = [
-    "QParams", "create_apply", "annihilate_apply", "gram_matrix", "q_inner",
-    "positivity_check", "letter_parts", "moment", "moment_operator", "moment_pairings",
-    "parse_word", "word_adjoint",
+    "QParams", "create_apply", "annihilate_apply", "letter_parts", "moment",
+    "moment_operator", "moment_pairings", "parse_word",
 ]
 
 MAX_WORD_LEN = 10
-MAX_GRAM_LEVEL = 8
 
 
 @dataclass(frozen=True)
@@ -71,75 +71,6 @@ def annihilate_apply(label: int, v: dict, params: QParams) -> dict:
             nw = w[:pos] + w[pos + 1:]
             out[nw] = out.get(nw, 0.0) + (q ** pos) * c
     return out
-
-
-# ============================================================================
-# q-inner product
-# ============================================================================
-
-
-def _gram_entry(u: tuple, v: tuple, q: float) -> float:
-    """Sum of q**inversions over permutations matching v onto u."""
-    k = len(u)
-    if k == 0:
-        return 1.0
-    dp = {0: 1.0}
-    for r in range(k):
-        ndp = {}
-        for used, val in dp.items():
-            for s in range(k):
-                bit = 1 << s
-                if used & bit or v[s] != u[r]:
-                    continue
-                above = (used >> (s + 1)).bit_count()
-                key = used | bit
-                ndp[key] = ndp.get(key, 0.0) + val * q ** above
-        dp = ndp
-        if not dp:
-            return 0.0
-    return dp.get((1 << k) - 1, 0.0)
-
-
-def gram_matrix(words, q: float) -> np.ndarray:
-    """Gram matrix of same-level basis words under the q-inner product."""
-    words = [tuple(w) for w in words]
-    if not words:
-        return np.zeros((0, 0))
-    k = len(words[0])
-    if any(len(w) != k for w in words):
-        raise ValueError("gram_matrix needs words of one level")
-    if k > MAX_GRAM_LEVEL:
-        raise ValueError(f"gram level capped at {MAX_GRAM_LEVEL}")
-    g = np.empty((len(words), len(words)))
-    for a, u in enumerate(words):
-        for b, v in enumerate(words):
-            if b < a:
-                g[a, b] = g[b, a]
-            else:
-                g[a, b] = _gram_entry(u, v, q)
-    return g
-
-
-def q_inner(x: dict, y: dict, q: float) -> complex:
-    """<x, y>_q, linear in the first argument; words of different levels are orthogonal."""
-    total = 0.0 + 0.0j
-    for u, cu in x.items():
-        for v, cv in y.items():
-            if len(u) == len(v):
-                total += cu * np.conj(cv) * _gram_entry(u, v, q)
-    return complex(total)
-
-
-def positivity_check(k: int, q: float, sample_words) -> float:
-    """Smallest Gram eigenvalue over the given level-k words."""
-    if not (-1.0 < q < 1.0):
-        raise ValueError("positivity check needs -1 < q < 1")
-    if k > 6:
-        raise ValueError("positivity check capped at level 6")
-    words = [tuple(w) for w in sample_words]
-    if any(len(w) != k for w in words):
-        raise ValueError("sample words must have level k")
-    return float(np.min(np.linalg.eigvalsh(gram_matrix(words, q))))
 
 
 # ============================================================================
@@ -194,12 +125,6 @@ def parse_word(text: str) -> list:
     if not letters:
         raise ValueError("empty word")
     return letters
-
-
-def word_adjoint(letters) -> list:
-    """Adjoint word: reversed order with g <-> g* (x is self-adjoint)."""
-    flip = {"g": "g*", "g*": "g", "x": "x"}
-    return [(flip[k], i) for k, i in reversed(letters)]
 
 
 def letter_parts(kind: str, mu: float) -> tuple:

@@ -2,13 +2,14 @@
 
 P_t acts diagonally on the monomial basis: a word picks up exp(-t * degree)
 where the unit letter counts 0, g and g* count 1, and y counts 2
-(``apply_OU_coeffs``).  The per-index factors T_i scale only the letter at
-index i, and their complete positivity reduces to a 4x4 Choi matrix in
-closed form.  P_t and T_i on dense 4**n elements, P_t's cross-check on
-vacuum vectors, the randomized positivity search and the four-term L2
-identity are the tests' oracle, in ``tests/gns_oracle.py``: no command
-reaches them.  Of the 4**n model only ``state.get_density`` stays in ``src``
-beside the monomial table, because the benchmark's ``search`` set-up calls it.
+(``apply_OU_coeffs``; only ``hyperc``'s witness transports call it, and no
+command reaches them yet).  The per-index factors T_i scale only the letter
+at index i, and their complete positivity reduces to a 4x4 Choi matrix in
+closed form: the ``choi`` command takes its smallest eigenvalue over a
+stacked grid, beside the closed-form determinant identity.  P_t and T_i on
+dense 4**n elements, P_t's cross-check on vacuum vectors, the randomized
+positivity search and the four-term L2 identity are the tests' oracle, in
+``tests/gns_oracle.py``: no command reaches them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .babyfock import BabyFock
 
-__all__ = ["apply_OU_coeffs", "choi_matrix", "choi_identity_residual", "is_cp"]
+__all__ = ["apply_OU_coeffs", "choi_matrix", "choi_identity_residual"]
 
 
 def apply_OU_coeffs(model: BabyFock, coeffs: np.ndarray, t: float) -> np.ndarray:
@@ -64,7 +65,3 @@ def choi_identity_residual(t, mu: float):
     resid = np.abs(lhs - rhs)
     return float(resid) if resid.ndim == 0 else resid
 
-
-def is_cp(t: float, mu: float, tol: float = 1e-12) -> bool:
-    """Complete positivity of the factor channel: Choi matrix PSD."""
-    return bool(np.min(np.linalg.eigvalsh(choi_matrix(t, mu))) >= -tol)

@@ -65,15 +65,6 @@ class SignTable:
         return cls.from_dict(
             {pair: (1 if u < P_PLUS else -1) for pair, u in zip(pairs, draws)}, n)
 
-    def eps(self, i: int, j: int) -> int:
-        """Full sign function on I x I."""
-        k, l = abs(i), abs(j)
-        if not (1 <= k <= self.n and 1 <= l <= self.n):
-            raise ValueError(f"index out of range: ({i}, {j}) for n={self.n}")
-        if k == l:
-            return -1
-        return dict(self.entries)[(min(k, l), max(k, l))]
-
     def matrix(self) -> np.ndarray:
         """(n, n) int matrix of eps on absolute indices, -1 on the diagonal."""
         m = -np.ones((self.n, self.n), dtype=np.int64)

@@ -22,11 +22,17 @@ from __future__ import annotations
 import numpy as np
 
 from qhyper.clt import BigSignSample, _validate_word
-from qhyper.qfock import letter_parts, word_adjoint
+from qhyper.qfock import letter_parts
 
 PRUNE_TOL = 1e-15
 # uncombined expansion entries made at a time by _expand_combined
 EXPAND_TERMS = 1 << 22
+
+
+def word_adjoint(letters) -> list:
+    """Adjoint word: reversed order with g <-> g* (x is self-adjoint)."""
+    flip = {"g": "g*", "g*": "g", "x": "x"}
+    return [(flip[k], i) for k, i in reversed(letters)]
 
 
 def pair_code(i: int, j: int, n: int, m: int) -> int:

@@ -5,8 +5,7 @@ import pytest
 
 from gns_oracle import (apply_letter, apply_y, embed_lower, expand, monomial_matrix,
                         random_element, reconstruct, vacuum_state, word_of)
-from qhyper.babyfock import (GEN, LETTER_DEGREE, STAR, UNIT, Y, BabyFock, RelationsReport,
-                             get_model)
+from qhyper.babyfock import GEN, LETTER_DEGREE, STAR, UNIT, Y, BabyFock, get_model
 from qhyper.signs import ModelParams, SignTable
 
 MU = np.sqrt(2.0)
@@ -55,7 +54,7 @@ def test_relations_random_models(n, seed):
     rng = np.random.default_rng(seed)
     mu = tuple(1.0 + 3.0 * rng.random(n))
     model = BabyFock(ModelParams.make(n, mu, sign_seed=seed))
-    assert model.verify_relations().passed(1e-12)
+    assert max(model.verify_relations().values()) <= 1e-12
 
 
 def test_relations_mutation_detected(m3):
@@ -63,7 +62,7 @@ def test_relations_mutation_detected(m3):
     key = next(iter(bad))
     bad[key] = -bad[key]
     corrupted = SignTable.from_dict(bad, m3.n)
-    assert m3.verify_relations(corrupted).max_residual > 0.1
+    assert max(m3.verify_relations(corrupted).values()) > 0.1
 
 
 def test_operator_norm(m3):
@@ -98,15 +97,16 @@ def dense_relation_residuals(model, check_signs=None):
         acomm = gs(i, gam[i - 1]) + g(i, gst[i - 1])
         acomm[np.diag_indices(model.dim)] -= model.mu[i - 1] ** 2 + model.mu[i - 1] ** -2
         anti = max(anti, maxabs(acomm))
-    return RelationsReport(commutation=comm, star_commutation=star_comm,
-                           square=square, anticommutator=anti)
+    return {"commutation": comm, "star_commutation": star_comm,
+            "square": square, "anticommutator": anti}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_relation_probes_equal_dense_residuals_bitwise(n):
     rng = np.random.default_rng(70 + n)
     model = BabyFock(ModelParams.make(n, tuple(1.0 + 3.0 * rng.random(n)), sign_seed=70 + n))
-    assert model.verify_relations() == dense_relation_residuals(model)
+    # the same residuals in the same order: ``relations`` emits its records in it
+    assert list(model.verify_relations().items()) == list(dense_relation_residuals(model).items())
     if n > 1:
         bad = dict(model.params.signs.entries)
         key = next(iter(bad))
@@ -114,7 +114,7 @@ def test_relation_probes_equal_dense_residuals_bitwise(n):
         corrupted = SignTable.from_dict(bad, n)
         got = model.verify_relations(corrupted)
         assert got == dense_relation_residuals(model, corrupted)
-        assert got.max_residual > 0.1
+        assert max(got.values()) > 0.1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -133,7 +133,7 @@ def test_relations_and_norms_never_build_dense_matrices(monkeypatch):
     monkeypatch.setattr(BabyFock, "identity", forbidden)
     mu = (1.0, 1.5, 2.0, 2.5, 3.0)
     model = BabyFock(ModelParams.make(5, mu, sign_seed=5))
-    assert model.verify_relations().passed(1e-12)
+    assert max(model.verify_relations().values()) <= 1e-12
     for i in range(1, 6):
         expect = np.sqrt(mu[i - 1] ** 2 + mu[i - 1] ** -2)
         assert abs(model.generator_norm(i) - expect) <= 1e-12 * expect

@@ -193,10 +193,14 @@ def test_bad_value_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--mu", "1.0000001"],
-                                  ["--p", "2.001,10", "--mu", "1.00000001,30"]],
-                         ids=["mu-near-one", "corners"])
+                                  ["--p", "2.0001,500", "--mu", "1.00000001,7.9e76"],
+                                  ["--mu", "31"], ["--mu", "1e20"], ["--p", "10.5"],
+                                  ["--mu", "1700"]],
+                         ids=["mu-near-one", "corners", "mu-31", "mu-1e20", "p-10.5", "mu-1700"])
 def test_perturb_passes_inside_its_bounds(capsys, argv):
-    # mu near 1 once failed closed_vs_special through c_coeff's cancellation
+    # mu near 1 once failed closed_vs_special through c_coeff's cancellation; p = 10.5,
+    # mu = 31 and mu = 1e20 were usage errors while the finite differences took a fixed
+    # step grid, and mu = 1700 failed an absolute trace residual of about 4.7e-10
     code, out, _ = run(capsys, ["perturb", *argv])
     assert code == 0
     assert json.loads(out)["pass"] is True
@@ -397,8 +401,11 @@ def test_necessary_time_flags_discrepancy(capsys):
 
 def test_necessary_time_crosses_up_to_the_weight_limit(capsys):
     # at mu = 1000 the witness still moves the ratio by about 2.5e-12; past the
-    # limit both ratios round to 1.0, so a larger --mu is a usage error
-    code, out, _ = run(capsys, ["necessary-time", "--p", "4,6,8,10", "--mu", "1000"])
+    # limit both ratios round to 1.0, so a larger --mu is a usage error.  The witness
+    # size is fixed, so the higher-order terms catch up as p' grows: at mu = 1,
+    # ratio_above - 1 is 3.6e-8 at p' = 2900, the largest --p taken, and negative past 2944
+    code, out, _ = run(capsys, ["necessary-time", "--p", "4,6,8,10,2900",
+                                "--mu", "1,1.000000001,1000"])
     assert code == 0
     assert all(rec["ratio_above"] > 1.0 > rec["ratio_below"]
                for rec in json.loads(out)["records"])
@@ -536,13 +543,11 @@ BOUNDARY_CASES = [
     (["lpnorm", "--p", "0.5"], "lpnorm needs p >= 1"),
     (["perturb", "--p", "0"], "perturb needs p > 2"),
     (["perturb", "--p", "2"], "perturb needs p > 2"),
-    # past these the closed form's cancellation or the fixed finite-difference grid
-    # would fail a record falsely; --p 1e6 once overflowed float ** p
-    (["perturb", "--p", "10.5"], "--p at most 10"),
-    (["perturb", "--p", "1e6"], "--p at most 10"),
-    (["perturb", "--mu", "1.000000001"], "--mu in [1 + 1e-8, 30]"),
-    (["perturb", "--mu", "31"], "--mu in [1 + 1e-8, 30]"),
-    (["perturb", "--mu", "1e20"], "--mu in [1 + 1e-8, 30]"),
+    # past these the cancellation of closed_vs_special near mu = 1 would fail a record
+    # falsely; --p 1e6 once overflowed float ** p
+    (["perturb", "--p", "501"], "--p at most 500"),
+    (["perturb", "--p", "1e6"], "--p at most 500"),
+    (["perturb", "--mu", "1.000000001"], "--mu at least 1 + 1e-8"),
     (["hyperc-verify", "--t", "0.1,0.2"], "--t takes one value"),
     (["fock-moment", "(g+g*)^2", "--q", "0.1,0.2"], "--q takes one value"),
     (["clt", "(s+s*)^2", "--q", "0.1,0.2"], "--q takes one value"),
@@ -560,6 +565,12 @@ BOUNDARY_CASES = [
     (["relations", "--sign-file="], "No such file"),
     (["necessary-time", "--mu", "1001"], "--mu at most 1000"),
     (["necessary-time", "--mu", "1e20"], "--mu at most 1000"),
+    # p' = 3000 gave a false exit 2; at 1e17 the exact threshold rounded to 0
+    (["necessary-time", "--p", "2902"], "--p at most 2900"),
+    (["necessary-time", "--p", "3000"], "--p at most 2900"),
+    (["necessary-time", "--p", "1e17"], "--p at most 2900"),
+    # the model still rejects a weight whose density underflows
+    (["perturb", "--mu", "1e77"], "too large"),
 ]
 # an empty value is no value, not the default
 BOUNDARY_CASES += [([command, *WORD.get(command, []), flag + "="], "at least one value")

@@ -5,10 +5,10 @@ import pytest
 
 import sparse_clt
 from qhyper import clt
-from qhyper.clt import (clt_estimate, convergence_report, dense_reference_moment,
-                        sample_moment, sample_signs)
-from qhyper.qfock import _pair_weights, _pairings, parse_word, word_adjoint
-from sparse_clt import _apply_word, _letter_ops, expand_ops_sparse, pair_code, sparse_moment
+from qhyper.clt import convergence_report, dense_reference_moment, sample_moment, sample_signs
+from qhyper.qfock import _pair_weights, _pairings, parse_word
+from sparse_clt import (_apply_word, _letter_ops, expand_ops_sparse, pair_code, sparse_moment,
+                        word_adjoint)
 from test_kernels import PAD, pack_rows, unpack_keys
 
 
@@ -99,10 +99,9 @@ def test_sparse_apply_on_vacuum():
 def test_second_moment_exact_zero_variance():
     word = parse_word("s*s")
     for q in (0.5, -0.5, -1.0):
-        for m in (2, 10, 35):
-            mean, stderr = clt_estimate(word, q, (1.7,), m, samples=6, seed=3)
-            assert abs(mean - 1.7 ** -2) < 1e-13
-            assert stderr < 1e-14
+        for row in convergence_report(word, q, (1.7,), [2, 10, 35], samples=6, seed=3):
+            assert abs(row["mean"] - 1.7 ** -2) < 1e-13
+            assert row["stderr"] < 1e-14
 
 
 def test_odd_word_vanishes():
@@ -110,17 +109,16 @@ def test_odd_word_vanishes():
     for word in ("s", "s s*s", "(s+s*)^5", "g1 g2* (g1+g1*)"):
         letters = parse_word(word)
         mu = (1.1, 1.4)[:max(i for _, i in letters)]
-        mean, stderr = clt_estimate(letters, 0.2, mu, 8, samples=4, seed=1)
-        assert mean == 0 and stderr == 0
+        (row,) = convergence_report(letters, 0.2, mu, [8], samples=4, seed=1)
+        assert row["mean"] == 0 and row["stderr"] == 0
         assert sample_moment(letters, sample_signs(0.2, len(mu), 8, seed=1), mu) == 0
 
 
 def test_car_square_exact():
     word = parse_word("(s+s*)^2")
-    for m in (2, 9, 24):
-        mean, stderr = clt_estimate(word, -1.0, (1.0,), m, samples=5, seed=8)
-        assert abs(mean - 1.0) < 1e-12
-        assert stderr < 1e-13
+    for row in convergence_report(word, -1.0, (1.0,), [2, 9, 24], samples=5, seed=8):
+        assert abs(row["mean"] - 1.0) < 1e-12
+        assert row["stderr"] < 1e-13
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (3, 1)])
@@ -221,9 +219,9 @@ def test_hermiticity_per_sample():
 
 def test_budget_rejected():
     with pytest.raises(ValueError, match="1 <= m <= 64, got m=100"):
-        clt_estimate(parse_word("(s+s*)^4"), 0.5, (1.0,), 100, samples=1, seed=0)
+        convergence_report(parse_word("(s+s*)^4"), 0.5, (1.0,), [100], samples=1, seed=0)
     with pytest.raises(ValueError, match="word length <= 6, got a word of 7 letters"):
-        clt_estimate([("g", 1)] * 7, 0.5, (1.0,), 8, samples=1, seed=0)
+        convergence_report([("g", 1)] * 7, 0.5, (1.0,), [8], samples=1, seed=0)
 
 
 def test_packed_key_overflow_rejected():
@@ -267,14 +265,12 @@ def test_convergence_report_evaluates_each_sample_once(monkeypatch):
     for row in rows:
         want = [real(word, sample_signs(0.5, 1, row["m"], 2, s), (1.3,)) for s in range(3)]
         assert row["traj"] == want
-        assert (row["mean"], row["stderr"]) == clt_estimate(word, 0.5, (1.3,), row["m"],
-                                                            samples=5, seed=2)
+        (alone,) = convergence_report(word, 0.5, (1.3,), [row["m"]], samples=5, seed=2)
+        assert (row["mean"], row["stderr"]) == (alone["mean"], alone["stderr"])
 
 
 def test_estimators_reject_zero_samples():
     word = parse_word("(s+s*)^2")
-    with pytest.raises(ValueError, match="samples"):
-        clt_estimate(word, 0.0, (1.0,), 5, samples=0, seed=0)
     with pytest.raises(ValueError, match="samples"):
         convergence_report(word, 0.0, (1.0,), [5], samples=0, seed=0)
 
@@ -284,15 +280,15 @@ def test_estimators_reject_bad_weights(mu):
     # NaN gave (0j, 0.0), 0.5 a finite estimate, inf a late np.concatenate error
     word = parse_word("(s+s*)^2")
     with pytest.raises(ValueError, match="mu entries must be"):
-        clt_estimate(word, 0.3, (mu,), 5, samples=2, seed=0)
+        convergence_report(word, 0.3, (mu,), [5], samples=2, seed=0)
     with pytest.raises(ValueError, match="mu entries must be"):
         convergence_report(word, 0.3, (1.0, mu), [5], samples=2, seed=0)
 
 
 def test_estimator_determinism():
     word = parse_word("(s+s*)^4")
-    a = clt_estimate(word, -0.5, (1.0,), 12, samples=20, seed=9)
-    b = clt_estimate(word, -0.5, (1.0,), 12, samples=20, seed=9)
+    a = convergence_report(word, -0.5, (1.0,), [12], samples=20, seed=9)
+    b = convergence_report(word, -0.5, (1.0,), [12], samples=20, seed=9)
     assert a == b
 
 

@@ -1,5 +1,5 @@
 """Every name a qhyper module exports in ``__all__`` exists, and the tests alone
-hold the 4**n oracle."""
+hold the 4**n oracle and the paper's per-instance reference checks."""
 
 import importlib
 import pkgutil
@@ -7,8 +7,11 @@ import pkgutil
 import pytest
 
 import gns_oracle
+import paper_reference
 import qhyper
+import sparse_clt
 from qhyper.babyfock import BabyFock
+from qhyper.signs import SignTable
 
 MODULES = [m.name for m in pkgutil.iter_modules(qhyper.__path__)]
 
@@ -42,3 +45,26 @@ def test_gns_oracle_lives_only_in_the_tests():
     for name in MODULES:
         assert not ORACLE_NAMES & set(vars(importlib.import_module(f"qhyper.{name}"))), name
     assert not ORACLE_NAMES & set(vars(BabyFock))
+
+
+# checks that no command reaches: the per-instance references, in tests/paper_reference.py
+# and tests/sparse_clt.py, and nowhere in qhyper
+REFERENCE_NAMES = {
+    "bcl_check", "asym_convexity_check", "dual_convexity_check", "_split",
+    "decomposition_identity_check", "gamma_lower_bound_check", "disjoint_support_check",
+    "_gram_entry", "gram_matrix", "q_inner", "positivity_check", "MAX_GRAM_LEVEL",
+}
+# deleted: a reached path or a remaining test does the job
+DELETED_NAMES = {
+    "RelationsReport", "is_cp", "clt_estimate", "theorem_bound", "RICHARDSON_EPS",
+}
+
+
+def test_reference_checks_live_only_in_the_tests():
+    assert REFERENCE_NAMES <= set(vars(paper_reference))
+    assert "word_adjoint" in vars(sparse_clt)
+    gone = REFERENCE_NAMES | DELETED_NAMES | {"word_adjoint"}
+    for name in MODULES:
+        assert not gone & set(vars(importlib.import_module(f"qhyper.{name}"))), name
+    assert not gone & set(vars(BabyFock))
+    assert "eps" not in vars(SignTable)

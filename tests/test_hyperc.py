@@ -5,14 +5,13 @@ import pytest
 
 from gns_oracle import (apply_y, contraction_ratio, dual_contraction_ratio, eigh_power,
                         embed_lower, expand, haagerup_norm, random_element, reconstruct)
+from paper_reference import (asym_convexity_check, bcl_check, decomposition_identity_check,
+                             disjoint_support_check, dual_convexity_check,
+                             gamma_lower_bound_check)
 from qhyper import hyperc, state
 from qhyper.babyfock import BabyFock, get_model
-from qhyper.hyperc import (C_of_mu, RatioEvaluator, asym_convexity_check,
-                           bcl_check, convexity_margins, decomposition_identity_check,
-                           disjoint_support_check, dual_convexity_check,
-                           gamma_lower_bound_check,
-                           necessary_time_exact, sufficient_time, theorem_bound,
-                           violation_search, witness_dual_to_primal,
+from qhyper.hyperc import (C_of_mu, RatioEvaluator, convexity_margins, necessary_time_exact,
+                           sufficient_time, violation_search, witness_dual_to_primal,
                            witness_primal_to_dual)
 from qhyper.linalg import schatten_norm
 from qhyper.signs import ModelParams, SignTable
@@ -128,7 +127,6 @@ def test_sufficient_time_formula():
     # vector: the minimum over indices
     assert sufficient_time(1.5, (1.0, 2.0)) == min(sufficient_time(1.5, 1.0),
                                                    sufficient_time(1.5, 2.0))
-    assert abs(theorem_bound(1.5, 2.0, 1.0) - 2.0 ** (4 - 16 / 3) * 0.5) < 1e-15
 
 
 def test_necessary_time_values():
@@ -146,14 +144,15 @@ def test_necessary_time_values():
 
 @pytest.mark.parametrize("pp", [4, 6, 8])
 def test_threshold_exponent_is_sharp(pp):
-    # both exp(-2t) thresholds scale as mu**(4 - 8/p), the exponent of theorem_bound:
-    # over three decades of mu their ratios to it stay in fixed bounds
+    # both exp(-2t) thresholds scale as mu**(4 - 8/p), the exponent of the paper's bound
+    # exp(-2t) <= C mu**(4 - 8/p) (p - 1): over three decades of mu their ratios to it
+    # stay in fixed bounds
     p = pp / (pp - 1.0)
     mus = np.logspace(0.0, 3.0, 13)
-    unit = np.array([theorem_bound(p, mu, 1.0) for mu in mus])
+    unit = mus ** (4.0 - 8.0 / p) * (p - 1.0)
     suf = np.array([sufficient_time(p, mu) for mu in mus])
     nec = np.array([necessary_time_exact(pp // 2, mu).exact for mu in mus])
-    # C read off the sufficient side: suf = theorem_bound(p, mu, C) with C in [2**(1 - 2/p), 1]
+    # C read off the sufficient side: suf = C unit with C in [2**(1 - 2/p), 1]
     c_suf = suf / unit
     assert np.all(c_suf >= 2.0 ** (1.0 - 2.0 / p) * (1 - 1e-12)) and np.all(c_suf <= 1 + 1e-12)
     scaled = nec * mus ** (8.0 / p - 4.0)

@@ -7,15 +7,13 @@ from qhyper.signs import MAX_N, ModelParams, SignTable
 
 
 def test_full_sign_function_invariants():
+    # eps on I x I depends only on absolute indices: the (n, n) matrix holds all of it
     table = SignTable.random(4, seed=7)
-    idx = [i for i in range(-4, 5) if i]
-    for i in idx:
-        for j in idx:
-            assert table.eps(i, j) == table.eps(j, i)
-            assert table.eps(i, j) == table.eps(abs(i), abs(j))
-            if abs(i) == abs(j):
-                assert table.eps(i, j) == -1
-    assert table.eps(2, 2) == -1
+    eps = table.matrix()
+    assert np.array_equal(eps, eps.T)
+    assert np.all(np.diag(eps) == -1)
+    assert set(np.unique(eps)) <= {-1, 1}
+    assert all(eps[k - 1, l - 1] == s for (k, l), s in table.entries)
 
 
 def test_json_round_trip():
@@ -38,8 +36,6 @@ def test_table_validation():
         SignTable.from_dict({(1, 2): 2}, 2)
     with pytest.raises(ValueError):
         SignTable.from_dict({}, 2)
-    with pytest.raises(ValueError):
-        SignTable.random(2, seed=0).eps(3, 1)
 
 
 def test_model_params_validation():
@@ -57,7 +53,7 @@ def test_sub_model_restriction():
     params = ModelParams.make(4, (1.0, 1.5, 2.0, 3.0), sign_seed=11)
     sub = params.sub(2)
     assert sub.n == 2 and sub.mu == (1.0, 1.5)
-    assert sub.signs.eps(1, 2) == params.signs.eps(1, 2)
+    assert np.array_equal(sub.signs.matrix(), params.signs.matrix()[:2, :2])
 
 
 def test_random_table_determinism():
