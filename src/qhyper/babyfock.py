@@ -15,14 +15,17 @@ applied to the vacuum each monomial hits a single basis vector, so the
 monomial-to-vacuum-vector map is a signed scaled bijection and expansion
 is an exact relabeling.
 
-The model keeps the letter kernels, which ``relations`` applies to class
-probes, and the closed-form 2**n irrep, which every other command reads.  The
-map between monomial coefficients and dense 4**n x 4**n matrices (``expand``,
-``reconstruct``, ``monomial_matrix`` and the rest) is the tests' oracle, in
-``tests/gns_oracle.py``.  The dense ``identity`` and the sparse monomial table
-stay here: ``state.get_density`` builds D from the one and checks it against
-the other, and it stays in ``src`` because the benchmark's ``search`` set-up
-calls it.
+The model keeps the closed-form 2**n irrep, which every command reads.
+``relations`` checks the relations and norms of the generators there
+(``irrep_letter``, ``relation_residuals``): the 4**n model is 2**n copies of
+the irrep, so a relation holds in one exactly when it holds in the other.
+The map between monomial coefficients and dense 4**n x 4**n matrices
+(``expand``, ``reconstruct``, ``monomial_matrix`` and the rest) and the
+class-probe relation and norm checks of the letter kernels are the tests'
+oracle, in ``tests/gns_oracle.py``.  The letter kernels, the dense
+``identity`` and the sparse monomial table stay here: ``state.get_density``
+builds D with the kernels from the one and checks it against the other, and
+it stays in ``src`` because the benchmark's ``search`` set-up calls it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .signs import ModelParams
 
 __all__ = [
     "UNIT", "GEN", "STAR", "Y", "LETTER_DEGREE",
-    "BabyFock", "get_model",
+    "BabyFock", "get_model", "relation_residuals",
 ]
 
 UNIT, GEN, STAR, Y = 0, 1, 2, 3
@@ -281,6 +284,11 @@ class BabyFock:
         self.irrep_add(out, [self.windex_of(word)], np.ones(1), np.inf)
         return out[0]
 
+    def irrep_letter(self, letter: int, i: int) -> np.ndarray:
+        """Dense pi of one letter (GEN, STAR or Y) at index i: pi(g_i) for GEN."""
+        self._check_index(i, positive=True)
+        return self.irrep_matrix(tuple(letter if k == i - 1 else UNIT for k in range(self.n)))
+
     def irrep_coeffs(self, A: np.ndarray, p: float) -> np.ndarray:
         """Monomial coefficients of the x with pi(x) rho**(1/p) = A: the monomials are orthogonal
         in the vacuum state, so c_w = trace(rho pi(M_w)* pi(x)) / |M_w x_empty|**2."""
@@ -289,76 +297,35 @@ class BabyFock:
         terms = vals * rho[cols] ** (1.0 - 1.0 / p) * np.asarray(A)[rows, cols]
         return terms.sum(axis=1) / self._monomial_data()[1] ** 2
 
-    # ------------------------------------------------------------------
-    # relation checks
-    # ------------------------------------------------------------------
 
-    def _class_probe(self, *indices):
-        """(probe, masks) for the bits of +-i, i in ``indices``: ``masks[k]`` sets
-        the bits that spell class k, and probe column k is the 0/1 sum of the basis
-        columns in class k.
+def relation_residuals(gens: np.ndarray, eps: np.ndarray, mu) -> dict:
+    """Residuals of the four relation families of the generators ``gens[i - 1]`` = g_i,
+    by name and in this order: commutation g_i g_j = eps(i, j) g_j g_i (i < j),
+    star_commutation g*_i g_j = eps(i, j) g_j g*_i (i != j), square g_i**2 = g*_i**2 = 0
+    and anticommutator g*_i g_i + g_i g*_i = c_i, c_i = mu_i**2 + mu_i**-2.
 
-        An operator that flips only these bits sends the columns of one class to
-        disjoint rows, so its product with the probe keeps every entry of its
-        matrix, each the same floating-point expression, in 4**len(indices) columns.
-        """
-        bits = [1 << self._pos[s * i] for i in indices for s in (-1, 1)]
-        masks = np.array([sum(b for t, b in enumerate(bits) if k >> t & 1)
-                          for k in range(1 << len(bits))])
-        rows = np.arange(self.dim)
-        probe = np.zeros((self.dim, masks.size), dtype=np.complex128)
-        probe[rows, sum(((rows & b) != 0) << t for t, b in enumerate(bits))] = 1.0
-        return probe, masks
+    The first three are max absolute entries.  The anticommutator is relative to c_i: the
+    entries of pi(g_i) are +-sqrt(c_i), and sqrt(c_i)**2 rounds away from c_i (by 7.5e-9
+    at mu_i = 6618.4).  ``eps`` need not be the table the generators were built with, so
+    a wrong table can be checked against them.
+    """
+    gens, mu = np.asarray(gens), np.asarray(mu, dtype=float)
+    stars, c = gens.conj().swapaxes(-1, -2), mu ** 2 + mu ** -2
+    gg = gens[:, None] @ gens[None, :]          # [i, j] = g_i g_j
+    sg = stars[:, None] @ gens[None, :]         # [i, j] = g*_i g_j
+    gs = gens[:, None] @ stars[None, :]         # [i, j] = g_i g*_j
+    i, j = np.triu_indices(len(gens), 1)
+    a, b = np.nonzero(~np.eye(len(gens), dtype=bool))
+    d = np.arange(len(gens))
+    anti = sg[d, d] + gs[d, d] - c[:, None, None] * np.eye(gens.shape[-1])
 
-    def generator_norm(self, i: int) -> float:
-        """Operator norm of g_i: the largest 2-norm of its 4x4 blocks on the bits
-        of +-i, one per setting of the other bits (exact, no dense matrix)."""
-        self._check_index(i, positive=True)
-        probe, masks = self._class_probe(i)
-        outer = np.flatnonzero(probe[:, 0])
-        blocks = self.apply_gamma(i, probe)[outer[:, None] | masks]
-        return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
+    def maxabs(M):
+        return float(np.max(np.abs(M), initial=0.0))
 
-    def verify_relations(self, check_signs=None) -> dict:
-        """Max absolute residuals of the four generator relation families, by name:
-        commutation, star_commutation, square and anticommutator, in that order.
-
-        Each relation operator flips only the bits of +-i and +-j, so it is
-        applied, by the letter kernels, to the (4**n, 16) class probe of the
-        pair (i, j) or the (4**n, 4) probe of i: the residuals are those of the
-        dense matrices, bit for bit.  ``check_signs`` lets the relations be
-        tested against a different sign table than the one used to build the
-        operators (mutation testing); by default the model's own table is used.
-        """
-        eps = (check_signs or self.params.signs).matrix()
-        g, gs = self.apply_gamma, self.apply_gamma_star
-
-        def maxabs(M):
-            return float(np.max(np.abs(M)))
-
-        comm = 0.0
-        star_comm = 0.0
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                probe, _ = self._class_probe(i, j)
-                gam = {k: g(k, probe) for k in (i, j)}
-                gst = {k: gs(k, probe) for k in (i, j)}
-                r = g(i, gam[j]) - eps[i - 1, j - 1] * g(j, gam[i])
-                comm = max(comm, maxabs(r))
-                for a, b in ((i, j), (j, i)):
-                    r = gs(a, gam[b]) - eps[a - 1, b - 1] * g(b, gst[a])
-                    star_comm = max(star_comm, maxabs(r))
-        square = 0.0
-        anti = 0.0
-        for i in range(1, self.n + 1):
-            probe, _ = self._class_probe(i)
-            gam, gst = g(i, probe), gs(i, probe)
-            square = max(square, maxabs(g(i, gam)), maxabs(gs(i, gst)))
-            acomm = gs(i, gam) + g(i, gst)
-            acomm -= (self.mu[i - 1] ** 2 + self.mu[i - 1] ** -2) * probe
-            anti = max(anti, maxabs(acomm))
-        return {"commutation": comm, "star_commutation": star_comm,
-                "square": square, "anticommutator": anti}
+    return {"commutation": maxabs(gg[i, j] - eps[i, j, None, None] * gg[j, i]),
+            "star_commutation": maxabs(sg[a, b] - eps[a, b, None, None] * gs[b, a]),
+            "square": max(maxabs(gg[d, d]), maxabs(stars @ stars)),
+            "anticommutator": maxabs(anti / c[:, None, None])}
 
 
 @lru_cache(maxsize=64)

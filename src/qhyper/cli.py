@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .babyfock import GEN, UNIT, get_model
+from .babyfock import GEN, get_model, relation_residuals
 from .clt import convergence_report
 from .hyperc import (RatioEvaluator, convexity_margins, necessary_time_exact,
                      sufficient_time, violation_search)
@@ -115,12 +115,16 @@ def _check(name: str, residual: float, tol: float) -> dict:
 
 
 def cmd_relations(args):
+    # the relations and norms of the dense pi(g_i) of the 2**n irrep, built with the model's
+    # own sign table: the 4**n model is 2**n copies of the irrep
     model = get_model(_model_from_args(args))
-    records = [_check(name, val, args.tol) for name, val in model.verify_relations().items()]
-    for i in range(1, model.n + 1):
-        expect = float(np.sqrt(model.mu[i - 1] ** 2 + model.mu[i - 1] ** -2))
-        records.append(_check(f"opnorm_gamma_{i}",
-                              abs(model.generator_norm(i) - expect) / expect, 1e-10))
+    gens = np.stack([model.irrep_letter(GEN, i) for i in range(1, model.n + 1)])
+    residuals = relation_residuals(gens, model.params.signs.matrix(), model.mu)
+    records = [_check(name, val, args.tol) for name, val in residuals.items()]
+    norms = np.linalg.svd(gens, compute_uv=False)[:, 0]    # ||g_i||: the largest singular value
+    for i, (mu, nrm) in enumerate(zip(model.mu, norms), 1):
+        expect = float(np.sqrt(mu ** 2 + mu ** -2))
+        records.append(_check(f"opnorm_gamma_{i}", abs(nrm - expect) / expect, 1e-10))
     records.append(_check("monomial_condition", model.embedding_condition(), float("inf")))
     return records
 
@@ -141,8 +145,7 @@ def cmd_density(args):
         D = np.diag(rho / rho.size)
         records.append(_check("solve_agrees", np.linalg.norm(solved - D) / np.linalg.norm(D),
                               args.tol))
-    gens = [model.irrep_matrix(tuple(GEN if k == i else UNIT for k in range(model.n)))
-            for i in range(model.n)]
+    gens = [model.irrep_letter(GEN, i) for i in range(1, model.n + 1)]
     for i, (mu, g) in enumerate(zip(model.mu, gens), 1):
         # trace(D g*_i g_i) = trace(rho pi(g_i)* pi(g_i)), and the Schatten 2-norm of
         # g_i D**(1/2) is the Frobenius norm of pi(g_i) rho**(1/2)
@@ -172,7 +175,7 @@ def cmd_lpnorm(args):
     records = []
     for i in range(1, model.n + 1):
         mu = model.mu[i - 1]
-        g = model.irrep_matrix(tuple(GEN if k == i - 1 else UNIT for k in range(model.n)))
+        g = model.irrep_letter(GEN, i)
         for p in ps:
             nrm = schatten_norm(g * rho ** (1.0 / p), p)
             ratio = float(nrm / mu ** (1.0 - 4.0 / p))
@@ -314,39 +317,44 @@ def cmd_necessary_time(args):
     return records
 
 
+# perturb passes s = (4/p) log(mu) to the closed form and expm1((8/p) log(mu)) to the special
+# formula, never the floats mu**(4/p) and mu**(8/p), which round within 8 (mu - 1) / p of 1:
+# at mu = 1 + 1e-8, closed_vs_special stays below 5e-9 for every p up to P_MAX and below 1e-6
+# up to about 1e10, and frechet_vs_fd below 1e-4 up to about 3e8.  The cap is set by the
+# largest weights instead: c_coeff, about mu**4 p**2 / (64 log(mu)**2), overflows near
+# p = 2870 at the largest mu a model takes (about 8.19e76)
+P_MAX = 2800.0
+
+
 def cmd_perturb(args):
     ps = parse_values(args.p)
     mus = parse_values(args.mu)
-    # near mu = 1, mu**(4/p) and mu**(8/p) lie within 8 (mu - 1) / p of 1, and rounding
-    # them costs the closed form's lam and the special formula about 1.4e-9 p relative at
-    # mu = 1 + 1e-8: closed_vs_special was 6.7e-7 at worst over p in (2, 500] (bound 1e-6)
-    # and first failed near p = 740.  The finite differences take the step
-    # 0.1 / sqrt(closed_form), since f(0) = trace(rho) = 1: frechet_vs_fd stayed below 1e-8
-    # for p up to 1e4 and every mu the model takes, up to about 8e76
+    # the finite differences take the step 0.1 / sqrt(closed_form), since f(0) = trace(rho)
+    # = 1: frechet_vs_fd stayed below 2e-9 for p up to P_MAX and every mu the model takes
     if min(ps) <= 2.0:
         raise ValueError(f"perturb needs p > 2, got {min(ps)}")
-    if max(ps) > 500.0:
-        raise ValueError(f"perturb needs --p at most 500, got {max(ps)}")
+    if max(ps) > P_MAX:
+        raise ValueError(f"perturb needs --p at most {P_MAX:g}, got {max(ps)}")
     if min(mus) < 1.0 + 1e-8:
         raise ValueError(f"perturb needs --mu at least 1 + 1e-8, got {args.mu}")
     records = []
     for mu in mus:
         model = get_model(ModelParams.make(1, mu, SignTable.all_anticommuting(1)))
         _, _, rho = model.irrep()       # D = diag(rho) in the 2-dimensional irrep
-        g = model.irrep_matrix((GEN,))
+        g = model.irrep_letter(GEN, 1)
         # trace(D g* g) = mu**-2 and trace(D g g*) = mu**2, whatever p is; the second is
         # compared relative to mu**2, which reaches about 6e153
         tr_gg = float(np.sum(rho * g.conj() * g).real)
         tr_ggs = float(np.sum(rho[:, None] * g * g.conj()).real)
+        log_mu = np.log1p(mu - 1.0)
         for p in ps:
             d = rho ** (1.0 / p)
-            lam = mu ** (4.0 / p)
-            closed = expansion_second_order(d, g, p, lam)
+            closed = expansion_second_order(d, g, p, 4.0 / p * log_mu)
             frech = expansion_via_frechet(d, g, p)
             fd = richardson_second_coeff(
                 lambda e: schatten_norm((np.eye(d.size) + e * g) * d, p) ** p,
                 0.1 / np.sqrt(abs(closed)))
-            special = (p / (2.0 * mu ** 2)) * (mu ** 4 - 1.0) / (mu ** (8.0 / p) - 1.0)
+            special = (p / (2.0 * mu ** 2)) * (mu ** 4 - 1.0) / float(np.expm1(8.0 / p * log_mu))
             rec = {
                 "p": p, "mu": mu, "closed_form": closed, "frechet": frech,
                 "finite_diff": fd,

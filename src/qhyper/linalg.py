@@ -135,20 +135,20 @@ def frechet2(w: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
 # ============================================================================
 
 
-def c_coeff(p: float, lam: float) -> float:
-    """(lam**p - 1)/((lam**2 - 1)(1 - lam**-2)) - p lam**2 / (2 (lam**2 - 1)).
+def c_coeff(p: float, s: float) -> float:
+    """(lam**p - 1)/((lam**2 - 1)(1 - lam**-2)) - p lam**2 / (2 (lam**2 - 1)), lam = e**s.
 
-    Written over the common denominator in s = ln lam, where each term of
+    Written over the common denominator in s, where each term of
     (expm1(p s) - (p/2) expm1(2 s)) / (expm1(2 s) (-expm1(-2 s))) is
     accurate to roundoff: the two O(1/s) terms of the displayed form cancel
-    to an O(1) value as lam -> 1.  The numerator still cancels to O(s**2),
-    so the relative error grows like 1e-16 / s.
+    to an O(1) value as s -> 0.  The numerator still cancels to O(s**2),
+    so the relative error grows like 1e-16 / s.  Taking s, not lam, spares
+    a caller the rounding of lam = mu**(4/p) to a float near 1.
     """
     if p <= 2:
         raise ValueError(f"expansion coefficient needs p > 2, got {p}")
-    if lam <= 0 or lam == 1.0:
-        raise ValueError(f"lam must be positive and != 1, got {lam}")
-    s = np.log(lam)
+    if not (np.isfinite(s) and s != 0.0):
+        raise ValueError(f"s must be finite and != 0, got {s}")
     return float((np.expm1(p * s) - 0.5 * p * np.expm1(2.0 * s))
                  / (np.expm1(2.0 * s) * -np.expm1(-2.0 * s)))
 
@@ -160,19 +160,19 @@ def _check_modular_pair(d: np.ndarray, g: np.ndarray, lam: float):
         raise ValueError(f"d g = lam g d violated: residual {resid:.3e} vs scale {scale:.3e}")
 
 
-def expansion_second_order(d: np.ndarray, g: np.ndarray, p: float, lam: float) -> float:
+def expansion_second_order(d: np.ndarray, g: np.ndarray, p: float, s: float) -> float:
     """Closed-form eps**2 coefficient of ||(1 + eps g) diag(d)||_p^p.
 
-    Requires d > 0 and diag(d) g = lam g diag(d) with lam > 1.
+    Requires d > 0 and diag(d) g = lam g diag(d) with lam = e**s > 1.
     """
-    if lam <= 1.0:
-        raise ValueError(f"lam must be > 1, got {lam}")
+    if not s > 0.0:
+        raise ValueError(f"s must be > 0, got {s}")
     d, g = _positive(d), np.asarray(g)
-    _check_modular_pair(d, g, lam)
+    _check_modular_pair(d, g, np.exp(s))
     dp, g2 = d ** p, np.abs(g) ** 2
     t_gg = float(dp @ g2.sum(axis=0))            # tr(d**p g* g)
     t_gg_star = float(dp @ g2.sum(axis=1))       # tr(d**p g g*)
-    return (p / 2.0 + c_coeff(p, lam)) * t_gg + c_coeff(p, 1.0 / lam) * t_gg_star
+    return (p / 2.0 + c_coeff(p, s)) * t_gg + c_coeff(p, -s) * t_gg_star
 
 
 def expansion_via_frechet(d: np.ndarray, g: np.ndarray, p: float) -> float:

@@ -25,9 +25,9 @@ the irrep, from the one-sparse rows of ``BabyFock.irrep`` scaled to unit
 max, and returns the monomial coefficients of D, at every n;
 ``BabyFock.irrep_sum`` turns them into pi(D), the oracle's ``reconstruct``
 into the 4**n matrix.  It is the one reader of the irrep's layout outside
-``babyfock``.  Every check of the CLI's ``density`` command and every norm
-the ratio search, the duality transport and the CLI report is taken in the
-closed-form 2**n dimensional irreducible
+``babyfock``.  Every check of the CLI's ``density`` and ``relations``
+commands and every norm the ratio search, the duality transport and the CLI
+report is taken in the closed-form 2**n dimensional irreducible
 representation (``BabyFock.irrep``).  The 4**n model is 2**n copies of it, so
 pi(D) = diag(rho) / 2**n with rho the same product of two-level factors, of
 trace one, and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p with no scale factor.

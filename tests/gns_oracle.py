@@ -10,7 +10,10 @@ the vacuum column, and the Haagerup norm is the Schatten norm of the dense
 product x D**(1/p) with the 4**n density ``qhyper.state.get_density``, read
 through the module so that a test can patch it.  Every function is a plain
 function of a model; no command and no benchmark workload reaches any of
-them.
+them.  ``verify_relations`` and ``generator_norm`` check the letter kernels
+themselves: they apply them to one 0/1 probe column per class of basis
+columns, the 4**n counterpart of the ``relations`` command's checks on the
+irrep (``qhyper.babyfock.relation_residuals``).
 """
 
 from __future__ import annotations
@@ -108,6 +111,81 @@ def embed_lower(x_small: np.ndarray, small: BabyFock, big: BabyFock) -> np.ndarr
     coeffs = np.zeros(big.dim, dtype=np.complex128)
     coeffs[:small.dim] = expand(small, np.asarray(x_small))
     return reconstruct(big, coeffs)
+
+
+# ============================================================================
+# the generator relations and norms on class probes
+# ============================================================================
+
+
+def _class_probe(model: BabyFock, *indices):
+    """(probe, masks) for the bits of +-i, i in ``indices``: ``masks[k]`` sets
+    the bits that spell class k, and probe column k is the 0/1 sum of the basis
+    columns in class k.
+
+    An operator that flips only these bits sends the columns of one class to
+    disjoint rows, so its product with the probe keeps every entry of its
+    matrix, each the same floating-point expression, in 4**len(indices) columns.
+    """
+    bits = [1 << model._pos[s * i] for i in indices for s in (-1, 1)]
+    masks = np.array([sum(b for t, b in enumerate(bits) if k >> t & 1)
+                      for k in range(1 << len(bits))])
+    rows = np.arange(model.dim)
+    probe = np.zeros((model.dim, masks.size), dtype=np.complex128)
+    probe[rows, sum(((rows & b) != 0) << t for t, b in enumerate(bits))] = 1.0
+    return probe, masks
+
+
+def generator_norm(model: BabyFock, i: int) -> float:
+    """Operator norm of g_i: the largest 2-norm of its 4x4 blocks on the bits
+    of +-i, one per setting of the other bits (exact, no dense matrix)."""
+    model._check_index(i, positive=True)
+    probe, masks = _class_probe(model, i)
+    outer = np.flatnonzero(probe[:, 0])
+    blocks = model.apply_gamma(i, probe)[outer[:, None] | masks]
+    return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
+
+
+def verify_relations(model: BabyFock, check_signs=None) -> dict:
+    """Max absolute residuals of the four generator relation families, by name:
+    commutation, star_commutation, square and anticommutator, in that order.
+
+    Each relation operator flips only the bits of +-i and +-j, so it is
+    applied, by the letter kernels, to the (4**n, 16) class probe of the
+    pair (i, j) or the (4**n, 4) probe of i: the residuals are those of the
+    dense matrices, bit for bit.  ``check_signs`` lets the relations be
+    tested against a different sign table than the one used to build the
+    operators (mutation testing); by default the model's own table is used.
+    """
+    eps = (check_signs or model.params.signs).matrix()
+    g, gs = model.apply_gamma, model.apply_gamma_star
+
+    def maxabs(M):
+        return float(np.max(np.abs(M)))
+
+    comm = 0.0
+    star_comm = 0.0
+    for i in range(1, model.n + 1):
+        for j in range(i + 1, model.n + 1):
+            probe, _ = _class_probe(model, i, j)
+            gam = {k: g(k, probe) for k in (i, j)}
+            gst = {k: gs(k, probe) for k in (i, j)}
+            r = g(i, gam[j]) - eps[i - 1, j - 1] * g(j, gam[i])
+            comm = max(comm, maxabs(r))
+            for a, b in ((i, j), (j, i)):
+                r = gs(a, gam[b]) - eps[a - 1, b - 1] * g(b, gst[a])
+                star_comm = max(star_comm, maxabs(r))
+    square = 0.0
+    anti = 0.0
+    for i in range(1, model.n + 1):
+        probe, _ = _class_probe(model, i)
+        gam, gst = g(i, probe), gs(i, probe)
+        square = max(square, maxabs(g(i, gam)), maxabs(gs(i, gst)))
+        acomm = gs(i, gam) + g(i, gst)
+        acomm -= (model.mu[i - 1] ** 2 + model.mu[i - 1] ** -2) * probe
+        anti = max(anti, maxabs(acomm))
+    return {"commutation": comm, "star_commutation": star_comm,
+            "square": square, "anticommutator": anti}
 
 
 # ============================================================================

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gns_oracle import haagerup_norm, modular_check, reconstruct
-from qhyper import cli, hyperc, state
+from qhyper import _kernels, cli, hyperc, state
 from qhyper.babyfock import BabyFock, get_model
 from qhyper.cli import COMMANDS, _config_echo, build_parser, emit, main, parse_values
 from qhyper.semigroup import choi_identity_residual, choi_matrix
@@ -53,6 +53,20 @@ def test_relations_n6(capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert sum(r["check"].startswith("opnorm_gamma_") for r in doc["records"]) == 6
+
+
+def test_relations_anticommutator_is_relative(capsys):
+    # the entries of pi(g_i) are +-sqrt(c_i), c_i = mu_i**2 + mu_i**-2: g*_i g_i + g_i g*_i
+    # misses c_i by 1.2e-10 at mu_i = 980.9 and 7.5e-9 at 6618.4, so it is judged relative
+    # to c_i
+    code, out, _ = run(capsys, ["relations", "--n", "2",
+                                "--mu", "980.9114575979521,6618.41746945029"])
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [r["check"] for r in records] == [
+        "commutation", "star_commutation", "square", "anticommutator",
+        "opnorm_gamma_1", "opnorm_gamma_2", "monomial_condition"]
+    assert records[3]["residual"] <= 1e-15
 
 
 def test_csv_emission_and_determinism(capsys):
@@ -193,7 +207,7 @@ def test_bad_value_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--mu", "1.0000001"],
-                                  ["--p", "2.0001,500", "--mu", "1.00000001,7.9e76"],
+                                  ["--p", "2.0001,2800", "--mu", "1.00000001,8.18e76"],
                                   ["--mu", "31"], ["--mu", "1e20"], ["--p", "10.5"],
                                   ["--mu", "1700"]],
                          ids=["mu-near-one", "corners", "mu-31", "mu-1e20", "p-10.5", "mu-1700"])
@@ -412,17 +426,18 @@ def test_necessary_time_crosses_up_to_the_weight_limit(capsys):
 
 
 def test_norm_commands_never_touch_the_4n_model(capsys, monkeypatch):
-    # density, lpnorm, necessary-time and perturb take every check and norm in the
-    # 2**n irrep; density at n = 6 would build 4096 x 4096 matrices on the 4**n model
+    # relations, density, lpnorm, necessary-time and perturb take every check and norm in
+    # the 2**n irrep; at n = 6 the 4**n model would hold 4096 x 4096 matrices
     def forbidden(*args, **kwargs):
-        raise AssertionError("4**n density, dense identity or monomial table used")
+        raise AssertionError("4**n density, letter kernel, dense identity or monomial table used")
 
     for module in (cli, hyperc, state):
         if hasattr(module, "get_density"):
             monkeypatch.setattr(module, "get_density", forbidden)
+    monkeypatch.setattr(_kernels, "apply_beta_batch", forbidden)
     for name in ("monomial_table", "identity"):
         monkeypatch.setattr(BabyFock, name, forbidden)
-    for argv in (["density", "--n", "6", "--mu", "1,1.2,1.5,2,2.5,3"],
+    for argv in (["relations", "--n", "6"], ["density", "--n", "6", "--mu", "1,1.2,1.5,2,2.5,3"],
                  ["lpnorm", "--n", "3", "--mu", "1,1.5,2.5"], ["necessary-time"], ["perturb"]):
         code, out, _ = run(capsys, argv)
         assert code == 0
@@ -543,10 +558,9 @@ BOUNDARY_CASES = [
     (["lpnorm", "--p", "0.5"], "lpnorm needs p >= 1"),
     (["perturb", "--p", "0"], "perturb needs p > 2"),
     (["perturb", "--p", "2"], "perturb needs p > 2"),
-    # past these the cancellation of closed_vs_special near mu = 1 would fail a record
-    # falsely; --p 1e6 once overflowed float ** p
-    (["perturb", "--p", "501"], "--p at most 500"),
-    (["perturb", "--p", "1e6"], "--p at most 500"),
+    # past this c_coeff overflows at the largest weights; --p 1e6 once overflowed float ** p
+    (["perturb", "--p", "2801"], "--p at most 2800"),
+    (["perturb", "--p", "1e6"], "--p at most 2800"),
     (["perturb", "--mu", "1.000000001"], "--mu at least 1 + 1e-8"),
     (["hyperc-verify", "--t", "0.1,0.2"], "--t takes one value"),
     (["fock-moment", "(g+g*)^2", "--q", "0.1,0.2"], "--q takes one value"),

@@ -31,12 +31,13 @@ def test_modules_declare_exports():
     assert set(MODULES) - set(declared) <= {"cli"}
 
 
-# the coefficient <-> 4**n matrix oracle: defined in tests/gns_oracle.py and nowhere in qhyper
+# the coefficient <-> 4**n matrix oracle and the class-probe relation checks of the letter
+# kernels: defined in tests/gns_oracle.py and nowhere in qhyper
 ORACLE_NAMES = {
     "expand", "reconstruct", "random_element", "monomial_matrix", "apply_letter", "apply_y",
     "vacuum_state", "word_of", "haagerup_norm", "modular_check", "embed_lower", "apply_OU",
     "apply_Ti", "cp_randomized_check", "l2_pythagoras_residual", "contraction_ratio",
-    "dual_contraction_ratio",
+    "dual_contraction_ratio", "_class_probe", "generator_norm", "verify_relations",
 }
 
 

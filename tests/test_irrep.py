@@ -1,12 +1,14 @@
 """The closed-form 2**n dimensional irreducible representation against the 4**n oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from gns_oracle import (contraction_ratio, dual_contraction_ratio, expand, haagerup_norm,
                         reconstruct, word_of)
 from qhyper import state
-from qhyper.babyfock import GEN, STAR, Y, BabyFock
+from qhyper.babyfock import GEN, STAR, Y, BabyFock, relation_residuals
 from qhyper.hyperc import RatioEvaluator
 from qhyper.linalg import schatten_norm
 from qhyper.signs import ModelParams, SignTable
@@ -43,28 +45,51 @@ def _dense(model):
     return np.stack([model.irrep_matrix(word_of(model, w)) for w in range(model.dim)])
 
 
-def _letter(model, letter, i):
-    """Dense pi of one letter on index i."""
-    return model.irrep_matrix(tuple(letter if k == i - 1 else 0 for k in range(model.n)))
+def _every_sign_table(n):
+    """The 2**(n (n - 1) / 2) sign tables on n indices."""
+    pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    return [SignTable.from_dict(dict(zip(pairs, signs)), n)
+            for signs in itertools.product((-1, 1), repeat=len(pairs))]
+
+
+def _loop_residuals(gens, eps, mu):
+    """``relation_residuals`` written out pair by pair, one dense product at a time."""
+    res = dict.fromkeys(("commutation", "star_commutation", "square", "anticommutator"), 0.0)
+    for i, g in enumerate(gens):
+        c = mu[i] ** 2 + mu[i] ** -2
+        res["square"] = max(res["square"], np.max(np.abs(g @ g)), np.max(np.abs(g.T @ g.T)))
+        res["anticommutator"] = max(res["anticommutator"],
+                                    np.max(np.abs(g.T @ g + g @ g.T - c * np.eye(len(g)))) / c)
+        for j, h in enumerate(gens):
+            if j > i:
+                res["commutation"] = max(res["commutation"],
+                                         np.max(np.abs(g @ h - eps[i, j] * h @ g)))
+            if j != i:
+                res["star_commutation"] = max(res["star_commutation"],
+                                              np.max(np.abs(g.T @ h - eps[i, j] * h @ g.T)))
+    return res
 
 
 @pytest.mark.parametrize("params", BY_N, ids=_ids)
 def test_irrep_generators_satisfy_relations(params):
-    # the four families of ``BabyFock.verify_relations``, on pi(g_i)
-    model = BabyFock(params)
-    eps = params.signs.matrix()
-    g = [_letter(model, GEN, i) for i in range(1, model.n + 1)]
-    gs = [_letter(model, STAR, i) for i in range(1, model.n + 1)]
-    ident = np.eye(1 << model.n)
-    for i in range(model.n):
-        assert np.array_equal(gs[i], g[i].T)
-        assert np.max(np.abs(g[i] @ g[i])) <= 1e-12
-        c = model.mu[i] ** 2 + model.mu[i] ** -2
-        assert np.max(np.abs(gs[i] @ g[i] + g[i] @ gs[i] - c * ident)) <= 1e-12
-        for j in range(model.n):
-            if j != i:
-                assert np.max(np.abs(g[i] @ g[j] - eps[i, j] * g[j] @ g[i])) <= 1e-12
-                assert np.max(np.abs(gs[i] @ g[j] - eps[i, j] * g[j] @ gs[i])) <= 1e-12
+    # ``relation_residuals`` on pi(g_i) for every sign table at n <= 3 (1, 2 and 8 tables)
+    # and the model's own beyond; the table with one sign flipped fails the commutations
+    tables = _every_sign_table(params.n) if params.n <= 3 else [params.signs]
+    for signs in tables:
+        model = BabyFock(ModelParams(params.n, params.mu, signs))
+        gens = np.stack([model.irrep_letter(GEN, i) for i in range(1, model.n + 1)])
+        for i, g in enumerate(gens, 1):
+            assert np.array_equal(model.irrep_letter(STAR, i), g.T)
+        eps = signs.matrix()
+        got = relation_residuals(gens, eps, model.mu)
+        assert got == _loop_residuals(gens, eps, model.mu)
+        assert max(got.values()) <= 1e-12
+        if model.n > 1:
+            bad = eps.copy()
+            bad[0, 1] = bad[1, 0] = -eps[0, 1]
+            wrong = relation_residuals(gens, bad, model.mu)
+            assert wrong == _loop_residuals(gens, bad, model.mu)
+            assert min(wrong["commutation"], wrong["star_commutation"]) > 0.1
 
 
 @pytest.mark.parametrize("params", BY_N[:4], ids=_ids)
@@ -72,7 +97,7 @@ def test_irrep_words_are_one_sparse_letter_products(params):
     # pi(M_w) = pi(w_1) ... pi(w_n) as dense products, one non-zero per row
     model = BabyFock(params)
     stack = _dense(model)
-    letters = [[np.eye(1 << model.n)] + [_letter(model, lt, i) for lt in (GEN, STAR, Y)]
+    letters = [[np.eye(1 << model.n)] + [model.irrep_letter(lt, i) for lt in (GEN, STAR, Y)]
                for i in range(1, model.n + 1)]
     for w in range(model.dim):
         want = np.eye(1 << model.n)
@@ -134,7 +159,7 @@ def _dense_letter_products(model, t, p, direction):
     """(4**n, 2**n, 2**n): pi(M_w) as dense letter products, times rho**(1/p),
     with exp(-t deg_w) in the dual direction."""
     _, _, rho = model.irrep()
-    letters = [[np.eye(rho.size)] + [_letter(model, lt, i) for lt in (GEN, STAR, Y)]
+    letters = [[np.eye(rho.size)] + [model.irrep_letter(lt, i) for lt in (GEN, STAR, Y)]
                for i in range(1, model.n + 1)]
     out = np.empty((model.dim, rho.size, rho.size))
     for w in range(model.dim):

@@ -113,14 +113,14 @@ def test_c_coeff_consistency_with_alternate_form():
     # same quantity written two ways (the derivation pivots on one of them)
     for p in (2.5, 3.0, 5.0):
         for lam in (1.3, 2.0, 4.0):
-            direct = c_coeff(p, 1.0 / lam)
+            direct = c_coeff(p, -np.log(lam))
             alt = p / (2.0 * (lam ** 2 - 1.0)) \
                 - (1.0 - lam ** -p) / ((lam ** 2 - 1.0) * (1.0 - lam ** -2))
             assert abs(direct - alt) < 1e-12 * max(1.0, abs(direct))
     with pytest.raises(ValueError):
-        c_coeff(2.0, 1.5)
+        c_coeff(2.0, np.log(1.5))
     with pytest.raises(ValueError):
-        c_coeff(3.0, 1.0)
+        c_coeff(3.0, 0.0)
 
 
 @pytest.mark.parametrize("p", [2.001, 3.0, 6.0, 10.0])
@@ -130,14 +130,14 @@ def test_c_coeff_near_one(p):
     # by more than 4e-7 p**2 at s = 1e-6
     for s in (1e-6, -1e-6, 1e-7):
         series = p * (p - 2.0) / 8.0 + p * (p * p - 4.0) * s / 24.0
-        assert abs(c_coeff(p, np.exp(s)) - series) <= 1e-9 * p * p
+        assert abs(c_coeff(p, s) - series) <= 1e-9 * p * p
 
 
 @pytest.mark.parametrize("p,lam", [(3.0, 1.5), (4.0, 2.0), (6.0, 1.2)])
 def test_expansion_second_order_against_finite_difference(p, lam):
     rng = np.random.default_rng(5)
     d, g = _modular_pair(rng, (3, 3), lam)
-    closed = expansion_second_order(d, g, p, lam)
+    closed = expansion_second_order(d, g, p, np.log(lam))
     frech = expansion_via_frechet(d, g, p)
     fd = richardson_second_coeff(
         lambda e: schatten_norm((np.eye(d.size) + e * g) * d, p) ** p, 1e-2)
@@ -148,20 +148,20 @@ def test_expansion_second_order_against_finite_difference(p, lam):
     first = np.trace(frechet1(d * d, np.outer(d, d) * (g + g.conj().T), p))
     assert abs(first) < 1e-8 * abs(closed)
     # zero perturbation
-    assert expansion_second_order(d, np.zeros_like(g), p, lam) == 0.0
+    assert expansion_second_order(d, np.zeros_like(g), p, np.log(lam)) == 0.0
 
 
 def test_expansion_rejects_bad_pairs():
     rng = np.random.default_rng(6)
     d, g = _modular_pair(rng, (2, 2), 1.7)
     with pytest.raises(ValueError):
-        expansion_second_order(d, g, 3.0, 1.0)    # lam = 1 outside hypothesis
+        expansion_second_order(d, g, 3.0, 0.0)    # lam = 1 outside hypothesis
     with pytest.raises(ValueError):
-        expansion_second_order(d, g, 3.0, 2.5)    # wrong lam breaks commutation
+        expansion_second_order(d, g, 3.0, np.log(2.5))    # wrong lam breaks commutation
     with pytest.raises(ValueError):
-        expansion_second_order(d, _rand_matrix(rng, 4), 3.0, 1.7)
+        expansion_second_order(d, _rand_matrix(rng, 4), 3.0, np.log(1.7))
     with pytest.raises(ValueError):
-        expansion_second_order(-d, g, 3.0, 1.7)     # d must be positive
+        expansion_second_order(-d, g, 3.0, np.log(1.7))     # d must be positive
 
 
 def test_richardson_known_series():
