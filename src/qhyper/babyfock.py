@@ -19,13 +19,16 @@ The model keeps the closed-form 2**n irrep, which every command reads.
 ``relations`` checks the relations and norms of the generators there
 (``irrep_letter``, ``relation_residuals``): the 4**n model is 2**n copies of
 the irrep, so a relation holds in one exactly when it holds in the other.
-The map between monomial coefficients and dense 4**n x 4**n matrices
-(``expand``, ``reconstruct``, ``monomial_matrix`` and the rest) and the
-class-probe relation and norm checks of the letter kernels are the tests'
-oracle, in ``tests/gns_oracle.py``.  The letter kernels, the dense
-``identity`` and the sparse monomial table stay here: ``state.get_density``
-builds D with the kernels from the one and checks it against the other, and
-it stays in ``src`` because the benchmark's ``search`` set-up calls it.
+Of the 4**n model only sparse steps on the bit layout stay here: the letter
+steps behind the monomial table (``_letter_entries``, ``_word_entries``,
+``monomial_table``) and the vacuum column (``_monomial_data``), and the
+factors of the density (``_density_entries``), which share the pair-flip sign
+of y_i (``_pair_flip``).  ``state.get_density`` scatters the one and checks it
+against the other, and stays in ``src`` because the benchmark's ``search``
+set-up calls it.  The dense letter kernels, the map between monomial
+coefficients and dense 4**n x 4**n matrices (``expand``, ``reconstruct``,
+``monomial_matrix`` and the rest) and the class-probe relation and norm
+checks are the tests' oracle, in ``tests/gns_oracle.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
 from .signs import ModelParams
 
 __all__ = [
@@ -73,43 +75,10 @@ class BabyFock:
             self._sign_mask[i] = mask
         self._matrix_cache: dict = {}
 
-    # ------------------------------------------------------------------
-    # operator actions on coefficient arrays
-    # ------------------------------------------------------------------
-
     def _check_index(self, i: int, positive: bool = False):
         lo = 1 if positive else -self.n
         if i == 0 or not (lo <= i <= self.n) or (not positive and abs(i) > self.n):
             raise ValueError(f"index {i} out of range for n={self.n}")
-
-    def apply_creation(self, i: int, vec, weight=1.0, out=None):
-        self._check_index(i)
-        return _kernels.apply_beta_batch(
-            vec, 1 << self._pos[i], self._sign_mask[i], True, weight, out=out)
-
-    def apply_annihilation(self, i: int, vec, weight=1.0, out=None):
-        self._check_index(i)
-        return _kernels.apply_beta_batch(
-            vec, 1 << self._pos[i], self._sign_mask[i], False, weight, out=out)
-
-    def apply_gamma(self, i: int, vec):
-        self._check_index(i, positive=True)
-        mu = self.mu[i - 1]
-        out = self.apply_creation(i, vec, 1.0 / mu)
-        return self.apply_annihilation(-i, vec, mu, out=out)
-
-    def apply_gamma_star(self, i: int, vec):
-        self._check_index(i, positive=True)
-        mu = self.mu[i - 1]
-        out = self.apply_annihilation(i, vec, 1.0 / mu)
-        return self.apply_creation(-i, vec, mu, out=out)
-
-    # ------------------------------------------------------------------
-    # dense matrices
-    # ------------------------------------------------------------------
-
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=np.complex128)
 
     def _cached(self, key, builder):
         mat = self._matrix_cache.get(key)
@@ -121,13 +90,8 @@ class BabyFock:
         return mat
 
     # ------------------------------------------------------------------
-    # vacuum and monomials
+    # monomials and the density's factors on the 4**n layout
     # ------------------------------------------------------------------
-
-    def vacuum_vector(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.complex128)
-        v[0] = 1.0
-        return v
 
     def windex_of(self, word) -> int:
         word = tuple(word)
@@ -166,23 +130,28 @@ class BabyFock:
         """sign(i, A) = (-1)**popcount(A & sign_mask(i)) for each row bitmask A."""
         return 1.0 - 2.0 * (np.bitwise_count(rows & self._sign_mask[i]) & 1)
 
+    def _pair_flip(self, i: int, row):
+        """(mask, rows, sign) of the flip x_A -> sign x_{A ^ {-i, i}} that y_i and p_i apply
+        to the rows A whose pair of +-i is empty or full (``mask``), with sign =
+        sign(i, A - {-i}) sign(-i, A)."""
+        bit, neg = 1 << self._pos[i], 1 << self._pos[-i]
+        mask = ((row & bit) == 0) == ((row & neg) == 0)
+        return mask, row ^ (bit | neg), self._sign(i, row & ~neg) * self._sign(-i, row)
+
     def _letter_entries(self, letter: int, i: int, word, row, col, val):
         """Entries (word, row, col, val) of L_i M_w from those of M_w: one sparse
-        step of letter L_i at index i with the signs of ``apply_creation``.
+        step of letter L_i at index i, b*_i and b_i sending x_A to sign(i, A) x_{A +- i}.
 
         Every row of M_w e_col has the +-i bits of col when the letters of w lie
         above index i, so a letter sends distinct entries to distinct (row, col)
         and the table needs no combine step.  y_i is in closed form: the diagonal
-        mu_i**2 [-i in A] - mu_i**-2 [i in A] (exact zeros dropped) plus the flip
-        x_A -> x_{A ^ {-i, i}} of an empty or full pair, with sign(i, A - {-i})
-        sign(-i, A).
+        mu_i**2 [-i in A] - mu_i**-2 [i in A] (exact zeros dropped) plus the
+        ``_pair_flip`` of an empty or full pair.
         """
         mu, bit, neg = self.mu[i - 1], 1 << self._pos[i], 1 << self._pos[-i]
         if letter == Y:
             diag = np.where(row & neg, mu ** 2, 0.0) - np.where(row & bit, mu ** -2, 0.0)
-            flip = ((row & bit) == 0) == ((row & neg) == 0)
-            terms = [(diag != 0.0, row, diag),
-                     (flip, row ^ (bit | neg), self._sign(i, row & ~neg) * self._sign(-i, row))]
+            terms = [(diag != 0.0, row, diag), self._pair_flip(i, row)]
         else:
             # g_i = mu**-1 b*_i + mu b_-i and g*_i = mu**-1 b_i + mu b*_-i
             create = letter == GEN
@@ -210,6 +179,32 @@ class BabyFock:
         """(word, row, col, val): every non-zero of every monomial matrix M_w,
         one entry per (w, row, col), built once and cached (at most 17**n entries)."""
         return self._cached(("table",), lambda: self._word_entries(np.arange(self.dim)))
+
+    def _density_entries(self, alpha: float):
+        """(row, col, val) of prod_i F_i**alpha, F_i = (1 - lambda_i) (1 - p_i) + lambda_i p_i
+        with lambda_i = 1/(1 + mu_i**4) and the projection p_i = g*_i g_i / (mu_i**2 + mu_i**-2).
+
+        p_i acts on the bits of +-i alone: lambda_i, 1, 0 and 1 - lambda_i on the diagonal of
+        the pair states {}, {-i}, {i} and {-i, i}, plus sqrt(lambda_i (1 - lambda_i)) times
+        y_i's ``_pair_flip``.  So F_i**alpha = (1 - lambda_i)**alpha (1 - p_i) + lambda_i**alpha
+        p_i is the matching diagonal plus the flip with value (lambda_i**alpha - (1 -
+        lambda_i)**alpha) sqrt(lambda_i (1 - lambda_i)).  From the identity's diagonal each
+        factor sends an entry to its own row and at most one flipped row, distinct rows for
+        distinct entries of a column, so no combine step is needed.
+        """
+        row = col = np.arange(self.dim)
+        val = np.ones(self.dim)
+        for i in range(1, self.n + 1):
+            lam = 1.0 / (1.0 + self.mu[i - 1] ** 4)
+            off, on = (1.0 - lam) ** alpha, lam ** alpha
+            diag = np.array([off * (1.0 - lam) + on * lam, on, off, off * lam + on * (1.0 - lam)])
+            pair = (row >> self._pos[-i] & 1) | (row >> self._pos[i] & 1) << 1
+            mask, flipped, sign = self._pair_flip(i, row)
+            flip = (on - off) * np.sqrt(lam * (1.0 - lam)) * sign[mask]
+            row, col, val = (np.concatenate([row, flipped[mask]]),
+                             np.concatenate([col, col[mask]]),
+                             np.concatenate([val * diag[pair], val[mask] * flip]))
+        return row, col, val
 
     def irrep(self):
         """(flip, vals, rho): the 2**n dimensional irreducible representation

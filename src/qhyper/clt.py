@@ -16,9 +16,9 @@ matrix per group.  The budget (MAX_CLT_WORD letters, 1 <= m <= MAX_CLT_M,
 2nm <= 1022) keeps every accepted size within reach of the tests'
 independent sparse Fock oracle.  ``convergence_report`` gives each m's mean
 and standard error over the sign samples; the ``clt`` command reports them.
-``dense_reference_moment`` evaluates one sample's moment in the flat base
-model; no command calls it, but the benchmark's ``campaign`` checks the
-``clt`` mean against it.
+``dense_reference_moment`` evaluates one sample's moment in the 2**nm irrep
+of the flat base model; no command calls it, but the benchmark's ``campaign``
+checks the ``clt`` mean against it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .qfock import QParams, _crossing_pairs, _pair_weights, _pairings, moment, parse_word
+from .qfock import (QParams, _crossing_pairs, _pair_weights, _pairings, letter_parts, moment,
+                    parse_word)
 from .signs import check_weights
 
 __all__ = [
@@ -173,9 +174,11 @@ def dense_reference_moment(letters, sample: BigSignSample, mu) -> complex:
 
     The lifted model with nm total pair indices is itself a base model
     whose k-th gaussian is g_(i,j) with k = (i-1) m + j, so nm is bounded
-    by the base model's MAX_N.
+    by the base model's MAX_N.  The moment is trace(rho X) in that model's
+    2**nm irrep, X the product of the letters c_g s_i + c_s s*_i with
+    s_i = m**-0.5 sum_j pi(g_(i,j)).
     """
-    from .babyfock import BabyFock
+    from .babyfock import GEN, BabyFock
     from .signs import ModelParams, SignTable
 
     n, m = sample.n, sample.m
@@ -185,18 +188,11 @@ def dense_reference_moment(letters, sample: BigSignSample, mu) -> complex:
          for l in range(k + 1, nm + 1)}, nm)
     flat_mu = tuple(float(mu[i - 1]) for i in range(1, n + 1) for _ in range(m))
     model = BabyFock(ModelParams(n=nm, mu=flat_mu, signs=table))
-    vec = model.vacuum_vector()
-    for kind, i in reversed(list(letters)):
-        mu_i = mu[i - 1]
-        flats = [(i - 1) * m + j for j in range(1, m + 1)]
-        out = np.zeros_like(vec)
-        for k in flats:
-            if kind in ("g", "x"):
-                out += model.apply_gamma(k, vec)
-            if kind in ("g*", "x"):
-                out += model.apply_gamma_star(k, vec)
-        out /= np.sqrt(m)
-        if kind == "x":
-            out /= np.sqrt(mu_i ** 2 + mu_i ** -2)
-        vec = out
-    return complex(vec[0])
+    letters = list(letters)
+    s = {i: sum(model.irrep_letter(GEN, (i - 1) * m + j) for j in range(1, m + 1)) / np.sqrt(m)
+         for i in {i for _, i in letters}}
+    X = np.eye(1 << nm)
+    for kind, i in letters:
+        c_g, c_s = letter_parts(kind, mu[i - 1])
+        X = X @ (c_g * s[i] + c_s * s[i].T)
+    return complex(np.sum(model.irrep()[2] * np.diag(X)))

@@ -219,7 +219,8 @@ class RatioEvaluator:
     ``BabyFock.irrep_sum`` and ``irrep_add`` with the decay exp(-t deg_w) in the coefficients.
     The 4**n density and monomial table are never read, so every n up to MAX_N works; the
     4**n path is the tests' oracle (``contraction_ratio`` and ``dual_contraction_ratio`` in
-    ``tests/gns_oracle.py``), and ``state.get_density`` stays in ``src`` for the benchmark.
+    ``tests/gns_oracle.py``); ``state.get_density``, built in closed form on the sparse
+    4**n layout, stays in ``src`` for the benchmark.
     """
 
     def __init__(self, model: BabyFock, t: float, p: float, direction: str = "primal"):

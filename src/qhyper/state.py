@@ -9,9 +9,10 @@ projection p_i = g*_i g_i / (mu_i**2 + mu_i**-2),
     D = 2**-n prod_i ((1 - lambda_i) + (2 lambda_i - 1) p_i),
 
 a product of n commuting two-level factors whose trace is exactly one.
-Every power D**alpha is the product of the factors raised to alpha,
-applied to the identity by the letter kernels (``get_density(model, alpha)``);
-no eigendecomposition and no dense projection is formed.  The check
+Every power D**alpha is the product of the factors raised to alpha, built in
+closed form on the sparse 4**n layout (``BabyFock._density_entries``) and
+scattered once into a dense matrix (``get_density(model, alpha)``); no
+eigendecomposition and no dense projection is formed.  The check
 trace(D M_w) = tau(M_w) over every word reads the sparse monomial table
 (``BabyFock.monomial_table``).  No command reads the 4**n density, but
 ``get_density`` stays here: the benchmark's ``search`` set-up calls it, and
@@ -62,28 +63,22 @@ def get_density(model: BabyFock, alpha: float = 1.0) -> np.ndarray:
     """D**alpha for the vacuum density D = 2**-n prod_i F_i, with the commuting factors
     F_i = (1 - lambda_i) (1 - p_i) + lambda_i p_i, lambda_i = 1/(1 + mu_i**4).
 
-    D**alpha = 2**(-n alpha) prod_i F_i**alpha is applied to the identity and cached
-    on the model per alpha: F_i**alpha X = (1 - lambda_i)**alpha X + (lambda_i**alpha -
-    (1 - lambda_i)**alpha) p_i X, p_i X = g*_i g_i X / (mu_i**2 + mu_i**-2), two
-    letter applications per index.  Every lambda_i is in (0, 1), so every real
-    power exists; the product of the F_i has trace exactly 2**n (pi(rho) tensor 1,
-    rho of trace one on C**(2**n)), so no computed trace is divided out.  D itself
-    is built first, whichever power is asked for, and its build checks that it
-    represents tau on every word: once per model.  The benchmark's ``search`` set-up
-    and the tests' 4**n oracle call it; the CLI's ``density`` reads pi(D) =
+    D**alpha = 2**(-n alpha) prod_i F_i**alpha is scattered from the sparse entries of
+    the product (``BabyFock._density_entries``: F_i**alpha = (1 - lambda_i)**alpha (1 -
+    p_i) + lambda_i**alpha p_i is a diagonal on the bits of +-i plus the flip of an
+    empty or full pair) and cached on the model per alpha.  Every lambda_i is in
+    (0, 1), so every real power exists; the product of the F_i has trace exactly 2**n
+    (pi(rho) tensor 1, rho of trace one on C**(2**n)), so no computed trace is divided
+    out.  D itself is built first, whichever power is asked for, and its build checks
+    that it represents tau on every word: once per model.  The benchmark's ``search``
+    set-up and the tests' 4**n oracle call it; the CLI's ``density`` reads pi(D) =
     diag(rho) / 2**n from ``BabyFock.irrep``.
     """
 
     def build(a):
-        X = model.identity()
-        for i, mu in enumerate(model.mu, 1):
-            lam = 1.0 / (1.0 + mu ** 4)
-            off, on = (1.0 - lam) ** a, lam ** a
-            pX = model.apply_gamma_star(i, model.apply_gamma(i, X))
-            pX *= (on - off) / (mu ** 2 + mu ** -2)
-            X *= off
-            X += pX
-        X *= 2.0 ** (-model.n * a)
+        row, col, val = model._density_entries(a)
+        X = np.zeros((model.dim, model.dim), dtype=np.complex128)
+        X[row, col] = val * 2.0 ** (-model.n * a)
         if a == 1.0:
             resid = defining_property_residual(model, X)
             if resid > VERIFY_TOL:

@@ -10,13 +10,19 @@ the vacuum column, and the Haagerup norm is the Schatten norm of the dense
 product x D**(1/p) with the 4**n density ``qhyper.state.get_density``, read
 through the module so that a test can patch it.  Every function is a plain
 function of a model; no command and no benchmark workload reaches any of
-them.  ``verify_relations`` and ``generator_norm`` check the letter kernels
+them.  The letters act through the dense kernels (``apply_beta_batch`` and
+``apply_gamma``/``apply_gamma_star`` on it), which ``qhyper`` no longer holds:
+its density and monomial table are sparse steps on the same bit layout, and
+``kernel_density`` is the kernels' own build of D to compare them with.
+``verify_relations`` and ``generator_norm`` check the letter kernels
 themselves: they apply them to one 0/1 probe column per class of basis
 columns, the 4**n counterpart of the ``relations`` command's checks on the
 irrep (``qhyper.babyfock.relation_residuals``).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +31,90 @@ from qhyper.babyfock import GEN, LETTER_DEGREE, STAR, UNIT, Y, BabyFock, get_mod
 from qhyper.hyperc import _l2_weights
 from qhyper.linalg import schatten_norm
 from qhyper.semigroup import apply_OU_coeffs
+
+# ============================================================================
+# the letter kernels
+# ============================================================================
+
+
+def apply_beta_batch(vec, bit, sign_mask, create, weight, out=None):
+    """Accumulate weight * beta(vec) into out for one signed index.
+
+    ``vec`` has shape (dim, ...) complex128; basis row ``a`` is the
+    occupation bitmask.  Creation maps a -> a|bit when the bit is free,
+    annihilation maps a -> a&~bit when it is set, both with the sign
+    (-1)**popcount(a & sign_mask).  ``out`` may be any (dim, ...) view;
+    it is written through.  Splitting the row axis as (high bits, the
+    operator's bit, low bits) turns a -> a ^ bit into a strided view of
+    input and output, so a letter is one broadcast multiply-add.
+    """
+    vec = np.asarray(vec, dtype=np.complex128)
+    if out is None:
+        out = np.zeros(vec.shape, dtype=np.complex128)
+    dim = vec.shape[0]
+    # row a = (hi, b, lo) with b the bit: splitting axis 0 is a view
+    split = (dim // (2 * bit), 2, bit) + vec.shape[1:]
+    src, dst = (0, 1) if create else (1, 0)
+    rows = np.arange(dim).reshape(split[:3])[:, src]
+    sign = 1.0 - 2.0 * (np.bitwise_count(rows & sign_mask) & 1)
+    coef = (complex(weight) * sign).reshape(rows.shape + (1,) * (vec.ndim - 1))
+    out.reshape(split)[:, dst] += coef * vec.reshape(split)[:, src]
+    return out
+
+
+def apply_creation(model: BabyFock, i: int, vec, weight=1.0, out=None):
+    """weight b*_i vec: x_A -> sign(i, A) x_{A + i} for i not in A."""
+    model._check_index(i)
+    return apply_beta_batch(vec, 1 << model._pos[i], model._sign_mask[i], True, weight, out=out)
+
+
+def apply_annihilation(model: BabyFock, i: int, vec, weight=1.0, out=None):
+    """weight b_i vec: x_A -> sign(i, A) x_{A - i} for i in A."""
+    model._check_index(i)
+    return apply_beta_batch(vec, 1 << model._pos[i], model._sign_mask[i], False, weight, out=out)
+
+
+def apply_gamma(model: BabyFock, i: int, vec):
+    """g_i = mu_i**-1 b*_i + mu_i b_-i applied to a vector or the columns of a matrix."""
+    model._check_index(i, positive=True)
+    mu = model.mu[i - 1]
+    out = apply_creation(model, i, vec, 1.0 / mu)
+    return apply_annihilation(model, -i, vec, mu, out=out)
+
+
+def apply_gamma_star(model: BabyFock, i: int, vec):
+    """g*_i = mu_i**-1 b_i + mu_i b*_-i applied to a vector or the columns of a matrix."""
+    model._check_index(i, positive=True)
+    mu = model.mu[i - 1]
+    out = apply_annihilation(model, i, vec, 1.0 / mu)
+    return apply_creation(model, -i, vec, mu, out=out)
+
+
+def identity(model: BabyFock) -> np.ndarray:
+    return np.eye(model.dim, dtype=np.complex128)
+
+
+def vacuum_vector(model: BabyFock) -> np.ndarray:
+    v = np.zeros(model.dim, dtype=np.complex128)
+    v[0] = 1.0
+    return v
+
+
+def kernel_density(model: BabyFock, alpha: float = 1.0) -> np.ndarray:
+    """D**alpha = 2**(-n alpha) prod_i F_i**alpha applied to the identity by the letter
+    kernels, F_i**alpha X = (1 - lambda_i)**alpha X + (lambda_i**alpha - (1 - lambda_i)**alpha)
+    g*_i g_i X / (mu_i**2 + mu_i**-2): the independent side of ``state.get_density``'s
+    closed form, which shares its pair-flip sign with the monomial table."""
+    X = identity(model)
+    for i, mu in enumerate(model.mu, 1):
+        lam = 1.0 / (1.0 + mu ** 4)
+        off, on = (1.0 - lam) ** alpha, lam ** alpha
+        pX = apply_gamma_star(model, i, apply_gamma(model, i, X))
+        pX *= (on - off) / (mu ** 2 + mu ** -2)
+        X *= off
+        X += pX
+    return X * 2.0 ** (-model.n * alpha)
+
 
 # ============================================================================
 # letters, words and the coefficient <-> matrix map
@@ -43,7 +133,7 @@ def word_of(model: BabyFock, windex: int) -> tuple:
 
 def apply_y(model: BabyFock, i: int, vec):
     """y_i = g*_i g_i - mu_i**-2 applied to a vector or the columns of a matrix."""
-    out = model.apply_gamma_star(i, model.apply_gamma(i, vec))
+    out = apply_gamma_star(model, i, apply_gamma(model, i, vec))
     out -= vec / model.mu[i - 1] ** 2
     return out
 
@@ -53,9 +143,9 @@ def apply_letter(model: BabyFock, letter: int, i: int, vec):
     if letter == UNIT:
         return np.array(vec, dtype=np.complex128, copy=True)
     if letter == GEN:
-        return model.apply_gamma(i, vec)
+        return apply_gamma(model, i, vec)
     if letter == STAR:
-        return model.apply_gamma_star(i, vec)
+        return apply_gamma_star(model, i, vec)
     if letter == Y:
         return apply_y(model, i, vec)
     raise ValueError(f"unknown letter {letter}")
@@ -64,7 +154,7 @@ def apply_letter(model: BabyFock, letter: int, i: int, vec):
 def monomial_matrix(model: BabyFock, word) -> np.ndarray:
     """Dense matrix of the monomial with the given letter tuple, the letters
     applied right to left, index n first: the oracle for the monomial table."""
-    X = model.identity()
+    X = identity(model)
     for k in range(model.n - 1, -1, -1):
         if word[k] != UNIT:
             X = apply_letter(model, word[k], k + 1, X)
@@ -142,7 +232,7 @@ def generator_norm(model: BabyFock, i: int) -> float:
     model._check_index(i, positive=True)
     probe, masks = _class_probe(model, i)
     outer = np.flatnonzero(probe[:, 0])
-    blocks = model.apply_gamma(i, probe)[outer[:, None] | masks]
+    blocks = apply_gamma(model, i, probe)[outer[:, None] | masks]
     return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
 
 
@@ -158,7 +248,7 @@ def verify_relations(model: BabyFock, check_signs=None) -> dict:
     operators (mutation testing); by default the model's own table is used.
     """
     eps = (check_signs or model.params.signs).matrix()
-    g, gs = model.apply_gamma, model.apply_gamma_star
+    g, gs = partial(apply_gamma, model), partial(apply_gamma_star, model)
 
     def maxabs(M):
         return float(np.max(np.abs(M)))
@@ -217,8 +307,8 @@ def modular_check(model: BabyFock, p: float) -> list:
     dp = state.get_density(model, 1.0 / p)
     out = []
     for k in range(1, model.n + 1):
-        lhs = model.apply_gamma_star(k, dp).conj().T
-        rhs = model.mu[k - 1] ** (4.0 / p) * model.apply_gamma(k, dp)
+        lhs = apply_gamma_star(model, k, dp).conj().T
+        rhs = model.mu[k - 1] ** (4.0 / p) * apply_gamma(model, k, dp)
         scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
         out.append(float(np.linalg.norm(lhs - rhs) / scale))
     return out
@@ -296,8 +386,8 @@ def l2_pythagoras_residual(model: BabyFock, a, b, c, d, t: float) -> float:
     n = model.n
     mu = model.mu[n - 1]
     parts = [embed_lower(x, small, model) for x in (a, b, c, d)]
-    X = parts[0] + model.apply_gamma(n, parts[1]) \
-        + model.apply_gamma_star(n, parts[2]) + apply_y(model, n, parts[3])
+    X = parts[0] + apply_gamma(model, n, parts[1]) \
+        + apply_gamma_star(model, n, parts[2]) + apply_y(model, n, parts[3])
     lhs = np.linalg.norm(apply_OU(model, X, t)[:, 0]) ** 2
     weights = (1.0, mu ** -2 * np.exp(-2 * t), mu ** 2 * np.exp(-2 * t), np.exp(-4 * t))
     rhs = sum(w * np.linalg.norm(apply_OU(small, np.asarray(x), t)[:, 0]) ** 2

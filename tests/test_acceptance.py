@@ -12,8 +12,9 @@ import time
 
 import numpy as np
 
-from gns_oracle import (dual_contraction_ratio, generator_norm, haagerup_norm,
-                        l2_pythagoras_residual, modular_check, reconstruct, verify_relations)
+from gns_oracle import (apply_gamma, apply_gamma_star, dual_contraction_ratio, generator_norm,
+                        haagerup_norm, identity, l2_pythagoras_residual, modular_check,
+                        reconstruct, verify_relations)
 from paper_reference import (asym_convexity_check, bcl_check, decomposition_identity_check,
                              disjoint_support_check, dual_convexity_check,
                              gamma_lower_bound_check, gram_matrix, positivity_check, q_inner)
@@ -71,8 +72,8 @@ def test_criterion_02_density():
             np.linalg.norm(solved - D) / np.linalg.norm(D)))
         worst_def = max(worst_def, defining_property_residual(model, D))
         for i in range(1, n + 1):
-            g = model.apply_gamma(i, model.identity())
-            tr = float(np.trace(D @ model.apply_gamma_star(i, g)).real)
+            g = apply_gamma(model, i, identity(model))
+            tr = float(np.trace(D @ apply_gamma_star(model, i, g)).real)
             worst_state = max(worst_state, abs(tr - mu[i - 1] ** -2))
             l2 = haagerup_norm(model, g, 2)
             worst_l2 = max(worst_l2, abs(l2 - 1.0 / mu[i - 1]))
@@ -185,7 +186,7 @@ def test_criterion_07_optimality_negative():
             thr = necessary_time_exact(n_half, mu)
             params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
             model = get_model(params)
-            wit = model.identity() + 1e-2 * model.apply_gamma(1, model.identity())
+            wit = identity(model) + 1e-2 * apply_gamma(model, 1, identity(model))
             r_above = dual_contraction_ratio(
                 model, wit, -0.5 * np.log(1.05 * thr.exact), float(pprime))
             r_below = dual_contraction_ratio(
@@ -203,7 +204,7 @@ def test_criterion_08_perturbation():
     for mu in (1.2, 1.5, 2.0):
         params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
         model = get_model(params)
-        g = model.apply_gamma(1, model.identity())
+        g = apply_gamma(model, 1, identity(model))
         ident = np.eye(model.dim)
         D = get_density(model)
         worst_tr = max(worst_tr,
@@ -306,7 +307,7 @@ def test_criterion_11_lp_growth():
     for mu in (2.0, 4.0, 8.0):
         params = ModelParams.make(1, mu, SignTable.all_anticommuting(1))
         model = get_model(params)
-        g = model.apply_gamma(1, model.identity())
+        g = apply_gamma(model, 1, identity(model))
         for p in (2.0, 3.0, 4.0, 6.0):
             nrm = haagerup_norm(model, g, p)
             ratios.append(nrm / mu ** (1.0 - 4.0 / p))

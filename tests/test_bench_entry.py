@@ -4,9 +4,12 @@
 ``sample_signs`` with ``dense_reference_moment``, ``violation_search(...).ratio``
 and ``cli.main``.  One round of each workload, with every verdict true, keeps a
 change that breaks one of them from passing the tests.  The ``search`` set-up's
-``get_density`` call is why the 4**n density stays in ``qhyper.state`` while the
-rest of the 4**n model, the coefficient <-> matrix map and its norms, is the
-tests' oracle in ``tests/gns_oracle.py``.
+``get_density`` call is why the 4**n density, built in closed form on the sparse
+layout and checked against the monomial table, stays in ``qhyper.state`` while the
+rest of the 4**n model, the letter kernels, the coefficient <-> matrix map and
+its norms, is the tests' oracle in ``tests/gns_oracle.py``.  The ``campaign``
+check ``_dense_agrees`` compares the ``clt`` mean with ``dense_reference_moment``,
+which takes the moment in the flat base model's 2**nm irrep.
 """
 
 import importlib

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gns_oracle import haagerup_norm, modular_check, reconstruct
-from qhyper import _kernels, cli, hyperc, state
+from gns_oracle import apply_gamma, haagerup_norm, identity, modular_check, reconstruct
+from qhyper import cli, hyperc, state
 from qhyper.babyfock import BabyFock, get_model
 from qhyper.cli import COMMANDS, _config_echo, build_parser, emit, main, parse_values
 from qhyper.semigroup import choi_identity_residual, choi_matrix
@@ -273,7 +273,7 @@ def test_density_and_lpnorm_match_dense_oracle(capsys):
     model = get_model(ModelParams.make(3, mu, sign_seed=4))
     D = get_density(model)
     for i in (1, 2, 3):
-        g = model.apply_gamma(i, model.identity())
+        g = apply_gamma(model, i, identity(model))
         tr = np.trace(D @ g.conj().T @ g).real
         assert abs(resid[f"trace_gstar_g_{i}"] - abs(tr - mu[i - 1] ** -2)) <= 1e-12
         l2 = haagerup_norm(model, g, 2)
@@ -427,15 +427,16 @@ def test_necessary_time_crosses_up_to_the_weight_limit(capsys):
 
 def test_norm_commands_never_touch_the_4n_model(capsys, monkeypatch):
     # relations, density, lpnorm, necessary-time and perturb take every check and norm in
-    # the 2**n irrep; at n = 6 the 4**n model would hold 4096 x 4096 matrices
+    # the 2**n irrep; at n = 6 the 4**n model would hold 4096 x 4096 matrices.  The irrep's
+    # build check reads the vacuum column M_w x_empty through ``_letter_entries``, so the
+    # forbidden letter actions are those of the density build and the full monomial table
     def forbidden(*args, **kwargs):
-        raise AssertionError("4**n density, letter kernel, dense identity or monomial table used")
+        raise AssertionError("4**n density or monomial table used")
 
     for module in (cli, hyperc, state):
         if hasattr(module, "get_density"):
             monkeypatch.setattr(module, "get_density", forbidden)
-    monkeypatch.setattr(_kernels, "apply_beta_batch", forbidden)
-    for name in ("monomial_table", "identity"):
+    for name in ("monomial_table", "_density_entries"):
         monkeypatch.setattr(BabyFock, name, forbidden)
     for argv in (["relations", "--n", "6"], ["density", "--n", "6", "--mu", "1,1.2,1.5,2,2.5,3"],
                  ["lpnorm", "--n", "3", "--mu", "1,1.5,2.5"], ["necessary-time"], ["perturb"]):

@@ -31,13 +31,15 @@ def test_modules_declare_exports():
     assert set(MODULES) - set(declared) <= {"cli"}
 
 
-# the coefficient <-> 4**n matrix oracle and the class-probe relation checks of the letter
-# kernels: defined in tests/gns_oracle.py and nowhere in qhyper
+# the letter kernels, the coefficient <-> 4**n matrix oracle and the class-probe relation
+# checks of the kernels: defined in tests/gns_oracle.py and nowhere in qhyper
 ORACLE_NAMES = {
     "expand", "reconstruct", "random_element", "monomial_matrix", "apply_letter", "apply_y",
     "vacuum_state", "word_of", "haagerup_norm", "modular_check", "embed_lower", "apply_OU",
     "apply_Ti", "cp_randomized_check", "l2_pythagoras_residual", "contraction_ratio",
     "dual_contraction_ratio", "_class_probe", "generator_norm", "verify_relations",
+    "apply_beta_batch", "apply_creation", "apply_annihilation", "apply_gamma",
+    "apply_gamma_star", "identity", "vacuum_vector", "kernel_density",
 }
 
 
@@ -46,6 +48,8 @@ def test_gns_oracle_lives_only_in_the_tests():
     for name in MODULES:
         assert not ORACLE_NAMES & set(vars(importlib.import_module(f"qhyper.{name}"))), name
     assert not ORACLE_NAMES & set(vars(BabyFock))
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("qhyper._kernels")
 
 
 # checks that no command reaches: the per-instance references, in tests/paper_reference.py

@@ -1,11 +1,11 @@
-"""The hot kernels, and the sparse CLT oracle's expand kernel, against pure-Python
+"""The oracle's letter kernel and the sparse CLT oracle's expand kernel, against pure-Python
 per-row references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhyper._kernels import apply_beta_batch
+from gns_oracle import apply_beta_batch
 from sparse_clt import expand_ops_sparse
 
 # the references below read a sparse state as (N, width) int16 rows of

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gns_oracle import (apply_OU, apply_Ti, apply_y, cp_randomized_check,
+from gns_oracle import (apply_OU, apply_Ti, apply_y, cp_randomized_check, identity,
                         l2_pythagoras_residual, random_element, vacuum_state)
 from qhyper.babyfock import BabyFock
 from qhyper.semigroup import choi_identity_residual, choi_matrix
@@ -19,7 +19,7 @@ def test_ou_action(m3):
     rng = np.random.default_rng(1)
     x = random_element(m3, rng)
     assert np.allclose(apply_OU(m3, x, 0.0), x, atol=1e-12)
-    y3 = apply_y(m3, 3, m3.identity())
+    y3 = apply_y(m3, 3, identity(m3))
     assert np.linalg.norm(apply_OU(m3, y3, 0.7) - np.exp(-1.4) * y3) < 1e-12
     # semigroup law
     a = apply_OU(m3, apply_OU(m3, x, 0.3), 0.5)

@@ -6,13 +6,15 @@ import weakref
 import numpy as np
 import pytest
 
-from gns_oracle import (apply_letter, contraction_ratio, dual_contraction_ratio, eigh_power,
-                        embed_lower, haagerup_norm, modular_check, monomial_matrix,
-                        random_element, reconstruct, word_of)
+from gns_oracle import (apply_gamma, apply_gamma_star, apply_letter, contraction_ratio,
+                        dual_contraction_ratio, eigh_power, embed_lower, haagerup_norm, identity,
+                        kernel_density, modular_check, monomial_matrix, random_element,
+                        reconstruct, word_of)
 from qhyper import state
 from qhyper.babyfock import GEN, STAR, UNIT, Y, BabyFock, get_model
 from qhyper.signs import ModelParams, SignTable
 from qhyper.state import defining_property_residual, density_solve, get_density
+from test_irrep import _every_sign_table
 
 MU = np.sqrt(2.0)
 
@@ -40,7 +42,7 @@ def test_density_projections_commute(m2):
     D = get_density(m2)
     for i in range(1, m2.n + 1):
         mu = m2.mu[i - 1]
-        p = m2.apply_gamma_star(i, m2.apply_gamma(i, m2.identity())) / (mu ** 2 + mu ** -2)
+        p = apply_gamma_star(m2, i, apply_gamma(m2, i, identity(m2))) / (mu ** 2 + mu ** -2)
         assert np.linalg.norm(p @ p - p) < 1e-10
         assert np.linalg.norm(p - p.conj().T) < 1e-12
         assert np.linalg.norm(D @ p - p @ D) < 1e-10
@@ -57,7 +59,7 @@ def test_density_is_checked_once_per_model(monkeypatch):
         for alpha in order:
             get_density(model, alpha)
             assert calls == [model]
-        haagerup_norm(model, model.identity(), 1.5)
+        haagerup_norm(model, identity(model), 1.5)
         modular_check(model, 3.0)
         assert calls == [model]
         calls.clear()
@@ -65,13 +67,46 @@ def test_density_is_checked_once_per_model(monkeypatch):
 
 def test_corrupted_density_build_is_rejected(monkeypatch):
     model = BabyFock(ModelParams.make(2, (1.5, 2.0), sign_seed=3))
-    star = model.apply_gamma_star
-    # a projection off by 1e-6 gives a D that misrepresents tau on some word
-    monkeypatch.setattr(model, "apply_gamma_star", lambda i, X: (1.0 + 1e-6) * star(i, X))
+    entries = model._density_entries
+
+    def corrupted(alpha):
+        # one flip value off by 1e-6 gives a D that misrepresents tau on some word
+        row, col, val = entries(alpha)
+        val = val.copy()
+        val[np.flatnonzero(row != col)[0]] *= 1.0 + 1e-6
+        return row, col, val
+
+    monkeypatch.setattr(model, "_density_entries", corrupted)
     for alpha in (0.5, 1.0):
         with pytest.raises(AssertionError, match="does not represent the vacuum state"):
             get_density(model, alpha)
     assert not model._matrix_cache.keys() & {("density", 1.0), ("density", 0.5)}
+
+
+def test_density_builds_at_every_admitted_weight():
+    """mu = 10**k on a grid of k in steps of 1/4, up to the largest weights ModelParams
+    admits: every build passes its check (the letter-kernel build failed it from 10**3.25)."""
+    built = 0
+    for n in (1, 2, 3):
+        for k in np.arange(0.0, 77.0, 0.25):
+            try:
+                params = ModelParams.make(n, 10.0 ** k)
+            except ValueError:
+                continue
+            get_density(BabyFock(params))
+            built += 1
+    assert built == 565
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_density_matches_kernel_product_for_every_sign_table(n):
+    """The closed form shares its pair-flip sign with the monomial table that checks it;
+    the letter kernels' product is the independent side, for each of the 1, 2 and 8 tables."""
+    mu = (1.3, 2.0, 3.5)[:n]
+    for signs in _every_sign_table(n):
+        model = BabyFock(ModelParams(n, mu, signs))
+        for alpha in (1.0, 2.0 / 3.0, -2.0 / 3.0, 0.5):
+            assert _rel(get_density(model, alpha), kernel_density(model, alpha)) <= 1e-13
 
 
 POWER_MODELS = [(1, (1.4,), 0), (2, (1.5, 2.0), 3), (3, (1.2, 2.0, 1.0), 9),
@@ -80,10 +115,10 @@ POWER_MODELS = [(1, (1.4,), 0), (2, (1.5, 2.0), 3), (3, (1.2, 2.0, 1.0), 9),
 
 def dense_product_density(model):
     """D by dense right products with the projections, normalized by its trace."""
-    D = model.identity()
+    D = identity(model)
     for i in range(1, model.n + 1):
         mu = model.mu[i - 1]
-        p = model.apply_gamma_star(i, model.apply_gamma(i, model.identity()))
+        p = apply_gamma_star(model, i, apply_gamma(model, i, identity(model)))
         p /= mu ** 2 + mu ** -2
         lam = 1.0 / (1.0 + mu ** 4)
         D = (1.0 - lam) * D + (2.0 * lam - 1.0) * (D @ p)
@@ -133,7 +168,7 @@ def test_model_and_density_form_no_cycle():
     try:
         model = BabyFock(ModelParams.make(2, (1.5, 2.0), sign_seed=3))
         get_density(model)
-        haagerup_norm(model, model.apply_gamma(1, model.identity()), 1.5)
+        haagerup_norm(model, apply_gamma(model, 1, identity(model)), 1.5)
         ref = weakref.ref(model)
         del model
         assert ref() is None
@@ -146,7 +181,7 @@ def dense_modular(model, p):
     dp = state.get_density(model, 1.0 / p)
     out = []
     for k in range(1, model.n + 1):
-        g = model.apply_gamma(k, model.identity())
+        g = apply_gamma(model, k, identity(model))
         lhs, rhs = dp @ g, model.mu[k - 1] ** (4.0 / p) * (g @ dp)
         out.append(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
     return np.array(out)
@@ -225,18 +260,18 @@ def test_density_solve_rejects_wrong_length_vacuum_values(m1):
 
 def test_haagerup_norm_values(m1):
     for p in (1.0, 1.7, 2.0, 4.0):
-        assert abs(haagerup_norm(m1, m1.identity(), p) - 1.0) < 1e-12
-    g = m1.apply_gamma(1, m1.identity())
+        assert abs(haagerup_norm(m1, identity(m1), p) - 1.0) < 1e-12
+    g = apply_gamma(m1, 1, identity(m1))
     assert abs(haagerup_norm(m1, g, 2) - 1.0 / MU) < 1e-12
     for p in (1.0, 2.0, 3.0, 6.0):
         closed = (MU ** 2 + MU ** -2) ** 0.5 * (1 + MU ** 4) ** (-1.0 / p)
         assert abs(haagerup_norm(m1, g, p) - closed) < 1e-12 * closed
     with pytest.raises(ValueError):
-        haagerup_norm(m1, m1.identity(), 0.5)
+        haagerup_norm(m1, identity(m1), 0.5)
 
 
 def test_l2_orthogonality_of_letters(m1):
-    basis = [apply_letter(m1, L, 1, m1.identity()) for L in (UNIT, GEN, STAR, Y)]
+    basis = [apply_letter(m1, L, 1, identity(m1)) for L in (UNIT, GEN, STAR, Y)]
     emb = [b @ get_density(m1, 0.5) for b in basis]
     for i in range(4):
         for j in range(4):
@@ -281,19 +316,19 @@ def test_embedding_isometry(m2):
 def test_embed_lower_rejects_mismatch(m2):
     other = BabyFock(ModelParams.make(1, 3.0, SignTable.all_anticommuting(1)))
     with pytest.raises(ValueError):
-        embed_lower(other.identity(), other, m2)
+        embed_lower(identity(other), other, m2)
 
 
 def test_embed_lower_rejects_sign_mismatch():
     # same weights, eps(1, 2) = +1 in the small model and -1 in the big one
     small = BabyFock(ModelParams.make(2, (1.5, 2.0), SignTable.all_commuting(2)))
     big = BabyFock(ModelParams.make(3, (1.5, 2.0, 1.2), SignTable.all_anticommuting(3)))
-    g1, g2 = (small.apply_gamma(i, small.identity()) for i in (1, 2))
+    g1, g2 = (apply_gamma(small, i, identity(small)) for i in (1, 2))
     with pytest.raises(ValueError):
         embed_lower(g2 @ g1, small, big)
     # the restriction of the big model lifts multiplicatively
     sub = BabyFock(big.params.sub(2))
-    h1, h2 = (sub.apply_gamma(i, sub.identity()) for i in (1, 2))
+    h1, h2 = (apply_gamma(sub, i, identity(sub)) for i in (1, 2))
     lifted = embed_lower(h2, sub, big) @ embed_lower(h1, sub, big)
     assert np.max(np.abs(embed_lower(h2 @ h1, sub, big) - lifted)) <= 1e-12
 
