@@ -5,10 +5,9 @@ as if typed, and echoes the value each flag took (plus the package
 version).  It runs a deterministic sweep for the given
 seed and exits 0 when all asserted checks pass, 1 on usage errors, and 2
 when a numerical assertion fails (failing records go to stderr).  Grid
-flags accept a single number, a comma list, or start:stop:step; an empty
-value or grid, a non-finite value, a count (--samples, --restarts) below 1,
-a negative --tol, or more than one value for a single-valued flag is a
-usage error.
+flags accept a single number, a comma list, or start:stop:step.  ``_TAKES``
+declares the box of values each numeric flag admits, and the parser checks
+every value of a flag against it.
 """
 
 from __future__ import annotations
@@ -18,20 +17,22 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .babyfock import GEN, get_model, relation_residuals
-from .clt import convergence_report
+from .clt import MAX_CLT_M, convergence_report
 from .hyperc import (RatioEvaluator, convexity_margins, necessary_time_exact,
                      sufficient_time, violation_search)
 from .linalg import (expansion_second_order, expansion_via_frechet, richardson_second_coeff,
                      schatten_norm)
 from .qfock import QParams, moment_operator, moment_pairings, parse_word
 from .semigroup import choi_identity_residual, choi_matrix
-from .signs import ModelParams, SignTable, check_weights
+from .signs import MAX_N, ModelParams, SignTable, check_weights
 from .state import SOLVE_TOL, IllConditionedSolve, density_solve
 
 
@@ -64,27 +65,35 @@ def parse_values(text: str) -> list:
     return values
 
 
-def _count(text: str) -> int:
-    """argparse type of --samples and --restarts: an integer of at least 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+class Box(NamedTuple):
+    """The values a numeric flag admits, and the flag's argparse type: lo to hi, each end
+    closed ("[", "]") or open ("(", ")"), every value a multiple of step (0: any), one value
+    or a grid.  A flag with a scalar type takes one value of it; a grid keeps its text."""
 
+    lo: float
+    hi: float = math.inf
+    ends: str = "[)"
+    step: int = 0
+    one: bool = False
+    scalar: type | None = None
 
-def _tolerance(text: str) -> float:
-    """argparse type of --tol: a finite value of at least 0."""
-    tol = float(text)
-    if not 0.0 <= tol < np.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
-    return tol
+    def __str__(self):
+        lo, hi = (f"{x:g}" if float(f"{x:g}") == x else repr(x) for x in (self.lo, self.hi))
+        what = "one value" if self.one else ("values", "integers", "even integers")[self.step]
+        return f"{what} in {self.ends[0]}{lo}, {hi}{self.ends[1]}"
 
-
-def _one(text: str, flag: str) -> float:
-    """The value of a single-valued flag."""
-    values = parse_values(text)
-    if len(values) != 1:
-        raise ValueError(f"{flag} takes one value, got {text!r}")
-    return values[0]
+    def __call__(self, text: str):
+        try:
+            values = [self.scalar(text)] if self.scalar else parse_values(text)
+        except (ValueError, OverflowError) as exc:    # int(inf) in a grid's length
+            raise argparse.ArgumentTypeError(
+                f"takes {self}, got {text!r}" if self.scalar else str(exc)) from None
+        bad = [v for v in values if not ((self.lo < v if self.ends[0] == "(" else self.lo <= v)
+                                         and (v < self.hi if self.ends[1] == ")" else v <= self.hi)
+                                         and (not self.step or v % self.step == 0))]
+        if bad or (self.one and len(values) != 1):
+            raise argparse.ArgumentTypeError(f"takes {self}, got {bad[0] if bad else text!r}")
+        return values[0] if self.scalar else text
 
 
 def _weights(text: str, n: int) -> tuple:
@@ -168,9 +177,6 @@ def cmd_density(args):
 def cmd_lpnorm(args):
     model = get_model(_model_from_args(args))
     ps = parse_values(args.p)
-    for p in ps:
-        if p < 1.0:
-            raise ValueError(f"lpnorm needs p >= 1, got {p}")
     _, _, rho = model.irrep()       # ||g_i D**(1/p)||_p = ||pi(g_i) rho**(1/p)||_p
     records = []
     for i in range(1, model.n + 1):
@@ -215,17 +221,11 @@ def cmd_convexity(args):
     ps = parse_values(args.p)
     mus = check_weights(parse_values(args.mu))
     qs = parse_values(args.q)
-    for p in ps:
-        if not 1.0 < p <= 2.0:
-            raise ValueError(f"need 1 < p <= 2, got {p}")
-    for q in qs:
-        if q < 2.0:
-            raise ValueError(f"need q >= 2, got {q}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
     worst = {}
 
-    def fold(key, margins):
-        worst[key] = min(worst.get(key, np.inf), *margins.tolist())
+    def fold(key, margins):     # np.min keeps a NaN, Python's min drops one not first
+        worst[key] = float(np.min(margins, initial=worst.get(key, np.inf)))
 
     # the sample order is drawn CONVEXITY_CHUNK pairs at a time; pairs of a chunk that
     # share (m, p, q) take their margins in one call, folded before the next chunk
@@ -244,10 +244,8 @@ def cmd_convexity(args):
             for w in np.unique(mu).tolist():
                 fold(("asym", p, w), asym[mu == w])
                 fold(("dual", q, w), dual[mu == w])
-    records = [{"inequality": k[0], "exponent": k[1], "mu": k[2],
-                "min_margin": v, "pass": bool(v >= -args.tol)}
-               for k, v in sorted(worst.items())]
-    return records
+    return [{"inequality": k[0], "exponent": k[1], "mu": k[2],
+             "min_margin": v, "pass": bool(v >= -args.tol)} for k, v in sorted(worst.items())]
 
 
 def cmd_hyperc_verify(args):
@@ -257,7 +255,7 @@ def cmd_hyperc_verify(args):
     records = []
     for p in ps:
         theta = sufficient_time(p, params.mu)
-        t = float(-0.5 * np.log(theta)) if args.t is None else _one(args.t, "--t")
+        t = float(-0.5 * np.log(theta)) if args.t is None else parse_values(args.t)[0]
         wit = violation_search(model, t, p, "primal", restarts=args.restarts,
                                seed=args.seed)
         records.append({"p": p, "t": t, "exp_minus_2t": float(np.exp(-2 * t)),
@@ -285,24 +283,12 @@ def cmd_hyperc_search(args):
 
 
 def cmd_necessary_time(args):
-    pps = parse_values(args.p)
     mus = parse_values(args.mu)
-    # the witness moves the dual ratio by about 2.5e-6 / mu**2; by mu = 1e5 it rounds to 1.0.
-    # Its size eps is fixed, so as p' grows the higher-order terms catch up with the eps**2
-    # one: at mu = 1, ratio_above - 1 falls from 2.5e-6 at p' = 4 to 3.6e-8 at p' = 2900
-    # and below 0 past p' = 2944
-    if max(pps) > 2900.0:
-        raise ValueError(f"necessary-time needs --p at most 2900, got {max(pps)}")
-    if max(mus) > 1000.0:
-        raise ValueError(f"necessary-time needs --mu at most 1000, got {max(mus)}")
     eps = 1e-2
     records = []
-    for pp in pps:
-        n_half = int(round(pp / 2.0))
-        if abs(pp - 2 * n_half) > 1e-12 or n_half < 2:
-            raise ValueError(f"necessary-time needs p' an even integer >= 4, got {pp}")
+    for pp in parse_values(args.p):
         for mu in mus:
-            thr = necessary_time_exact(n_half, mu)
+            thr = necessary_time_exact(int(pp) // 2, mu)
             model = get_model(ModelParams.make(1, mu, SignTable.all_anticommuting(1)))
             wit = np.array([1.0, eps, 0.0, 0.0])    # 1 + eps g on the words 1, g, g*, y
             t_hi = float(-0.5 * np.log(1.05 * thr.exact))
@@ -317,26 +303,11 @@ def cmd_necessary_time(args):
     return records
 
 
-# perturb passes s = (4/p) log(mu) to the closed form and expm1((8/p) log(mu)) to the special
-# formula, never the floats mu**(4/p) and mu**(8/p), which round within 8 (mu - 1) / p of 1:
-# at mu = 1 + 1e-8, closed_vs_special stays below 5e-9 for every p up to P_MAX and below 1e-6
-# up to about 1e10, and frechet_vs_fd below 1e-4 up to about 3e8.  The cap is set by the
-# largest weights instead: c_coeff, about mu**4 p**2 / (64 log(mu)**2), overflows near
-# p = 2870 at the largest mu a model takes (about 8.19e76)
-P_MAX = 2800.0
-
-
 def cmd_perturb(args):
     ps = parse_values(args.p)
     mus = parse_values(args.mu)
     # the finite differences take the step 0.1 / sqrt(closed_form), since f(0) = trace(rho)
     # = 1: frechet_vs_fd stayed below 2e-9 for p up to P_MAX and every mu the model takes
-    if min(ps) <= 2.0:
-        raise ValueError(f"perturb needs p > 2, got {min(ps)}")
-    if max(ps) > P_MAX:
-        raise ValueError(f"perturb needs --p at most {P_MAX:g}, got {max(ps)}")
-    if min(mus) < 1.0 + 1e-8:
-        raise ValueError(f"perturb needs --mu at least 1 + 1e-8, got {args.mu}")
     records = []
     for mu in mus:
         model = get_model(ModelParams.make(1, mu, SignTable.all_anticommuting(1)))
@@ -373,31 +344,25 @@ def cmd_perturb(args):
 
 def cmd_fock_moment(args):
     letters = parse_word(args.word)
-    q = _one(args.q, "--q")
+    q = parse_values(args.q)[0]
     n = max(i for _, i in letters)
     mus = _weights(args.mu, n)
     qp = QParams(q=q, n=n, mu=mus)
     val_pair = moment_pairings(letters, qp)
     rec = {"word": args.word, "q": q, "mu": ",".join(repr(m) for m in mus),
            "value_re": val_pair.real, "value_im": val_pair.imag}
-    if q > -1.0:
-        val_op = moment_operator(letters, qp)
-        rec["oracle_disagreement"] = abs(val_op - val_pair)
-        rec["pass"] = bool(rec["oracle_disagreement"] <= 1e-12)
-    else:
-        rec["oracle_disagreement"] = 0.0
-        rec["pass"] = True
+    # the operator route needs q > -1.  The bound is relative past 1: (g+g*)**10 is 678 at
+    # q = 0.9, where the two routes' rounding differs by 4.3e-12
+    rec["oracle_disagreement"] = abs(moment_operator(letters, qp) - val_pair) if q > -1.0 else 0.0
+    rec["pass"] = bool(rec["oracle_disagreement"] <= 1e-12 * max(1.0, abs(val_pair)))
     return [rec]
 
 
 def cmd_clt(args):
     letters = parse_word(args.word)
-    q = _one(args.q, "--q")
+    q = parse_values(args.q)[0]
     mus = _weights(args.mu, max(i for _, i in letters))
-    ms = parse_values(args.m)
-    if any(v != int(v) for v in ms):
-        raise ValueError(f"--m takes integers, got {args.m!r}")
-    rows = convergence_report(letters, q, mus, ms, args.samples, args.seed)
+    rows = convergence_report(letters, q, mus, parse_values(args.m), args.samples, args.seed)
     records = [{"m": r["m"], "mean_re": r["mean"].real, "mean_im": r["mean"].imag,
                 "stderr": r["stderr"], "oracle_re": r["oracle"].real,
                 "oracle_im": r["oracle"].imag, "abs_err": r["abs_err"],
@@ -421,46 +386,75 @@ COMMANDS = {
     "clt": cmd_clt,
 }
 
-# each flag's argparse spec, keyed by its option string
+# the argparse spec of each flag that has one, keyed by its option string
 _FLAGS = {
     "word": {"help": "word expression, e.g. '(g+g*)^4' or 'g*g'"},
-    "--n": {"type": int, "help": "number of gaussian indices"},
+    "--n": {"help": "number of gaussian indices"},
     "--mu": {"help": "weight value or grid; a model or a word takes one, or one per index"},
     "--sign-file": {"help": "JSON sign table {n, pairs}"},
     "--p": {"help": "exponent value or grid"},
     "--t": {"help": "time value or grid"},
     "--q": {"help": "deformation parameter"},
     "--m": {"help": "sum length value or grid"},
-    "--samples": {"type": _count},
-    "--restarts": {"type": _count},
-    "--tol": {"type": _tolerance, "help": "tolerance"},
+    "--tol": {"help": "tolerance"},
     "--direction": {"choices": ("primal", "dual")},
-    "--sign-seed": {"type": int},
-    "--seed": {"type": int},
     "--emit": {"choices": ("csv", "json")},
 }
 
-# the flags each command reads, each with its default as a user would type it (None:
-# no default), and those every command takes
-_MODEL = {"--n": "1", "--mu": "1", "--sign-file": None}
+# perturb passes s = (4/p) log(mu) to the closed form and expm1((8/p) log(mu)) to the special
+# formula, never the floats mu**(4/p) and mu**(8/p), which round within 8 (mu - 1) / p of 1:
+# at mu = 1 + 1e-8, closed_vs_special stays below 5e-9 for every p up to P_MAX and below 1e-6
+# up to about 1e10, and frechet_vs_fd below 1e-4 up to about 3e8.  The cap is set by the
+# largest weights instead: c_coeff, about mu**4 p**2 / (64 log(mu)**2), overflows near
+# p = 2870 at the largest mu a model takes (about 8.19e76)
+P_MAX = 2800.0
+
+# a weight's upper end is the models' own (check_weights, ModelParams); a tolerance is finite:
+# nan fails every comparison, a negative one every record, and inf passes every one
+_MU = Box(1.0)
+_TOL = Box(0.0, scalar=float)
+_COUNT = Box(1, step=1, scalar=int)
+# exp(-2 t deg_w) is 0 in floats from t = 373 on; past about 7e306, 2 t deg_w (deg_w up to
+# 2 MAX_N) overflows, and at t = 1.8e308 the identity's -2 t * 0 = -inf * 0 is NaN
+_TIME = Box(0.0, 1e300, "[]")
+_Q = Box(-1.0, 1.0, one=True)
+
+# the flags each command reads, each with its default as a user would type it (None: no
+# default) and the box of values it admits (None: not numeric), and those every command takes
+_MODEL = {"--n": ("1", Box(1, MAX_N, "[]", 1, scalar=int)), "--mu": ("1", _MU),
+          "--sign-file": (None, None)}
 _TAKES = {
-    "relations": {**_MODEL, "--tol": "1e-12"},
-    "density": {**_MODEL, "--tol": "1e-9"},
-    "lpnorm": {**_MODEL, "--p": "2,3,4,6"},
-    "choi": {"--t": "0:5:0.01", "--mu": "1:4:0.1", "--tol": "1e-12"},
-    "convexity": {"--p": "1.1:2:0.1", "--mu": "1,1.5,2,3", "--q": "2,3,4",
-                  "--samples": "1000", "--tol": "1e-10"},
-    "hyperc-verify": {**_MODEL, "--p": "1.25,1.5,1.75", "--t": None, "--restarts": "1000",
-                      "--tol": "1e-9"},
-    "hyperc-search": {**_MODEL, "--p": "1.5", "--t": "0.5", "--restarts": "200",
-                      "--direction": "primal"},
-    "necessary-time": {"--p": "4,6", "--mu": "1,1.3,2"},
-    "perturb": {"--p": "3,4,6", "--mu": "1.2,1.5,2", "--tol": "1e-4"},
-    "fock-moment": {"word": None, "--q": "0", "--mu": "1"},
-    "clt": {"word": None, "--q": "0", "--mu": "1", "--m": "5,10,20,40", "--samples": "100",
-            "--tol": None},
+    "relations": {**_MODEL, "--tol": ("1e-12", _TOL)},
+    "density": {**_MODEL, "--tol": ("1e-9", _TOL)},
+    "lpnorm": {**_MODEL, "--p": ("2,3,4,6", Box(1.0))},
+    "choi": {"--t": ("0:5:0.01", _TIME), "--mu": ("1:4:0.1", _MU), "--tol": ("1e-12", _TOL)},
+    # the dual constant C(q / (q - 1), mu) needs q / (q - 1) > 1, which rounds to 1 past
+    # q = 2**53 (about 9.007e15: 1e16 exited 1 from C_of_mu)
+    "convexity": {"--p": ("1.1:2:0.1", Box(1.0, 2.0, "(]")), "--mu": ("1,1.5,2,3", _MU),
+                  "--q": ("2,3,4", Box(2.0, 1e15, "[]")), "--samples": ("1000", _COUNT),
+                  "--tol": ("1e-10", _TOL)},
+    # sufficient_time takes 1 < p < 2
+    "hyperc-verify": {**_MODEL, "--p": ("1.25,1.5,1.75", Box(1.0, 2.0, "()")),
+                      "--t": (None, _TIME._replace(one=True)), "--restarts": ("1000", _COUNT),
+                      "--tol": ("1e-9", _TOL)},
+    "hyperc-search": {**_MODEL, "--p": ("1.5", Box(1.0)), "--t": ("0.5", _TIME),
+                      "--restarts": ("200", _COUNT), "--direction": ("primal", None)},
+    # the witness moves the dual ratio by about 2.5e-6 / mu**2; by mu = 1e5 it rounds to 1.0.
+    # Its size eps is fixed, so as p' grows the higher-order terms catch up with the eps**2
+    # one: at mu = 1, ratio_above - 1 falls from 2.5e-6 at p' = 4 to 3.6e-8 at p' = 2900
+    # and below 0 past p' = 2944
+    "necessary-time": {"--p": ("4,6", Box(4, 2900, "[]", 2)),
+                       "--mu": ("1,1.3,2", Box(1.0, 1000.0, "[]"))},
+    "perturb": {"--p": ("3,4,6", Box(2.0, P_MAX, "(]")), "--mu": ("1.2,1.5,2", Box(1.0 + 1e-8)),
+                "--tol": ("1e-4", _TOL)},
+    "fock-moment": {"word": (None, None), "--q": ("0", _Q), "--mu": ("1", _MU)},
+    "clt": {"word": (None, None), "--q": ("0", _Q), "--mu": ("1", _MU),
+            "--m": ("5,10,20,40", Box(1, MAX_CLT_M, "[]", 1)), "--samples": ("100", _COUNT),
+            "--tol": (None, _TOL)},
 }
-_COMMON = {"--sign-seed": "0", "--seed": "0", "--emit": "json"}
+# seeds key Philox generators, which take unsigned 64-bit keys
+_SEED = Box(0, 2 ** 64 - 1, "[]", 1, scalar=int)
+_COMMON = {"--sign-seed": ("0", _SEED), "--seed": ("0", _SEED), "--emit": ("json", None)}
 
 
 @functools.cache     # once per process: a rebuild was two thirds of `lpnorm --n 2`
@@ -471,8 +465,8 @@ def build_parser() -> _Parser:
     for name, flags in _TAKES.items():
         # no abbreviations: --m would otherwise stand for --mu, --t for --tol
         p = sub.add_parser(name, allow_abbrev=False)
-        for flag, default in {**flags, **_COMMON}.items():
-            p.add_argument(flag, default=default, **_FLAGS[flag])
+        for flag, (default, box) in {**flags, **_COMMON}.items():
+            p.add_argument(flag, default=default, type=box, **_FLAGS.get(flag, {}))
     return parser
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .babyfock import GEN, BabyFock
-from .linalg import schatten_norm, schatten_norm_from_sv, singular_values
+from .linalg import _TINY, schatten_norm, schatten_norm_from_sv, singular_values
 from .semigroup import apply_OU_coeffs
 
 __all__ = [
@@ -125,13 +125,19 @@ def convexity_margins_sv(s: np.ndarray, p: float, mu, q: float) -> tuple:
     mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), s.shape[:1])
     lam = _per_mu(mu, _lam)
     nA, nB, nS, nD, nP, nM, _ = schatten_norm_from_sv(s, p).T
-    bcl = (0.5 * nS ** p + 0.5 * nD ** p) ** (2.0 / p) - nA ** 2 - (p - 1.0) * nB ** 2
-    lhs = (lam * nP ** p + (1.0 - lam) * nM ** p) ** (2.0 / p)
+    bcl = _power_mean_sq(0.5, nS, nD, p) - nA ** 2 - (p - 1.0) * nB ** 2
+    lhs = _power_mean_sq(lam, nP, nM, p)
     asym = lhs - (nA ** 2 + _per_mu(mu, lambda m: C_of_mu(p, m)) * (p - 1.0) * nB ** 2)
     coeff = _per_mu(mu, lambda m: (q - 1.0) / (m ** 4 * C_of_mu(q / (q - 1.0), m)))
     nX, nY, nXY, _, _, _, nXmY = schatten_norm_from_sv(s, q).T
-    rhs = (lam * nXY ** q + (1.0 - lam) * nXmY ** q) ** (2.0 / q)
-    return bcl, asym, nX ** 2 + coeff * nY ** 2 - rhs
+    return bcl, asym, nX ** 2 + coeff * nY ** 2 - _power_mean_sq(lam, nXY, nXmY, q)
+
+
+def _power_mean_sq(lam, x, y, r: float):
+    """(lam x**r + (1 - lam) y**r)**(2/r) with max(x, y) factored out, as ``schatten_norm_from_sv``
+    does: no power overflows, at exponents r up to 1e15 or norms near mu**2 ~ 1e154."""
+    top = np.maximum(np.maximum(x, y), _TINY)
+    return (top * (lam * (x / top) ** r + (1.0 - lam) * (y / top) ** r) ** (1.0 / r)) ** 2
 
 
 def convexity_margins(A: np.ndarray, B: np.ndarray, p: float, mu, q: float) -> tuple:

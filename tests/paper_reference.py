@@ -2,7 +2,8 @@
 
 ``qhyper`` takes the three convexity margins on stacks of pairs, one SVD per
 pair (``hyperc.convexity_margins``).  Here each inequality is written out as
-displayed, for one pair of matrices, with every Schatten norm its own SVD.
+displayed, for one pair of matrices, with every Schatten norm its own SVD and
+each power mean's larger norm factored out, so that no power overflows.
 The structural split of the n-index algebra over the (n-1)-index one (the
 exact decomposition identity, the lower bounds on g_n b and g*_n c, and the
 additivity of their disjoint supports) is checked here on monomial
@@ -26,19 +27,25 @@ from qhyper.linalg import schatten_norm
 # ============================================================================
 
 
+def _mean_sq(lam: float, x: float, y: float, r: float) -> float:
+    """(lam x**r + (1 - lam) y**r)**(2/r), computed as m**2 (lam (x/m)**r + ...)**(2/r)
+    with m = max(x, y), the square taken last."""
+    m = max(x, y, 1e-300)
+    return (m * (lam * (x / m) ** r + (1.0 - lam) * (y / m) ** r) ** (1.0 / r)) ** 2
+
+
 def bcl_check(A: np.ndarray, B: np.ndarray, p: float) -> float:
     """Margin of the two-point convexity inequality, >= 0 for 1 < p <= 2."""
     if not (1.0 < p <= 2.0):
         raise ValueError(f"need 1 < p <= 2, got {p}")
-    lhs = (0.5 * schatten_norm(A + B, p) ** p + 0.5 * schatten_norm(A - B, p) ** p) ** (2.0 / p)
+    lhs = _mean_sq(0.5, schatten_norm(A + B, p), schatten_norm(A - B, p), p)
     return float(lhs - schatten_norm(A, p) ** 2 - (p - 1.0) * schatten_norm(B, p) ** 2)
 
 
 def asym_convexity_check(A: np.ndarray, B: np.ndarray, p: float, mu: float) -> float:
     """Margin of the weighted asymmetric version with constant C(mu)."""
     lam = _lam(mu)
-    lhs = (lam * schatten_norm(A + mu ** 2 * B, p) ** p
-           + (1.0 - lam) * schatten_norm(A - B / mu ** 2, p) ** p) ** (2.0 / p)
+    lhs = _mean_sq(lam, schatten_norm(A + mu ** 2 * B, p), schatten_norm(A - B / mu ** 2, p), p)
     rhs = schatten_norm(A, p) ** 2 + C_of_mu(p, mu) * (p - 1.0) * schatten_norm(B, p) ** 2
     return float(lhs - rhs)
 
@@ -57,8 +64,8 @@ def dual_convexity_check(X: np.ndarray, Y: np.ndarray, q: float, mu: float,
     if coeff is None:
         coeff = (q - 1.0) / (mu ** 4 * C_of_mu(q / (q - 1.0), mu))
     lhs = schatten_norm(X, q) ** 2 + coeff * schatten_norm(Y, q) ** 2
-    rhs = (lam * schatten_norm(X + Y, q) ** q
-           + (1.0 - lam) * schatten_norm(X - (lam / (1.0 - lam)) * Y, q) ** q) ** (2.0 / q)
+    rhs = _mean_sq(lam, schatten_norm(X + Y, q),
+                   schatten_norm(X - (lam / (1.0 - lam)) * Y, q), q)
     return float(lhs - rhs)
 
 

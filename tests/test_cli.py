@@ -19,7 +19,10 @@ from qhyper.state import density_solve, get_density
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # the parser rejects a value outside its flag's box
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -405,6 +408,41 @@ def test_convexity_chunks_leave_stdout_unchanged(capsys, monkeypatch):
     assert code == 0 and chunked == whole
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["--p", "1.5", "--mu", "1", "--q", "253"],
+                                  ["--p", "2", "--mu", "8.18e76"]], ids=["q-253", "mu-8.18e76"])
+def test_convexity_margins_stay_finite_at_the_edges(capsys, argv):
+    # the power means once overflowed: x**q of norms near 10 gave a dual margin of -inf and
+    # a false exit 2 at q = 253, and ||A + mu**2 B||**2 an asym margin of +inf that passed
+    code, out, err = run(capsys, ["convexity", "--samples", "60", *argv])
+    assert code == 0, err
+    margins = [rec["min_margin"] for rec in json.loads(out)["records"]]
+    assert np.all(np.isfinite(margins)) and min(margins) >= -1e-10
+
+
+def test_convexity_fold_keeps_a_nan_margin(capsys, monkeypatch):
+    # Python's min(inf, nan, 0.5) is 0.5: a NaN margin that is not first would pass
+    def one_nan(A, B, p, mu, q):
+        bcl, asym, dual = hyperc.convexity_margins(A, B, p, mu, q)
+        asym[-1] = np.nan
+        return bcl, asym, dual
+    monkeypatch.setattr(cli, "convexity_margins", one_nan)
+    code, _, err = run(capsys, ["convexity", "--samples", "60"])
+    assert code == 2
+    assert '"min_margin": NaN' in err
+
+
+@pytest.mark.parametrize("mu", ["1", "3"])
+def test_fock_moment_oracles_agree_relative_to_the_moment(capsys, mu):
+    # (g+g*)**10 is 678 at q = 0.9, and the two oracles' rounding differs there by 4.3e-12:
+    # an absolute 1e-12 failed 67 of these 400 points
+    for q in (k / 100 for k in range(-100, 100)):
+        code, out, err = run(capsys, ["fock-moment", "(g+g*)^10", f"--q={q!r}", "--mu", mu])
+        assert code == 0, (q, err)
+        rec = json.loads(out)["records"][0]
+        assert rec["oracle_disagreement"] <= 1e-12 * max(1.0, abs(rec["value_re"]))
+
+
 def test_necessary_time_flags_discrepancy(capsys):
     code, out, _ = run(capsys, ["necessary-time", "--p", "4", "--mu", "2"])
     assert code == 0
@@ -485,7 +523,7 @@ def test_clt_rejects_m_below_one(capsys, m):
     code, out, errtext = run(capsys, ["clt", "(s+s*)^4", "--m", m])
     assert code == 1
     assert out == ""
-    assert "1 <= m" in errtext
+    assert "--m: takes integers in [1, 64]" in errtext
 
 
 def test_clt_rejects_packed_key_overflow(capsys):
@@ -527,10 +565,10 @@ def _argv(command, flag, value=None):
 
 
 BOUNDARY_CASES = [
-    (["clt", "(s+s*)^2", "--samples", "0"], "at least 1"),
-    (["convexity", "--samples", "0"], "at least 1"),
-    (["hyperc-verify", "--restarts", "0"], "at least 1"),
-    (["hyperc-search", "--restarts", "0"], "at least 1"),
+    (["clt", "(s+s*)^2", "--samples", "0"], "--samples: takes integers in [1, inf)"),
+    (["convexity", "--samples", "0"], "--samples: takes integers in [1, inf)"),
+    (["hyperc-verify", "--restarts", "0"], "--restarts: takes integers in [1, inf)"),
+    (["hyperc-search", "--restarts", "0"], "--restarts: takes integers in [1, inf)"),
     (["choi", "--t", "5:1:1"], "at least one value"),
     (["lpnorm", "--p", "3:2:1"], "at least one value"),
     (["hyperc-verify", "--p", "2:1:1"], "at least one value"),
@@ -538,52 +576,55 @@ BOUNDARY_CASES = [
     (["convexity", "--p", "2:1:1"], "at least one value"),
     (["lpnorm", "--p", "nan"], "finite"),
     (["choi", "--t", "0:inf:1"], "finite"),
+    # a grid of infinitely many values: its length int(inf) overflows
+    (["lpnorm", "--p", "1:1e300:1e-300"], "--p: cannot convert float infinity to integer"),
     (["clt", "(s+s*)^2", "--m", "5.7"], "integers"),
-    (["hyperc-search", "--p", "0"], "p must be"),
-    (["hyperc-search", "--t", "-3"], "t must be"),
+    (["hyperc-search", "--p", "0"], "--p: takes values in [1, inf)"),
+    (["hyperc-search", "--t", "-3"], "--t: takes values in [0, 1e+300]"),
     (["fock-moment", "(g+g*)^0"], "exponent must be at least 1"),
     (["fock-moment", "g0"], "index must be at least 1"),
     (["fock-moment", "h"], "cannot parse word"),
     (["clt", "g^0", "--m", "5"], "exponent must be at least 1"),
-    (["choi", "--mu", "0.5"], "mu entries must be finite and >= 1"),
-    (["choi", "--t=-1"], "need t >= 0 and mu >= 1"),
-    (["convexity", "--mu", "0.5"], "mu entries must be finite and >= 1"),
+    (["choi", "--mu", "0.5"], "--mu: takes values in [1, inf)"),
+    (["choi", "--t=-1"], "--t: takes values in [0, 1e+300]"),
+    (["convexity", "--mu", "0.5"], "--mu: takes values in [1, inf)"),
     # mu**4 overflows: the weight is named, not an OverflowError's errno text
     (["choi", "--mu", "1e80"], "too large"),
     (["convexity", "--mu", "1e300"], "too large"),
-    (["convexity", "--q", "1.5"], "need q >= 2"),
-    (["convexity", "--p", "1"], "need 1 < p <= 2"),
-    (["convexity", "--p", "2.5"], "need 1 < p <= 2"),
+    (["convexity", "--q", "1.5"], "--q: takes values in [2, 1e+15]"),
+    (["convexity", "--p", "1"], "--p: takes values in (1, 2]"),
+    (["convexity", "--p", "2.5"], "--p: takes values in (1, 2]"),
     # checked before any density power D**(1/p) is built
-    (["lpnorm", "--p", "0"], "lpnorm needs p >= 1"),
-    (["lpnorm", "--p", "0.5"], "lpnorm needs p >= 1"),
-    (["perturb", "--p", "0"], "perturb needs p > 2"),
-    (["perturb", "--p", "2"], "perturb needs p > 2"),
+    (["lpnorm", "--p", "0"], "--p: takes values in [1, inf)"),
+    (["lpnorm", "--p", "0.5"], "--p: takes values in [1, inf)"),
+    (["perturb", "--p", "0"], "--p: takes values in (2, 2800]"),
+    (["perturb", "--p", "2"], "--p: takes values in (2, 2800]"),
     # past this c_coeff overflows at the largest weights; --p 1e6 once overflowed float ** p
-    (["perturb", "--p", "2801"], "--p at most 2800"),
-    (["perturb", "--p", "1e6"], "--p at most 2800"),
-    (["perturb", "--mu", "1.000000001"], "--mu at least 1 + 1e-8"),
-    (["hyperc-verify", "--t", "0.1,0.2"], "--t takes one value"),
-    (["fock-moment", "(g+g*)^2", "--q", "0.1,0.2"], "--q takes one value"),
-    (["clt", "(s+s*)^2", "--q", "0.1,0.2"], "--q takes one value"),
+    (["perturb", "--p", "2801"], "--p: takes values in (2, 2800]"),
+    (["perturb", "--p", "1e6"], "--p: takes values in (2, 2800]"),
+    (["perturb", "--mu", "1.000000001"], "--mu: takes values in [1.00000001, inf)"),
+    (["hyperc-verify", "--t", "0.1,0.2"], "--t: takes one value in [0, 1e+300]"),
+    (["fock-moment", "(g+g*)^2", "--q", "0.1,0.2"], "--q: takes one value in [-1, 1)"),
+    (["clt", "(s+s*)^2", "--q", "0.1,0.2"], "--q: takes one value in [-1, 1)"),
     (["fock-moment", "g1*g1g2*g2g3*g3", "--mu", "1,2"], "--mu takes one value or 3"),
     (["clt", "g1*g2*g2g1", "--mu", "1,2,3"], "--mu takes one value or 2"),
     # nan fails every comparison, a negative tolerance fails every record and
     # inf passes every one: none of them is a tolerance
-    (["relations", "--n", "1", "--tol", "nan"], "finite and at least 0"),
-    (["density", "--tol=-1"], "finite and at least 0"),
-    (["choi", "--tol", "inf"], "finite and at least 0"),
-    (["convexity", "--tol", "nan"], "finite and at least 0"),
-    (["hyperc-verify", "--tol=-1e-3"], "finite and at least 0"),
-    (["perturb", "--tol", "inf"], "finite and at least 0"),
-    (["clt", "s*s", "--m", "5", "--samples", "2", "--tol", "nan"], "finite and at least 0"),
+    (["relations", "--n", "1", "--tol", "nan"], "--tol: takes values in [0, inf)"),
+    (["density", "--tol=-1"], "--tol: takes values in [0, inf)"),
+    (["choi", "--tol", "inf"], "--tol: takes values in [0, inf)"),
+    (["convexity", "--tol", "nan"], "--tol: takes values in [0, inf)"),
+    (["hyperc-verify", "--tol=-1e-3"], "--tol: takes values in [0, inf)"),
+    (["perturb", "--tol", "inf"], "--tol: takes values in [0, inf)"),
+    (["clt", "s*s", "--m", "5", "--samples", "2", "--tol", "nan"],
+     "--tol: takes values in [0, inf)"),
     (["relations", "--sign-file="], "No such file"),
-    (["necessary-time", "--mu", "1001"], "--mu at most 1000"),
-    (["necessary-time", "--mu", "1e20"], "--mu at most 1000"),
+    (["necessary-time", "--mu", "1001"], "--mu: takes values in [1, 1000]"),
+    (["necessary-time", "--mu", "1e20"], "--mu: takes values in [1, 1000]"),
     # p' = 3000 gave a false exit 2; at 1e17 the exact threshold rounded to 0
-    (["necessary-time", "--p", "2902"], "--p at most 2900"),
-    (["necessary-time", "--p", "3000"], "--p at most 2900"),
-    (["necessary-time", "--p", "1e17"], "--p at most 2900"),
+    (["necessary-time", "--p", "2902"], "--p: takes even integers in [4, 2900]"),
+    (["necessary-time", "--p", "3000"], "--p: takes even integers in [4, 2900]"),
+    (["necessary-time", "--p", "1e17"], "--p: takes even integers in [4, 2900]"),
     # the model still rejects a weight whose density underflows
     (["perturb", "--mu", "1e77"], "too large"),
 ]
@@ -669,7 +710,8 @@ def test_commands_take_their_flags():
     parser = build_parser()
     for command, flags in TAKES.items():
         for flag in (*flags, *COMMON):
-            args = parser.parse_args(_argv(command, flag, "csv" if flag == "--emit" else None))
+            value = "csv" if flag == "--emit" else flags.get(flag)    # a value in the box
+            args = parser.parse_args(_argv(command, flag, value))
             assert getattr(args, flag[2:].replace("-", "_")) is not None
 
 

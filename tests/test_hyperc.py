@@ -74,6 +74,18 @@ def test_stacked_margins_match_per_sample_checks():
                                            rtol=1e-12, atol=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_means_match_their_log_form_without_overflow():
+    # (lam x**r + (1 - lam) y**r)**(2/r) against exp((2/r) logaddexp(...)): norms from 1e-150
+    # to 1e154 (about mu**2 at the largest weight), exponents up to convexity's --q cap
+    x, y = np.meshgrid(np.geomspace(1e-150, 1e154, 13), np.geomspace(1e-150, 1e154, 11))
+    for lam in (1.0 / (1.0 + 8.18e76 ** 4), 1.0 / 17.0, 0.5, 0.9):
+        for r in (1.0 + 1e-9, 1.5, 2.0, 253.0, 1e15):
+            want = np.exp(2.0 / r * np.logaddexp(np.log(lam) + r * np.log(x),
+                                                 np.log1p(-lam) + r * np.log(y)))
+            np.testing.assert_allclose(hyperc._power_mean_sq(lam, x, y, r), want, rtol=1e-12)
+
+
 @pytest.mark.parametrize("p,mu,q,message", [(2.5, 1.0, 2.0, "need 1 < p <= 2"),
                                             (1.0, 1.0, 2.0, "need 1 < p <= 2"),
                                             (1.5, 0.5, 2.0, "mu must be >= 1"),

@@ -39,13 +39,19 @@ def test_readme_example_passes(line, capsys):
 
 
 def test_readme_flag_table_matches_the_parser():
-    # each row: | `command` | `flags` | `defaults` |, against cli._TAKES
+    # each row: | `command` | `flags` | `defaults` | `flag` box; ... |, against cli._TAKES
     section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```sh\n", 1)[0]
-    rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+    rows = [line.split("|")[1:5] for line in section.splitlines() if line.startswith("| `")]
     assert {row[0].strip(" `") for row in rows} == set(cli._TAKES)
-    for command, flags, defaults in rows:
+    for command, flags, defaults, admitted in rows:
         takes = cli._TAKES[command.strip(" `")]
         assert flags.strip(" `").split() == list(takes)
         words = defaults.strip(" `").split()
         assert dict(zip(words[::2], words[1::2])) == \
-            {flag: value for flag, value in takes.items() if value is not None}
+            {flag: value for flag, (value, _) in takes.items() if value is not None}
+        boxes = (cell.strip().split(" ", 1) for cell in admitted.split(";"))
+        assert {flag.strip("`"): box for flag, box in boxes} == \
+            {flag: str(box) for flag, (_, box) in takes.items() if box is not None}
+    # the seeds every command takes
+    assert cli._COMMON["--seed"] == cli._COMMON["--sign-seed"]
+    assert f"take {cli._COMMON['--seed'][1]}" in " ".join(section.split())
