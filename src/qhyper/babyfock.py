@@ -10,25 +10,22 @@ sign(i,A) the product of eps(i,j) over j in A below i.  The twisted
 gaussian of index i is g_i = mu_i^{-1} b*_i + mu_i b_{-i}.
 
 Every element X is a unique combination of the 4**n monomials
-w_1 ... w_n with w_i in {1, g_i, g*_i, y_i}, y_i = g*_i g_i - mu_i^{-2};
-applied to the vacuum each monomial hits a single basis vector, so the
-monomial-to-vacuum-vector map is a signed scaled bijection and expansion
-is an exact relabeling.
+w_1 ... w_n with w_i in {1, g_i, g*_i, y_i}, y_i = g*_i g_i - mu_i^{-2},
+indexed by their base-4 letter digits.  Applied to the vacuum each monomial
+hits a single basis vector, of norm prod_i mu_i**(#g*_i - #g_i): the vacuum
+weights (``vacuum_weights``) and the degrees (``monomial_degrees``) of the
+words are products and sums over their digits, read off no matrix.
 
-The model keeps the closed-form 2**n irrep, which every command reads.
-``relations`` checks the relations and norms of the generators there
+The model keeps the closed-form 2**n irrep, which every command reads; its
+build checks the vacuum state and the vacuum weights there.  ``relations``
+checks the relations and norms of the generators in the irrep
 (``irrep_letter``, ``relation_residuals``): the 4**n model is 2**n copies of
 the irrep, so a relation holds in one exactly when it holds in the other.
-Of the 4**n model only sparse steps on the bit layout stay here: the letter
-steps behind the monomial table (``_letter_entries``, ``_word_entries``,
-``monomial_table``) and the vacuum column (``_monomial_data``), and the
-factors of the density (``_density_entries``), which share the pair-flip sign
-of y_i (``_pair_flip``).  ``state.get_density`` scatters the one and checks it
-against the other, and stays in ``src`` because the benchmark's ``search``
-set-up calls it.  The dense letter kernels, the map between monomial
-coefficients and dense 4**n x 4**n matrices (``expand``, ``reconstruct``,
-``monomial_matrix`` and the rest) and the class-probe relation and norm
-checks are the tests' oracle, in ``tests/gns_oracle.py``.
+The 4**n bit layout is reached only through ``state.get_density``: the
+sparse letter steps of the monomial table (``_letter_entries``,
+``monomial_table``) and the density's factors (``_density_entries``) share
+the pair-flip sign of y_i (``_pair_flip``), and ``get_density`` scatters the
+one and checks it against the other.
 """
 
 from __future__ import annotations
@@ -75,9 +72,8 @@ class BabyFock:
             self._sign_mask[i] = mask
         self._matrix_cache: dict = {}
 
-    def _check_index(self, i: int, positive: bool = False):
-        lo = 1 if positive else -self.n
-        if i == 0 or not (lo <= i <= self.n) or (not positive and abs(i) > self.n):
+    def _check_index(self, i: int):
+        if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range for n={self.n}")
 
     def _cached(self, key, builder):
@@ -101,30 +97,34 @@ class BabyFock:
             raise ValueError(f"unknown letter in word {word}")
         return sum(l << (2 * k) for k, l in enumerate(word))
 
-    def _monomial_data(self):
-        """Per-word basis target, amplitude, and degree of M_w x_empty."""
+    def _per_word(self, site_values, combine) -> np.ndarray:
+        """combine.outer of the per-site arrays over every word, index n first: entry w is
+        combine(...combine(f_n[d_n], f_(n-1)[d_(n-1)])..., f_1[d_1]) for the base-4 letter
+        digits d_i of w, the most significant one at index n."""
+        out = site_values(self.n - 1)
+        for k in range(self.n - 2, -1, -1):
+            out = combine.outer(out, site_values(k)).reshape(-1)
+        return out
 
-        def build():
-            word, row, _, val = self._word_entries([0])
-            target, amp = np.zeros(self.dim, np.int64), np.zeros(self.dim)
-            target[word], amp[word] = row, val
-            letters = (np.arange(self.dim)[:, None] >> 2 * np.arange(self.n)) & 3
-            degree = np.asarray(LETTER_DEGREE)[letters].sum(axis=1)
-            if word.size != self.dim or np.min(np.abs(amp)) == 0.0 \
-                    or np.unique(target).size != self.dim:
-                raise AssertionError("monomial basis map degenerated: construction bug")
-            return target, amp, degree
-
-        return self._cached(("mono",), build)
+    @property
+    def vacuum_weights(self) -> np.ndarray:
+        """|M_w x_empty|**2 = prod_i mu_i**(2 (#g*_i - #g_i)) per word: g_i x_empty =
+        mu_i**-1 x_{i}, g*_i x_empty = mu_i x_{-i} and y_i x_empty = +-x_{-i, i}, so M_w
+        sends the vacuum to one basis vector.  Its amplitude is taken index n first, as
+        the letters act, and squared last."""
+        return self._cached(("weights",), lambda: self._per_word(
+            lambda k: np.array([1.0, 1.0 / self.mu[k], self.mu[k], 1.0]), np.multiply) ** 2)
 
     @property
     def monomial_degrees(self) -> np.ndarray:
-        return self._monomial_data()[2]
+        """Per word, the sum of ``LETTER_DEGREE`` over its letters."""
+        return self._cached(("degree",), lambda: self._per_word(
+            lambda k: np.array(LETTER_DEGREE), np.add))
 
     def embedding_condition(self) -> float:
         """Condition number of the monomial -> vacuum-vector bijection."""
-        amp = self._monomial_data()[1]
-        return float(np.max(np.abs(amp)) / np.min(np.abs(amp)))
+        w = self.vacuum_weights
+        return float(np.sqrt(np.max(w)) / np.sqrt(np.min(w)))
 
     def _sign(self, i: int, rows):
         """sign(i, A) = (-1)**popcount(A & sign_mask(i)) for each row bitmask A."""
@@ -160,25 +160,25 @@ class BabyFock:
         word = word + (letter << 2 * (i - 1))
         return [(word[m], r[m], col[m], val[m] * f[m]) for m, r, f in terms]
 
-    def _word_entries(self, cols):
-        """(word, row, col, val) of every non-zero M_w[row, col] with col in ``cols``.
-
-        Level by level, index n first: g_i, g*_i and y_i act on the entries of
-        every word whose letters lie above index i, 3n sparse steps in all.
-        """
-        col = np.asarray(cols, dtype=np.int64)
-        entries = (np.zeros_like(col), col, col, np.ones(col.size))
-        for i in range(self.n, 0, -1):
-            parts = [entries]
-            for letter in (GEN, STAR, Y):
-                parts += self._letter_entries(letter, i, *entries)
-            entries = tuple(np.concatenate(a) for a in zip(*parts))
-        return entries
-
     def monomial_table(self):
-        """(word, row, col, val): every non-zero of every monomial matrix M_w,
-        one entry per (w, row, col), built once and cached (at most 17**n entries)."""
-        return self._cached(("table",), lambda: self._word_entries(np.arange(self.dim)))
+        """(word, row, col, val): every non-zero of every monomial matrix M_w, one entry
+        per (w, row, col), built once and cached (at most 17**n entries).
+
+        Level by level, index n first: g_i, g*_i and y_i act on the entries of every
+        word whose letters lie above index i, 3n sparse steps in all.
+        """
+
+        def build():
+            col = np.arange(self.dim)
+            entries = (np.zeros_like(col), col, col, np.ones(col.size))
+            for i in range(self.n, 0, -1):
+                parts = [entries]
+                for letter in (GEN, STAR, Y):
+                    parts += self._letter_entries(letter, i, *entries)
+                entries = tuple(np.concatenate(a) for a in zip(*parts))
+            return entries
+
+        return self._cached(("table",), build)
 
     def _density_entries(self, alpha: float):
         """(row, col, val) of prod_i F_i**alpha, F_i = (1 - lambda_i) (1 - p_i) + lambda_i p_i
@@ -217,7 +217,8 @@ class BabyFock:
         2**n groups of 2**n words share one column map.  ``rho`` is the diagonal of the
         density prod_i ((1 - lambda_i) + (2 lambda_i - 1) n_i), a product of two-level
         factors of trace one each, so no computed trace is divided out.  The build checks
-        trace(rho pi(M_w)) = tau(M_w) and trace(rho pi(M_w)* pi(M_w)) = |M_w x_empty|**2."""
+        trace(rho pi(M_w)) = tau(M_w) and trace(rho pi(M_w)* pi(M_w)) = ``vacuum_weights``,
+        a sum over the irrep's site values with lambda_i against prod_i mu_i**(+-2)."""
 
         def build():
             n, eps, c = self.n, self.params.signs.matrix(), self.mu ** 2 + self.mu ** -2
@@ -246,7 +247,7 @@ class BabyFock:
             traces = np.sum(np.where(flip[:, None] == 0, vals, 0.0) * rho, axis=1)
             traces[0] -= 1.0
             weights = np.sum(rho[rows ^ flip[:, None]] * vals ** 2, axis=1)
-            weights /= self._monomial_data()[1] ** 2
+            weights /= self.vacuum_weights
             # np.max propagates a NaN from an overflowed entry, and NaN <= tol is False
             if not np.max(np.abs(np.concatenate([traces, weights - 1.0]))) <= 1e-12:
                 raise AssertionError("closed-form irrep does not reproduce the vacuum state")
@@ -281,16 +282,8 @@ class BabyFock:
 
     def irrep_letter(self, letter: int, i: int) -> np.ndarray:
         """Dense pi of one letter (GEN, STAR or Y) at index i: pi(g_i) for GEN."""
-        self._check_index(i, positive=True)
+        self._check_index(i)
         return self.irrep_matrix(tuple(letter if k == i - 1 else UNIT for k in range(self.n)))
-
-    def irrep_coeffs(self, A: np.ndarray, p: float) -> np.ndarray:
-        """Monomial coefficients of the x with pi(x) rho**(1/p) = A: the monomials are orthogonal
-        in the vacuum state, so c_w = trace(rho pi(M_w)* pi(x)) / |M_w x_empty|**2."""
-        flip, vals, rho = self.irrep()
-        rows, cols = np.arange(rho.size), np.arange(rho.size) ^ flip[:, None]
-        terms = vals * rho[cols] ** (1.0 - 1.0 / p) * np.asarray(A)[rows, cols]
-        return terms.sum(axis=1) / self._monomial_data()[1] ** 2
 
 
 def relation_residuals(gens: np.ndarray, eps: np.ndarray, mu) -> dict:

@@ -17,14 +17,10 @@ discrepancy flag.
 
 The search is multistart randomized coordinate ascent over monomial
 coefficients, vectorized across restarts and deterministic for a fixed
-seed; it only ever produces lower bounds on the operator norm.  It and the
-duality transport work on monomial coefficients with every Schatten norm
-taken in the closed-form 2**n dimensional irreducible representation; none
-reads the 4**n model.  The per-pair convexity functions and the structural
-split identities of the n-index algebra over the (n-1)-index one are the
-tests' reference, in ``tests/paper_reference.py``; the GNS-space ratios
-``contraction_ratio`` and ``dual_contraction_ratio``, dense Haagerup norms of
-4**n matrices, are the tests' oracle in ``tests/gns_oracle.py``.
+seed; it only ever produces lower bounds on the operator norm.  Every
+Schatten norm it takes is in the closed-form 2**n dimensional irreducible
+representation (``BabyFock.irrep``), and its L2 norms come from the
+closed-form vacuum weights and degrees of the words.
 """
 
 from __future__ import annotations
@@ -35,13 +31,11 @@ import numpy as np
 
 from .babyfock import GEN, BabyFock
 from .linalg import _TINY, schatten_norm, schatten_norm_from_sv, singular_values
-from .semigroup import apply_OU_coeffs
 
 __all__ = [
     "C_of_mu", "convexity_stack", "convexity_margins_sv", "convexity_margins",
     "sufficient_time", "RatioEvaluator", "ViolationWitness", "violation_search",
-    "NecessaryThreshold", "necessary_time_exact", "witness_primal_to_dual",
-    "witness_dual_to_primal",
+    "NecessaryThreshold", "necessary_time_exact",
 ]
 
 SEARCH_ITERS = 200          # coordinate-ascent steps per search restart
@@ -205,12 +199,6 @@ def necessary_time_exact(n_half: int, mu: float) -> NecessaryThreshold:
 # ============================================================================
 
 
-def _l2_weights(model: BabyFock, t: float) -> np.ndarray:
-    """Per-monomial weight |amp_w|**2 exp(-2 t deg_w): squared L2 norm terms."""
-    _, amp, deg = model._monomial_data()
-    return amp ** 2 * np.exp(-2.0 * t * deg)
-
-
 class RatioEvaluator:
     """Batched contraction-ratio evaluation over monomial coefficient vectors.
 
@@ -223,10 +211,9 @@ class RatioEvaluator:
     representation (``BabyFock.irrep``) with its diagonal trace-one density rho; there
     the plain p-norm of sum_w c_w pi(M_w) rho**(1/p) is the Haagerup norm, taken by
     ``BabyFock.irrep_sum`` and ``irrep_add`` with the decay exp(-t deg_w) in the coefficients.
-    The 4**n density and monomial table are never read, so every n up to MAX_N works; the
-    4**n path is the tests' oracle (``contraction_ratio`` and ``dual_contraction_ratio`` in
-    ``tests/gns_oracle.py``); ``state.get_density``, built in closed form on the sparse
-    4**n layout, stays in ``src`` for the benchmark.
+    The L2 norm is sum_w |c_w|**2 |M_w x_empty|**2 exp(-2 t deg_w), the monomials being
+    orthogonal in the vacuum state.  Neither the 4**n density nor the monomial table is read,
+    so every n up to MAX_N works.
     """
 
     def __init__(self, model: BabyFock, t: float, p: float, direction: str = "primal"):
@@ -240,8 +227,10 @@ class RatioEvaluator:
         self.t = float(t)
         self.p = float(p)           # in the dual direction p plays the role of p'
         self.direction = direction
-        self.vec_weights = _l2_weights(model, t if direction == "primal" else 0.0)
-        self.decay = np.exp(-(t if direction == "dual" else 0.0) * model.monomial_degrees)
+        # |P_t(M_w) x_empty|**2 in the primal direction, |M_w x_empty|**2 in the dual one
+        t_vec, t_mat = (t, 0.0) if direction == "primal" else (0.0, t)
+        self.vec_weights = model.vacuum_weights * np.exp(-2.0 * t_vec * model.monomial_degrees)
+        self.decay = np.exp(-t_mat * model.monomial_degrees)
 
     def add_words(self, mats: np.ndarray, words: np.ndarray, coeffs: np.ndarray) -> None:
         """mats[j] += coeffs[j] (decayed) pi(M_{words[j]}) rho**(1/p) in place."""
@@ -351,29 +340,3 @@ def violation_search(model: BabyFock, t: float, p: float, direction: str = "prim
             best_ratio = float(ratio[blk_best])
             best_coeffs = C[blk_best].copy()
     return ViolationWitness(coeffs=best_coeffs, ratio=best_ratio)
-
-
-# ============================================================================
-# duality helpers for witness transport
-# ============================================================================
-
-
-def witness_primal_to_dual(model: BabyFock, coeffs: np.ndarray, t: float) -> np.ndarray:
-    """P_t maps a primal witness to a dual candidate with ratio at least as large."""
-    out = apply_OU_coeffs(model, coeffs, t)
-    return out / np.linalg.norm(out)
-
-
-def witness_dual_to_primal(model: BabyFock, coeffs: np.ndarray, t: float, p: float) -> np.ndarray:
-    """Norming element transport: dual witness -> primal candidate coefficients.
-
-    For z = P_t(Y) D**(1/p'), the Hoelder-equality partner in L^p is
-    z (z*z)**((p'-2)/2) = U S**(p'-1) V* (z = U S V*) up to normalization, taken
-    in the irrep; dividing out D**(1/p) returns an algebra element, whose
-    coefficients ``BabyFock.irrep_coeffs`` reads back.
-    """
-    pprime = p / (p - 1.0)
-    z = model.irrep_sum(apply_OU_coeffs(model, coeffs, t)[None, :], pprime)[0]
-    u, s, vh = np.linalg.svd(z / schatten_norm(z, pprime))
-    out = model.irrep_coeffs((u * s ** (pprime - 1.0)) @ vh, p)
-    return out / np.linalg.norm(out)

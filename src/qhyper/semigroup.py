@@ -1,36 +1,20 @@
-"""The twisted Ornstein-Uhlenbeck semigroup and its positivity certificates.
+"""Complete positivity of the twisted Ornstein-Uhlenbeck semigroup's factors.
 
-P_t acts diagonally on the monomial basis: a word picks up exp(-t * degree)
+P_t acts diagonally on the monomial basis: a word picks up exp(-t * degree),
 where the unit letter counts 0, g and g* count 1, and y counts 2
-(``apply_OU_coeffs``; only ``hyperc``'s witness transports call it, and no
-command reaches them yet).  The per-index factors T_i scale only the letter
-at index i, and their complete positivity reduces to a 4x4 Choi matrix in
-closed form: the ``choi`` command takes its smallest eigenvalue over a
-stacked grid, beside the closed-form determinant identity.  P_t and T_i on
-dense 4**n elements, P_t's cross-check on vacuum vectors, the randomized
-positivity search and the four-term L2 identity are the tests' oracle, in
-``tests/gns_oracle.py``: no command reaches them.
+(``BabyFock.monomial_degrees``; ``hyperc.RatioEvaluator`` folds the factor
+into the coefficients).  P_t is the product of the per-index factors T_i,
+each scaling only the letter at index i, and the complete positivity of T_i
+reduces to a 4x4 Choi matrix in closed form: the ``choi`` command takes its
+smallest eigenvalue over a stacked grid, beside the closed-form determinant
+identity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .babyfock import BabyFock
-
-__all__ = ["apply_OU_coeffs", "choi_matrix", "choi_identity_residual"]
-
-
-def apply_OU_coeffs(model: BabyFock, coeffs: np.ndarray, t: float) -> np.ndarray:
-    """Monomial coefficients of P_t applied to the element with these coefficients."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return np.asarray(coeffs, dtype=np.complex128) * np.exp(-t * model.monomial_degrees)
-
-
-# ============================================================================
-# complete positivity
-# ============================================================================
+__all__ = ["choi_matrix", "choi_identity_residual"]
 
 
 def choi_matrix(t, mu: float) -> np.ndarray:

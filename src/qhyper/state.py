@@ -1,37 +1,19 @@
 """Vacuum-state density: the closed form D, its powers, and the monomial trace solve.
 
 The vacuum state tau(X) = <X x_empty, x_empty> is represented inside the
-algebra by the positive element D with trace(D W) = tau(W), where the
-reference trace is the plain matrix trace on the 4**n GNS representation.
-D factorizes over indices: with lambda_i = 1/(1 + mu_i**4) and the
-projection p_i = g*_i g_i / (mu_i**2 + mu_i**-2),
+algebra by the positive element D with trace(D W) = tau(W), where trace is
+the plain matrix trace on the 4**n GNS representation.  With lambda_i =
+1/(1 + mu_i**4) and the projection p_i = g*_i g_i / (mu_i**2 + mu_i**-2),
 
     D = 2**-n prod_i ((1 - lambda_i) + (2 lambda_i - 1) p_i),
 
 a product of n commuting two-level factors whose trace is exactly one.
-Every power D**alpha is the product of the factors raised to alpha, built in
-closed form on the sparse 4**n layout (``BabyFock._density_entries``) and
-scattered once into a dense matrix (``get_density(model, alpha)``); no
-eigendecomposition and no dense projection is formed.  The check
-trace(D M_w) = tau(M_w) over every word reads the sparse monomial table
-(``BabyFock.monomial_table``).  No command reads the 4**n density, but
-``get_density`` stays here: the benchmark's ``search`` set-up calls it, and
-``tests/test_bench_entry.py`` pins that call.  The rest of the 4**n L^p side,
-the Haagerup norm ||x D**(1/p)||_p as a dense product, the modular check and
-the lift of a smaller model's element, is the tests' oracle in
-``tests/gns_oracle.py``.
-
-The independent linear solve for D takes its Gram matrix block by block in
-the irrep, from the one-sparse rows of ``BabyFock.irrep`` scaled to unit
-max, and returns the monomial coefficients of D, at every n;
-``BabyFock.irrep_sum`` turns them into pi(D), the oracle's ``reconstruct``
-into the 4**n matrix.  It is the one reader of the irrep's layout outside
-``babyfock``.  Every check of the CLI's ``density`` and ``relations``
-commands and every norm the ratio search, the duality transport and the CLI
-report is taken in the closed-form 2**n dimensional irreducible
-representation (``BabyFock.irrep``).  The 4**n model is 2**n copies of it, so
-pi(D) = diag(rho) / 2**n with rho the same product of two-level factors, of
-trace one, and ||X D**(1/p)||_p = ||pi(X) rho**(1/p)||_p with no scale factor.
+``get_density(model, alpha)`` builds D**alpha, the product of the factors
+raised to alpha, on the sparse 4**n layout and checks D against tau on every
+word through the monomial table.  The 4**n model is 2**n copies of the irrep
+(``BabyFock.irrep``), where pi(D) = diag(rho) / 2**n.  ``density_solve``
+finds the monomial coefficients of D from the trace system alone, block by
+block in the irrep.
 """
 
 from __future__ import annotations
@@ -70,9 +52,7 @@ def get_density(model: BabyFock, alpha: float = 1.0) -> np.ndarray:
     (0, 1), so every real power exists; the product of the F_i has trace exactly 2**n
     (pi(rho) tensor 1, rho of trace one on C**(2**n)), so no computed trace is divided
     out.  D itself is built first, whichever power is asked for, and its build checks
-    that it represents tau on every word: once per model.  The benchmark's ``search``
-    set-up and the tests' 4**n oracle call it; the CLI's ``density`` reads pi(D) =
-    diag(rho) / 2**n from ``BabyFock.irrep``.
+    that it represents tau on every word: once per model.
     """
 
     def build(a):

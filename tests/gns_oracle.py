@@ -6,11 +6,11 @@ reaches the same numbers on the 4**n GNS representation of a ``BabyFock``
 model, where an element is a dense 4**n x 4**n matrix on the coefficient
 space.  ``reconstruct`` scatters monomial coefficients through the sparse
 monomial table (``BabyFock.monomial_table``), ``expand`` reads them back off
-the vacuum column, and the Haagerup norm is the Schatten norm of the dense
-product x D**(1/p) with the 4**n density ``qhyper.state.get_density``, read
-through the module so that a test can patch it.  Every function is a plain
-function of a model; no command and no benchmark workload reaches any of
-them.  The letters act through the dense kernels (``apply_beta_batch`` and
+the vacuum column, the table's column-0 entries (``vacuum_column``), and the
+Haagerup norm is the Schatten norm of the dense product x D**(1/p) with the
+4**n density ``qhyper.state.get_density``, read through the module so that a
+test can patch it.  Every function is a plain function of a model; no
+command and no benchmark workload reaches any of them.  The letters act through the dense kernels (``apply_beta_batch`` and
 ``apply_gamma``/``apply_gamma_star`` on it), which ``qhyper`` no longer holds:
 its density and monomial table are sparse steps on the same bit layout, and
 ``kernel_density`` is the kernels' own build of D to compare them with.
@@ -26,11 +26,10 @@ from functools import partial
 
 import numpy as np
 
+from paper_reference import apply_OU_coeffs
 from qhyper import state
 from qhyper.babyfock import GEN, LETTER_DEGREE, STAR, UNIT, Y, BabyFock, get_model
-from qhyper.hyperc import _l2_weights
 from qhyper.linalg import schatten_norm
-from qhyper.semigroup import apply_OU_coeffs
 
 # ============================================================================
 # the letter kernels
@@ -62,21 +61,26 @@ def apply_beta_batch(vec, bit, sign_mask, create, weight, out=None):
     return out
 
 
+def _check_signed_index(model: BabyFock, i: int):
+    if i == 0 or abs(i) > model.n:
+        raise ValueError(f"index {i} out of range for n={model.n}")
+
+
 def apply_creation(model: BabyFock, i: int, vec, weight=1.0, out=None):
     """weight b*_i vec: x_A -> sign(i, A) x_{A + i} for i not in A."""
-    model._check_index(i)
+    _check_signed_index(model, i)
     return apply_beta_batch(vec, 1 << model._pos[i], model._sign_mask[i], True, weight, out=out)
 
 
 def apply_annihilation(model: BabyFock, i: int, vec, weight=1.0, out=None):
     """weight b_i vec: x_A -> sign(i, A) x_{A - i} for i in A."""
-    model._check_index(i)
+    _check_signed_index(model, i)
     return apply_beta_batch(vec, 1 << model._pos[i], model._sign_mask[i], False, weight, out=out)
 
 
 def apply_gamma(model: BabyFock, i: int, vec):
     """g_i = mu_i**-1 b*_i + mu_i b_-i applied to a vector or the columns of a matrix."""
-    model._check_index(i, positive=True)
+    model._check_index(i)
     mu = model.mu[i - 1]
     out = apply_creation(model, i, vec, 1.0 / mu)
     return apply_annihilation(model, -i, vec, mu, out=out)
@@ -84,7 +88,7 @@ def apply_gamma(model: BabyFock, i: int, vec):
 
 def apply_gamma_star(model: BabyFock, i: int, vec):
     """g*_i = mu_i**-1 b_i + mu_i b*_-i applied to a vector or the columns of a matrix."""
-    model._check_index(i, positive=True)
+    model._check_index(i)
     mu = model.mu[i - 1]
     out = apply_annihilation(model, i, vec, 1.0 / mu)
     return apply_creation(model, -i, vec, mu, out=out)
@@ -161,9 +165,23 @@ def monomial_matrix(model: BabyFock, word) -> np.ndarray:
     return X
 
 
+def vacuum_column(model: BabyFock) -> tuple:
+    """(target, amp): M_w x_empty = amp[w] x_target[w], from the column-0 entries of the
+    monomial table, cached on the model."""
+
+    def build():
+        word, row, col, val = model.monomial_table()
+        first = col == 0
+        target, amp = np.zeros(model.dim, np.int64), np.zeros(model.dim)
+        target[word[first]], amp[word[first]] = row[first], val[first]
+        return target, amp
+
+    return model._cached(("vacuum column",), build)
+
+
 def expand(model: BabyFock, X: np.ndarray) -> np.ndarray:
     """Monomial coefficients of X (exact inverse of the embedding)."""
-    target, amp, _ = model._monomial_data()
+    target, amp = vacuum_column(model)
     v = X[:, 0] if X.ndim == 2 else X
     return v[target] / amp
 
@@ -229,7 +247,7 @@ def _class_probe(model: BabyFock, *indices):
 def generator_norm(model: BabyFock, i: int) -> float:
     """Operator norm of g_i: the largest 2-norm of its 4x4 blocks on the bits
     of +-i, one per setting of the other bits (exact, no dense matrix)."""
-    model._check_index(i, positive=True)
+    model._check_index(i)
     probe, masks = _class_probe(model, i)
     outer = np.flatnonzero(probe[:, 0])
     blocks = apply_gamma(model, i, probe)[outer[:, None] | masks]
@@ -398,6 +416,11 @@ def l2_pythagoras_residual(model: BabyFock, a, b, c, d, t: float) -> float:
 # ============================================================================
 # contraction ratios
 # ============================================================================
+
+
+def _l2_weights(model: BabyFock, t: float) -> np.ndarray:
+    """Per-monomial weight |M_w x_empty|**2 exp(-2 t deg_w): squared L2 norm terms."""
+    return model.vacuum_weights * np.exp(-2.0 * t * model.monomial_degrees)
 
 
 def contraction_ratio(model: BabyFock, X: np.ndarray, t: float, p: float) -> float:

@@ -7,7 +7,8 @@ each power mean's larger norm factored out, so that no power overflows.
 The structural split of the n-index algebra over the (n-1)-index one (the
 exact decomposition identity, the lower bounds on g_n b and g*_n c, and the
 additivity of their disjoint supports) is checked here on monomial
-coefficients, with every norm taken in the closed-form 2**n irrep.  The
+coefficients, with every norm taken in the closed-form 2**n irrep, and so is
+the duality transport of witnesses between the primal and dual searches.  The
 q-inner product comes from its Gram matrices, sums of q**inversions over
 matching permutations: the independent definition that pins the
 annihilation convention of ``qhyper.qfock`` by adjointness.  No command and
@@ -127,6 +128,48 @@ def disjoint_support_check(b: np.ndarray, c: np.ndarray, p: float,
     parts = schatten_norm(gb, p) ** p + schatten_norm(gc, p) ** p
     return {"residual": float(abs(total - parts)),
             "scale": float(max(total, parts, 1e-300))}
+
+
+# ============================================================================
+# duality transport of witnesses
+# ============================================================================
+
+
+def apply_OU_coeffs(model: BabyFock, coeffs: np.ndarray, t: float) -> np.ndarray:
+    """Monomial coefficients of P_t applied to the element with these coefficients."""
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    return np.asarray(coeffs, dtype=np.complex128) * np.exp(-t * model.monomial_degrees)
+
+
+def irrep_coeffs(model: BabyFock, A: np.ndarray, p: float) -> np.ndarray:
+    """Monomial coefficients of the x with pi(x) rho**(1/p) = A: the monomials are orthogonal
+    in the vacuum state, so c_w = trace(rho pi(M_w)* pi(x)) / |M_w x_empty|**2."""
+    flip, vals, rho = model.irrep()
+    rows, cols = np.arange(rho.size), np.arange(rho.size) ^ flip[:, None]
+    terms = vals * rho[cols] ** (1.0 - 1.0 / p) * np.asarray(A)[rows, cols]
+    return terms.sum(axis=1) / model.vacuum_weights
+
+
+def witness_primal_to_dual(model: BabyFock, coeffs: np.ndarray, t: float) -> np.ndarray:
+    """P_t maps a primal witness to a dual candidate with ratio at least as large."""
+    out = apply_OU_coeffs(model, coeffs, t)
+    return out / np.linalg.norm(out)
+
+
+def witness_dual_to_primal(model: BabyFock, coeffs: np.ndarray, t: float, p: float) -> np.ndarray:
+    """Norming element transport: dual witness -> primal candidate coefficients.
+
+    For z = P_t(Y) D**(1/p'), the Hoelder-equality partner in L^p is
+    z (z*z)**((p'-2)/2) = U S**(p'-1) V* (z = U S V*) up to normalization, taken
+    in the irrep; dividing out D**(1/p) returns an algebra element, whose
+    coefficients ``irrep_coeffs`` reads back.
+    """
+    pprime = p / (p - 1.0)
+    z = model.irrep_sum(apply_OU_coeffs(model, coeffs, t)[None, :], pprime)[0]
+    u, s, vh = np.linalg.svd(z / schatten_norm(z, pprime))
+    out = irrep_coeffs(model, (u * s ** (pprime - 1.0)) @ vh, p)
+    return out / np.linalg.norm(out)
 
 
 # ============================================================================

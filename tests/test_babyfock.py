@@ -12,6 +12,7 @@ from gns_oracle import (apply_annihilation, apply_creation, apply_gamma, apply_g
                         vacuum_vector, verify_relations, word_of)
 from qhyper.babyfock import GEN, LETTER_DEGREE, STAR, UNIT, Y, BabyFock, get_model
 from qhyper.signs import ModelParams, SignTable
+from test_irrep import _every_sign_table
 
 MU = np.sqrt(2.0)
 
@@ -233,17 +234,78 @@ def test_monomial_table_matches_monomial_matrix(n):
         assert np.max(np.abs(dense[w] - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_monomial_data_is_the_vacuum_column(n):
-    model = BabyFock(ModelParams.make(n, tuple(2.2 - 0.3 * k for k in range(n)),
-                                      sign_seed=50 + n))
-    target, amp, degree = model._monomial_data()
-    for w in range(model.dim):
-        want = np.zeros(model.dim)
-        want[target[w]] = amp[w]
-        got = monomial_matrix(model, word_of(model, w))[:, 0]
-        assert np.max(np.abs(got - want)) <= 1e-15 * abs(amp[w])
-        assert degree[w] == sum(LETTER_DEGREE[letter] for letter in word_of(model, w))
+# every sign table at n <= 3 (1, 2 and 8 tables), random ones at n = 4..6
+CLOSED_FORM_MODELS = [ModelParams(n, tuple(2.2 - 0.3 * k for k in range(n)), signs)
+                      for n in (1, 2, 3) for signs in _every_sign_table(n)] \
+    + [ModelParams.make(n, tuple(1.0 + 0.4 * k for k in range(n)), sign_seed=50 + n)
+       for n in (4, 5, 6)]
+
+
+def _table_vacuum_column(model):
+    """(word, row, val) of the monomial table's column-0 entries: at n <= 4 read off the
+    cached table, beyond by its own letter steps started from column 0 alone."""
+    if model.n <= 4:
+        word, row, col, val = model.monomial_table()
+        return word[col == 0], row[col == 0], val[col == 0]
+    entries = (np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1))
+    for i in range(model.n, 0, -1):
+        parts = [entries]
+        for letter in (GEN, STAR, Y):
+            parts += model._letter_entries(letter, i, *entries)
+        entries = tuple(np.concatenate(a) for a in zip(*parts))
+    return entries[0], entries[1], entries[3]
+
+
+def _dense_vacuum_columns(model):
+    """(words, columns): M_w x_empty by the letter kernels, index n first, in chunks of
+    the 4**min(n, 4) words that share their letters above index 4."""
+    low = min(model.n, 4)
+    for prefix in range(4 ** (model.n - low)):
+        V = vacuum_vector(model)[:, None]
+        for i in range(model.n, low, -1):
+            V = apply_letter(model, (prefix >> 2 * (i - low - 1)) & 3, i, V)
+        for i in range(low, 0, -1):
+            V = np.stack([apply_letter(model, letter, i, V) for letter in (UNIT, GEN, STAR, Y)],
+                         axis=2).reshape(model.dim, -1)
+        yield prefix * 4 ** low + np.arange(4 ** low), V
+
+
+@pytest.mark.parametrize("params", CLOSED_FORM_MODELS,
+                         ids=lambda pr: f"n{pr.n}-" + "".join("+" if s > 0 else "-"
+                                                              for _, s in pr.signs.entries))
+def test_vacuum_weights_and_degrees_match_the_vacuum_column(params):
+    model = BabyFock(params)
+    weights, degree = model.vacuum_weights, model.monomial_degrees
+    assert not weights.flags.writeable and not degree.flags.writeable
+    word, row, val = _table_vacuum_column(model)
+    assert np.array_equal(np.sort(word), np.arange(model.dim))
+    target, amp = np.zeros(model.dim, np.int64), np.zeros(model.dim)
+    target[word], amp[word] = row, val
+    # the closed form is the table's amplitude squared, bit for bit
+    assert weights.tobytes() == (np.abs(amp) ** 2).tobytes()
+    for words, V in _dense_vacuum_columns(model):
+        want = np.zeros(V.shape)
+        want[target[words], np.arange(words.size)] = amp[words]
+        assert np.max(np.abs(V - want) / np.abs(amp[words])) <= 1e-15
+        got = np.sum(np.abs(V) ** 2, axis=0)
+        assert np.max(np.abs(got - weights[words]) / weights[words]) <= 1e-15
+    letters = (np.arange(model.dim)[:, None] >> 2 * np.arange(model.n)) & 3
+    assert np.array_equal(degree, np.asarray(LETTER_DEGREE)[letters].sum(axis=1))
+    # g_i and g*_i put one bit into the vacuum's target, y_i two
+    assert np.array_equal(degree, np.bitwise_count(target))
+
+
+def test_irrep_build_check_rejects_a_wrong_closed_form(monkeypatch):
+    # mu and 1/mu swapped for g*: the irrep's weights no longer match, so the build raises
+    def swapped(self):
+        return self._per_word(lambda k: np.array([1.0, 1.0 / self.mu[k], 1.0 / self.mu[k], 1.0]),
+                              np.multiply) ** 2
+
+    params = ModelParams.make(2, (1.5, 2.0), sign_seed=3)
+    BabyFock(params).irrep()
+    monkeypatch.setattr(BabyFock, "vacuum_weights", property(swapped))
+    with pytest.raises(AssertionError, match="vacuum state"):
+        BabyFock(params).irrep()
 
 
 def test_reconstruct_n4_matches_per_word_sum():

@@ -1,9 +1,12 @@
 """CLI contract: determinism, exit codes, emission formats."""
 
 import csv
+import importlib
 import io
 import json
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from gns_oracle import apply_gamma, haagerup_norm, identity, modular_check, reconstruct
 from qhyper import cli, hyperc, state
 from qhyper.babyfock import BabyFock, get_model
-from qhyper.cli import COMMANDS, _config_echo, build_parser, emit, main, parse_values
+from qhyper.cli import (COMMANDS, MAX_GRID, _config_echo, build_parser, emit, main,
+                        parse_values)
 from qhyper.semigroup import choi_identity_residual, choi_matrix
 from qhyper.signs import ModelParams, SignTable
 from qhyper.state import density_solve, get_density
@@ -37,6 +41,10 @@ def test_parse_values():
         parse_values("0:1:0.25:9")
     with pytest.raises(ValueError):
         parse_values("0:1:-1")
+    # a grid is counted before it is built: MAX_GRID values pass, one more does not
+    assert len(parse_values(f"1:{MAX_GRID}:1")) == MAX_GRID
+    with pytest.raises(ValueError, match="more than"):
+        parse_values(f"0:{MAX_GRID}:1")
 
 
 def test_relations_json_schema(capsys):
@@ -464,23 +472,34 @@ def test_necessary_time_crosses_up_to_the_weight_limit(capsys):
 
 
 def test_norm_commands_never_touch_the_4n_model(capsys, monkeypatch):
-    # relations, density, lpnorm, necessary-time and perturb take every check and norm in
-    # the 2**n irrep; at n = 6 the 4**n model would hold 4096 x 4096 matrices.  The irrep's
-    # build check reads the vacuum column M_w x_empty through ``_letter_entries``, so the
-    # forbidden letter actions are those of the density build and the full monomial table
+    # every command takes its checks and norms in the 2**n irrep, with the vacuum weights and
+    # degrees in closed form: on fresh models, no call of the benchmark's campaign, no norm
+    # command at n = 6 and no violation search reaches the 4**n layout, whose only door in
+    # qhyper is get_density
     def forbidden(*args, **kwargs):
-        raise AssertionError("4**n density or monomial table used")
+        raise AssertionError("4**n layout reached")
 
-    for module in (cli, hyperc, state):
-        if hasattr(module, "get_density"):
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qhyper" and getattr(module, "get_density", None) is get_density:
             monkeypatch.setattr(module, "get_density", forbidden)
-    for name in ("monomial_table", "_density_entries"):
+    for name in ("_letter_entries", "_density_entries"):
         monkeypatch.setattr(BabyFock, name, forbidden)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    worker = importlib.import_module("worker")
+    campaign = worker.Campaign(7)
+    campaign.before_round()         # clears the model cache: every call builds its models
+    verdicts = campaign.verdicts([op() for _, op in campaign.ops])
+    assert all(verdicts), [label for (label, _), ok in zip(campaign.ops, verdicts) if not ok]
     for argv in (["relations", "--n", "6"], ["density", "--n", "6", "--mu", "1,1.2,1.5,2,2.5,3"],
-                 ["lpnorm", "--n", "3", "--mu", "1,1.5,2.5"], ["necessary-time"], ["perturb"]):
+                 ["lpnorm", "--n", "6", "--mu", "1,1.2,1.5,2,2.5,3"]):
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert json.loads(out)["pass"] is True
+    for mu, sign_seed in worker.Search.MODELS:
+        params = ModelParams.make(3, mu, sign_seed=sign_seed)
+        t = float(-0.5 * np.log(hyperc.sufficient_time(1.5, params.mu)))
+        ratio = hyperc.violation_search(BabyFock(params), t, 1.5, restarts=20, seed=7).ratio
+        assert 1.0 - 1e-12 <= ratio <= 1.0 + 1e-9
 
 
 def test_lpnorm_n6_meets_closed_form(capsys):
@@ -578,6 +597,11 @@ BOUNDARY_CASES = [
     (["choi", "--t", "0:inf:1"], "finite"),
     # a grid of infinitely many values: its length int(inf) overflows
     (["lpnorm", "--p", "1:1e300:1e-300"], "--p: cannot convert float infinity to integer"),
+    # a grid's ends and count are checked before it is built: once, 0:1e9:1 was built in
+    # full (about 40 GB) before its first value was rejected
+    (["lpnorm", "--p", "0:1e9:1"], "--p: takes values in [1, inf), got 0.0"),
+    (["lpnorm", "--p", "1:1e9:1"], "--p: grid holds 1000000000 values, more than 100000"),
+    (["necessary-time", "--p", "4:1e9:1"], "--p: takes even integers in [4, 2900], got 5.0"),
     (["clt", "(s+s*)^2", "--m", "5.7"], "integers"),
     (["hyperc-search", "--p", "0"], "--p: takes values in [1, inf)"),
     (["hyperc-search", "--t", "-3"], "--t: takes values in [0, 1e+300]"),

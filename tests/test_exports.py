@@ -2,6 +2,7 @@
 hold the 4**n oracle and the paper's per-instance reference checks."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -58,10 +59,12 @@ REFERENCE_NAMES = {
     "bcl_check", "asym_convexity_check", "dual_convexity_check", "_split",
     "decomposition_identity_check", "gamma_lower_bound_check", "disjoint_support_check",
     "_gram_entry", "gram_matrix", "q_inner", "positivity_check", "MAX_GRAM_LEVEL",
+    "apply_OU_coeffs", "irrep_coeffs", "witness_primal_to_dual", "witness_dual_to_primal",
 }
-# deleted: a reached path or a remaining test does the job
+# deleted: a reached path, a closed form or a remaining test does the job
 DELETED_NAMES = {
     "RelationsReport", "is_cp", "clt_estimate", "theorem_bound", "RICHARDSON_EPS",
+    "_monomial_data", "_word_entries", "_l2_weights",
 }
 
 
@@ -73,3 +76,5 @@ def test_reference_checks_live_only_in_the_tests():
         assert not gone & set(vars(importlib.import_module(f"qhyper.{name}"))), name
     assert not gone & set(vars(BabyFock))
     assert "eps" not in vars(SignTable)
+    # qhyper checks only the indices 1..n; the oracle's signed kernels check their own
+    assert list(inspect.signature(BabyFock._check_index).parameters) == ["self", "i"]

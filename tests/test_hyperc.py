@@ -9,12 +9,12 @@ from gns_oracle import (apply_gamma, apply_gamma_star, apply_y, contraction_rati
                         identity, random_element, reconstruct)
 from paper_reference import (asym_convexity_check, bcl_check, decomposition_identity_check,
                              disjoint_support_check, dual_convexity_check,
-                             gamma_lower_bound_check)
+                             gamma_lower_bound_check, witness_dual_to_primal,
+                             witness_primal_to_dual)
 from qhyper import hyperc, state
 from qhyper.babyfock import BabyFock, get_model
 from qhyper.hyperc import (C_of_mu, RatioEvaluator, convexity_margins, necessary_time_exact,
-                           sufficient_time, violation_search, witness_dual_to_primal,
-                           witness_primal_to_dual)
+                           sufficient_time, violation_search)
 from qhyper.linalg import schatten_norm
 from qhyper.signs import ModelParams, SignTable
 from qhyper.state import get_density
