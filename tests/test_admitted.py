@@ -6,11 +6,14 @@ nearest value inside it and an infinite one by the largest float, and at a few
 log-spaced interior points.  A weight's upper end is the models' own: the largest
 weight that ``ModelParams`` (or ``check_weights``, for the commands that build no model)
 admits, and at every n up to MAX_N the model commands also run at the largest equal
-weights the model admits at that n.  Every run must exit 0 with ``"pass": true``, except
-that at a --tol end a run may also exit 2.  One step outside each finite end, and a
-non-integer inside an integer box, exit 1 and name the flag.
+weights the model admits at that n.  Every pair of a command's numeric flags, other than
+the seeds and the counts, also runs at each pair of the two flags' ends.  Every run must
+exit 0 with ``"pass": true``, except that with a --tol end a run may also exit 2, and so may
+hyperc-verify with a --t below the proof-level time.  One step outside each finite end, and
+a non-integer inside an integer box, exit 1 and name the flag.
 """
 
+import itertools
 import json
 import math
 
@@ -67,16 +70,28 @@ def _step(end: float, toward: float, step: int) -> float:
     return float(np.nextafter(end, toward))
 
 
+def _is_count(box) -> bool:
+    return bool(box.step) and box.hi == math.inf
+
+
+def ends(command: str, flag: str, n: int = 1) -> tuple:
+    """The flag's two ends: an open end replaced by the nearest value inside it, an infinite
+    one by the largest float or, for a weight, by the largest the command admits at n."""
+    box = _declared(command, flag)[1]
+    top = (largest_weight(command, n) if flag == "--mu" else np.finfo(float).max) \
+        if box.hi == math.inf else box.hi
+    lo = _step(box.lo, top, box.step) if box.ends[0] == "(" else box.lo
+    hi = _step(top, lo, box.step) if box.ends[1] == ")" and box.hi < math.inf else top
+    return lo, hi
+
+
 def corners(command: str, flag: str) -> list:
     """The values of the sweep: the ends, the inside of open ends, and interior points."""
     default, box = _declared(command, flag)
     step = box.step
-    if step and box.hi == math.inf:         # a count
+    if _is_count(box):
         return [box.lo, box.lo + 1, box.lo + 2]
-    top = (largest_weight(command) if flag == "--mu" else np.finfo(float).max) \
-        if box.hi == math.inf else box.hi
-    lo = _step(box.lo, top, step) if box.ends[0] == "(" else box.lo
-    hi = _step(top, lo, step) if box.ends[1] == ")" and box.hi < math.inf else top
+    lo, hi = ends(command, flag)
     if flag == "--tol":     # a tolerance tighter than the default may fail by design
         a = min(cli.parse_values(default or "1e-12"))
     else:
@@ -114,19 +129,45 @@ CORNERS = [(c, f, v) for c, f in NUMERIC for v in corners(c, f)]
 HEAVIEST = [(c, n) for c in sorted(MODEL_COMMANDS - {"perturb"}) for n in range(1, MAX_N + 1)]
 
 
+def check_passes(capsys, command: str, values: dict):
+    """The command, run with the flags set to the values, exits 0 with "pass": true, or
+    also 2 with a --tol set or hyperc-verify's --t set below the proof-level time."""
+    code, out, err = run(capsys, _base(command) + [f"{f}={_text(v)}" for f, v in values.items()])
+    # hyperc-verify asserts contraction, which may fail below the proof-level time
+    verify_t = command == "hyperc-verify" and "--t" in values
+    assert code in ((0, 2) if "--tol" in values or verify_t else (0,)), err
+    doc = json.loads(out)
+    assert doc["pass"] is (code == 0)
+    # at and past the proof-level time every record passes, unless a --tol tighter than
+    # the default fails a ratio rounded above 1 (1 + 2.2e-16 at --t=1e+300 --tol=0.0)
+    if verify_t and "--tol" not in values:
+        assert all(rec["pass"] for rec in doc["records"]
+                   if rec["exp_minus_2t"] <= rec["threshold"])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command,flag,value", CORNERS,
                          ids=[f"{c} {f}={_text(v)}" for c, f, v in CORNERS])
 def test_every_corner_passes(capsys, command, flag, value):
-    code, out, err = run(capsys, _base(command) + [f"{flag}={_text(value)}"])
-    # hyperc-verify asserts contraction, which may fail below the proof-level time
-    verify_t = (command, flag) == ("hyperc-verify", "--t")
-    assert code in ((0, 2) if flag == "--tol" or verify_t else (0,)), err
-    doc = json.loads(out)
-    assert doc["pass"] is (code == 0)
-    if verify_t:        # at and past the proof-level time every record passes
-        assert all(rec["pass"] for rec in doc["records"]
-                   if rec["exp_minus_2t"] <= rec["threshold"])
+    check_passes(capsys, command, {flag: value})
+
+
+# the seeds key generators and bound nothing, and counts stay small: each other pair of a
+# command's numeric flags at each pair of their ends, a weight's top end the largest the
+# model admits at the paired --n (which _TAKES lists before --mu)
+PAIRED = {c: [f for f, (_, box) in flags.items() if box is not None and not _is_count(box)]
+          for c, flags in cli._TAKES.items()}
+PAIRS = [(c, {f: v, g: w}) for c, flags in PAIRED.items()
+         for f, g in itertools.combinations(flags, 2)
+         for v in ends(c, f) for w in ends(c, g, v if f == "--n" else 1)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,values", PAIRS,
+                         ids=[" ".join([c, *(f"{f}={_text(v)}" for f, v in values.items())])
+                              for c, values in PAIRS])
+def test_every_pair_of_ends_passes(capsys, command, values):
+    check_passes(capsys, command, values)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,12 +1,15 @@
 """CLI contract: determinism, exit codes, emission formats."""
 
+import contextlib
 import csv
 import importlib
 import io
 import json
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +32,13 @@ def run(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def emitted(args, records):
+    """The text emit writes for the records, and the failing records it returns."""
+    buf = io.StringIO()
+    failed = emit(args, records, buf.write)
+    return buf.getvalue(), failed
 
 
 def test_parse_values():
@@ -134,14 +144,14 @@ def test_records_hold_plain_values(capsys):
     # non-finite floats go out as json's NaN and Infinity and as csv's repr
     args = build_parser().parse_args(["choi"])
     records = [{"nan": float("nan"), "inf": float("inf"), "minus_inf": float("-inf"),
-                "plain": 1.25, "flag": True, "count": -7, "name": "x"}]
+                "plain": 1.25, "flag": True, "count": -7, "name": "x", "pass": False}]
     want = json.dumps({"config": _config_echo(args), "records": records, "pass": False},
                       indent=2) + "\n"
-    assert emit(args, records, False) == want
+    assert emitted(args, records) == (want, records)
     assert '"nan": NaN' in want and '"minus_inf": -Infinity' in want
     args = build_parser().parse_args(["choi", "--emit", "csv"])
-    row = emit(args, records, True).splitlines()[1]
-    assert row.startswith("nan,inf,-inf,1.25,True,-7,x,")
+    row = emitted(args, records)[0].splitlines()[1]
+    assert row.startswith("nan,inf,-inf,1.25,True,-7,x,False,")
 
 
 JSON_TEXT = st.text(st.sampled_from('}{,"\\\n :aZ\u00e9\u2603\U0001f600'), max_size=8)
@@ -152,16 +162,45 @@ JSON_VALUES = st.one_of(JSON_TEXT, st.booleans(), st.integers(), st.floats(),
 JSON_ARGS = build_parser().parse_args(["choi"])
 
 
+def _with_pass(rec: dict, ok: bool, at: int) -> dict:
+    """The record with a "pass" entry put in at position at (or last)."""
+    items = list(rec.items())
+    return dict(items[:at] + [("pass", ok)] + items[at:])
+
+
+def records_with_pass(keys, values):
+    """Up to 7 records, each a dict of up to 4 entries and a bool "pass" among them:
+    7 records cross a block edge at every patched block size (1, 2 and 3)."""
+    return st.lists(st.builds(_with_pass, st.dictionaries(keys, values, max_size=4),
+                              st.booleans(), st.integers(0, 4)), max_size=7)
+
+
+# emit encodes and writes BLOCK records at a time: the text must not depend on where the
+# blocks end
+BLOCK_SIZES = [1, 2, 3, cli.BLOCK]
+
+
+def emitted_in_blocks(args, records) -> list:
+    """emitted() of an iterator over the records, at each of BLOCK_SIZES."""
+    out = []
+    for block in BLOCK_SIZES:
+        with mock.patch.object(cli, "BLOCK", block):
+            out.append(emitted(args, iter(records)))
+    return out
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.dictionaries(JSON_TEXT, JSON_VALUES, min_size=1, max_size=4), max_size=5),
-       st.booleans())
-def test_json_emission_matches_indented_dumps(records, passed):
-    """The one-call emitter gives json.dumps(..., indent=2) byte for byte, for
-    strings holding braces, commas, quotes, backslashes, newlines and
-    non-ASCII characters, non-finite floats, one-key records and no records."""
+@given(records_with_pass(JSON_TEXT, JSON_VALUES))
+def test_json_emission_matches_indented_dumps(records):
+    """The block emitter gives json.dumps(..., indent=2) byte for byte at every block
+    size, for strings holding braces, commas, quotes, backslashes, newlines and
+    non-ASCII characters, non-finite floats, one-key records and no records,
+    and returns the failing records."""
+    passed = all(rec["pass"] for rec in records)
     want = json.dumps({"config": _config_echo(JSON_ARGS), "records": records,
                        "pass": passed}, indent=2) + "\n"
-    assert emit(JSON_ARGS, records, passed) == want
+    failed = [rec for rec in records if not rec["pass"]]
+    assert emitted_in_blocks(JSON_ARGS, records) == [(want, failed)] * len(BLOCK_SIZES)
 
 
 CSV_ARGS = build_parser().parse_args(["choi", "--emit", "csv"])
@@ -171,14 +210,17 @@ CSV_TEXT = st.text(st.sampled_from(',"\n\r :aZ\u00e9'), max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.dictionaries(CSV_TEXT, JSON_VALUES | CSV_TEXT, max_size=4),
-                max_size=5))
+@given(records_with_pass(CSV_TEXT, JSON_VALUES | CSV_TEXT))
 def test_csv_emission_matches_per_row_writer(records):
     """csv.reader reads back the header, every field of every record and the provenance
     on every row, for fields holding commas, quotes, newlines and carriage returns, empty
-    strings, empty and one-field records, records missing a field of the first (read
-    back as ''), and no records."""
-    header, *rows = csv.reader(io.StringIO(emit(CSV_ARGS, records, True), newline=""))
+    strings, one-field records, records missing a field of the first (read back as ''),
+    and no records; the text is the same at every block size, and the failing records
+    are returned."""
+    (text, failed), *others = emitted_in_blocks(CSV_ARGS, records)
+    assert others == [(text, failed)] * len(others)
+    assert failed == [rec for rec in records if not rec["pass"]]
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
     fields = list(records[0]) if records else ["pass"]
     assert header == fields + ["provenance"]
     provenance = json.dumps(_config_echo(CSV_ARGS), sort_keys=True)
@@ -192,7 +234,7 @@ def test_csv_emission_reads_back_with_csv_reader():
     and every row carries the same provenance."""
     records = [{"word": 'say "hi", then\nleave', "pass": True},
                {"word": "g\ue000,\ue000\"", "pass": False}]
-    header, *rows = csv.reader(io.StringIO(emit(CSV_ARGS, records, True)))
+    header, *rows = csv.reader(io.StringIO(emitted(CSV_ARGS, records)[0]))
     assert header == ["word", "pass", "provenance"]
     assert [row[:2] for row in rows] == [[rec["word"], str(rec["pass"])] for rec in records]
     assert {row[2] for row in rows} == {json.dumps(_config_echo(CSV_ARGS), sort_keys=True)}
@@ -202,7 +244,7 @@ def test_json_emission_rejects_nested_records():
     args = build_parser().parse_args(["choi"])
     for records in ([{"a": [1.0]}], [{}], [{"a": np.float64(1.0)}], [[("a", 1)]]):
         with pytest.raises(TypeError, match="flat dicts"):
-            emit(args, records, True)
+            emit(args, records, io.StringIO().write)
 
 
 def test_usage_error_exit_code():
@@ -414,6 +456,67 @@ def test_convexity_chunks_leave_stdout_unchanged(capsys, monkeypatch):
     monkeypatch.setattr(cli, "CONVEXITY_CHUNK", 7)
     code, chunked, _ = run(capsys, argv)
     assert code == 0 and chunked == whole
+
+
+@pytest.mark.parametrize("emit_as", ["json", "csv"])
+def test_choi_blocks_leave_stdout_unchanged(capsys, monkeypatch, emit_as):
+    # 51 x 31 records: one stack over the whole grid and one block, then chunks of one time
+    # (below the 31 weights) and of whole times that cut the records' blocks, each with
+    # blocks of 1 and 7 records
+    argv = ["choi", "--t", "0:0.5:0.01", "--tol", "0", "--emit", emit_as]
+    chunks, blocks = (1, 32, 100, cli.CHOI_CHUNK), (1, 7, cli.BLOCK)
+    monkeypatch.setattr(cli, "CHOI_CHUNK", 10 ** 6)
+    monkeypatch.setattr(cli, "BLOCK", 10 ** 6)
+    code, whole, err = run(capsys, argv)
+    assert code == 2 and err.count("FAIL") > 0 and whole.count("\n") > 1581
+    for chunk in chunks:
+        for block in blocks:
+            monkeypatch.setattr(cli, "CHOI_CHUNK", chunk)
+            monkeypatch.setattr(cli, "BLOCK", block)
+            assert run(capsys, argv) == (code, whole, err), (chunk, block)
+
+
+def test_choi_checks_its_inputs_before_any_record(monkeypatch):
+    args = build_parser().parse_args(["choi", "--mu", "1e80"])
+    with pytest.raises(ValueError, match="too large"):
+        cli.cmd_choi(args)
+    records = cli.cmd_choi(build_parser().parse_args(["choi"]))
+    assert not isinstance(records, list) and next(records)["t"] == 0.0
+
+
+def test_an_error_in_the_first_block_leaves_stdout_empty(capsys, monkeypatch):
+    def records(args):
+        yield {"p": args.p, "pass": True}
+        raise ValueError("no second record")
+
+    monkeypatch.setitem(COMMANDS, "necessary-time", records)
+    assert run(capsys, ["necessary-time"]) == (1, "", "error: no second record\n")
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def _traced_peak(argv) -> int:
+    """The tracemalloc peak in bytes of main(argv), stdout discarded."""
+    with contextlib.redirect_stdout(_Discard()):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("emit_as", ["json", "csv"])
+def test_choi_memory_does_not_grow_with_the_record_count(emit_as):
+    # 201 x 31 records and 801 x 31, each several CHOI_CHUNKs: a record list spanning the
+    # grid grows the peak by several MiB
+    small = ["choi", "--t", "0:2:0.01", "--emit", emit_as]
+    large = ["choi", "--t", "0:8:0.01", "--emit", emit_as]
+    _traced_peak(small)     # parser and lazy imports, once
+    assert _traced_peak(large) - _traced_peak(small) <= 2 ** 20
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
