@@ -11,8 +11,8 @@ For one sign sample a moment is a finite Wick sum: over the pair
 partitions of the word, each pair on one pair index, each crossing of
 two pairs weighted by the sample's sign between their pair indices.
 The partitions are enumerated once per (word, weights) and grouped by
-crossing graph; a sample then costs one small contraction of its sign
-matrix per group.  The budget (MAX_CLT_WORD letters, 1 <= m <= MAX_CLT_M,
+crossing graph; a stack of samples then costs one contraction of its sign
+matrices per group.  The budget (MAX_CLT_WORD letters, 1 <= m <= MAX_CLT_M,
 2nm <= 1022) keeps every accepted size within reach of the tests'
 independent sparse Fock oracle.  ``convergence_report`` gives each m's mean
 and standard error over the sign samples; the ``clt`` command reports them.
@@ -63,16 +63,28 @@ def sample_signs(q: float, n: int, m: int, seed: int, sample_index: int = 0) -> 
     result depends only on (q, n, m, seed, sample_index), not on which
     samples were drawn before it.
     """
+    (signs,) = _draw_signs(q, n * m, seed, [sample_index])
+    return BigSignSample(n=n, m=m, q=q, seed=seed, sample_index=sample_index, signs=signs)
+
+
+def _draw_signs(q: float, nm: int, seed: int, indices) -> np.ndarray:
+    """The (len(indices), nm, nm) int8 stack of the samples ``sample_signs`` draws."""
     if not (-1.0 <= q < 1.0):
         raise ValueError(f"q must be in [-1, 1), got {q}")
-    nm = n * m
-    rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(sample_index)]))
     iu = np.triu_indices(nm, k=1)
-    draws = np.where(rng.random(iu[0].size) < (1.0 + q) / 2.0, 1, -1).astype(np.int8)
-    signs = -np.eye(nm, dtype=np.int8)
-    signs[iu] = draws
-    signs[(iu[1], iu[0])] = draws
-    return BigSignSample(n=n, m=m, q=q, seed=seed, sample_index=sample_index, signs=signs)
+    # one generator, set to the fresh state of key (seed, s) for each sample: setting a
+    # state took 5 us, building a Philox 19 us (it first seeds a SeedSequence from the OS)
+    bits = np.random.Philox(key=[np.uint64(seed), np.uint64(0)])
+    fresh, rng = bits.state, np.random.Generator(bits)
+    plus = np.empty((len(indices), iu[0].size), dtype=np.bool_)
+    for row, s in zip(plus, indices):
+        fresh["state"]["key"][1] = s
+        bits.state = fresh
+        row[:] = rng.random(row.size) < (1.0 + q) / 2.0
+    signs = np.empty((len(indices), nm, nm), dtype=np.int8)
+    signs[:, iu[0], iu[1]] = signs[:, iu[1], iu[0]] = np.where(plus, np.int8(1), np.int8(-1))
+    signs[:, range(nm), range(nm)] = -1
+    return signs
 
 
 def _validate_word(letters, n: int, m: int):
@@ -101,7 +113,7 @@ def _wick_classes(letters: tuple, mu: tuple) -> tuple:
     one class have the same sum over pair indices, so their weights add.
     """
     classes = {}
-    for pairs, weight in _pairings(_pair_weights(letters, mu)):
+    for pairs, weight, _ in _pairings(_pair_weights(letters, mu)):
         cross = _crossing_pairs(pairs)
         crossed = sorted({p for edge in cross for p in edge})
         key = min((tuple(letters[pairs[p][0]][1] for p in order),
@@ -127,24 +139,56 @@ def sample_moment(letters, sample: BigSignSample, mu) -> complex:
     """
     letters = list(letters)
     _validate_word(letters, sample.n, sample.m)
-    m, total = sample.m, 0.0
-    signs = sample.signs.astype(np.float64)
-    for weight, free, indices, edges in _wick_classes(tuple(letters),
-                                                     tuple(float(x) for x in mu)):
+    (total,) = _stack_moments(letters, sample.signs[None], sample.m, mu, {})
+    return complex(total)
+
+
+# the sample axis of a stack's einsum; the pairs of a word of at most MAX_CLT_WORD letters
+# take the labels 0, 1, 2
+_SAMPLES = 51
+
+
+def _stack_moments(letters, signs, m: int, mu, paths: dict) -> np.ndarray:
+    """The moments (float64) of ``sample_moment`` for each (nm, nm) sign matrix of a stack.
+
+    Each class's sum over the j is one einsum over the whole stack, its contraction path
+    found on the first stack and kept in ``paths`` for the stacks after it; every sum is an
+    exact integer, so each sample's moment is the one ``sample_moment`` gives it alone.
+    """
+    signs = signs.astype(np.float64)
+    total = np.zeros(len(signs))
+    for c, (weight, free, indices, edges) in enumerate(
+            _wick_classes(tuple(letters), tuple(float(x) for x in mu))):
+        if not edges:
+            total += weight * m ** free
+            continue
         operands = [x for p, r in edges for x in (
-            signs[(indices[p] - 1) * m:indices[p] * m, (indices[r] - 1) * m:indices[r] * m],
-            [p, r])]
-        total += weight * m ** free * (np.einsum(*operands, []) if edges else 1.0)
-    return complex(total / m ** (len(letters) // 2))
+            signs[:, (indices[p] - 1) * m:indices[p] * m, (indices[r] - 1) * m:indices[r] * m],
+            [_SAMPLES, p, r])]
+        if c not in paths:
+            paths[c] = np.einsum_path(*operands, [_SAMPLES], optimize="greedy")[0]
+        total += weight * m ** free * np.einsum(*operands, [_SAMPLES], optimize=paths[c])
+    return total / m ** (len(letters) // 2)
+
+
+# convergence_report draws and evaluates its sign samples in stacks of at most STACK_BYTES,
+# at STACK_ENTRY_BYTES per entry of a sample's (nm, nm) matrix: its int8 and float64 signs
+# and the einsums' (m, m) intermediates, 24.0 bytes traced per entry for (s+s*)^6 at m = 64.
+# 1 MiB holds 10 samples there: 200 samples took 29 ms, 26 at 2 MiB, 38 at 0.5 MiB and 33 at
+# 8 MiB (past the 2 MiB L2 cache); with every sample in one stack, 2000 samples peaked at
+# 231 MB resident
+STACK_BYTES = 1 << 20
+STACK_ENTRY_BYTES = 24
 
 
 def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int) -> list:
     """Rows of (m, mean, stderr, oracle, abs err) against the exact oracle.
 
-    Row m averages the moments of sign samples 0..samples-1.  The limit
-    statement holds sample by sample, so each row also carries the raw
-    moments of the first ``TRAJECTORIES`` pinned sign samples ("traj", at
-    most ``samples`` of them), not just the average.
+    Row m averages the moments of sign samples 0..samples-1, drawn and evaluated
+    as stacks of as many samples as ``STACK_BYTES`` holds.  The limit statement
+    holds sample by sample, so each row also carries the raw moments of the
+    first ``TRAJECTORIES`` pinned sign samples ("traj", at most ``samples`` of
+    them), not just the average.
     """
     if isinstance(letters, str):
         letters = parse_word(letters)
@@ -159,8 +203,13 @@ def convergence_report(letters, q: float, mu, m_list, samples: int, seed: int) -
     oracle = moment(letters, QParams(q=q, n=n, mu=mu[:n]))
     rows = []
     for m in map(int, m_list):
-        vals = np.array([sample_moment(letters, sample_signs(q, n, m, seed, sample_index=s), mu)
-                         for s in range(samples)], dtype=np.complex128)
+        vals = np.zeros(samples, dtype=np.complex128)
+        size = max(1, STACK_BYTES // (STACK_ENTRY_BYTES * (n * m) ** 2))
+        paths = {}
+        for start in range(0, samples, size):
+            stop = min(start + size, samples)
+            vals.real[start:stop] = _stack_moments(
+                letters, _draw_signs(q, n * m, seed, range(start, stop)), m, mu, paths)
         var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1) if samples > 1 else 0.0
         mean = complex(vals.mean())
         rows.append({"m": m, "mean": mean, "stderr": float(np.sqrt(var / samples)),

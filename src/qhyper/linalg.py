@@ -28,9 +28,9 @@ _TINY = 1e-300
 def singular_values(A: np.ndarray) -> np.ndarray:
     """Singular values, descending, from the SVD.
 
-    Taking them from the SVD rather than the spectrum of A*A keeps small
-    singular values accurate to roundoff relative to themselves instead
-    of to the largest one (A*A squares the condition number).
+    The SVD's error in each singular value is about eps * s_max.  Taking them
+    as square roots of the spectrum of A*A instead errs by about
+    sqrt(eps) * s_max on the small ones (A*A squares the condition number).
     """
     return np.linalg.svd(np.asarray(A), compute_uv=False)
 

@@ -205,15 +205,18 @@ def _pair_weights(letters, mu) -> list:
 
 
 def _pairings(weights):
-    """Each pair partition of the positions with non-zero weight, as (pairs, weight).
+    """Each pair partition of the positions with non-zero weight, as (pairs, weight, crossings).
 
     The pairs (a, b), a < b, come ordered by a; the weight is the product of
-    weights[a][b] over them, taken in that order.
+    weights[a][b] over them, taken in that order, and crossings counts the
+    crossing pairs.  Pairs are placed by increasing left end, so a new pair
+    (a, b) crosses exactly the placed pairs whose right end lies in (a, b): the
+    right ends placed so far are kept as a bitmask.
     """
 
-    def rec(avail, pairs, weight):
+    def rec(avail, pairs, weight, ends, crossings):
         if not avail:
-            yield pairs, weight
+            yield pairs, weight, crossings
             return
         a = avail[0]
         for idx in range(1, len(avail)):
@@ -221,30 +224,37 @@ def _pairings(weights):
             w = weights[a][b]
             if w == 0.0:
                 continue
-            yield from rec(avail[1:idx] + avail[idx + 1:], pairs + [(a, b)], weight * w)
+            yield from rec(avail[1:idx] + avail[idx + 1:], pairs + [(a, b)], weight * w,
+                           ends | 1 << b, crossings + (ends & (1 << b) - (1 << a)).bit_count())
 
-    return rec(list(range(len(weights))), [], 1.0)
+    return rec(list(range(len(weights))), [], 1.0, 0, 0)
 
 
-def _pairing_sum(weights, q: float) -> float:
-    """Sum over pair partitions of prod weights[a][b] * q**crossings."""
+def _pairing_sum(weights, q: float) -> tuple:
+    """(sum, sum of magnitudes) of the terms prod weights[a][b] * q**crossings over the pair
+    partitions."""
     if len(weights) % 2:
-        return 0.0
-    total = 0.0
-    for pairs, weight in _pairings(weights):
-        total += weight * q ** len(_crossing_pairs(pairs))
-    return total
+        return 0.0, 0.0
+    total = scale = 0.0
+    for _, weight, crossings in _pairings(weights):
+        term = weight * q ** crossings
+        total += term
+        scale += abs(term)
+    return total, scale
 
 
-def moment_pairings(letters, params: QParams) -> complex:
+def moment_pairings(letters, params: QParams, scale: bool = False):
     """tau of the word by pair-partition enumeration with crossing weights.
 
     The crossing count depends on the pairing alone, so each pairing is
     enumerated once, every pair weighted by its letters' g/g* parts; x
-    letters are not expanded into 2**k pure words.
+    letters are not expanded into 2**k pure words.  With ``scale``, return
+    (tau, the sum of the terms' magnitudes), the scale of the sum's rounding,
+    from the same enumeration.
     """
     letters = _checked(letters, params)
-    return complex(_pairing_sum(_pair_weights(letters, params.mu), params.q))
+    total, size = _pairing_sum(_pair_weights(letters, params.mu), params.q)
+    return (complex(total), size) if scale else complex(total)
 
 
 def moment(letters, params: QParams) -> complex:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gns_oracle import apply_gamma, haagerup_norm, identity, modular_check, reconstruct
-from qhyper import cli, hyperc, state
+from qhyper import cli, clt, hyperc, state
 from qhyper.babyfock import BabyFock, get_model
 from qhyper.cli import (COMMANDS, MAX_GRID, _config_echo, build_parser, emit, main,
                         parse_values)
@@ -458,6 +458,49 @@ def test_convexity_chunks_leave_stdout_unchanged(capsys, monkeypatch):
     assert code == 0 and chunked == whole
 
 
+def per_sample_convexity(args):
+    """convexity's records from the per-sample loop: each pair's four (m, m) draws in turn,
+    its (A, B, mu) kept until its chunk's (m, p, q) groups are evaluated."""
+    ps, qs = parse_values(args.p), parse_values(args.q)
+    mus = parse_values(args.mu)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
+    worst = {}
+
+    def fold(key, margins):
+        worst[key] = float(np.min(margins, initial=worst.get(key, np.inf)))
+
+    for start in range(0, args.samples, cli.CONVEXITY_CHUNK):
+        stacks = {}
+        for k in range(start, min(start + cli.CONVEXITY_CHUNK, args.samples)):
+            m = 2 + k % 15
+            A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            stacks.setdefault((m, ps[k % len(ps)], qs[k % len(qs)]), []).append(
+                (A, B, mus[(k // len(ps)) % len(mus)]))
+        for (_, p, q), pairs in stacks.items():
+            A, B, mu = map(np.array, zip(*pairs))
+            bcl, asym, dual = hyperc.convexity_margins(A, B, p, mu, q)
+            fold(("bcl", p, 1.0), bcl)
+            for w in np.unique(mu).tolist():
+                fold(("asym", p, w), asym[mu == w])
+                fold(("dual", q, w), dual[mu == w])
+    return [{"inequality": k[0], "exponent": k[1], "mu": k[2],
+             "min_margin": v, "pass": bool(v >= -args.tol)} for k, v in sorted(worst.items())]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+@pytest.mark.parametrize("samples", [1, 17, 3001])
+def test_convexity_chunk_draws_equal_a_per_sample_loop(monkeypatch, chunk, samples):
+    # one draw per chunk, sliced at each pair's offset, gives the per-sample draws; the
+    # repeated p and mu values share their groups.  The defaults' 30-key cycle of (m, p, q)
+    # runs at the smaller sample counts, where a chunk of one costs a call per pair
+    monkeypatch.setattr(cli, "CONVEXITY_CHUNK", chunk)
+    argvs = [["convexity", "--p", "1.5,1.5,2", "--mu", "1,3,1", "--q", "2,5"]]
+    for argv in argvs + [["convexity"]] * (samples < 1000):
+        args = build_parser().parse_args(argv + ["--samples", str(samples), "--seed", "3"])
+        assert cli.cmd_convexity(args) == per_sample_convexity(args)
+
+
 @pytest.mark.parametrize("emit_as", ["json", "csv"])
 def test_choi_blocks_leave_stdout_unchanged(capsys, monkeypatch, emit_as):
     # 51 x 31 records: one stack over the whole grid and one block, then chunks of one time
@@ -519,6 +562,15 @@ def test_choi_memory_does_not_grow_with_the_record_count(emit_as):
     assert _traced_peak(large) - _traced_peak(small) <= 2 ** 20
 
 
+def test_clt_memory_stays_within_its_stack_budget():
+    # 50 samples fill a few stacks of 21 at m = 64, 400 samples 20 of them: every sample
+    # in one stack peaked at 231 MB resident for 2000 samples
+    argv = ["clt", "(s+s*)^6", "--q", "0.5", "--m", "64", "--samples"]
+    _traced_peak(argv + ["50"])     # parser, lazy imports and the Wick classes, once
+    for samples in ("50", "400"):
+        assert _traced_peak(argv + [samples]) <= clt.STACK_BYTES + 2 ** 20
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [["--p", "1.5", "--mu", "1", "--q", "253"],
                                   ["--p", "2", "--mu", "8.18e76"]], ids=["q-253", "mu-8.18e76"])
@@ -552,6 +604,20 @@ def test_fock_moment_oracles_agree_relative_to_the_moment(capsys, mu):
         assert code == 0, (q, err)
         rec = json.loads(out)["records"][0]
         assert rec["oracle_disagreement"] <= 1e-12 * max(1.0, abs(rec["value_re"]))
+
+
+def test_fock_moment_bound_scales_with_the_pairing_terms(capsys, monkeypatch):
+    # the terms of g*g*ggg*g*ggg*g reach 1e60 and cancel to 1e51 at --mu 1e30, where the
+    # operator route is 2.5e-8 off: a bound relative to the value failed it
+    code, out, err = run(capsys, ["fock-moment", "g*g*ggg*g*ggg*g", "--q=-0.999", "--mu", "1e30"])
+    assert code == 0, err
+    rec = json.loads(out)["records"][0]
+    assert rec["value_re"] == 1.0000000254586613e51 and rec["oracle_disagreement"] > 1e43
+    # (g+g*)**10 at q = 0.9 has terms of one sign, so the bound stays 1e-12 relative there
+    real = cli.moment_operator
+    monkeypatch.setattr(cli, "moment_operator", lambda *a: real(*a) * (1 + 1e-10))
+    code, _, err = run(capsys, ["fock-moment", "(g+g*)^10", "--q", "0.9"])
+    assert code == 2 and err.startswith("FAIL: ")
 
 
 def test_necessary_time_flags_discrepancy(capsys):

@@ -6,7 +6,7 @@ import pytest
 import sparse_clt
 from qhyper import clt
 from qhyper.clt import convergence_report, dense_reference_moment, sample_moment, sample_signs
-from qhyper.qfock import _pair_weights, _pairings, parse_word
+from qhyper.qfock import QParams, _pair_weights, _pairings, moment, parse_word
 from sparse_clt import (_apply_word, _letter_ops, expand_ops_sparse, pair_code, sparse_moment,
                         word_adjoint)
 from test_kernels import PAD, pack_rows, unpack_keys
@@ -82,6 +82,24 @@ def test_sample_signs_determinism_and_extremes():
     assert not np.array_equal(a.signs, c.signs)
     allminus = sample_signs(-1.0, 1, 10, seed=0)
     assert np.all(allminus.signs == -1)
+
+
+def test_sample_signs_are_the_keyed_philox_stream():
+    """Sample s is the upper triangle of one uniform draw from Philox (seed, s), whichever
+    samples share its stack."""
+    for q, n, m, seed in ((0.5, 2, 8, 4), (-0.3, 1, 1, 0), (0.0, 3, 7, 2 ** 64 - 1)):
+        nm = n * m
+        iu = np.triu_indices(nm, k=1)
+        stack = clt._draw_signs(q, nm, seed, [5, 0, 3])
+        for s, drawn in zip((5, 0, 3), stack):
+            rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(s)]))
+            want = -np.eye(nm, dtype=np.int8)
+            want[iu] = want[iu[::-1]] = np.where(rng.random(iu[0].size) < (1 + q) / 2, 1, -1)
+            assert drawn.dtype == np.int8 and np.array_equal(drawn, want)
+            assert np.array_equal(sample_signs(q, n, m, seed, sample_index=s).signs, want)
+    for q in (-1.5, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="q must be"):
+            sample_signs(q, 1, 3, seed=0)
 
 
 def test_sparse_apply_on_vacuum():
@@ -175,7 +193,7 @@ def test_three_index_words_match_dense():
 def term_scale(letters, mu):
     """The sum of the Wick terms' magnitudes, m**-k |prod_pairs tau(L_a L_b)| over the
     m**k pair-index choices of each pair partition: the scale of their rounding."""
-    return sum(abs(w) for _, w in _pairings(_pair_weights(letters, mu)))
+    return sum(abs(w) for _, w, _ in _pairings(_pair_weights(letters, mu)))
 
 
 @pytest.mark.parametrize("word,q,mu", [("(s+s*)^4", -0.5, (1.0,)),
@@ -251,22 +269,58 @@ def test_convergence_report():
 
 
 def test_convergence_report_evaluates_each_sample_once(monkeypatch):
-    calls = []
-    real = clt.sample_moment
+    draws = []
+    real = clt._draw_signs
 
-    def counting(letters, sample, mu):
-        calls.append((sample.m, sample.sample_index))
-        return real(letters, sample, mu)
+    def counting(q, nm, seed, indices):
+        draws.append((nm, list(indices)))
+        return real(q, nm, seed, indices)
 
-    monkeypatch.setattr(clt, "sample_moment", counting)
+    monkeypatch.setattr(clt, "_draw_signs", counting)
+    # stacks of two samples at m = 9: 24 bytes per entry of a 9 x 9 sign matrix
+    monkeypatch.setattr(clt, "STACK_BYTES", 2 * clt.STACK_ENTRY_BYTES * 81 + 1)
     word = parse_word("(s+s*)^4")
     rows = convergence_report(word, 0.5, (1.3,), [4, 9], samples=5, seed=2)
-    assert calls == [(m, s) for m in (4, 9) for s in range(5)]
+    assert draws == [(4, [0, 1, 2, 3, 4]), (9, [0, 1]), (9, [2, 3]), (9, [4])]
     for row in rows:
-        want = [real(word, sample_signs(0.5, 1, row["m"], 2, s), (1.3,)) for s in range(3)]
+        want = [sample_moment(word, sample_signs(0.5, 1, row["m"], 2, s), (1.3,))
+                for s in range(3)]
         assert row["traj"] == want
         (alone,) = convergence_report(word, 0.5, (1.3,), [row["m"]], samples=5, seed=2)
         assert (row["mean"], row["stderr"]) == (alone["mean"], alone["stderr"])
+
+
+def per_sample_rows(letters, q, mu, m, samples, seed):
+    """convergence_report's row for m from a loop of one sample_moment per sign sample."""
+    n = max(i for _, i in letters)
+    vals = np.array([sample_moment(letters, sample_signs(q, n, m, seed, sample_index=s), mu)
+                     for s in range(samples)], dtype=np.complex128)
+    var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1) if samples > 1 else 0.0
+    mean = complex(vals.mean())
+    oracle = moment(letters, QParams(q=q, n=n, mu=mu))
+    return {"m": m, "mean": mean, "stderr": float(np.sqrt(var / samples)), "oracle": oracle,
+            "abs_err": abs(mean - oracle), "traj": [complex(v) for v in vals[:3]]}
+
+
+@pytest.mark.parametrize("q", [-1.0, -0.5, 0.0, 0.5])
+@pytest.mark.parametrize("word,mu", [("s*s", (1.7,)), ("s s* s", (1.0,)), ("(s+s*)^4", (1.3,)),
+                                     ("g1* (s2+s2*) g1 g2*g2", (1.3, 1.9)),
+                                     ("(s+s*)^6", (1.0,)),
+                                     ("(g1+g1*)(g2+g2*)(g1+g1*)(g2+g2*)g2*g2", (1.3, 1.9))])
+def test_stacks_equal_a_per_sample_loop(monkeypatch, word, mu, q):
+    """Each row is the per-sample loop's to the bit, whether a stack holds every sample
+    or 1, 2 or 3 of them."""
+    letters = parse_word(word)
+    n = len(mu)
+    for m in (1, 3, 40, 64):
+        for samples in (1, 2, 7):
+            want = per_sample_rows(letters, q, mu, m, samples, seed=4)
+            assert convergence_report(letters, q, mu, [m], samples, seed=4) == [want]
+            for size in (1, 2, 3):
+                monkeypatch.setattr(clt, "STACK_BYTES",
+                                    size * clt.STACK_ENTRY_BYTES * (n * m) ** 2)
+                assert convergence_report(letters, q, mu, [m], samples, seed=4) == [want]
+            monkeypatch.undo()
 
 
 def test_estimators_reject_zero_samples():

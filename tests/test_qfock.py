@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from paper_reference import gram_matrix, positivity_check, q_inner
-from qhyper.qfock import (QParams, _crossing_pairs, annihilate_apply, create_apply,
-                          letter_parts, moment, moment_operator, moment_pairings, parse_word)
+from qhyper.qfock import (QParams, _crossing_pairs, _pair_weights, _pairings, annihilate_apply,
+                          create_apply, letter_parts, moment, moment_operator, moment_pairings,
+                          parse_word)
 from sparse_clt import word_adjoint
 
 
@@ -103,6 +104,39 @@ def test_crossing_pairs_hand_cases():
     assert _crossing_pairs([(1, 3), (0, 2)]) == [(0, 1)]             # in either order
     assert _crossing_pairs([(0, 3), (1, 4), (2, 5)]) == [(0, 1), (0, 2), (1, 2)]
     assert _crossing_pairs([(0, 5), (1, 3), (2, 4)]) == [(1, 2)]     # one inside another
+
+
+def crossing_pairs_sum(letters, params):
+    """moment_pairings' sum with each partition's crossings counted by _crossing_pairs,
+    and the sum of the terms' magnitudes."""
+    total = scale = 0.0
+    for pairs, weight, _ in _pairings(_pair_weights(letters, params.mu)):
+        term = weight * params.q ** len(_crossing_pairs(pairs))
+        total += term
+        scale += abs(term)
+    return complex(total), scale
+
+
+def test_pairing_sum_counts_crossings_as_pairs_are_placed():
+    """Bit for bit the sum that counts each partition's crossings with _crossing_pairs."""
+    rng = np.random.default_rng(21)
+    cases = [(parse_word("(g+g*)^10"), QParams(q=0.9)),
+             (parse_word("g*g*ggg*g*ggg*g"), QParams(q=-0.999, mu=(1e30,)))]
+    tokens = [("g", 1), ("g*", 1), ("g", 2), ("g*", 2), ("x", 1), ("x", 2)]
+    for _ in range(150):
+        length = int(rng.integers(1, 11))
+        letters = [tokens[t] for t in rng.integers(0, len(tokens), length)]
+        q = float(rng.choice([-1.0, -0.999, -0.5, 0.0, 0.3, 0.9]))
+        cases.append((letters, QParams(q=q, n=2, mu=tuple(rng.uniform(1.0, 3.0, 2)))))
+    nonzero = 0
+    for letters, params in cases:
+        want, scale = crossing_pairs_sum(letters, params)
+        got = moment_pairings(letters, params)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        got, got_scale = moment_pairings(letters, params, scale=True)
+        assert got_scale.hex() == scale.hex() and got == want
+        nonzero += want != 0
+    assert nonzero >= 20      # most random words have no pairing of non-zero weight
 
 
 def test_oracle_agreement_exhaustive_n1():
